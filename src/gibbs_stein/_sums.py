@@ -13,7 +13,7 @@ from collections.abc import Iterable
 import numpy as np
 from scipy.special import logsumexp as _logsumexp
 
-__all__ = ["fsum", "log_sum_exp", "prefix_abs_sums", "exact_window_sum"]
+__all__ = ["fsum", "log_sum_exp", "exact_window_sum"]
 
 
 def fsum(values: Iterable[float]) -> float:
@@ -24,11 +24,6 @@ def fsum(values: Iterable[float]) -> float:
 def log_sum_exp(log_values: np.ndarray) -> float:
     """log(sum(exp(v))) without intermediate overflow or underflow."""
     return float(_logsumexp(np.asarray(log_values, dtype=float)))
-
-
-def prefix_abs_sums(terms: np.ndarray) -> np.ndarray:
-    """Cumulative sums of |terms|, used to pick the better summation side."""
-    return np.cumsum(np.abs(terms))
 
 
 def exact_window_sum(terms: np.ndarray, lo: int, hi: int) -> float:

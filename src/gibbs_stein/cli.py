@@ -171,7 +171,8 @@ def cmd_bounds(args) -> int:
         exact, simple = factors.increment_bound(m, j)
         certs.extend([exact, simple, factors.solution_bound(m, j)])
         try:
-            certs.extend(factors.closed_form_bounds(m, j=j))
+            # the uniform certificates were added once above
+            certs.extend(c for c in factors.closed_form_bounds(m, j=j) if c.j is not None)
         except ValueError:
             pass
         exact_rows.append(

@@ -22,6 +22,12 @@ shrinks to functions vanishing above n, and the rate ratio is 0 above the
 small support (the extension has no births there).  Conditioning a law to
 an initial segment reproduces exactly this tail term as the true distance,
 so the certificate is sharp in that case.
+
+Each formula lives here once and is shared with `gibbs_stein.lattice`:
+`mismatch_terms` is the kernel that evaluates the display's activity and
+ratio terms for one direction, and `solution_norm` is the selector that
+picks the norm bound (exact supremum or rate-spread certificate) for a
+solver, its restricted test class, or its pure-death extension.
 """
 
 from __future__ import annotations
@@ -114,62 +120,80 @@ class ComparisonReport:
         ]
 
 
-def _log_rate_over_activity(m: GibbsMeasure, k: int) -> float:
-    """log(b_k / omega) = V(k+1) - V(k), with -inf once births stop."""
-    if k >= m.support_max:
-        return -math.inf
-    return float(m.V[k + 1] - m.V[k])
+def mismatch_terms(solver: GibbsMeasure, averaged: GibbsMeasure) -> tuple[float, float]:
+    """(activity term, ratio term) of the display, g solving for `solver`, X_a ~ `averaged`.
 
+    activity term  E(X_a) |w_s - w_a| / w_a
+    ratio term     (w_s/w_a) sum_{x=1}^{N_a} x pmf_a(x) |e^{(dV_s - dV_a)(x)} - 1|
 
-def _mismatch_term(solver: GibbsMeasure, averaged: GibbsMeasure) -> float:
-    """E(X_a) |w_s - w_a|/w_a + (w_s/w_a) sum_x x pmf_a(x) |e^{(dV_s - dV_a)(x)} - 1|.
-
-    The x-sum runs over the size-bias support 1..N_a; the solver's rate
-    ratio is 0 wherever its extension has no births.
+    The gap |e^d - 1| is 1 above the solver's support, where its pure-death
+    extension has no births, and +inf once d >= 700.  math.expm1 is applied
+    per element: numpy's vectorized expm1 may differ from it by an ulp.
     """
     w_s, w_a = solver.omega, averaged.omega
-    pmf_a = averaged.pmf
-    terms = []
-    for x in range(1, averaged.support_max + 1):
-        d_s = _log_rate_over_activity(solver, x - 1)
-        d_a = _log_rate_over_activity(averaged, x - 1)
-        if d_s == -math.inf:
-            gap = 1.0
-        else:
-            d = d_s - d_a
-            gap = abs(math.expm1(d)) if d < 700.0 else math.inf
-        terms.append(x * pmf_a[x] * gap)
-    ratio_part = (w_s / w_a) * fsum(terms)
-    activity_part = averaged.mean() * abs(w_s - w_a) / w_a
-    return activity_part + ratio_part
+    n_a = averaged.support_max
+    shared = min(solver.support_max, n_a)
+    d = np.diff(solver.V)[:shared] - np.diff(averaged.V)[:shared]
+    gaps = np.ones(n_a)
+    gaps[:shared] = [abs(math.expm1(v)) if v < 700.0 else math.inf for v in d.tolist()]
+    terms = np.arange(1, n_a + 1) * averaged.pmf[1:] * gaps
+    activity_term = averaged.mean() * abs(w_s - w_a) / w_a
+    return activity_term, (w_s / w_a) * fsum(terms.tolist())
 
 
-def _norms(
+def solution_norm(
+    m: GibbsMeasure, source: str, f_support: int | None = None, extended: bool = False
+) -> tuple[float, bool]:
+    """(bound on sup_f ||g_f|| over [0,1]-valued f, whether it is licensed).
+
+    "exact" is the solver's exact supremum, over f vanishing above f_support,
+    or for the pure-death extension of m when extended; "rate_spread" is the
+    rate-spread certificate (the test class only shrinks under f_support), and
+    +inf unlicensed where that certificate is inapplicable.
+    """
+    if source == "exact":
+        if extended:
+            return extended_solution_norm(m), True
+        return sup_solution_norm(m, f_support=f_support), True
+    if source == "rate_spread":
+        cert = extended_supnorm_bound(m) if extended else supnorm_bound(m)
+        return (cert.value if cert.applicable else math.inf), cert.applicable
+    raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
+
+
+def _comparison(
     m1: GibbsMeasure,
     m2: GibbsMeasure,
     source: str,
     values: tuple[float, float] | None,
     extended: bool,
-) -> tuple[float, float, str]:
+) -> ComparisonReport:
+    """The shared body: supp(m1) = {0..n} equals supp(m2) or, extended, sits inside it."""
     if source not in G_NORM_SOURCES:
         raise ValueError(f"g_norm_source must be one of {G_NORM_SOURCES}")
+    n = m1.support_max
     notes = ""
     if source == "user":
         if values is None:
             raise ValueError("user-supplied norms require g_norm_values")
-        return float(values[0]), float(values[1]), notes
-    if source == "exact":
-        if extended:
-            n = m1.support_max
-            return extended_solution_norm(m1), sup_solution_norm(m2, f_support=n), notes
-        return sup_solution_norm(m1), sup_solution_norm(m2), notes
-    cert1 = extended_supnorm_bound(m1) if extended else supnorm_bound(m1)
-    cert2 = supnorm_bound(m2)
-    v1 = cert1.value if cert1.applicable else math.inf
-    v2 = cert2.value if cert2.applicable else math.inf
-    if not cert1.applicable or not cert2.applicable:
-        notes = "rate-spread norm inapplicable on at least one side"
-    return v1, v2, notes
+        norm1, norm2 = float(values[0]), float(values[1])
+    else:
+        norm1, licensed1 = solution_norm(m1, source, extended=extended)
+        norm2, licensed2 = solution_norm(m2, source, f_support=n if extended else None)
+        if not (licensed1 and licensed2):
+            notes = "rate-spread norm inapplicable on at least one side"
+    (a1, r1), (a2, r2) = mismatch_terms(m1, m2), mismatch_terms(m2, m1)
+    v1, v2 = norm1 * (a1 + r1), norm2 * (a2 + r2)
+    return ComparisonReport(
+        measures=(m1.label(), m2.label()),
+        exact_tv=tv_distance(m1.pmf, m2.pmf),
+        bound_value=min(v1, v2),
+        branch_used="direction_1_to_2" if v1 <= v2 else "direction_2_to_1",
+        tail_term=fsum(m2.pmf[n + 1 :].tolist()),
+        g_norm_source=source,
+        g_norms=(norm1, norm2),
+        notes=notes,
+    )
 
 
 def generator_comparison_bound(
@@ -183,20 +207,7 @@ def generator_comparison_bound(
         raise ValueError(
             "supports differ; use generator_comparison_extended for nested supports"
         )
-    norm1, norm2, notes = _norms(m1, m2, g_norm_source, g_norm_values, extended=False)
-    v1 = norm1 * _mismatch_term(m1, m2)
-    v2 = norm2 * _mismatch_term(m2, m1)
-    branch = "direction_1_to_2" if v1 <= v2 else "direction_2_to_1"
-    return ComparisonReport(
-        measures=(m1.label(), m2.label()),
-        exact_tv=tv_distance(m1.pmf, m2.pmf),
-        bound_value=min(v1, v2),
-        branch_used=branch,
-        tail_term=0.0,
-        g_norm_source=g_norm_source,
-        g_norms=(norm1, norm2),
-        notes=notes,
-    )
+    return _comparison(m1, m2, g_norm_source, g_norm_values, extended=False)
 
 
 def generator_comparison_extended(
@@ -210,21 +221,6 @@ def generator_comparison_extended(
     The reported bound splits into the generator-mismatch minimum and the
     tail term sum_{k>n} m2(k) contributed by the pure-death extension.
     """
-    n, big = m1.support_max, m2.support_max
-    if n >= big:
+    if m1.support_max >= m2.support_max:
         raise ValueError("m1's support must be strictly smaller than m2's")
-    norm1, norm2, notes = _norms(m1, m2, g_norm_source, g_norm_values, extended=True)
-    v1 = norm1 * _mismatch_term(m1, m2)
-    v2 = norm2 * _mismatch_term(m2, m1)
-    branch = "direction_1_to_2" if v1 <= v2 else "direction_2_to_1"
-    tail = fsum(m2.pmf[n + 1 :].tolist())
-    return ComparisonReport(
-        measures=(m1.label(), m2.label()),
-        exact_tv=tv_distance(m1.pmf, m2.pmf),
-        bound_value=min(v1, v2),
-        branch_used=branch,
-        tail_term=tail,
-        g_norm_source=g_norm_source,
-        g_norms=(norm1, norm2),
-        notes=notes,
-    )
+    return _comparison(m1, m2, g_norm_source, g_norm_values, extended=True)

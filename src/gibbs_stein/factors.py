@@ -299,6 +299,21 @@ def extended_supnorm_bound(m: GibbsMeasure) -> BoundCertificate:
     )
 
 
+def uniform_increment(kind: str, params: dict) -> float | None:
+    """Uniform-in-j increment bound in closed form for the Poisson and geometric families.
+
+    Poisson(lambda): (1 - e^-lambda)/lambda, computed as -expm1(-lambda)/lambda
+    so that small lambda keeps full precision; geometric(p): min(1, 1 + p).
+    None for other families.
+    """
+    if kind == "poisson":
+        lam = float(params["lam"])
+        return -math.expm1(-lam) / lam
+    if kind == "geometric":
+        return min(1.0, 1.0 + float(params["p"]))
+    return None
+
+
 def closed_form_bounds(m_or_kind, params: dict | None = None, j: int | None = None) -> list[BoundCertificate]:
     """Per-family sharpened bounds for Poisson, geometric, and binomial laws."""
     if isinstance(m_or_kind, GibbsMeasure):
@@ -308,8 +323,7 @@ def closed_form_bounds(m_or_kind, params: dict | None = None, j: int | None = No
         params = params or {}
     certs: list[BoundCertificate] = []
     if kind == "poisson":
-        lam = float(params["lam"])
-        factor = (1.0 - math.exp(-lam)) / lam
+        factor = uniform_increment(kind, params)
         certs.append(BoundCertificate(
             quantity="increment_uniform", value=min(1.0, factor),
             formula="poisson_increment",
@@ -322,7 +336,7 @@ def closed_form_bounds(m_or_kind, params: dict | None = None, j: int | None = No
     elif kind == "geometric":
         p = float(params["p"])
         certs.append(BoundCertificate(
-            quantity="increment_uniform", value=min(1.0, 1.0 + p),
+            quantity="increment_uniform", value=uniform_increment(kind, params),
             formula="geometric_increment",
         ))
         certs.append(BoundCertificate(

@@ -26,7 +26,9 @@ The distance from S_n to the limit law is certified by comparing the two
 generators (activity mismatch plus weight-ratio mismatch, each computable
 in log space) plus the tail mass of the limit law beyond n, and for
 Bernoulli sums by a size-bias coupling bound whose increments are charged
-either to harmonic sums or to reciprocal birth rates.
+either to harmonic sums or to reciprocal birth rates.  The generator terms
+come from the comparison kernel `compare.mismatch_terms`, and both
+certificates take their solution norms from `compare.solution_norm`.
 
 A caution on the repelling family: the lattice/continuum weight ratios
 match only from k = 3 on; at k = 2 they differ by the factor (n^2-1)/n^2,
@@ -47,11 +49,10 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from ._sums import fsum, log_sum_exp
-from .factors import condition, extended_supnorm_bound, supnorm_bound
+from .compare import mismatch_terms, solution_norm, tv_distance
+from .factors import condition, uniform_increment
 from .measures import GibbsMeasure, TailPolicy, poisson
-from .compare import tv_distance
 from .size_bias import CouplingSpec
-from .stein import extended_solution_norm, sup_solution_norm
 
 __all__ = [
     "InteractionModel",
@@ -96,9 +97,6 @@ class InteractionModel:
     log_Wn_fn: Callable[[int, int], float] | None = None
     log_W_fn: Callable[[int], float] | None = None
     separable_integrand: Callable[[int], Callable[[float], float]] | None = None
-
-    def z_of(self, n: int) -> float:
-        return self.z
 
     def log_Wn(self, n: int, k: int) -> float:
         if k <= 1:
@@ -242,7 +240,7 @@ def lattice_measure(model: InteractionModel, n: int) -> GibbsMeasure:
         raise ValueError("need at least one cell")
     if model.kind == "product" and n < 3:
         raise ValueError("the product model needs n >= 3")
-    z = model.z_of(n)
+    z = model.z
     V = np.array([model.log_Wn(n, k) for k in range(n + 1)])
     if not np.all(np.isfinite(V)):
         raise ValueError("lattice weights vanish inside {0..n}; support must be contiguous")
@@ -371,30 +369,6 @@ class LatticeBoundReport:
         ]
 
 
-def _log_ratio_between(
-    solver: GibbsMeasure, averaged: GibbsMeasure, x: int
-) -> float:
-    """log of e^{(dV_s - dV_a)(x)} with a hard zero above the solver's births."""
-    if x - 1 >= solver.support_max:
-        return -math.inf
-    d_s = solver.V[x] - solver.V[x - 1]
-    d_a = averaged.V[x] - averaged.V[x - 1]
-    return float(d_s - d_a)
-
-
-def _branch_terms(solver: GibbsMeasure, averaged: GibbsMeasure) -> tuple[float, float]:
-    """(activity term, weight-ratio term) of one comparison direction."""
-    w_s, w_a = solver.omega, averaged.omega
-    omega_term = averaged.mean() * abs(w_s - w_a) / w_a
-    terms = []
-    for x in range(1, averaged.support_max + 1):
-        d = _log_ratio_between(solver, averaged, x)
-        gap = 1.0 if d == -math.inf else abs(math.expm1(d))
-        terms.append(x * averaged.pmf[x] * gap)
-    ratio_term = (w_s / w_a) * fsum(terms)
-    return omega_term, ratio_term
-
-
 def lattice_comparison_report(
     model: InteractionModel,
     n: int,
@@ -414,23 +388,15 @@ def lattice_comparison_report(
 
     # branch A solves for the limit law and averages over the lattice law;
     # branch B solves for the (extended) lattice law and averages over the limit.
-    omega_a, ratio_a = _branch_terms(mu, mu_n)
-    omega_b, ratio_b = _branch_terms(mu_n, mu)
+    omega_a, ratio_a = mismatch_terms(mu, mu_n)
+    omega_b, ratio_b = mismatch_terms(mu_n, mu)
     tail = fsum(mu.pmf[n + 1 :].tolist())
 
+    norm_limit, licensed_limit = solution_norm(mu, g_norm_source, f_support=n)
+    norm_lattice, licensed_lattice = solution_norm(mu_n, g_norm_source, extended=True)
     notes = ""
-    if g_norm_source == "exact":
-        norm_limit = sup_solution_norm(mu, f_support=n)
-        norm_lattice = extended_solution_norm(mu_n)
-    elif g_norm_source == "rate_spread":
-        cert_limit = supnorm_bound(mu)
-        cert_lattice = extended_supnorm_bound(mu_n)
-        norm_limit = cert_limit.value if cert_limit.applicable else math.inf
-        norm_lattice = cert_lattice.value if cert_lattice.applicable else math.inf
-        if not (cert_limit.applicable and cert_lattice.applicable):
-            notes = "rate-spread norm bound inapplicable; no finite certificate"
-    else:
-        raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
+    if not (licensed_limit and licensed_lattice):
+        notes = "rate-spread norm bound inapplicable; no finite certificate"
 
     if per_branch_norms:
         value_a = norm_limit * (omega_a + ratio_a)
@@ -531,16 +497,6 @@ class CouplingBound:
         }
 
 
-def _family_uniform_increment(m: GibbsMeasure) -> float | None:
-    """A uniform-in-j increment bound available in closed form for the family."""
-    if m.kind == "poisson":
-        lam = float(m.params["lam"])
-        return (1.0 - math.exp(-lam)) / lam
-    if m.kind == "geometric":
-        return min(1.0, 1.0 + float(m.params["p"]))
-    return None
-
-
 def sum_coupling_bound(
     m: GibbsMeasure, spec: CouplingSpec, g_norm_source: str = "exact"
 ) -> CouplingBound:
@@ -560,7 +516,7 @@ def sum_coupling_bound(
     cond = (condition(m, "rates_nonincreasing"),)
     lam = spec.lam
     b = m.birth_rates
-    family_cap = _family_uniform_increment(m)
+    family_cap = uniform_increment(m.kind, m.params)
 
     pieces = []
     for i in range(spec.n):
@@ -585,15 +541,8 @@ def sum_coupling_bound(
     mean_rate = fsum((law * rates).tolist())
     mad = fsum((law * np.abs(rates - mean_rate)).tolist())
 
-    if g_norm_source == "exact":
-        g_norm = sup_solution_norm(m)
-        notes = ""
-    elif g_norm_source == "rate_spread":
-        cert = supnorm_bound(m)
-        g_norm = cert.value if cert.applicable else math.inf
-        notes = "" if cert.applicable else "rate-spread norm inapplicable"
-    else:
-        raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
+    g_norm, licensed = solution_norm(m, g_norm_source)
+    notes = "" if licensed else "rate-spread norm inapplicable"
     norm_part = g_norm * mad
 
     return CouplingBound(
@@ -645,7 +594,7 @@ def poisson_sum_bounds(
     """Certified Poisson approximation for a Bernoulli-sum coupling spec."""
     lam = spec.lam
     target = poisson(lam, truncation=truncation, tail_tol=tail_tol)
-    factor = (1.0 - math.exp(-lam)) / lam
+    factor = uniform_increment(target.kind, target.params)
 
     coupling = sum_coupling_bound(target, spec, g_norm_source="exact")
     linear = factor * fsum(

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import gibbs_stein
 from gibbs_stein.cli import main, parse_measure, parse_range, parse_test_function
 
 
@@ -74,6 +76,15 @@ def test_bounds_rows_carry_condition_flags(capsys):
         if cells[idx_formula] in ("increment_exact_form", "increment_rate_reciprocal"):
             assert "rate_sandwich=" in cells[idx_cond]
     assert any("geometric_norm" in line and ",2," in line for line in lines)
+    # uniform certificates do not depend on j and appear once per report
+    for measure, uniform in (("geometric:0.5", ("norm_rate_spread", "geometric_increment",
+                                                "geometric_norm")),
+                             ("poisson:1", ("norm_rate_spread", "poisson_increment"))):
+        code, out, _ = run_cli(["bounds", "--measure", measure, "--j", "1..5"], capsys)
+        assert code == 0
+        formulas = [line.split(",")[idx_formula] for line in out.splitlines()[3:]]
+        for formula in uniform:
+            assert formulas.count(formula) == 1, formula
 
 
 def test_compare_auto_extends_nested_supports(capsys):
@@ -170,9 +181,12 @@ def test_verify_exits_zero_and_strict_nonzero(capsys):
 
 
 def test_console_entry_point():
+    # the child interpreter imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(gibbs_stein.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gibbs_stein.cli", "bounds", "--measure", "poisson:1.0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "norm_rate_spread" in proc.stdout

@@ -161,3 +161,77 @@ def test_report_serialization_row():
     assert row[4] in ("direction_1_to_2", "direction_2_to_1")
     payload = rep.to_dict()
     assert payload["certified_bound"] == rep.certified_bound
+
+
+# ---------------------------------------------------------------------------
+# the comparison kernel against a 50-digit recomputation of the display
+# ---------------------------------------------------------------------------
+
+def _display_mp(solver, averaged):
+    """(activity term, ratio term) recomputed from omega and V in 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        log_w = [
+            mpmath.mpf(float(v)) + k * mpmath.log(averaged.omega) - mpmath.loggamma(k + 1)
+            for k, v in enumerate(averaged.V)
+        ]
+        weights = [mpmath.exp(v) for v in log_w]
+        total = mpmath.fsum(weights)
+        pmf = [w / total for w in weights]
+        w_s, w_a = mpmath.mpf(solver.omega), mpmath.mpf(averaged.omega)
+        activity = mpmath.fsum(k * p for k, p in enumerate(pmf)) * abs(w_s - w_a) / w_a
+        v_s = [mpmath.mpf(float(v)) for v in solver.V]
+        v_a = [mpmath.mpf(float(v)) for v in averaged.V]
+        terms = []
+        for x in range(1, averaged.support_max + 1):
+            if x > solver.support_max:
+                gap = 1  # the pure-death extension has no births here
+            else:
+                gap = abs(mpmath.expm1((v_s[x] - v_s[x - 1]) - (v_a[x] - v_a[x - 1])))
+            terms.append(x * pmf[x] * gap)
+        return activity, w_s / w_a * mpmath.fsum(terms)
+
+
+@pytest.mark.parametrize(
+    "m1, m2",
+    [
+        (gs.poisson(1.3, truncation=25), gs.negative_binomial(3.0, 0.6, truncation=25)),
+        (gs.binomial(6, 0.3), gs.poisson(1.8, truncation=20)),
+        (gs.lattice_measure(gs.repelling_model(1.0), 6), gs.limit_measure(gs.repelling_model(1.0))),
+    ],
+    ids=["equal_support", "nested", "lattice_limit"],
+)
+def test_mismatch_terms_match_mpmath_display(m1, m2):
+    from gibbs_stein.compare import mismatch_terms
+
+    assert m1.support_max <= m2.support_max
+    for solver, averaged in ((m1, m2), (m2, m1)):
+        got, want = mismatch_terms(solver, averaged), _display_mp(solver, averaged)
+        assert want[1] > 0  # equal activities make only the activity term vanish
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
+
+
+def _mismatch_loop(solver, averaged):
+    """Reference: the display summed term by term in a Python loop."""
+    terms = []
+    for x in range(1, averaged.support_max + 1):
+        gap = 1.0
+        if x <= solver.support_max:
+            d = float(solver.V[x] - solver.V[x - 1]) - float(averaged.V[x] - averaged.V[x - 1])
+            gap = abs(math.expm1(d)) if d < 700.0 else math.inf
+        terms.append(x * averaged.pmf[x] * gap)
+    w_s, w_a = solver.omega, averaged.omega
+    return averaged.mean() * abs(w_s - w_a) / w_a, (w_s / w_a) * math.fsum(terms)
+
+
+def test_mismatch_terms_equal_loop_reference():
+    from gibbs_stein.compare import mismatch_terms
+
+    rng = np.random.default_rng(1729)
+    for _ in range(30):
+        n1, n2 = (int(v) for v in rng.integers(1, 40, 2))
+        m1 = gs.from_pmf(rng.uniform(0.05, 1.0, n1 + 1), omega=float(rng.uniform(0.5, 3)))
+        m2 = gs.from_pmf(rng.uniform(0.05, 1.0, n2 + 1), omega=float(rng.uniform(0.5, 3)))
+        for solver, averaged in ((m1, m2), (m2, m1)):
+            assert mismatch_terms(solver, averaged) == _mismatch_loop(solver, averaged)

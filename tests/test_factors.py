@@ -242,6 +242,16 @@ def test_closed_forms_dominate_exact(subtests=None):
         assert cert.value >= gs.sup_increment_exact(mb, k) - 1e-10
 
 
+@pytest.mark.parametrize("lam", [1e-20, 1e-8])
+def test_poisson_closed_forms_dominate_at_small_lambda(lam):
+    # (1 - e^-lam)/lam loses its digits to cancellation here; the bound must not
+    m = gs.poisson(lam, truncation=3)
+    exact = gs.sup_increment_exact(m, 1)
+    for cert in gs.closed_form_bounds(m, j=1):
+        if cert.licensed:
+            assert cert.value >= exact - 1e-10
+
+
 def test_closed_forms_reject_other_kinds():
     with pytest.raises(ValueError):
         gs.closed_form_bounds("discrete_uniform", {"n": 3})

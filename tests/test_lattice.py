@@ -381,6 +381,15 @@ def test_poisson_sum_inhomogeneous_improvement():
     assert rep.improved_bound < rep.independent_bound
 
 
+def test_poisson_sum_tiny_means_give_positive_bounds():
+    # the laws differ, so no bound may collapse to 0 through cancellation
+    rep = gs.poisson_sum_bounds(gs.CouplingSpec.independent_bernoulli([1e-17, 1e-17]), truncation=5)
+    for value in (rep.harmonic_coupling_bound, rep.linear_coupling_bound,
+                  rep.independent_bound, rep.improved_bound):
+        assert value > 0.0
+        assert value >= rep.exact_tv - 1e-10
+
+
 def test_poisson_sum_dependent_spec_has_no_independent_forms():
     spec = gs.CouplingSpec.from_configurations([((0, 0), 0.6), ((1, 1), 0.4)])
     rep = gs.poisson_sum_bounds(spec)
