@@ -11,9 +11,8 @@ Subcommands:
   verify       run the seeded invariant battery
 
 Measure descriptors are either `kind:param1,param2,...` for the built-in
-families (poisson:1.0, binomial:10,0.3, geometric:0.5,
-negative_binomial:2,0.4, hypergeometric:20,5,6, discrete_uniform:3), a path
-to a JSON measure file, or inline JSON.  Test functions are
+families (listed by --help, e.g. poisson:1.0 or binomial:10,0.3), a path to a
+JSON measure file, or inline JSON.  Test functions are
 `indicator:0,1,2`, `constant:0.5`, a JSON array, or a path to one.
 
 Floats are rendered with 17 significant digits so that emitted values
@@ -40,6 +39,13 @@ from .verify import run_verification
 
 _FMT = "{:.17g}"
 
+# lattice model constructors by --model name, each called with the activity
+_MODELS = {
+    "repelling": lattice.repelling_model,
+    "product": lattice.product_model,
+    "ideal_gas": lattice.ideal_gas_model,
+}
+
 
 def _render(value) -> str:
     if value is None:
@@ -53,6 +59,12 @@ def _render(value) -> str:
 
 class CliError(Exception):
     """Input that failed to parse; exits with status 2."""
+
+
+_MEASURE_HELP = "a JSON measure file, inline JSON, or kind:params, one of " + ", ".join(
+    [f"{kind}:{','.join(name for name, _ in measures.FAMILIES[kind].args)}" for kind in measures.BUILTIN_KINDS]
+    + ["pmf:w0,w1,..."]
+)
 
 
 def parse_measure(desc: str, truncation: int | None = None, tail_tol: float = 1e-14):
@@ -204,6 +216,8 @@ def cmd_compare(args) -> int:
     source, values = args.g_norm, None
     if source.startswith("value:"):
         parts = source.split(":", 1)[1].split(",")
+        if len(parts) != 2:
+            raise CliError(f"--g-norm {source!r}: value:X,Y takes two norm bounds")
         values = (float(parts[0]), float(parts[1]))
         source = "user"
     if m1.support_max == m2.support_max:
@@ -222,7 +236,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    model = _build_model(args.model, args.lam)
+    if args.model not in _MODELS:
+        raise CliError(f"unknown model {args.model!r}; expected repelling, product, or ideal_gas")
+    model = _MODELS[args.model](args.lam)
     rows = []
     for n in parse_range(args.n):
         rep = lattice.lattice_comparison_report(
@@ -240,16 +256,6 @@ def cmd_lattice(args) -> int:
     ]
     _emit(rows, header, args, {"model": model.kind, "activity": _render(model.z)})
     return 0
-
-
-def _build_model(name: str, lam: float) -> lattice.InteractionModel:
-    if name == "repelling":
-        return lattice.repelling_model(lam)
-    if name == "product":
-        return lattice.product_model(lam)
-    if name == "ideal_gas":
-        return lattice.ideal_gas_model(lam)
-    raise CliError(f"unknown model {name!r}; expected repelling, product, or ideal_gas")
 
 
 def cmd_poisson_sum(args) -> int:
@@ -300,27 +306,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solution table for a measure and test function")
-    p.add_argument("--measure", required=True)
+    p.add_argument("--measure", required=True, help=_MEASURE_HELP)
     p.add_argument("--f", required=True, help="test function descriptor")
     _add_common(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("bounds", help="bound certificates for a measure")
-    p.add_argument("--measure", required=True)
+    p.add_argument("--measure", required=True, help=_MEASURE_HELP)
     p.add_argument("--j", default=None, help="indices, e.g. 1,2,5 or 1..10")
     _add_common(p)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("compare", help="certified TV comparison of two measures")
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
+    p.add_argument("--m1", required=True, help=_MEASURE_HELP)
+    p.add_argument("--m2", required=True, help=_MEASURE_HELP)
     p.add_argument("--g-norm", dest="g_norm", default="exact",
                    help="exact | rate_spread | value:X,Y")
     _add_common(p)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("lattice", help="lattice-vs-limit reports over a range of n")
-    p.add_argument("--model", required=True, choices=("repelling", "product", "ideal_gas"))
+    p.add_argument("--model", required=True, choices=_MODELS)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="activity (z) of the model")
     p.add_argument("--n", required=True, help="cell counts, e.g. 2..6 or 3,5,8")

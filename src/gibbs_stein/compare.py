@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sums import fsum
 from .factors import extended_supnorm_bound, supnorm_bound
 from .measures import GibbsMeasure
 from .stein import extended_solution_norm, sup_solution_norm
@@ -66,9 +65,9 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     p = np.pad(p, (0, size - p.size))
     q = np.pad(q, (0, size - q.size))
     for name, arr in (("first", p), ("second", q)):
-        if abs(fsum(arr.tolist()) - 1.0) > 1e-12 or np.any(arr < -1e-15):
+        if abs(math.fsum(arr.tolist()) - 1.0) > 1e-12 or np.any(arr < -1e-15):
             raise ValueError(f"{name} argument is not a normalized pmf")
-    return 0.5 * fsum(np.abs(p - q).tolist())
+    return 0.5 * math.fsum(np.abs(p - q).tolist())
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def mismatch_terms(solver: GibbsMeasure, averaged: GibbsMeasure) -> tuple[float,
     gaps[:shared] = [abs(math.expm1(v)) if v < 700.0 else math.inf for v in d.tolist()]
     terms = np.arange(1, n_a + 1) * averaged.pmf[1:] * gaps
     activity_term = averaged.mean() * abs(w_s - w_a) / w_a
-    return activity_term, (w_s / w_a) * fsum(terms.tolist())
+    return activity_term, (w_s / w_a) * math.fsum(terms.tolist())
 
 
 def solution_norm(
@@ -189,7 +188,7 @@ def _comparison(
         exact_tv=tv_distance(m1.pmf, m2.pmf),
         bound_value=min(v1, v2),
         branch_used="direction_1_to_2" if v1 <= v2 else "direction_2_to_1",
-        tail_term=fsum(m2.pmf[n + 1 :].tolist()),
+        tail_term=math.fsum(m2.pmf[n + 1 :].tolist()),
         g_norm_source=source,
         g_norms=(norm1, norm2),
         notes=notes,

@@ -30,21 +30,23 @@ form; otherwise it is computed on the truncation window and flagged, since
 a window silently caps an unbounded rate sequence and would fake
 applicability.
 
-Sharper closed forms are available per family: for Poisson(lambda) the
-increment supremum is at most min(1/k, (1 - e^-lambda)/lambda); for the
-geometric(p) it is at most min(1/k, (1+p)/(k+1)) with solution norm at most
-1/p; for the binomial the rate-normalized variant min(1/((1-p)k), 1/(p(n-k)))
-applies.
+Sharper closed forms are available per family, and are read with the
+analytic rate ranges from the family registry `measures.FAMILIES`: for
+Poisson(lambda) the increment supremum is at most min(1/k, (1 - e^-lambda)/lambda);
+for the geometric(p) it is at most min(1/k, (1+p)/(k+1)) with solution norm at
+most 1/p; for the binomial the rate-normalized variant
+min(1/((1-p)k), 1/(p(n-k))) applies.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GibbsMeasure
+from .measures import FAMILIES, GibbsMeasure
 
 __all__ = [
     "ConditionCheck",
@@ -156,43 +158,12 @@ def check_conditions(m: GibbsMeasure) -> list[ConditionCheck]:
 # Birth-rate range, analytic where the family is known
 # ---------------------------------------------------------------------------
 
-def _analytic_rate_range(m: GibbsMeasure) -> RateRange | None:
-    p = m.params
-    if m.kind == "poisson":
-        lam = float(p["lam"])
-        return RateRange(lam, lam)
-    if m.kind == "binomial":
-        # b_k = p(n-k)/(1-p) decreases from np/(1-p) to p/(1-p)
-        n, pr = int(p["n"]), float(p["p"])
-        return RateRange(pr / (1.0 - pr), n * pr / (1.0 - pr))
-    if m.kind == "discrete_uniform":
-        # b_k = k+1
-        return RateRange(1.0, float(p["n"])) if int(p["n"]) >= 1 else RateRange(0.0, 0.0)
-    if m.kind == "geometric":
-        # b_k = (1-p)(k+1) grows without bound
-        return RateRange(1.0 - float(p["p"]), math.inf)
-    if m.kind == "negative_binomial":
-        # b_k = (1-p)(k+r)
-        return RateRange((1.0 - float(p["p"])) * float(p["r"]), math.inf)
-    if m.kind == "repelling_limit":
-        # rates lam, lam/3, 3lam, 2lam, (k+1)lam/(k-1) -> lam
-        lam = float(p["lam"])
-        return RateRange(lam / 3.0, 3.0 * lam)
-    if m.kind == "product_limit":
-        # b_k = z k^k/(k+1)^(k+1) decreases to 0; the supremum is b_0 = z
-        return RateRange(0.0, float(p["z"]))
-    return None
-
-
 def rate_range(m: GibbsMeasure) -> RateRange:
-    analytic = _analytic_rate_range(m)
-    if analytic is not None:
-        return analytic
+    family = FAMILIES.get(m.kind)
+    if family is not None and family.rates is not None:
+        return RateRange(*family.rates(**family.values(m.params)))
     b = m.birth_rates[: m.support_max] if m.support_max >= 1 else np.zeros(1)
-    window_limited = m.truncation is not None
-    if b.size == 0:
-        return RateRange(0.0, 0.0, window_limited)
-    return RateRange(float(b.min()), float(b.max()), window_limited)
+    return RateRange(float(b.min()), float(b.max()), m.truncation is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +221,16 @@ def solution_bound(m: GibbsMeasure, j: int) -> BoundCertificate:
 
 def _rate_spread_value(rr: RateRange) -> float:
     lo, hi = rr.inf_rate, rr.sup_rate
-    if hi - 2.0 >= lo:
-        try:
-            extra = 0.5 * (hi / (lo + 1.0)) ** (hi - lo - 2.0)
-        except OverflowError:
-            extra = math.inf
-        return 2.0 + extra
-    return 2.0
+    if not hi - 2.0 >= lo:
+        return 2.0
+    x, e = hi / (lo + 1.0), hi - lo - 2.0
+    try:
+        return 2.0 + 0.5 * x ** e
+    except OverflowError:
+        # x^e overflows before it is halved; half of it may still be finite
+        if math.log(0.5) + e * math.log(x) < math.log(sys.float_info.max):
+            return 2.0 + 0.5 * x ** (0.5 * e) * x ** (0.5 * e)
+        return math.inf
 
 
 def supnorm_bound(m: GibbsMeasure) -> BoundCertificate:
@@ -300,65 +274,35 @@ def extended_supnorm_bound(m: GibbsMeasure) -> BoundCertificate:
 
 
 def uniform_increment(kind: str, params: dict) -> float | None:
-    """Uniform-in-j increment bound in closed form for the Poisson and geometric families.
-
-    Poisson(lambda): (1 - e^-lambda)/lambda, computed as -expm1(-lambda)/lambda
-    so that small lambda keeps full precision; geometric(p): min(1, 1 + p).
-    None for other families.
-    """
-    if kind == "poisson":
-        lam = float(params["lam"])
-        return -math.expm1(-lam) / lam
-    if kind == "geometric":
-        return min(1.0, 1.0 + float(params["p"]))
-    return None
+    """The family's uniform-in-j increment bound in closed form, or None if it has none."""
+    family = FAMILIES.get(kind)
+    if family is None or family.increment is None:
+        return None
+    return family.increment(**family.values(params))
 
 
 def closed_form_bounds(m_or_kind, params: dict | None = None, j: int | None = None) -> list[BoundCertificate]:
-    """Per-family sharpened bounds for Poisson, geometric, and binomial laws."""
+    """Per-family sharpened bounds from the family registry (Poisson, geometric, binomial)."""
     if isinstance(m_or_kind, GibbsMeasure):
         kind, params = m_or_kind.kind, m_or_kind.params
     else:
         kind = str(m_or_kind)
         params = params or {}
-    certs: list[BoundCertificate] = []
-    if kind == "poisson":
-        factor = uniform_increment(kind, params)
-        certs.append(BoundCertificate(
-            quantity="increment_uniform", value=min(1.0, factor),
-            formula="poisson_increment",
-        ))
-        if j is not None:
-            certs.append(BoundCertificate(
-                quantity="increment_at_j", value=min(1.0 / j, factor),
-                formula="poisson_increment_at_j", j=j,
-            ))
-    elif kind == "geometric":
-        p = float(params["p"])
-        certs.append(BoundCertificate(
-            quantity="increment_uniform", value=uniform_increment(kind, params),
-            formula="geometric_increment",
-        ))
-        certs.append(BoundCertificate(
-            quantity="solution_norm", value=1.0 / p,
-            formula="geometric_norm",
-        ))
-        if j is not None:
-            certs.append(BoundCertificate(
-                quantity="increment_at_j", value=min(1.0 / j, (1.0 + p) / (j + 1)),
-                formula="geometric_increment_at_j", j=j,
-            ))
-    elif kind == "binomial":
-        n, p = int(params["n"]), float(params["p"])
-        if j is not None:
-            if not 1 <= j <= n:
-                raise ValueError(f"binomial closed form defined for 1 <= j <= {n}")
-            rate_side = 1.0 / (p * (n - j)) if j < n else math.inf
-            certs.append(BoundCertificate(
-                quantity="increment_at_j", value=min(1.0 / ((1.0 - p) * j), rate_side),
-                formula="binomial_increment_at_j", j=j,
-                notes="rate-normalized variant",
-            ))
-    else:
+    family = FAMILIES.get(kind)
+    if family is None or (family.increment is None and family.increment_at is None):
         raise ValueError(f"no closed-form bounds for kind {kind!r}")
+    values = family.values(params)
+    certs = [
+        BoundCertificate(quantity, factor(**values), f"{kind}_{name}")
+        for quantity, name, factor in (
+            ("increment_uniform", "increment", family.increment),
+            ("solution_norm", "norm", family.norm),
+        )
+        if factor is not None
+    ]
+    if j is not None and family.increment_at is not None:
+        certs.append(BoundCertificate(
+            quantity="increment_at_j", value=family.increment_at(j, **values),
+            formula=f"{kind}_increment_at_j", j=j, notes=family.notes,
+        ))
     return certs

@@ -46,12 +46,11 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
-from ._sums import fsum, log_sum_exp
 from .compare import mismatch_terms, solution_norm, tv_distance
 from .factors import condition, uniform_increment
-from .measures import GibbsMeasure, TailPolicy, poisson
+from .measures import FAMILIES, GibbsMeasure, TailPolicy, poisson
 from .size_bias import CouplingSpec
 
 __all__ = [
@@ -87,7 +86,9 @@ class InteractionModel:
 
     log_Wn(n, k) and log_W(k) return log weights (-inf is a hard zero);
     fk evaluates the raw interaction at a tuple of points, which is what
-    the brute-force lattice summation uses.
+    the brute-force lattice summation uses.  The model also carries the
+    fewest cells it needs, its analytic bound closed_form(n) if any, and the
+    constructor of its limit law if that is a built-in family.
     """
 
     kind: str
@@ -97,6 +98,9 @@ class InteractionModel:
     log_Wn_fn: Callable[[int, int], float] | None = None
     log_W_fn: Callable[[int], float] | None = None
     separable_integrand: Callable[[int], Callable[[float], float]] | None = None
+    min_cells: int = 1
+    closed_form: Callable[[int], float] | None = None
+    limit: Callable[..., GibbsMeasure] | None = None
 
     def log_Wn(self, n: int, k: int) -> float:
         if k <= 1:
@@ -133,7 +137,7 @@ def _fk_ideal(points: tuple[float, ...]) -> float:
 def _fk_repelling(points: tuple[float, ...]) -> float:
     if len(points) <= 1:
         return 1.0
-    return 2.0 * fsum(
+    return 2.0 * math.fsum(
         (points[a] - points[b]) ** 2
         for a in range(len(points))
         for b in range(a + 1, len(points))
@@ -152,7 +156,7 @@ def ideal_gas_model(lam: float) -> InteractionModel:
         raise ValueError("activity must be positive")
     return InteractionModel(
         kind="ideal_gas", z=lam, point_rule="midpoint", fk=_fk_ideal,
-        log_Wn_fn=lambda n, k: 0.0, log_W_fn=lambda k: 0.0,
+        log_Wn_fn=lambda n, k: 0.0, log_W_fn=lambda k: 0.0, limit=poisson,
     )
 
 
@@ -167,9 +171,13 @@ def repelling_model(lam: float) -> InteractionModel:
     def log_w(k: int) -> float:
         return math.log(k * (k - 1) / 6.0)
 
+    def closed_form(n: int) -> float:
+        log_tail = (n + 1) * math.log(lam) + lam - gammaln(n + 2)
+        return math.exp(log_tail) / repelling_limit_partition(lam)
+
     return InteractionModel(
         kind="repelling", z=lam, point_rule="midpoint", fk=_fk_repelling,
-        log_Wn_fn=log_wn, log_W_fn=log_w,
+        log_Wn_fn=log_wn, log_W_fn=log_w, closed_form=closed_form,
     )
 
 
@@ -183,14 +191,23 @@ def product_model(z: float = 1.0) -> InteractionModel:
         if n < 2:
             return -math.inf
         powers = [(k - 1) * math.log(i) for i in range(1, n)]
-        return -k * k * math.log(n) + k * log_sum_exp(np.array(powers))
+        return -k * k * math.log(n) + k * float(logsumexp(powers))
 
     def log_w(k: int) -> float:
         return -k * math.log(k)
 
+    def closed_form(n: int) -> float:
+        if n < 3:
+            raise ValueError("the product closed form needs n >= 3")
+        if abs(z - 1.0) > 0:
+            raise ValueError("the product closed form is stated for activity 1")
+        main = 2.0 * math.exp(math.e + 1.0 / math.e) / n
+        rest = math.exp(1.0 / n - (n + 1) * math.log(n) - gammaln(n + 2))
+        return main + rest
+
     return InteractionModel(
         kind="product", z=z, point_rule="left_endpoint", fk=_fk_product,
-        log_Wn_fn=log_wn, log_W_fn=log_w,
+        log_Wn_fn=log_wn, log_W_fn=log_w, min_cells=3, closed_form=closed_form,
     )
 
 
@@ -226,7 +243,7 @@ def lattice_weight_brute(model: InteractionModel, n: int, k: int) -> float:
     if n**k > _BRUTE_FORCE_GUARD:
         raise ValueError(f"k-fold summation size n^k = {n**k} exceeds the guard {_BRUTE_FORCE_GUARD}")
     grid = grid_points(n, model.point_rule)
-    total = fsum(model.fk(points) for points in itertools.product(grid, repeat=k))
+    total = math.fsum(model.fk(points) for points in itertools.product(grid, repeat=k))
     return total / float(n) ** k
 
 
@@ -238,8 +255,8 @@ def lattice_measure(model: InteractionModel, n: int) -> GibbsMeasure:
     """The particle-count law of the n-cell lattice gas, on {0..n}."""
     if n < 1:
         raise ValueError("need at least one cell")
-    if model.kind == "product" and n < 3:
-        raise ValueError("the product model needs n >= 3")
+    if n < model.min_cells:
+        raise ValueError(f"the {model.kind} model needs n >= {model.min_cells}")
     z = model.z
     V = np.array([model.log_Wn(n, k) for k in range(n + 1)])
     if not np.all(np.isfinite(V)):
@@ -256,20 +273,19 @@ def limit_measure(
 ) -> GibbsMeasure:
     """The continuum limit law, truncated with a declared tail bound."""
     z = model.z
-    if model.kind == "ideal_gas":
-        return poisson(z, truncation=truncation, tail_tol=tail_tol)
+    if model.limit is not None:
+        return model.limit(z, truncation=truncation, tail_tol=tail_tol)
 
     def log_term(k: int) -> float:
         return model.log_W(k) + k * math.log(z) - gammaln(k + 1)
 
     bound, tail_estimate = _truncate_by_ratio(log_term, truncation, tail_tol)
     V = np.array([model.log_W(k) for k in range(bound + 1)])
-    kind = {"repelling": "repelling_limit", "product": "product_limit"}.get(
-        model.kind, f"{model.kind}_limit"
-    )
-    params = {"lam": z} if kind == "repelling_limit" else {"z": z}
+    kind = f"{model.kind}_limit"
+    # the activity goes under the name the limit family's record gives it
+    name = FAMILIES[kind].args[0][0] if kind in FAMILIES else "z"
     return GibbsMeasure(
-        z, V, kind=kind, params=params,
+        z, V, kind=kind, params={name: z},
         truncation=TailPolicy(bound, tail_estimate, max(tail_tol, tail_estimate)),
     )
 
@@ -390,7 +406,7 @@ def lattice_comparison_report(
     # branch B solves for the (extended) lattice law and averages over the limit.
     omega_a, ratio_a = mismatch_terms(mu, mu_n)
     omega_b, ratio_b = mismatch_terms(mu_n, mu)
-    tail = fsum(mu.pmf[n + 1 :].tolist())
+    tail = math.fsum(mu.pmf[n + 1 :].tolist())
 
     norm_limit, licensed_limit = solution_norm(mu, g_norm_source, f_support=n)
     norm_lattice, licensed_lattice = solution_norm(mu_n, g_norm_source, extended=True)
@@ -415,12 +431,10 @@ def lattice_comparison_report(
             branch, comps = "limit_averaged", (omega_b, ratio_b)
         bound = factor * (comps[0] + comps[1])
 
-    closed = None
-    if model.kind in ("repelling", "product"):
-        try:
-            closed = closed_form_bound(model, n)
-        except ValueError:
-            closed = None
+    try:
+        closed = closed_form_bound(model, n)
+    except ValueError:
+        closed = None
 
     return LatticeBoundReport(
         model=model.kind,
@@ -448,19 +462,9 @@ def closed_form_bound(model: InteractionModel, n: int) -> float:
     limit law, which the midpoint weights violate at k = 2; it is reported
     for reference but is not a certificate (see the module docstring).
     """
-    if model.kind == "repelling":
-        lam = model.z
-        log_tail = (n + 1) * math.log(lam) + lam - gammaln(n + 2)
-        return math.exp(log_tail) / repelling_limit_partition(lam)
-    if model.kind == "product":
-        if n < 3:
-            raise ValueError("the product closed form needs n >= 3")
-        if abs(model.z - 1.0) > 0:
-            raise ValueError("the product closed form is stated for activity 1")
-        main = 2.0 * math.exp(math.e + 1.0 / math.e) / n
-        rest = math.exp(1.0 / n - (n + 1) * math.log(n) - gammaln(n + 2))
-        return main + rest
-    raise ValueError(f"no closed-form bound for model kind {model.kind!r}")
+    if model.closed_form is None:
+        raise ValueError(f"no closed-form bound for model kind {model.kind!r}")
+    return model.closed_form(n)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +474,7 @@ def closed_form_bound(model: InteractionModel, n: int) -> float:
 def harmonic_between(x: int, y: int) -> float:
     """Partial harmonic sum over min(x,y)+1 .. max(x,y) (0 when x = y)."""
     lo, hi = min(x, y), max(x, y)
-    return fsum(1.0 / ell for ell in range(lo + 1, hi + 1))
+    return math.fsum(1.0 / ell for ell in range(lo + 1, hi + 1))
 
 
 @dataclass(frozen=True)
@@ -534,12 +538,12 @@ def sum_coupling_bound(
                 cap = min(cap, family_cap)
             term = min(harmonic_between(s, s_hat), abs(s - s_hat) * cap)
             pieces.append((spec.p[i] / lam) * pr * rate_weight * term)
-    increment_part = m.omega * fsum(pieces)
+    increment_part = m.omega * math.fsum(pieces)
 
     law = spec.sum_law()
     rates = b[: law.size]
-    mean_rate = fsum((law * rates).tolist())
-    mad = fsum((law * np.abs(rates - mean_rate)).tolist())
+    mean_rate = math.fsum((law * rates).tolist())
+    mad = math.fsum((law * np.abs(rates - mean_rate)).tolist())
 
     g_norm, licensed = solution_norm(m, g_norm_source)
     notes = "" if licensed else "rate-spread norm inapplicable"
@@ -597,21 +601,21 @@ def poisson_sum_bounds(
     factor = uniform_increment(target.kind, target.params)
 
     coupling = sum_coupling_bound(target, spec, g_norm_source="exact")
-    linear = factor * fsum(
+    linear = factor * math.fsum(
         spec.p[i] * spec.mean_abs_gap(i) for i in range(spec.n) if spec.p[i] > 0
     )
 
     independent_bound = None
     improved = None
     if spec.independent:
-        independent_bound = factor * fsum((spec.p**2).tolist())
+        independent_bound = factor * math.fsum((spec.p**2).tolist())
         terms = []
         for i in range(spec.n):
             if spec.p[i] == 0.0:
                 continue
             none_else = math.prod(1.0 - pj for j, pj in enumerate(spec.p) if j != i)
             terms.append(spec.p[i] ** 2 * min(0.5 * (1.0 + none_else), factor))
-        improved = fsum(terms)
+        improved = math.fsum(terms)
 
     return PoissonSumReport(
         lam=lam,

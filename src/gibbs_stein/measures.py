@@ -33,11 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import nbinom as _nbinom
-from scipy.stats import poisson as _poisson
-
-from ._sums import fsum, log_sum_exp
+from scipy.special import betainc, gammaln, logsumexp, pdtrc
 
 __all__ = [
     "TailPolicy",
@@ -129,14 +125,14 @@ class GibbsMeasure:
 
         k = np.arange(V.size, dtype=float)
         log_weights = V + k * math.log(omega) - gammaln(k + 1.0)
-        log_z = log_sum_exp(log_weights)
+        log_z = float(logsumexp(log_weights))
         log_pmf = log_weights - log_z
         pmf = np.exp(log_pmf)
         if np.any(pmf == 0.0):
             raise ValueError(
                 "support weight underflows double precision; narrow the truncation window"
             )
-        total = fsum(pmf.tolist())
+        total = math.fsum(pmf.tolist())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"pmf failed to normalize (sum = {total!r})")
 
@@ -192,17 +188,17 @@ class GibbsMeasure:
 
     def mean(self) -> float:
         k = np.arange(self.V.size, dtype=float)
-        return fsum((k * self._pmf).tolist())
+        return math.fsum((k * self._pmf).tolist())
 
     def mean_via_rates(self) -> float:
         """E X = omega * E exp(V(X+1) - V(X)), i.e. the pmf-weighted birth rate."""
-        return fsum((self._pmf * self._birth).tolist())
+        return math.fsum((self._pmf * self._birth).tolist())
 
     def expectation(self, f: np.ndarray) -> float:
         f = np.asarray(f, dtype=float)
         if f.shape != self._pmf.shape:
             raise ValueError(f"test table must have length {self.V.size}, got {f.size}")
-        return fsum((f * self._pmf).tolist())
+        return math.fsum((f * self._pmf).tolist())
 
     def cumulatives(self) -> CumulativeTables:
         return CumulativeTables(F=self._F, Fbar=self._Fbar)
@@ -259,13 +255,25 @@ class GibbsMeasure:
             if trunc
             else None
         )
-        return GibbsMeasure(
+        m = GibbsMeasure(
             float(payload["omega"]),
             np.asarray(payload["V"], dtype=float),
             kind=payload.get("kind", "potential"),
             params=payload.get("params") or {},
             truncation=policy,
         )
+        family = FAMILIES.get(m.kind)
+        if family is None:
+            return m
+        # certificates trust a registered kind's params, so rebuild the family and
+        # compare birth rates, which unlike V survive reparametrization
+        if family.build is None:
+            raise ValueError(f"{m.kind} measures cannot be rebuilt from their params")
+        window = {"truncation": m.support_max} if family.truncated else {}
+        rates = family.build(**family.values(m.params), **window).birth_rates
+        if rates.shape != m.birth_rates.shape or not np.allclose(m.birth_rates, rates, rtol=1e-12, atol=0.0):
+            raise ValueError(f"{m.kind} params {m.params} do not match the measure's tables")
+        return m
 
     @staticmethod
     def from_json(text: str) -> "GibbsMeasure":
@@ -310,7 +318,7 @@ def from_pmf(
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ValueError("non-contiguous or degenerate support: weights must be strictly positive")
     log_w = np.log(weights)
-    log_total = log_sum_exp(log_w)
+    log_total = float(logsumexp(log_w))
     k = np.arange(weights.size, dtype=float)
     V = (log_w - log_total) + gammaln(k + 1.0) - k * math.log(omega)
     return GibbsMeasure(omega, V, kind=kind, params=params, truncation=truncation)
@@ -350,7 +358,7 @@ def poisson(lam: float, truncation: int | None = None, tail_tol: float = DEFAULT
     """Poisson(lambda), stored with omega = lambda and constant potential."""
     if not lam > 0:
         raise ValueError("poisson rate must be positive")
-    bound, tail = _resolve_truncation(lambda n: float(_poisson.sf(n, lam)), int(lam) + 10, truncation, tail_tol)
+    bound, tail = _resolve_truncation(lambda n: float(pdtrc(n, lam)), int(lam) + 10, truncation, tail_tol)
     V = np.full(bound + 1, -lam)
     return GibbsMeasure(
         lam, V, kind="poisson", params={"lam": lam},
@@ -397,7 +405,7 @@ def negative_binomial(
     if not 0.0 < p < 1.0:
         raise ValueError("negative binomial needs 0 < p < 1")
     bound, tail = _resolve_truncation(
-        lambda n: float(_nbinom.sf(n, r, p)), int(r * (1 - p) / p) + 10, truncation, tail_tol
+        lambda n: float(betainc(n + 1, r, 1.0 - p)), int(r * (1 - p) / p) + 10, truncation, tail_tol
     )
     k = np.arange(bound + 1, dtype=float)
     V = gammaln(r + k) - gammaln(r)
@@ -438,28 +446,94 @@ def discrete_uniform(n: int) -> GibbsMeasure:
     return from_pmf(np.ones(n + 1), omega=1.0, kind="discrete_uniform", params={"n": n})
 
 
-BUILTIN_KINDS = (
-    "poisson",
-    "binomial",
-    "geometric",
-    "negative_binomial",
-    "hypergeometric",
-    "discrete_uniform",
-)
+@dataclass(frozen=True)
+class Family:
+    """One law's facts: its constructor, descriptor order and closed-form Stein factors.
+
+    `args` lists the `params` keys, which are `build`'s keywords, in descriptor
+    order with their types; `truncated` laws' constructors also take
+    `truncation` and `tail_tol`.  The rest take the params as keywords and
+    return plain numbers: `rates` the birth-rate infimum and supremum over the
+    untruncated family, `increment` a uniform and `increment_at(j, ...)` a
+    per-j increment bound, `norm` a solution-norm bound (None where no closed
+    form is known); `notes` go with the per-j certificate.
+    """
+
+    build: Callable[..., GibbsMeasure] | None
+    args: tuple[tuple[str, type], ...]
+    rates: Callable[..., tuple[float, float]] | None
+    truncated: bool = False
+    increment: Callable[..., float] | None = None
+    increment_at: Callable[..., float] | None = None
+    norm: Callable[..., float] | None = None
+    notes: str = ""
+
+    def values(self, params: dict) -> dict:
+        """The family's params from `params`, converted to their declared types."""
+        return {name: typ(params[name]) for name, typ in self.args}
+
+
+def _poisson_increment(lam: float) -> float:
+    # (1 - e^-lambda)/lambda, with expm1 so that small lambda keeps full precision
+    return -math.expm1(-lam) / lam
+
+
+def _binomial_increment_at(j: int, n: int, p: float) -> float:
+    if not 1 <= j <= n:
+        raise ValueError(f"binomial closed form defined for 1 <= j <= {n}")
+    rate_side = 1.0 / (p * (n - j)) if j < n else math.inf
+    return min(1.0 / ((1.0 - p) * j), rate_side)
+
+
+FAMILIES = {
+    "poisson": Family(
+        poisson, (("lam", float),), lambda lam: (lam, lam), truncated=True,
+        increment=_poisson_increment,
+        increment_at=lambda j, lam: min(1.0 / j, _poisson_increment(lam)),
+    ),
+    # b_k = p(n-k)/(1-p) decreases from np/(1-p) to p/(1-p)
+    "binomial": Family(
+        binomial, (("n", int), ("p", float)), lambda n, p: (p / (1.0 - p), n * p / (1.0 - p)),
+        increment_at=_binomial_increment_at, notes="rate-normalized variant",
+    ),
+    # b_k = (1-p)(k+1) grows without bound
+    "geometric": Family(
+        geometric, (("p", float),), lambda p: (1.0 - p, math.inf), truncated=True,
+        increment=lambda p: min(1.0, 1.0 + p),
+        increment_at=lambda j, p: min(1.0 / j, (1.0 + p) / (j + 1)),
+        norm=lambda p: 1.0 / p,
+    ),
+    # b_k = (1-p)(k+r)
+    "negative_binomial": Family(
+        negative_binomial, (("r", float), ("p", float)), lambda r, p: ((1.0 - p) * r, math.inf),
+        truncated=True,
+    ),
+    "hypergeometric": Family(
+        hypergeometric, (("population", int), ("successes", int), ("draws", int)), None,
+    ),
+    # b_k = k+1
+    "discrete_uniform": Family(
+        discrete_uniform, (("n", int),), lambda n: (1.0, float(n)) if n >= 1 else (0.0, 0.0),
+    ),
+    # the continuum limits of the lattice models (lattice.limit_measure builds them)
+    # rates lam, lam/3, 3lam, 2lam, (k+1)lam/(k-1) -> lam
+    "repelling_limit": Family(None, (("lam", float),), lambda lam: (lam / 3.0, 3.0 * lam)),
+    # b_k = z k^k/(k+1)^(k+1) decreases to 0; the supremum is b_0 = z
+    "product_limit": Family(None, (("z", float),), lambda z: (0.0, z)),
+}
+
+BUILTIN_KINDS = tuple(kind for kind, family in FAMILIES.items() if family.build is not None)
 
 
 def builtin(kind: str, *args, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> GibbsMeasure:
-    """Dispatch on a built-in family name (used by the CLI descriptors)."""
-    if kind == "poisson":
-        return poisson(*args, truncation=truncation, tail_tol=tail_tol)
-    if kind == "binomial":
-        return binomial(int(args[0]), float(args[1]))
-    if kind == "geometric":
-        return geometric(*args, truncation=truncation, tail_tol=tail_tol)
-    if kind == "negative_binomial":
-        return negative_binomial(*args, truncation=truncation, tail_tol=tail_tol)
-    if kind == "hypergeometric":
-        return hypergeometric(int(args[0]), int(args[1]), int(args[2]))
-    if kind == "discrete_uniform":
-        return discrete_uniform(int(args[0]))
-    raise ValueError(f"unknown measure kind {kind!r}; expected one of {BUILTIN_KINDS}")
+    """Build a built-in family from positional parameters (used by the CLI descriptors)."""
+    family = FAMILIES.get(kind)
+    if family is None or family.build is None:
+        raise ValueError(f"unknown measure kind {kind!r}; expected one of {BUILTIN_KINDS}")
+    if len(args) != len(family.args) or any(
+        typ is int and not float(value).is_integer() for (_, typ), value in zip(family.args, args)
+    ):
+        raise ValueError(f"{kind} takes {','.join(name for name, _ in family.args)}")
+    params = {name: int(v) if typ is int else v for (name, typ), v in zip(family.args, args)}
+    window = {"truncation": truncation, "tail_tol": tail_tol} if family.truncated else {}
+    return family.build(**params, **window)

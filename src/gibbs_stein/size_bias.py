@@ -25,11 +25,11 @@ classical perfect coupling with S - Shat_i = X_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._sums import fsum
 from .measures import GibbsMeasure
 from .stein import solve
 
@@ -50,7 +50,7 @@ def _check_pmf(arr: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
         raise ValueError(f"{what} must be a non-empty 1-d table")
     if np.any(arr < -1e-15):
         raise ValueError(f"{what} has negative entries")
-    if abs(fsum(arr.tolist()) - 1.0) > tol:
+    if abs(math.fsum(arr.tolist()) - 1.0) > tol:
         raise ValueError(f"{what} is not a probability vector")
     return arr
 
@@ -68,7 +68,7 @@ def size_bias(base: np.ndarray) -> SizeBiasLaw:
     """Size-bias a pmf on {0, ..., K}: biased(x) = x base(x) / mean."""
     base = _check_pmf(base, "base law")
     k = np.arange(base.size, dtype=float)
-    mean = fsum((k * base).tolist())
+    mean = math.fsum((k * base).tolist())
     if not mean > 0.0:
         raise ValueError("size biasing needs a law with positive mean")
     biased = k * base / mean
@@ -106,7 +106,7 @@ class CouplingSpec:
             raise ValueError("p must be a non-empty vector of Bernoulli means")
         if np.any(p < 0.0) or np.any(p > 1.0):
             raise ValueError("Bernoulli means must lie in [0, 1]")
-        if not fsum(p.tolist()) > 0.0:
+        if not math.fsum(p.tolist()) > 0.0:
             raise ValueError("at least one Bernoulli mean must be positive")
         n = p.size
 
@@ -157,7 +157,7 @@ class CouplingSpec:
         n = len(items[0][0])
         if any(len(bits) != n for bits, _ in items):
             raise ValueError("configurations must share one length")
-        total = fsum(pr for _, pr in items)
+        total = math.fsum(pr for _, pr in items)
         if abs(total - 1.0) > 1e-9:
             raise ValueError("configuration probabilities must sum to 1")
         p = np.zeros(n)
@@ -193,7 +193,7 @@ class CouplingSpec:
 
     @property
     def lam(self) -> float:
-        return fsum(self.p.tolist())
+        return math.fsum(self.p.tolist())
 
     def mixture_law(self) -> np.ndarray:
         """Law of S* = Shat_I + 1 on {0, ..., n}; the index mixture of shifts."""
@@ -222,7 +222,7 @@ class CouplingSpec:
         s = np.arange(1, self.n + 1, dtype=float)
         law = np.zeros(self.n + 1)
         law[1:] = self.lam * mix[1:] / s
-        head = 1.0 - fsum(law[1:].tolist())
+        head = 1.0 - math.fsum(law[1:].tolist())
         if head < -1e-9:
             raise ValueError(
                 "conditional sums are inconsistent: no law of the sum matches the mixture"
@@ -258,7 +258,7 @@ class CouplingSpec:
             raise ValueError("conditional sums are inconsistent with the law of the sum")
         given_zero = np.clip(given_zero, 0.0, None)
         if self.p[i] < 1.0:
-            given_zero /= fsum(given_zero.tolist())
+            given_zero /= math.fsum(given_zero.tolist())
         for s_hat, pr_hat in enumerate(cond):
             if pr_hat == 0.0:
                 continue
@@ -274,7 +274,7 @@ class CouplingSpec:
         """E_i |S - Shat_i| under the canonical coupling (p_i when independent)."""
         if self.independent:
             return float(self.p[i])
-        return fsum(pr * abs(s - s_hat) for pr, s, s_hat in self.coupling_given_index(i))
+        return math.fsum(pr * abs(s - s_hat) for pr, s, s_hat in self.coupling_given_index(i))
 
     def to_dict(self) -> dict:
         return {
@@ -316,7 +316,7 @@ def stein_residual_via_size_bias(
         raise ValueError("W* must live inside 0..N+1")
     g = solve(m, f).g
     b = m.birth_rates[: W.size]
-    lhs = fsum((W * b * g[1 : W.size + 1]).tolist())
-    rate_mean = fsum((W * b).tolist())
-    mean_g_star = fsum((Wstar * g[: Wstar.size]).tolist())
+    lhs = math.fsum((W * b * g[1 : W.size + 1]).tolist())
+    rate_mean = math.fsum((W * b).tolist())
+    mean_g_star = math.fsum((Wstar * g[: Wstar.size]).tolist())
     return lhs - rate_mean * mean_g_star

@@ -29,11 +29,11 @@ Stein equation valid there for f vanishing off the support (class B0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._sums import exact_window_sum, fsum
 from .measures import GibbsMeasure
 
 __all__ = [
@@ -76,8 +76,11 @@ class TestFunction:
 
     @staticmethod
     def indicator(points, size: int, support_max: int | None = None) -> "TestFunction":
+        points = np.asarray(points, dtype=int)
+        if np.any((points < 0) | (points >= size)):
+            raise ValueError(f"indicator points must lie in 0..{size - 1}, got {points.tolist()}")
         values = np.zeros(size)
-        values[np.asarray(points, dtype=int)] = 1.0
+        values[points] = 1.0
         return TestFunction(values, support_max)
 
     @staticmethod
@@ -141,7 +144,7 @@ def solve(m: GibbsMeasure, f, method: str = "auto") -> SteinSolution:
     n = m.support_max
     values = _as_values(f, n + 1)
     pmf = m.pmf
-    mu_f = fsum((pmf * values).tolist())
+    mu_f = math.fsum((pmf * values).tolist())
     terms = pmf * (values - mu_f)
     abs_prefix = np.cumsum(np.abs(terms))
     abs_total = abs_prefix[-1]
@@ -153,10 +156,10 @@ def solve(m: GibbsMeasure, f, method: str = "auto") -> SteinSolution:
             or (method == "auto" and abs_prefix[j] <= abs_total - abs_prefix[j])
         )
         if use_forward:
-            s = exact_window_sum(terms, 0, j + 1)
+            s = math.fsum(terms[: j + 1].tolist())
             g[j + 1] = s / ((j + 1) * pmf[j + 1])
         else:
-            t = exact_window_sum(terms, j + 1, n + 1)
+            t = math.fsum(terms[j + 1 :].tolist())
             g[j + 1] = -t / ((j + 1) * pmf[j + 1])
     return SteinSolution(g=g, measure=m, f=values, mu_f=mu_f, extended=False, domain_max=n)
 
@@ -208,7 +211,7 @@ def stationarity_defect(m: GibbsMeasure, g) -> float:
         raise ValueError("g must be defined on 0..N+1")
     k = np.arange(n + 1, dtype=float)
     contrib = m.pmf * (m.birth_rates * g[1 : n + 2] - k * g[: n + 1])
-    return fsum(contrib.tolist())
+    return math.fsum(contrib.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +250,8 @@ def _box_supremum(coeffs: np.ndarray, f_support: int | None) -> tuple[float, np.
     Returns the value and an attaining indicator table (ties resolved to 0).
     """
     active = coeffs if f_support is None else coeffs[: f_support + 1]
-    pos = fsum(active[active > 0.0].tolist())
-    neg = -fsum(active[active < 0.0].tolist())
+    pos = math.fsum(active[active > 0.0].tolist())
+    neg = -math.fsum(active[active < 0.0].tolist())
     f_star = np.zeros(coeffs.size)
     if pos >= neg:
         value, mask = pos, active > 0.0

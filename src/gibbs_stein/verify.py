@@ -307,7 +307,7 @@ def check_lattice_brute_force(rng) -> tuple[bool, str]:
     worst = 0.0
     for model in [lattice.repelling_model(1.0), lattice.product_model(1.0)]:
         for n in (2, 3, 5):
-            if model.kind == "product" and n < 3:
+            if n < model.min_cells:
                 continue
             for k in range(2, min(n, 4) + 1):
                 closed = model.Wn(n, k)

@@ -217,3 +217,52 @@ def test_full_builtin_descriptor_coverage(capsys):
         code, out, _ = run_cli(["bounds", "--measure", desc, "--j", "1"], capsys)
         assert code == 0
         assert "exact_supremum" in out
+
+
+def test_descriptor_arity_and_integer_params_exit_two(capsys):
+    for desc, message in (
+        ("binomial:10", "binomial takes n,p"),
+        ("hypergeometric:20,5", "hypergeometric takes population,successes,draws"),
+        ("poisson:1,2", "poisson takes lam"),
+        ("poisson:", "poisson takes lam"),
+        ("discrete_uniform:3,4", "discrete_uniform takes n"),
+        ("binomial:10.7,0.3", "binomial takes n,p"),
+    ):
+        code, out, err = run_cli(["bounds", "--measure", desc], capsys)
+        assert code == 2, desc
+        assert out == "" and message in err, desc
+
+
+def test_measure_file_with_spoofed_params_exits_two(tmp_path, capsys):
+    import gibbs_stein as gs
+
+    payload = gs.poisson(0.5, truncation=30).to_dict()
+    payload["params"] = {"lam": 10.0}
+    path = tmp_path / "spoofed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["bounds", "--measure", str(path)], capsys)
+    assert code == 2
+    assert out == "" and "poisson params" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--measure", "poisson:1", "--truncation", "5", "--f", "indicator:9"],
+        ["--measure", "poisson:1e-20", "--f", "indicator:0,1"],
+        ["--measure", "poisson:1", "--f", "indicator:-1"],
+    ],
+    ids=["above_truncation", "above_single_state", "negative"],
+)
+def test_indicator_points_outside_support_exit_two(argv, capsys):
+    code, out, err = run_cli(["solve", *argv], capsys)
+    assert code == 2
+    assert out == "" and "indicator points must lie in 0.." in err
+
+
+def test_compare_value_norm_source_needs_two_values(capsys):
+    code, out, err = run_cli(
+        ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2", "--g-norm", "value:3"], capsys
+    )
+    assert code == 2
+    assert out == "" and "value:X,Y takes two norm bounds" in err

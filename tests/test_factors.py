@@ -278,3 +278,23 @@ def test_certificates_invariant_under_reparametrization():
         assert cert2.applicable == base_norm.applicable
         if base_norm.applicable:
             assert cert2.value == pytest.approx(base_norm.value, rel=1e-12)
+
+
+def test_rate_spread_norm_finite_while_half_the_power_fits():
+    import mpmath
+
+    # x^e overflows a double here, but 2 + x^e / 2 does not
+    m = gs.hypergeometric(235, 59, 129)
+    rr = gs.rate_range(m)
+    x, e = rr.sup_rate / (rr.inf_rate + 1.0), rr.sup_rate - rr.inf_rate - 2.0
+    with mpmath.workdps(40):
+        exact = 2 + mpmath.mpf(x) ** e / 2
+    cert = gs.supnorm_bound(m)
+    assert cert.licensed and math.isfinite(cert.value)
+    assert abs(cert.value - float(exact)) <= 1e-15 * float(exact)
+    assert cert.value >= gs.sup_solution_norm(m)
+    # where the power itself is finite the value is the plain formula, bit for bit
+    for m in (gs.binomial(40, 0.7), gs.hypergeometric(60, 12, 20), gs.discrete_uniform(40)):
+        rr = gs.rate_range(m)
+        lo, hi = rr.inf_rate, rr.sup_rate
+        assert gs.supnorm_bound(m).value == 2.0 + 0.5 * (hi / (lo + 1.0)) ** (hi - lo - 2.0)

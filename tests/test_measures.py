@@ -210,3 +210,32 @@ def test_restricted_is_conditioned_law():
 def test_overwide_truncation_rejected_at_construction():
     with pytest.raises(ValueError, match="underflows"):
         gs.poisson(0.5, truncation=400)
+
+
+def test_from_dict_rebuilds_registered_kinds_from_params():
+    for m in (gs.poisson(2.0, truncation=25).reparametrized(3.0), gs.binomial(10, 0.3),
+              gs.negative_binomial(2.5, 0.3), gs.hypergeometric(20, 5, 6)):
+        again = gs.GibbsMeasure.from_dict(m.to_dict())
+        assert again.kind == m.kind and np.array_equal(again.V, m.V)
+    spoofed = gs.poisson(0.5, truncation=30).to_dict()
+    spoofed["params"] = {"lam": 10.0}
+    with pytest.raises(ValueError, match="poisson params"):
+        gs.GibbsMeasure.from_dict(spoofed)
+    wider = gs.binomial(10, 0.3).to_dict()
+    wider["params"] = {"n": 20, "p": 0.3}
+    with pytest.raises(ValueError, match="binomial params"):
+        gs.GibbsMeasure.from_dict(wider)
+    for model in (gs.repelling_model(1.0), gs.product_model(1.0)):
+        limit = gs.limit_measure(model).to_dict()
+        with pytest.raises(ValueError, match="cannot be rebuilt"):
+            gs.GibbsMeasure.from_dict(limit)
+    # kinds outside the registry load as before
+    restricted = gs.poisson(1.0, truncation=20).restricted(3)
+    assert gs.GibbsMeasure.from_dict(restricted.to_dict()).kind == "poisson:restricted"
+
+
+def test_indicator_rejects_points_outside_the_table():
+    assert gs.TestFunction.indicator([0, 3], 4).values.tolist() == [1.0, 0.0, 0.0, 1.0]
+    for points in ([4], [-1], [0, 9]):
+        with pytest.raises(ValueError, match="indicator points must lie in 0..3"):
+            gs.TestFunction.indicator(points, 4)
