@@ -351,30 +351,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# config keys that differ from their flag's name
 _CONFIG_ALIASES = {
-    "lambda": "lam",
-    "z": "lam",
+    "lam": "lambda",
+    "z": "lambda",
     "truncation_tolerance": "tail_tol",
 }
 
 
-def _apply_config(args: argparse.Namespace):
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as handle:
-                overrides = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"config file {args.config!r}: {exc}") from exc
-        for key, value in overrides.items():
-            key = key.replace("-", "_")
-            setattr(args, _CONFIG_ALIASES.get(key, key), value)
+def _config_argv(path: str) -> list[str]:
+    """A --config file's entries as flags, so that the parser converts and checks them.
+
+    `true` sets a switch; `false` and `null` leave the flag as given.
+    """
+    try:
+        with open(path) as handle:
+            overrides = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"config file {path!r}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise CliError(f"config file {path!r}: expected a JSON object")
+    argv = []
+    for key, value in overrides.items():
+        key = key.replace("-", "_")
+        flag = "--" + _CONFIG_ALIASES.get(key, key).replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False and value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if getattr(args, "config", None):
+            # flags given later win, so the config overrides the command line
+            args = parser.parse_args([*argv, *_config_argv(args.config)])
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -124,29 +124,29 @@ class BoundCertificate:
         }
 
 
-def _ge(lhs: float, rhs: float) -> bool:
-    return lhs >= rhs - _REL_TOL * max(1.0, abs(lhs), abs(rhs))
+def _ge(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Elementwise lhs >= rhs up to _REL_TOL relative to max(1, |lhs|, |rhs|)."""
+    return lhs >= rhs - _REL_TOL * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
 
 
 def condition(m: GibbsMeasure, name: str) -> ConditionCheck:
-    """Evaluate one licensing condition, reporting the first violating k."""
+    """Evaluate one licensing condition over k = 1..N-1, reporting the first violating k."""
     n = m.support_max
     b = m.birth_rates
     tables = m.cumulatives()
     F, Fbar = tables.F, tables.Fbar
-    first_bad = None
-    for k in range(1, n):
-        if name == "rate_sandwich":
-            ok = _ge(k * F[k] / F[k - 1], b[k]) and _ge(b[k], k * Fbar[k + 1] / Fbar[k])
-        elif name == "rates_nonincreasing":
-            ok = _ge(b[k - 1], b[k])
-        elif name == "rate_tail_lower":
-            ok = _ge(b[k], k * Fbar[k + 1] / Fbar[k])
-        else:
-            raise ValueError(f"unknown condition {name!r}")
-        if not ok:
-            first_bad = k
-            break
+    k = np.arange(1, n, dtype=float)
+    at, below, above = slice(1, n), slice(0, n - 1), slice(2, n + 1)
+    if name == "rate_sandwich":
+        ok = _ge(k * F[at] / F[below], b[at]) & _ge(b[at], k * Fbar[above] / Fbar[at])
+    elif name == "rates_nonincreasing":
+        ok = _ge(b[below], b[at])
+    elif name == "rate_tail_lower":
+        ok = _ge(b[at], k * Fbar[above] / Fbar[at])
+    else:
+        raise ValueError(f"unknown condition {name!r}")
+    bad = np.flatnonzero(~ok)
+    first_bad = int(bad[0]) + 1 if bad.size else None
     return ConditionCheck(name, first_bad is None, first_bad)
 
 

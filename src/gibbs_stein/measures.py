@@ -99,8 +99,7 @@ class GibbsMeasure:
         "log_pmf",
         "_pmf",
         "_birth",
-        "_F",
-        "_Fbar",
+        "_tables",
         "kind",
         "params",
         "truncation",
@@ -144,8 +143,9 @@ class GibbsMeasure:
             birth = np.zeros(0)
         birth = np.append(birth, 0.0)
 
-        F = np.cumsum(pmf)
-        Fbar = np.cumsum(pmf[::-1])[::-1].copy()
+        tables = CumulativeTables(
+            F=_readonly(np.cumsum(pmf)), Fbar=_readonly(np.cumsum(pmf[::-1])[::-1].copy())
+        )
 
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "V", _readonly(V))
@@ -153,8 +153,7 @@ class GibbsMeasure:
         object.__setattr__(self, "log_pmf", _readonly(log_pmf))
         object.__setattr__(self, "_pmf", _readonly(pmf))
         object.__setattr__(self, "_birth", _readonly(birth))
-        object.__setattr__(self, "_F", _readonly(F))
-        object.__setattr__(self, "_Fbar", _readonly(Fbar))
+        object.__setattr__(self, "_tables", tables)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", dict(params or {}))
         object.__setattr__(self, "truncation", truncation)
@@ -201,7 +200,7 @@ class GibbsMeasure:
         return math.fsum((f * self._pmf).tolist())
 
     def cumulatives(self) -> CumulativeTables:
-        return CumulativeTables(F=self._F, Fbar=self._Fbar)
+        return self._tables
 
     def log_rate_increment(self, k: int) -> float:
         """V(k+1) - V(k) for k < N (log of b_k / omega)."""
@@ -448,7 +447,7 @@ def discrete_uniform(n: int) -> GibbsMeasure:
 
 @dataclass(frozen=True)
 class Family:
-    """One law's facts: its constructor, descriptor order and closed-form Stein factors.
+    """One law's facts: its name, constructor, descriptor order and closed-form Stein factors.
 
     `args` lists the `params` keys, which are `build`'s keywords, in descriptor
     order with their types; `truncated` laws' constructors also take
@@ -459,6 +458,7 @@ class Family:
     form is known); `notes` go with the per-j certificate.
     """
 
+    kind: str
     build: Callable[..., GibbsMeasure] | None
     args: tuple[tuple[str, type], ...]
     rates: Callable[..., tuple[float, float]] | None
@@ -470,6 +470,9 @@ class Family:
 
     def values(self, params: dict) -> dict:
         """The family's params from `params`, converted to their declared types."""
+        missing = [name for name, _ in self.args if name not in params]
+        if missing:
+            raise ValueError(f"{self.kind} measure lacks parameter {missing[0]!r}")
         return {name: typ(params[name]) for name, typ in self.args}
 
 
@@ -485,42 +488,45 @@ def _binomial_increment_at(j: int, n: int, p: float) -> float:
     return min(1.0 / ((1.0 - p) * j), rate_side)
 
 
-FAMILIES = {
-    "poisson": Family(
-        poisson, (("lam", float),), lambda lam: (lam, lam), truncated=True,
+FAMILIES = {family.kind: family for family in (
+    Family(
+        "poisson", poisson, (("lam", float),), lambda lam: (lam, lam), truncated=True,
         increment=_poisson_increment,
         increment_at=lambda j, lam: min(1.0 / j, _poisson_increment(lam)),
     ),
     # b_k = p(n-k)/(1-p) decreases from np/(1-p) to p/(1-p)
-    "binomial": Family(
-        binomial, (("n", int), ("p", float)), lambda n, p: (p / (1.0 - p), n * p / (1.0 - p)),
+    Family(
+        "binomial", binomial, (("n", int), ("p", float)),
+        lambda n, p: (p / (1.0 - p), n * p / (1.0 - p)),
         increment_at=_binomial_increment_at, notes="rate-normalized variant",
     ),
     # b_k = (1-p)(k+1) grows without bound
-    "geometric": Family(
-        geometric, (("p", float),), lambda p: (1.0 - p, math.inf), truncated=True,
+    Family(
+        "geometric", geometric, (("p", float),), lambda p: (1.0 - p, math.inf), truncated=True,
         increment=lambda p: min(1.0, 1.0 + p),
         increment_at=lambda j, p: min(1.0 / j, (1.0 + p) / (j + 1)),
         norm=lambda p: 1.0 / p,
     ),
     # b_k = (1-p)(k+r)
-    "negative_binomial": Family(
-        negative_binomial, (("r", float), ("p", float)), lambda r, p: ((1.0 - p) * r, math.inf),
-        truncated=True,
+    Family(
+        "negative_binomial", negative_binomial, (("r", float), ("p", float)),
+        lambda r, p: ((1.0 - p) * r, math.inf), truncated=True,
     ),
-    "hypergeometric": Family(
-        hypergeometric, (("population", int), ("successes", int), ("draws", int)), None,
+    Family(
+        "hypergeometric", hypergeometric,
+        (("population", int), ("successes", int), ("draws", int)), None,
     ),
     # b_k = k+1
-    "discrete_uniform": Family(
-        discrete_uniform, (("n", int),), lambda n: (1.0, float(n)) if n >= 1 else (0.0, 0.0),
+    Family(
+        "discrete_uniform", discrete_uniform, (("n", int),),
+        lambda n: (1.0, float(n)) if n >= 1 else (0.0, 0.0),
     ),
     # the continuum limits of the lattice models (lattice.limit_measure builds them)
     # rates lam, lam/3, 3lam, 2lam, (k+1)lam/(k-1) -> lam
-    "repelling_limit": Family(None, (("lam", float),), lambda lam: (lam / 3.0, 3.0 * lam)),
+    Family("repelling_limit", None, (("lam", float),), lambda lam: (lam / 3.0, 3.0 * lam)),
     # b_k = z k^k/(k+1)^(k+1) decreases to 0; the supremum is b_0 = z
-    "product_limit": Family(None, (("z", float),), lambda z: (0.0, z)),
-}
+    Family("product_limit", None, (("z", float),), lambda z: (0.0, z)),
+)}
 
 BUILTIN_KINDS = tuple(kind for kind, family in FAMILIES.items() if family.build is not None)
 

@@ -10,16 +10,23 @@ to a ratio of partial sums,
     g(j+1) = sum_{k<=j} pmf(k) (f(k) - mu(f)) / ((j+1) pmf(j+1)),
 
 which is also minus the complementary tail sum divided by the same factor;
-the two forms agree because the full sum vanishes.  The solver evaluates,
-for every j, whichever side has the smaller accumulated absolute mass and
-sums it with correctly rounded summation, which keeps the residual of the
+the two forms agree because the full sum vanishes.  The solver makes one
+forward and one backward running sum over the terms, each with Neumaier's
+compensation (Neumaier 1974), and evaluates at every j whichever side has
+the smaller accumulated absolute mass, which keeps the residual of the
 equation near machine precision even deep in the tails where pmf(j+1) is
-tiny.  Factorials, activity powers and the partition function never appear.
+tiny.  The whole solve is O(N).  Factorials, activity powers and the
+partition function never appear.
 
 Two exact suprema over the test class B = {f: values in [0, 1]} are
 available: g_f(j) and its increment are affine in f with explicit
 per-coordinate coefficients, so the supremum over the box [0, 1]^(N+1) is
-attained at an indicator function read off the coefficient signs.
+attained at an indicator function read off the coefficient signs.  The
+coefficient masses collapse to cumulative-table expressions (Brown and Xia,
+Ann. Probab. 2001): the supremum of |g_f(j)| is F(j-1) Fbar(j) / (j pmf(j)),
+and that of the increment is a sum of three such masses, so each supremum
+is O(1) and the solution norm O(N).  The coefficient vectors and their box
+supremum are kept as the reference these closed forms are checked against.
 
 A measure with support {0..n} can also be compared against laws living on
 a larger range: the generator is extended as a pure-death process above n
@@ -132,12 +139,29 @@ def _as_values(f, size: int) -> np.ndarray:
     return values
 
 
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums of x with Neumaier's compensation.
+
+    Each step's rounding error is recovered exactly (TwoSum) from the plain
+    running sum and accumulated alongside it, as Neumaier's loop does, so
+    entry k equals that loop's compensated sum of x[0..k].
+    """
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    added = s - prev
+    errors = (prev - (s - added)) + (x - added)
+    return s + np.cumsum(errors)
+
+
 def solve(m: GibbsMeasure, f, method: str = "auto") -> SteinSolution:
     """Solve the Stein equation for mu = m and test function f.
 
-    method picks the partial-sum side: "auto" chooses per index by smaller
-    accumulated absolute mass, "forward" and "backward" force one side
-    everywhere (exposed mainly so tests can assert the two forms agree).
+    g(j+1) is the compensated forward sum of the terms pmf(k)(f(k) - mu(f))
+    over k <= j, or minus the compensated backward sum over k > j, divided by
+    (j+1) pmf(j+1); both running sums are made once.  method picks the side:
+    "auto" chooses per index by smaller accumulated absolute mass, "forward"
+    and "backward" force one side everywhere (exposed mainly so tests can
+    assert the two forms agree).
     """
     if method not in ("auto", "forward", "backward"):
         raise ValueError(f"unknown method {method!r}")
@@ -149,18 +173,14 @@ def solve(m: GibbsMeasure, f, method: str = "auto") -> SteinSolution:
     abs_prefix = np.cumsum(np.abs(terms))
     abs_total = abs_prefix[-1]
 
+    forward = _compensated_cumsum(terms)[:n]
+    backward = -_compensated_cumsum(terms[::-1])[::-1][1:]
+    if method == "auto":
+        use_forward = abs_prefix[:n] <= abs_total - abs_prefix[:n]
+    else:
+        use_forward = method == "forward"
     g = np.zeros(n + 2)
-    for j in range(n):
-        use_forward = (
-            method == "forward"
-            or (method == "auto" and abs_prefix[j] <= abs_total - abs_prefix[j])
-        )
-        if use_forward:
-            s = math.fsum(terms[: j + 1].tolist())
-            g[j + 1] = s / ((j + 1) * pmf[j + 1])
-        else:
-            t = math.fsum(terms[j + 1 :].tolist())
-            g[j + 1] = -t / ((j + 1) * pmf[j + 1])
+    g[1 : n + 1] = np.where(use_forward, forward, backward) / (np.arange(1, n + 1) * pmf[1:])
     return SteinSolution(g=g, measure=m, f=values, mu_f=mu_f, extended=False, domain_max=n)
 
 
@@ -261,16 +281,66 @@ def _box_supremum(coeffs: np.ndarray, f_support: int | None) -> tuple[float, np.
     return value, f_star
 
 
+def _product_over(x: float, y: float, w: float) -> float:
+    """x y / w with the smaller factor divided first, for x, y in (0, 1] and w > 0.
+
+    It overflows only when x y / w itself exceeds the double range, even where
+    w is subnormal and x / w or y / w alone would not fit.
+    """
+    lo, hi = (x, y) if x <= y else (y, x)
+    return lo / w * hi
+
+
 def sup_solution_exact(m: GibbsMeasure, j: int, f_support: int | None = None) -> float:
-    """Exact sup over f in B (or B0 with the given support) of |g_f(j)|."""
-    value, _ = _box_supremum(solution_coefficients(m, j), f_support)
-    return value
+    """Exact sup over f in B (or B0 with the given support s) of |g_f(j)|.
+
+    This is the positive coefficient mass F(min(j-1, s)) Fbar(j) / (j pmf(j)),
+    which the negative one never exceeds.
+    """
+    n = m.support_max
+    if not 1 <= j <= n:
+        raise ValueError(f"solution coefficients defined for 1 <= j <= {n}")
+    tables = m.cumulatives()
+    below = tables.F.item(j - 1 if f_support is None else min(j - 1, f_support))
+    return _product_over(below, tables.Fbar.item(j), j * m.pmf.item(j))
 
 
 def sup_increment_exact(m: GibbsMeasure, j: int, f_support: int | None = None) -> float:
-    """Exact sup over f in B (or B0) of |g_f(j+1) - g_f(j)|."""
-    value, _ = _box_supremum(increment_coefficients(m, j), f_support)
-    return value
+    """Exact sup over f in B (or B0 with the given support s) of |g_f(j+1) - g_f(j)|.
+
+    With A = Fbar(j)/(j pmf(j)), B = F(j-1)/(j pmf(j)) and A', B' the same at
+    j+1 (0 at j = N), the increment's coefficient is pmf(k)(A' - A) below j,
+    pmf(j) A' + F(j-1)/j at j and pmf(k)(B - B') above j.  Over B the positive
+    and negative masses are equal; the positive one,
+
+        pmf(j) A' + F(j-1)/j + F(j-1) (A' - A)^+ + Fbar(j+1) (B - B')^+,
+
+    is returned, each product evaluated as one ratio so that a subnormal pmf
+    entry does not overflow it.  Over B0 with s >= j the coefficients above s
+    share one sign, so dropping them leaves the other sign's mass, and the
+    supremum, as over B; with s < j only F(s) |A' - A| remains.
+    """
+    n = m.support_max
+    if not 1 <= j <= n:
+        raise ValueError(f"increment coefficients defined for 1 <= j <= {n}")
+    tables = m.cumulatives()
+    # element readers returning Python floats
+    pmf, F, Fbar = m.pmf.item, tables.F.item, tables.Fbar.item
+    w = j * pmf(j)
+    if f_support is not None and f_support < j:
+        below = F(f_support)
+        at_next = _product_over(below, Fbar(j + 1), (j + 1) * pmf(j + 1)) if j < n else 0.0
+        return abs(at_next - _product_over(below, Fbar(j), w))
+    below = F(j - 1)
+    if j == n:
+        return below / j
+    w_next, tail = (j + 1) * pmf(j + 1), Fbar(j + 1)
+    return (
+        below / j
+        + _product_over(pmf(j), tail, w_next)  # pmf(j) A'
+        + max(_product_over(below, tail, w_next) - _product_over(below, Fbar(j), w), 0.0)
+        + max(_product_over(below, tail, w) - _product_over(F(j), tail, w_next), 0.0)
+    )
 
 
 def extremal_indicator(m: GibbsMeasure, j: int, quantity: str = "increment") -> np.ndarray:

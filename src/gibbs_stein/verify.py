@@ -191,6 +191,23 @@ def check_extremal_attainment(rng) -> tuple[bool, str]:
     return worst <= 1e-10, f"max attainment gap {worst:.2e}"
 
 
+def check_closed_form_suprema(rng) -> tuple[bool, str]:
+    # the O(1) suprema against the box supremum of the explicit coefficients,
+    # over B and over B0 at two support bounds
+    worst = 0.0
+    for m in _standard_measures():
+        n = m.support_max
+        for s in (None, n // 2, 1):
+            for j in range(1, n + 1):
+                for closed, coeffs in (
+                    (stein.sup_solution_exact(m, j, s), stein.solution_coefficients(m, j)),
+                    (stein.sup_increment_exact(m, j, s), stein.increment_coefficients(m, j)),
+                ):
+                    ref, _ = stein._box_supremum(coeffs, s)
+                    worst = max(worst, abs(closed - ref) / max(ref, 1e-300))
+    return worst <= 1e-12, f"max relative gap {worst:.2e}"
+
+
 def check_certificate_dominance(rng) -> tuple[bool, str]:
     margin = math.inf
     for m in _standard_measures():
@@ -439,6 +456,7 @@ CHECKS: list[tuple[str, Callable]] = [
     ("stationarity_characterization", check_characterization),
     ("increment_exactness_when_licensed", check_increment_exactness),
     ("extremal_attainment", check_extremal_attainment),
+    ("closed_form_suprema_match_reference", check_closed_form_suprema),
     ("certificate_dominance", check_certificate_dominance),
     ("size_bias_identity", check_size_bias_identity),
     ("size_bias_structure", check_size_bias_structure),

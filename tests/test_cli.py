@@ -245,6 +245,30 @@ def test_measure_file_with_spoofed_params_exits_two(tmp_path, capsys):
     assert out == "" and "poisson params" in err
 
 
+def test_measure_file_missing_a_parameter_names_it(tmp_path, capsys):
+    import gibbs_stein as gs
+
+    payload = gs.binomial(10, 0.3).to_dict()
+    payload["params"] = {"n": 10}
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["bounds", "--measure", str(path)], capsys)
+    assert code == 2
+    assert out == "" and "binomial measure lacks parameter 'p'" in err
+
+
+def test_config_values_go_through_the_flag_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": "abc"}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lattice", "--model", "product", "--n", "3", "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    assert "argument --lambda: invalid float value: 'abc'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"z": 0.7, "per_branch_norms": True, "tail-tol": 1e-12}))
+    code, out, _ = run_cli(["lattice", "--model", "product", "--n", "3", "--config", str(cfg)], capsys)
+    assert code == 0 and "# activity=0.69999999999999996" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

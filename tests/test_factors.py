@@ -37,6 +37,43 @@ def test_first_violation_reported():
     assert all(c.first_violation is not None for c in bad)
 
 
+def _condition_loop(m, name):
+    """Reference: the per-k loop, with the same operation order as the vectorized check."""
+    b, t = m.birth_rates, m.cumulatives()
+
+    def ge(lhs, rhs):
+        return lhs >= rhs - 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+    for k in range(1, m.support_max):
+        lower = ge(b[k], k * t.Fbar[k + 1] / t.Fbar[k])
+        if name == "rate_sandwich":
+            ok = ge(k * t.F[k] / t.F[k - 1], b[k]) and lower
+        elif name == "rates_nonincreasing":
+            ok = ge(b[k - 1], b[k])
+        else:
+            ok = lower
+        if not ok:
+            return False, k
+    return True, None
+
+
+def test_condition_equals_loop_reference():
+    laws = [gs.poisson(lam) for lam in (0.05, 2.0, 300.0)]
+    laws += [gs.binomial(n, p) for n in (1, 2, 10, 150) for p in (0.1, 0.5, 0.9)]
+    laws += [gs.geometric(0.3), gs.negative_binomial(0.5, 0.4), gs.hypergeometric(235, 59, 129),
+             gs.discrete_uniform(0), gs.discrete_uniform(1), gs.poisson(1.0, truncation=2)]
+    laws += [gs.lattice_measure(model, n) for model in (gs.repelling_model(1.0), gs.product_model(0.5))
+             for n in (3, 8, 80)]
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        laws.append(gs.from_pmf(rng.uniform(0.01, 1.0, n + 1), omega=float(rng.uniform(0.2, 5.0))))
+    for m in laws:
+        for name in ("rate_sandwich", "rates_nonincreasing", "rate_tail_lower"):
+            check = gs.condition(m, name)
+            assert (check.holds, check.first_violation) == _condition_loop(m, name), (m.label(), name)
+
+
 # ---------------------------------------------------------------------------
 # rate ranges
 # ---------------------------------------------------------------------------

@@ -60,3 +60,13 @@ def test_family_record_holds_on_instances(kind):
                 continue
             assert math.isfinite(cert.value), (m.label(), cert.formula)
             assert cert.value >= _exact(m, cert, increments) - 1e-10, (m.label(), cert.formula)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_values_name_a_missing_parameter(kind):
+    family = FAMILIES[kind]
+    assert family.kind == kind
+    name = family.args[-1][0]
+    params = {arg: 1 for arg, _ in family.args[:-1]}
+    with pytest.raises(ValueError, match=f"^{kind} measure lacks parameter '{name}'$"):
+        family.values(params)

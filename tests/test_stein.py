@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 import gibbs_stein as gs
 from gibbs_stein.stein import (
+    _box_supremum,
+    _compensated_cumsum,
     extremal_indicator,
     increment_coefficients,
     solution_coefficients,
@@ -249,3 +252,127 @@ def test_supremum_index_validation():
         gs.sup_increment_exact(m, 0)
     with pytest.raises(ValueError):
         gs.sup_solution_exact(m, 11)
+
+
+# ---------------------------------------------------------------------------
+# closed-form suprema and the compensated solve against their references
+# ---------------------------------------------------------------------------
+
+def test_compensated_cumsum_equals_neumaier_loop():
+    # mixed signs and magnitudes, so that the running sums cancel
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=500) * 10.0 ** rng.integers(-12, 3, 500)
+    x[100:] -= np.mean(x[100:])
+    expected, total, compensation = [], 0.0, 0.0
+    for v in x.tolist():
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+        expected.append(total + compensation)
+    assert _compensated_cumsum(x).tolist() == expected
+
+
+def test_closed_form_suprema_equal_box_reference():
+    # B (s = None) and B0 at several support bounds, including s below and above j;
+    # the irregular laws break the rate sandwich, so the mass above j can be positive
+    irregular = [gs.from_pmf(np.array([0.1, 0.1, 0.6, 0.2]))]
+    rng = np.random.default_rng(11)
+    irregular += [gs.from_pmf(rng.uniform(0.05, 1.0, 12), omega=2.0) for _ in range(3)]
+    for m in MEASURES + irregular:
+        n = m.support_max
+        for s in (None, 0, 1, n // 2, n - 1, n):
+            for j in range(1, n + 1):
+                for closed, coeffs in (
+                    (gs.sup_solution_exact(m, j, s), solution_coefficients(m, j)),
+                    (gs.sup_increment_exact(m, j, s), increment_coefficients(m, j)),
+                ):
+                    ref, _ = _box_supremum(coeffs, s)
+                    assert abs(closed - ref) <= 1e-12 * ref, (m.label(), j, s)
+
+
+def _oracle_norm(pmf) -> mpmath.mpf:
+    """max_j F(j-1) Fbar(j) / (j pmf(j)) in the working precision, Fbar as suffix sums."""
+    prefix, acc = [], mpmath.mpf(0)
+    for p in pmf:
+        acc += p
+        prefix.append(acc)
+    suffix, acc = [mpmath.mpf(0)] * len(pmf), mpmath.mpf(0)
+    for k in range(len(pmf) - 1, -1, -1):
+        acc += pmf[k]
+        suffix[k] = acc
+    return max(prefix[j - 1] * suffix[j] / (j * pmf[j]) for j in range(1, len(pmf)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gs.poisson(500.0),
+        lambda: gs.binomial(800, 0.5),
+        lambda: gs.negative_binomial(600.0, 0.5),
+        # pmf(80) is subnormal; the coefficient form gave +inf here
+        lambda: gs.lattice_measure(gs.product_model(0.5), 80),
+    ],
+    ids=["poisson_500", "binomial_800", "negative_binomial_mean_600", "product_lattice_80"],
+)
+def test_norm_matches_mpmath_supremum(build):
+    m = build()
+    norm = gs.sup_solution_norm(m)
+    with mpmath.workdps(50):
+        log_omega = mpmath.log(mpmath.mpf(m.omega))
+        log_w = [mpmath.mpf(float(v)) + k * log_omega - mpmath.loggamma(k + 1) for k, v in enumerate(m.V)]
+        top = max(log_w)
+        weights = [mpmath.exp(x - top) for x in log_w]
+        z = mpmath.fsum(weights)
+        law = [w / z for w in weights]
+        exact = _oracle_norm(law)
+        tables = _oracle_norm([mpmath.mpf(float(p)) for p in m.pmf])
+        # relative error of the stored pmf against the law V and omega define
+        delta = max(abs(mpmath.mpf(float(p)) - q) / q for p, q in zip(m.pmf, law))
+        # the supremum of the stored tables, to 1e-13
+        assert abs(norm - tables) <= 1e-13 * tables
+        # and of the law, up to what the tables' own error (three factors of 1 + delta) allows
+        assert abs(norm - exact) <= (1e-13 + 3 * delta) * exact
+
+
+def test_suprema_finite_near_the_underflow_ceiling():
+    # the coefficient form gave +inf (and its increments inf or NaN) on all of these
+    lattice = [gs.lattice_measure(gs.product_model(lam), n)
+               for lam, n in ((0.5, 80), (0.5, 81), (0.625, 82), (1.0, 86), (1.0, 87))]
+    for m in lattice + [gs.poisson(740.0)]:
+        n = m.support_max
+        assert m.pmf.min() < np.finfo(float).tiny  # a subnormal pmf entry
+        for s in (None, n // 2):
+            assert not math.isnan(gs.sup_solution_norm(m, s)), (m.label(), s)
+            for j in range(1, n + 1):
+                assert math.isfinite(gs.sup_increment_exact(m, j, s)), (m.label(), j, s)
+    for m in lattice:
+        assert math.isfinite(gs.sup_solution_norm(m)), m.label()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: gs.discrete_uniform(10000), lambda: gs.negative_binomial(1.0, 0.0025)],
+    ids=["discrete_uniform_10000", "negative_binomial_12878"],
+)
+def test_solve_at_large_support(build):
+    m = build()
+    n = m.support_max
+    assert n >= 10**4
+    rng = np.random.default_rng(7)
+    k = np.arange(n + 1)
+    for points in (rng.integers(0, n + 1, 5), [0], [n // 2, n]):
+        f = gs.TestFunction.indicator(points, n + 1).values
+        sol = gs.solve(m, f)
+        residual = m.birth_rates * sol.g[1:] - k * sol.g[:-1] - (f - sol.mu_f)
+        assert np.max(np.abs(residual)) <= 1e-10
+    # the compensated running sums against correctly rounded partial sums
+    f = rng.uniform(0.0, 1.0, n + 1)
+    sol = gs.solve(m, f)
+    terms = m.pmf * (f - sol.mu_f)
+    for j in rng.integers(0, n, 25):
+        scale = (j + 1) * m.pmf[j + 1]
+        forward = math.fsum(terms[: j + 1].tolist()) / scale
+        backward = -math.fsum(terms[j + 1 :].tolist()) / scale
+        for method, ref in (("forward", forward), ("backward", backward)):
+            g = gs.solve(m, f, method=method).g[j + 1]
+            assert abs(g - ref) <= 1e-13 * abs(ref), (method, j)
