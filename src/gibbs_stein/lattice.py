@@ -474,7 +474,35 @@ def closed_form_bound(model: InteractionModel, n: int) -> float:
 def harmonic_between(x: int, y: int) -> float:
     """Partial harmonic sum over min(x,y)+1 .. max(x,y) (0 when x = y)."""
     lo, hi = min(x, y), max(x, y)
+    if lo < 0:
+        raise ValueError(f"harmonic sums run over nonnegative states, got {lo}")
     return math.fsum(1.0 / ell for ell in range(lo + 1, hi + 1))
+
+
+def _pair_terms(b: np.ndarray, family_cap: float | None) -> np.ndarray:
+    """Table of min(harmonic_between(s, t), |s - t| cap(min(s, t))) on 0..n.
+
+    b holds the birth rates on 0..n; cap(k) = 1/b[k] (+inf where b[k] = 0),
+    lowered to the family's uniform increment bound where one exists.  Each
+    harmonic entry is one fsum over the same reciprocals harmonic_between
+    adds, so it is the same correctly rounded value.  The diagonal is 0:
+    a pair with s = t is never charged, and 0 * inf would be NaN there.
+    """
+    size = b.size
+    recip = [1.0 / ell for ell in range(1, size)]
+    harm = np.zeros((size, size))
+    for lo in range(size - 1):
+        harm[lo, lo + 1 :] = [math.fsum(recip[lo:hi]) for hi in range(lo + 1, size)]
+    harm += harm.T
+    cap = np.divide(1.0, b, out=np.full(size, math.inf), where=b > 0)
+    if family_cap is not None:
+        cap = np.minimum(cap, family_cap)
+    states = np.arange(size)
+    gap = np.abs(np.subtract.outer(states, states))
+    with np.errstate(invalid="ignore"):  # 0 * inf on the diagonal, cleared below
+        term = np.minimum(harm, gap * cap[np.minimum.outer(states, states)])
+    np.fill_diagonal(term, 0.0)
+    return term
 
 
 @dataclass(frozen=True)
@@ -513,35 +541,43 @@ def sum_coupling_bound(
     lower state; sharpened by the family closed form where one exists).
     The norm part is the mean absolute deviation of the birth rate over the
     sum's law times a solution-norm bound.  Licensed by nonincreasing rates.
+
+    The increment part is evaluated in slabs: the charge and the rate
+    weight b[s]/omega of each pair (s, t) are tabulated once on 0..n, and
+    each index contributes the array of its X_i = 1 pairs (t + 1, t) and,
+    for dependent specs with p_i < 1, the (n+1) x n array of its X_i = 0
+    pairs (CouplingSpec.coupling_slabs).  Every piece is the product
+    ((p_i/lam) * pr) * rate weight * charge of the pair-by-pair form, and
+    one fsum, correctly rounded whatever the order, adds them all, so the
+    value matches that form bit for bit in O(n^2) memory.
     """
     n_max = m.support_max
     if spec.n > n_max:
-        raise ValueError("the Bernoulli sum must live inside the target support")
+        raise ValueError(
+            "the Bernoulli sum must live inside the target support "
+            f"(n = {spec.n} > N = {n_max})"
+        )
     cond = (condition(m, "rates_nonincreasing"),)
     lam = spec.lam
-    b = m.birth_rates
-    family_cap = uniform_increment(m.kind, m.params)
+    b = m.birth_rates[: spec.n + 1]
+    rate_weight = b / m.omega
+    term = _pair_terms(b, uniform_increment(m.kind, m.params))
+    step_term = np.diagonal(term, offset=-1)  # term[t + 1, t]
 
-    pieces = []
-    for i in range(spec.n):
-        if spec.p[i] <= 0.0:
-            continue
-        for pr, s, s_hat in spec.coupling_given_index(i):
-            if s == s_hat or pr == 0.0:
+    def slabs():
+        for i in range(spec.n):
+            if spec.p[i] <= 0.0:
                 continue
-            rate_weight = b[s] / m.omega
-            if rate_weight == 0.0:
-                continue
-            low = min(s, s_hat)
-            cap = 1.0 / b[low] if b[low] > 0 else math.inf
-            if family_cap is not None:
-                cap = min(cap, family_cap)
-            term = min(harmonic_between(s, s_hat), abs(s - s_hat) * cap)
-            pieces.append((spec.p[i] / lam) * pr * rate_weight * term)
-    increment_part = m.omega * math.fsum(pieces)
+            weight = spec.p[i] / lam
+            one, zero = spec.coupling_slabs(i)
+            yield (((weight * one) * rate_weight[1:]) * step_term).tolist()
+            if zero is not None:
+                yield (((weight * zero) * rate_weight[:, None]) * term[:, :-1]).ravel().tolist()
+
+    increment_part = m.omega * math.fsum(itertools.chain.from_iterable(slabs()))
 
     law = spec.sum_law()
-    rates = b[: law.size]
+    rates = m.birth_rates[: law.size]
     mean_rate = math.fsum((law * rates).tolist())
     mad = math.fsum((law * np.abs(rates - mean_rate)).tolist())
 
@@ -595,9 +631,18 @@ class PoissonSumReport:
 def poisson_sum_bounds(
     spec: CouplingSpec, truncation: int | None = None, tail_tol: float = 1e-14
 ) -> PoissonSumReport:
-    """Certified Poisson approximation for a Bernoulli-sum coupling spec."""
+    """Certified Poisson approximation for a Bernoulli-sum coupling spec.
+
+    The target is Poisson(sum p_i) truncated at the explicit truncation, or,
+    when none is given, at max(n, N_auto): N_auto is the smallest bound whose
+    discarded tail is below tail_tol, and the coupling bound needs the sum's
+    states 0..n inside the support.  An explicit truncation below n is an
+    error.
+    """
     lam = spec.lam
     target = poisson(lam, truncation=truncation, tail_tol=tail_tol)
+    if truncation is None and target.support_max < spec.n:
+        target = poisson(lam, truncation=spec.n, tail_tol=tail_tol)
     factor = uniform_increment(target.kind, target.params)
 
     coupling = sum_coupling_bound(target, spec, g_norm_source="exact")

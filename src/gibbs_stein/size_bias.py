@@ -25,6 +25,7 @@ classical perfect coupling with S - Shat_i = X_i.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -183,7 +184,8 @@ class CouplingSpec:
             )
         p = np.asarray(payload["p"], dtype=float)
         if payload.get("independent", False):
-            return CouplingSpec(p, independent=True)
+            # tables given alongside the flag are checked against the convolutions
+            return CouplingSpec(p, payload.get("conditional_sums"), independent=True)
         return CouplingSpec(p, conditional_sums=np.asarray(payload["conditional_sums"], dtype=float))
 
     # -- derived laws -----------------------------------------------------------
@@ -210,25 +212,44 @@ class CouplingSpec:
         Independent specs use the exact convolution; configuration-level
         input carries the law along; otherwise the law is recovered from
         s P(S = s) = sum_i p_i P(Shat_i = s-1), flagging inconsistent tables.
+        The derived law is computed once and kept, read-only, on the spec.
         """
         if self._sum_law is not None:
             return self._sum_law
-        if self.independent:
-            law = bernoulli_convolution(self.p)
-            out = np.zeros(self.n + 1)
-            out[: law.size] = law
-            return out
-        mix = self.mixture_law()
-        s = np.arange(1, self.n + 1, dtype=float)
         law = np.zeros(self.n + 1)
-        law[1:] = self.lam * mix[1:] / s
-        head = 1.0 - math.fsum(law[1:].tolist())
-        if head < -1e-9:
-            raise ValueError(
-                "conditional sums are inconsistent: no law of the sum matches the mixture"
-            )
-        law[0] = max(head, 0.0)
+        if self.independent:
+            conv = bernoulli_convolution(self.p)
+            law[: conv.size] = conv
+        else:
+            mix = self.mixture_law()
+            s = np.arange(1, self.n + 1, dtype=float)
+            law[1:] = self.lam * mix[1:] / s
+            head = 1.0 - math.fsum(law[1:].tolist())
+            if head < -1e-9:
+                raise ValueError(
+                    "conditional sums are inconsistent: no law of the sum matches the mixture"
+                )
+            law[0] = max(head, 0.0)
+        law.setflags(write=False)
+        self._sum_law = law
         return law
+
+    def _given_zero(self, i: int) -> np.ndarray:
+        """Law of S given X_i = 0, peeled off the law of S (dependent specs)."""
+        given_zero = self.sum_law().copy()
+        given_zero[1:] -= self.p[i] * self.conditional_sums[i]
+        if np.any(given_zero < -1e-9):
+            raise ValueError("conditional sums are inconsistent with the law of the sum")
+        given_zero = np.clip(given_zero, 0.0, None)
+        if self.p[i] < 1.0:
+            given_zero /= math.fsum(given_zero.tolist())
+        return given_zero
+
+    def _check_index(self, i: int) -> None:
+        if not 0 <= i < self.n:
+            raise ValueError("index out of range")
+        if self.p[i] <= 0.0:
+            raise ValueError("coupling undefined for an index with zero mean")
 
     def coupling_given_index(self, i: int) -> list[tuple[float, int, int]]:
         """Joint law of (S, Shat_i) given I = i as (prob, s, s_hat) triples.
@@ -236,10 +257,7 @@ class CouplingSpec:
         On X_i = 1 the redraw is the identity, so S = Shat_i + 1; on X_i = 0
         the leftover sum is redrawn independently of S.
         """
-        if not 0 <= i < self.n:
-            raise ValueError("index out of range")
-        if self.p[i] <= 0.0:
-            raise ValueError("coupling undefined for an index with zero mean")
+        self._check_index(i)
         cond = self.conditional_sums[i]
         out: list[tuple[float, int, int]] = []
         if self.independent:
@@ -250,15 +268,7 @@ class CouplingSpec:
                 out.append((pr * self.p[i], s_hat + 1, s_hat))
                 out.append((pr * (1.0 - self.p[i]), s_hat, s_hat))
             return out
-        law = self.sum_law()
-        # law of S given X_i = 0, obtained by peeling off the X_i = 1 part
-        given_zero = law.copy()
-        given_zero[1:] -= self.p[i] * cond
-        if np.any(given_zero < -1e-9):
-            raise ValueError("conditional sums are inconsistent with the law of the sum")
-        given_zero = np.clip(given_zero, 0.0, None)
-        if self.p[i] < 1.0:
-            given_zero /= math.fsum(given_zero.tolist())
+        given_zero = self._given_zero(i)
         for s_hat, pr_hat in enumerate(cond):
             if pr_hat == 0.0:
                 continue
@@ -270,11 +280,36 @@ class CouplingSpec:
                     out.append(((1.0 - self.p[i]) * pr_hat * pr_s, s, s_hat))
         return out
 
+    def coupling_slabs(self, i: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The off-diagonal part of coupling_given_index(i) as two arrays.
+
+        one[t] is the probability of the pair (S, Shat_i) = (t + 1, t), the
+        X_i = 1 part; zero[s, t] is that of (s, t) on X_i = 0, or None when
+        that part has no off-diagonal mass (independent coordinates, where
+        S = Shat_i there, or p_i = 1).  Each entry is the product that
+        coupling_given_index forms, in its order, so the values agree bit for
+        bit; pairs it leaves out appear here as zeros.
+        """
+        self._check_index(i)
+        cond = self.conditional_sums[i]
+        one = cond * self.p[i]
+        if self.independent:
+            return one, None
+        given_zero = self._given_zero(i)
+        if not self.p[i] < 1.0:
+            return one, None
+        return one, np.multiply.outer(given_zero, (1.0 - self.p[i]) * cond)
+
     def mean_abs_gap(self, i: int) -> float:
         """E_i |S - Shat_i| under the canonical coupling (p_i when independent)."""
         if self.independent:
             return float(self.p[i])
-        return math.fsum(pr * abs(s - s_hat) for pr, s, s_hat in self.coupling_given_index(i))
+        one, zero = self.coupling_slabs(i)
+        if zero is None:
+            return math.fsum(one.tolist())
+        states = np.arange(self.n + 1, dtype=float)
+        gap = np.abs(np.subtract.outer(states, states[:-1]))
+        return math.fsum(itertools.chain(one.tolist(), (zero * gap).ravel().tolist()))
 
     def to_dict(self) -> dict:
         return {

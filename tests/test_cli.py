@@ -148,6 +148,28 @@ def test_poisson_sum_spec_file(tmp_path, capsys):
     assert "independent_bound" in out
 
 
+def test_poisson_sum_spec_file_checks_independent_tables(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"p": [0.3, 0.2], "independent": True, "conditional_sums": [[0, 1], [1, 0]]}
+    ))
+    code, _, err = run_cli(["poisson-sum", "--spec", str(spec_path)], capsys)
+    assert code == 2
+    assert "conditional sums inconsistent with independence of the coordinates" in err
+
+
+def test_poisson_sum_target_covers_long_sums(capsys):
+    p = ",".join(["0.05"] * 60)
+    code, out, _ = run_cli(["poisson-sum", "--p", p, "--format", "json"], capsys)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert float(row["harmonic_coupling_bound"]) >= float(row["exact_tv"]) > 0.0
+    # an explicit truncation is kept as given, so one below n is an error
+    code, _, err = run_cli(["poisson-sum", "--p", p, "--truncation", "10"], capsys)
+    assert code == 2
+    assert "must live inside the target support (n = 60 > N = 10)" in err
+
+
 def test_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": "2..3"}))
@@ -190,6 +212,17 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "norm_rate_spread" in proc.stdout
+
+
+def test_package_runs_as_module():
+    src = os.path.dirname(os.path.dirname(gibbs_stein.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gibbs_stein", "poisson-sum", "--p", "0.2,0.3"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert "harmonic_coupling_bound" in proc.stdout
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -6,7 +6,9 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 import gibbs_stein as gs
+from gibbs_stein.factors import uniform_increment
 from gibbs_stein.lattice import grid_points, lattice_weight_brute
+from gibbs_stein.size_bias import bernoulli_convolution
 
 RNG = np.random.default_rng(60221023)
 
@@ -295,6 +297,81 @@ def test_harmonic_partial_sum():
     assert gs.harmonic_between(3, 1) == pytest.approx(1 / 2 + 1 / 3)
     assert gs.harmonic_between(1, 3) == pytest.approx(1 / 2 + 1 / 3)
     assert gs.harmonic_between(4, 4) == 0.0
+    for x, y in ((-2, 3), (3, -2), (-3, -2)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gs.harmonic_between(x, y)
+
+
+def mixture_spec(rng, n, mean):
+    """Dependent spec: the coordinates are independent given a fair two-way label."""
+    a = np.clip(mean * 1.6 * rng.uniform(0.5, 1.5, n), 1e-6, 0.95)
+    b = np.clip(mean * 0.6 * rng.uniform(0.5, 1.5, n), 1e-6, 0.95)
+    p = 0.5 * a + 0.5 * b
+    cond = np.array([
+        0.5 * a[i] * bernoulli_convolution(np.delete(a, i))
+        + 0.5 * b[i] * bernoulli_convolution(np.delete(b, i))
+        for i in range(n)
+    ]) / p[:, None]
+    return gs.CouplingSpec(p, conditional_sums=cond)
+
+
+def tuple_loop_increment(m, spec):
+    """The increment part of sum_coupling_bound, one coupled pair at a time."""
+    b = m.birth_rates
+    family_cap = uniform_increment(m.kind, m.params)
+    pieces = []
+    for i in range(spec.n):
+        if spec.p[i] <= 0.0:
+            continue
+        for pr, s, s_hat in spec.coupling_given_index(i):
+            if s == s_hat or pr == 0.0:
+                continue
+            rate_weight = b[s] / m.omega
+            if rate_weight == 0.0:
+                continue
+            low = min(s, s_hat)
+            cap = 1.0 / b[low] if b[low] > 0 else math.inf
+            if family_cap is not None:
+                cap = min(cap, family_cap)
+            term = min(gs.harmonic_between(s, s_hat), abs(s - s_hat) * cap)
+            pieces.append((spec.p[i] / spec.lam) * pr * rate_weight * term)
+    return m.omega * math.fsum(pieces)
+
+
+COUPLING_SPECS = {
+    "independent": gs.CouplingSpec.independent_bernoulli([0.3, 0.2, 0.25, 0.15, 0.4]),
+    "independent_p0_p1": gs.CouplingSpec.independent_bernoulli([1.0, 0.0, 0.4, 0.7, 0.2]),
+    "mixture_9": mixture_spec(np.random.default_rng(17), 9, 0.2),
+    "mixture_14": mixture_spec(np.random.default_rng(18), 14, 0.05),
+    "configurations": gs.CouplingSpec.from_configurations(
+        [((0, 0, 0), 0.2), ((1, 0, 1), 0.3), ((1, 1, 1), 0.1), ((0, 1, 0), 0.4)]
+    ),
+    "configurations_p0_p1": gs.CouplingSpec.from_configurations(
+        [((1, 0, 0), 0.5), ((1, 1, 0), 0.25), ((1, 0, 1), 0.25)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_SPECS))
+def test_coupling_bound_slabs_equal_tuple_loop(name):
+    spec = COUPLING_SPECS[name]
+    n, lam = spec.n, spec.lam
+    # poisson and geometric carry a family increment cap, the others do not;
+    # the *_n targets end at N = n, where b[N] = 0
+    targets = {
+        "poisson": gs.poisson(lam, truncation=n + 15),
+        "poisson_n": gs.poisson(lam, truncation=n),
+        "geometric": gs.geometric(0.5, truncation=n + 5),
+        "geometric_n": gs.geometric(0.4, truncation=n),
+        "binomial": gs.binomial(n + 3, lam / (n + 3)),
+        "binomial_n": gs.binomial(n, min(lam / n, 0.9)),
+        "uniform_n": gs.discrete_uniform(n),
+    }
+    for target_name, m in targets.items():
+        cb = gs.sum_coupling_bound(m, spec)
+        reference = tuple_loop_increment(m, spec)
+        assert cb.increment_part.hex() == reference.hex(), target_name
+        assert cb.value == cb.increment_part + cb.norm_part
 
 
 def test_coupling_bound_poisson_target_drops_norm_part():
@@ -330,7 +407,7 @@ def test_coupling_bound_dominates_for_gibbs_targets():
 
 def test_coupling_bound_requires_nested_support():
     spec = gs.CouplingSpec.independent_bernoulli([0.5] * 10)
-    with pytest.raises(ValueError, match="support"):
+    with pytest.raises(ValueError, match=r"target support \(n = 10 > N = 4\)"):
         gs.sum_coupling_bound(gs.poisson(1.0, truncation=4), spec)
 
 
@@ -388,6 +465,28 @@ def test_poisson_sum_tiny_means_give_positive_bounds():
                   rep.independent_bound, rep.improved_bound):
         assert value > 0.0
         assert value >= rep.exact_tv - 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        gs.CouplingSpec.independent_bernoulli([0.05] * 60),
+        mixture_spec(np.random.default_rng(19), 40, 0.03),
+    ],
+    ids=["iid_60", "mixture_40"],
+)
+def test_poisson_sum_target_reaches_past_the_sum(spec):
+    # the tail-mass truncation of Poisson(lam) alone stops short of n
+    assert gs.poisson(spec.lam).support_max < spec.n
+    rep = gs.poisson_sum_bounds(spec)
+    assert rep.exact_tv > 0.0
+    for name in ("harmonic_coupling_bound", "linear_coupling_bound",
+                 "independent_bound", "improved_bound"):
+        value = getattr(rep, name)
+        if value is not None:
+            assert value >= rep.exact_tv, name
+    with pytest.raises(ValueError, match="must live inside the target support"):
+        gs.poisson_sum_bounds(spec, truncation=spec.n - 1)
 
 
 def test_poisson_sum_dependent_spec_has_no_independent_forms():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -119,6 +120,10 @@ def test_independent_flag_cross_checks_tables():
     wrong = np.array([[0.2, 0.8], [0.5, 0.5]])
     with pytest.raises(ValueError, match="independence"):
         gs.CouplingSpec(np.array(p), conditional_sums=wrong, independent=True)
+    # a spec file carrying the flag and tables gets the same check
+    payload = {"p": p, "independent": True, "conditional_sums": wrong.tolist()}
+    with pytest.raises(ValueError, match="independence"):
+        gs.CouplingSpec.from_dict(payload)
 
 
 def test_spec_validation():
@@ -148,6 +153,74 @@ def test_mean_abs_gap_perfect_coupling():
     spec = gs.CouplingSpec.independent_bernoulli(p)
     for i, pi in enumerate(p):
         assert spec.mean_abs_gap(i) == pytest.approx(pi)
+
+
+def random_configurations(rng, n, count):
+    bits = {tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(count)}
+    weights = rng.uniform(0.1, 1.0, len(bits))
+    return list(zip(sorted(bits), weights / weights.sum()))
+
+
+def test_mean_abs_gap_equals_tuple_loop():
+    rng = np.random.default_rng(2718)
+    specs = [gs.CouplingSpec.from_configurations(random_configurations(rng, n, 3 * n))
+             for n in (2, 4, 6, 7)]
+    # p = (1, 1/2, 1/4): an index that is always on, next to dependent ones
+    specs.append(gs.CouplingSpec.from_configurations(
+        [((1, 0, 0), 0.5), ((1, 1, 0), 0.25), ((1, 1, 1), 0.25)]))
+    # a dependent spec given by its tables, with a zero mean at index 1
+    specs.append(gs.CouplingSpec(
+        np.array([0.5, 0.0, 0.5]),
+        conditional_sums=np.array([[0.2, 0.8, 0.0], [1.0, 0.0, 0.0], [0.2, 0.8, 0.0]]),
+    ))
+    for spec in specs:
+        assert not spec.independent
+        for i in range(spec.n):
+            if spec.p[i] <= 0.0:
+                with pytest.raises(ValueError, match="zero mean"):
+                    spec.mean_abs_gap(i)
+                continue
+            reference = math.fsum(pr * abs(s - s_hat) for pr, s, s_hat in spec.coupling_given_index(i))
+            assert spec.mean_abs_gap(i).hex() == reference.hex()
+
+
+def test_coupling_slabs_hold_the_tuple_probabilities():
+    rng = np.random.default_rng(1618)
+    specs = [
+        gs.CouplingSpec.independent_bernoulli([1.0, 0.0, 0.4, 0.7]),
+        gs.CouplingSpec.from_configurations(random_configurations(rng, 6, 18)),
+        gs.CouplingSpec.from_configurations(random_configurations(rng, 7, 30)),
+        gs.CouplingSpec.from_configurations([((1, 0, 0), 0.5), ((1, 1, 0), 0.25), ((1, 1, 1), 0.25)]),
+    ]
+    for spec in specs:
+        for i in np.flatnonzero(spec.p > 0.0):
+            expected = sorted((s, t, pr) for pr, s, t in spec.coupling_given_index(i)
+                              if s != t and pr != 0.0)
+            one, zero = spec.coupling_slabs(i)
+            got = [(t + 1, t, pr) for t, pr in enumerate(one.tolist()) if pr != 0.0]
+            if zero is not None:
+                got += [(s, t, pr) for (s, t), pr in np.ndenumerate(zero) if s != t and pr != 0.0]
+            assert sorted(got) == expected
+
+
+def test_sum_law_is_derived_once():
+    for spec in (gs.CouplingSpec.independent_bernoulli([0.3, 0.6, 0.1]),
+                 gs.CouplingSpec(np.array([0.4, 0.4]), conditional_sums=np.array([[0.0, 1.0], [0.0, 1.0]]))):
+        law = spec.sum_law()
+        assert spec.sum_law() is law
+        assert not law.flags.writeable
+
+
+@pytest.mark.parametrize("spec", [
+    gs.CouplingSpec.independent_bernoulli([0.3, 0.2, 0.25]),
+    gs.CouplingSpec(np.array([0.4, 0.4]), conditional_sums=np.array([[0.0, 1.0], [0.0, 1.0]])),
+    gs.CouplingSpec.from_configurations([((0, 0), 0.6), ((1, 1), 0.4)]),
+], ids=["independent", "dependent", "configurations"])
+def test_spec_dict_roundtrip(spec):
+    again = gs.CouplingSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert again.independent == spec.independent
+    assert np.array_equal(again.p, spec.p)
+    assert np.array_equal(again.conditional_sums, spec.conditional_sums)
 
 
 # ---------------------------------------------------------------------------
