@@ -61,6 +61,7 @@ from .size_bias import (
 )
 from .compare import (
     ComparisonReport,
+    generator_comparison,
     generator_comparison_bound,
     generator_comparison_extended,
     tv_distance,

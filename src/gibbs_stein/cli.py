@@ -220,13 +220,7 @@ def cmd_compare(args) -> int:
             raise CliError(f"--g-norm {source!r}: value:X,Y takes two norm bounds")
         values = (float(parts[0]), float(parts[1]))
         source = "user"
-    if m1.support_max == m2.support_max:
-        rep = compare_mod.generator_comparison_bound(m1, m2, source, values)
-    elif m1.support_max < m2.support_max:
-        rep = compare_mod.generator_comparison_extended(m1, m2, source, values)
-    else:
-        rep = compare_mod.generator_comparison_extended(m2, m1, source, values)
-    row = rep.to_dict()
+    row = compare_mod.generator_comparison(m1, m2, source, values).to_dict()
     header = [
         "m1", "m2", "exact_tv", "certified_bound", "bound_value",
         "branch_used", "tail_term", "g_norm_source", "notes",
@@ -236,18 +230,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    if args.model not in _MODELS:
-        raise CliError(f"unknown model {args.model!r}; expected repelling, product, or ideal_gas")
     model = _MODELS[args.model](args.lam)
     rows = []
     for n in parse_range(args.n):
         rep = lattice.lattice_comparison_report(
-            model,
-            n,
-            truncation=args.truncation,
-            tail_tol=args.tail_tol,
-            g_norm_source=args.g_norm,
-            per_branch_norms=args.per_branch_norms,
+            model, n, truncation=args.truncation, tail_tol=args.tail_tol, g_norm_source=args.g_norm,
         )
         rows.append(rep.to_dict())
     header = [
@@ -332,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="cell counts, e.g. 2..6 or 3,5,8")
     p.add_argument("--g-norm", dest="g_norm", default="exact",
                    choices=("exact", "rate_spread"))
-    p.add_argument("--per-branch-norms", action="store_true",
-                   help="attach each solution norm to its own branch (tighter)")
     _add_common(p)
     p.set_defaults(fn=cmd_lattice)
 
@@ -362,7 +347,7 @@ _CONFIG_ALIASES = {
 def _config_argv(path: str) -> list[str]:
     """A --config file's entries as flags, so that the parser converts and checks them.
 
-    `true` sets a switch; `false` and `null` leave the flag as given.
+    `false` and `null` leave the flag as given.
     """
     try:
         with open(path) as handle:
@@ -375,9 +360,7 @@ def _config_argv(path: str) -> list[str]:
     for key, value in overrides.items():
         key = key.replace("-", "_")
         flag = "--" + _CONFIG_ALIASES.get(key, key).replace("_", "-")
-        if value is True:
-            argv.append(flag)
-        elif value is not False and value is not None:
+        if value is not False and value is not None:
             argv.append(f"{flag}={value}")
     return argv
 

@@ -25,9 +25,13 @@ so the certificate is sharp in that case.
 
 Each formula lives here once and is shared with `gibbs_stein.lattice`:
 `mismatch_terms` is the kernel that evaluates the display's activity and
-ratio terms for one direction, and `solution_norm` is the selector that
-picks the norm bound (exact supremum or rate-spread certificate) for a
-solver, its restricted test class, or its pure-death extension.
+ratio terms for one direction, `solution_norm` is the selector that picks
+the norm bound (exact supremum or rate-spread certificate) for a solver,
+its restricted test class, or its pure-death extension, and
+`generator_comparison` is the one support dispatch: equal supports are
+compared as given, otherwise the smaller support is extended.  Each
+direction carries its own norm (the per-branch rule), and the smaller
+branch is kept.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "ComparisonReport",
     "generator_comparison_bound",
     "generator_comparison_extended",
+    "generator_comparison",
 ]
 
 G_NORM_SOURCES = ("exact", "rate_spread", "user")
@@ -77,7 +82,9 @@ class ComparisonReport:
     bound_value is the generator-mismatch part (the min over the two
     directions, already multiplied by the applicable solution-norm bound);
     tail_term is the support-extension surcharge (zero for equal supports).
-    The certified distance bound is bound_value + tail_term.
+    The certified distance bound is bound_value + tail_term.  terms holds
+    the chosen direction's (activity term, ratio term); it stays out of the
+    emitted dict and CSV row.
     """
 
     measures: tuple[str, str]
@@ -87,6 +94,7 @@ class ComparisonReport:
     tail_term: float
     g_norm_source: str
     g_norms: tuple[float, float]
+    terms: tuple[float, float]
     notes: str = ""
 
     @property
@@ -181,8 +189,8 @@ def _comparison(
         norm2, licensed2 = solution_norm(m2, source, f_support=n if extended else None)
         if not (licensed1 and licensed2):
             notes = "rate-spread norm inapplicable on at least one side"
-    (a1, r1), (a2, r2) = mismatch_terms(m1, m2), mismatch_terms(m2, m1)
-    v1, v2 = norm1 * (a1 + r1), norm2 * (a2 + r2)
+    terms1, terms2 = mismatch_terms(m1, m2), mismatch_terms(m2, m1)
+    v1, v2 = norm1 * sum(terms1), norm2 * sum(terms2)
     return ComparisonReport(
         measures=(m1.label(), m2.label()),
         exact_tv=tv_distance(m1.pmf, m2.pmf),
@@ -191,6 +199,7 @@ def _comparison(
         tail_term=math.fsum(m2.pmf[n + 1 :].tolist()),
         g_norm_source=source,
         g_norms=(norm1, norm2),
+        terms=terms1 if v1 <= v2 else terms2,
         notes=notes,
     )
 
@@ -223,3 +232,21 @@ def generator_comparison_extended(
     if m1.support_max >= m2.support_max:
         raise ValueError("m1's support must be strictly smaller than m2's")
     return _comparison(m1, m2, g_norm_source, g_norm_values, extended=True)
+
+
+def generator_comparison(
+    m1: GibbsMeasure,
+    m2: GibbsMeasure,
+    g_norm_source: str = "exact",
+    g_norm_values: tuple[float, float] | None = None,
+) -> ComparisonReport:
+    """Certified TV bound for measures on {0..n1} and {0..n2}, nested either way.
+
+    Equal supports are compared as given (generator_comparison_bound);
+    otherwise the smaller support goes first and is extended
+    (generator_comparison_extended), so the report's measures, norms and
+    directions follow (smaller, larger).  g_norm_values keep their order.
+    """
+    small, large = sorted((m1, m2), key=lambda m: m.support_max)  # stable on ties
+    extended = small.support_max < large.support_max
+    return _comparison(small, large, g_norm_source, g_norm_values, extended)

@@ -22,13 +22,13 @@ Custom families evaluate W_n by explicit k-fold grid summation (guarded,
 deterministic order) and W by one-dimensional quadrature when the family
 declares a separable integrand.
 
-The distance from S_n to the limit law is certified by comparing the two
-generators (activity mismatch plus weight-ratio mismatch, each computable
-in log space) plus the tail mass of the limit law beyond n, and for
-Bernoulli sums by a size-bias coupling bound whose increments are charged
-either to harmonic sums or to reciprocal birth rates.  The generator terms
-come from the comparison kernel `compare.mismatch_terms`, and both
-certificates take their solution norms from `compare.solution_norm`.
+The distance from S_n to the limit law (truncated at N) is certified by
+`compare.generator_comparison`, as in the `compare` command: activity plus
+weight-ratio mismatch of the two generators, each direction with its own
+norm, plus the mass of the law on the larger support above the smaller one
+(the limit's above n if N > n, the lattice law's above N if N < n).  For
+Bernoulli sums a size-bias coupling bound charges its increments to harmonic
+sums or to reciprocal birth rates, with a norm from `compare.solution_norm`.
 
 A caution on the repelling family: the lattice/continuum weight ratios
 match only from k = 3 on; at k = 2 they differ by the factor (n^2-1)/n^2,
@@ -48,7 +48,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
-from .compare import mismatch_terms, solution_norm, tv_distance
+from .compare import generator_comparison, solution_norm, tv_distance
 from .factors import condition, uniform_increment
 from .measures import FAMILIES, GibbsMeasure, TailPolicy, poisson
 from .size_bias import CouplingSpec
@@ -339,9 +339,11 @@ def repelling_limit_partition(lam: float) -> float:
 class LatticeBoundReport:
     """Certified comparison of the n-cell law against its continuum limit.
 
-    generator_bound = norm_factor * min(branch) + tail_term, the certified
-    TV bound from the generator comparison; closed_form_value is the model's
-    analytic bound when one is defined (None otherwise).
+    generator_bound = norm_factor * (omega_term + ratio_term) + tail_term is
+    the certified TV bound of the direction `compare.generator_comparison`
+    keeps, lattice_averaged if it solves the limit law's equation and
+    limit_averaged otherwise; closed_form_value is the model's analytic
+    bound when one is defined (None otherwise).
     """
 
     model: str
@@ -391,46 +393,25 @@ def lattice_comparison_report(
     truncation: int | None = None,
     tail_tol: float = 1e-14,
     g_norm_source: str = "exact",
-    per_branch_norms: bool = False,
 ) -> LatticeBoundReport:
     """Generator-comparison certificate for the n-cell law vs the limit law.
 
-    The default multiplies the branch minimum by the larger of the two
-    solution-norm bounds; per_branch_norms=True attaches each norm to its
-    own branch before taking the minimum (a tighter, still valid variant).
+    Through `compare.generator_comparison`: each direction carries its own
+    norm and the smaller branch is kept.  With the limit truncated at N > n
+    the lattice law is extended and charged the limit's mass above n; at
+    N < n the limit law is extended and charged the lattice mass above N.
+    The limit law goes first, so an exact tie keeps lattice_averaged unless
+    N > n.
     """
+    if g_norm_source not in ("exact", "rate_spread"):
+        raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
     mu_n = lattice_measure(model, n)
     mu = limit_measure(model, truncation=truncation, tail_tol=tail_tol)
+    rep = generator_comparison(mu, mu_n, g_norm_source)
 
-    # branch A solves for the limit law and averages over the lattice law;
-    # branch B solves for the (extended) lattice law and averages over the limit.
-    omega_a, ratio_a = mismatch_terms(mu, mu_n)
-    omega_b, ratio_b = mismatch_terms(mu_n, mu)
-    tail = math.fsum(mu.pmf[n + 1 :].tolist())
-
-    norm_limit, licensed_limit = solution_norm(mu, g_norm_source, f_support=n)
-    norm_lattice, licensed_lattice = solution_norm(mu_n, g_norm_source, extended=True)
-    notes = ""
-    if not (licensed_limit and licensed_lattice):
-        notes = "rate-spread norm bound inapplicable; no finite certificate"
-
-    if per_branch_norms:
-        value_a = norm_limit * (omega_a + ratio_a)
-        value_b = norm_lattice * (omega_b + ratio_b)
-        if value_a <= value_b:
-            branch, bound, comps = "lattice_averaged", value_a, (omega_a, ratio_a)
-            factor = norm_limit
-        else:
-            branch, bound, comps = "limit_averaged", value_b, (omega_b, ratio_b)
-            factor = norm_lattice
-    else:
-        factor = max(norm_limit, norm_lattice)
-        if omega_a + ratio_a <= omega_b + ratio_b:
-            branch, comps = "lattice_averaged", (omega_a, ratio_a)
-        else:
-            branch, comps = "limit_averaged", (omega_b, ratio_b)
-        bound = factor * (comps[0] + comps[1])
-
+    # the report lists the limit law first unless its support is the larger
+    first = 0 if rep.branch_used == "direction_1_to_2" else 1
+    solved_limit = (first == 0) == (mu.support_max <= n)
     try:
         closed = closed_form_bound(model, n)
     except ValueError:
@@ -439,16 +420,16 @@ def lattice_comparison_report(
     return LatticeBoundReport(
         model=model.kind,
         n=n,
-        exact_tv=tv_distance(mu_n.pmf, mu.pmf),
-        generator_bound=bound + tail,
+        exact_tv=rep.exact_tv,
+        generator_bound=rep.certified_bound,
         closed_form_value=closed,
-        omega_term=comps[0],
-        ratio_term=comps[1],
-        tail_term=tail,
-        branch_used=branch,
-        norm_factor=factor,
+        omega_term=rep.terms[0],
+        ratio_term=rep.terms[1],
+        tail_term=rep.tail_term,
+        branch_used="lattice_averaged" if solved_limit else "limit_averaged",
+        norm_factor=rep.g_norms[first],
         g_norm_source=g_norm_source,
-        notes=notes,
+        notes="rate-spread norm bound inapplicable; no finite certificate" if rep.notes else "",
     )
 
 

@@ -230,7 +230,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = run_cli(
         [
             "lattice", "--model", "ideal_gas", "--lambda", "1", "--n", "3,4",
-            "--per-branch-norms", "--out", str(target),
+            "--out", str(target),
         ],
         capsys,
     )
@@ -297,9 +297,52 @@ def test_config_values_go_through_the_flag_types(tmp_path, capsys):
         main(["lattice", "--model", "product", "--n", "3", "--config", str(cfg)])
     assert exit_info.value.code == 2
     assert "argument --lambda: invalid float value: 'abc'" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"z": 0.7, "per_branch_norms": True, "tail-tol": 1e-12}))
+    cfg.write_text(json.dumps({"z": 0.7, "g_norm": "rate_spread", "tail-tol": 1e-12}))
     code, out, _ = run_cli(["lattice", "--model", "product", "--n", "3", "--config", str(cfg)], capsys)
     assert code == 0 and "# activity=0.69999999999999996" in out
+
+
+def test_config_switch_for_the_removed_flag_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"per_branch_norms": True}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lattice", "--model", "product", "--n", "3", "--config", str(cfg)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --per-branch-norms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, lam", [("ideal_gas", "2"), ("repelling", "1")])
+def test_lattice_with_limit_truncated_below_n_dominates(model, lam, capsys):
+    code, out, _ = run_cli(
+        ["lattice", "--model", model, "--lambda", lam, "--n", "10", "--truncation", "5",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["generator_bound"] >= row["exact_tv"] - 1e-10
+
+
+PINNED_COMPARE = os.path.join(os.path.dirname(__file__), "data", "compare_outputs.json")
+
+
+def test_compare_output_matches_the_pinned_text(capsys):
+    # keys are "<pair>|<g-norm>|<format>"; the pairs cover equal supports and both nestings
+    pairs = {
+        "equal": ("binomial:10,0.3", "binomial:10,0.32"),
+        "m1_inside_m2": ("binomial:8,0.3", "binomial:12,0.2"),
+        "m2_inside_m1": ("binomial:12,0.2", "binomial:8,0.3"),
+    }
+    with open(PINNED_COMPARE) as handle:
+        pinned = json.load(handle)
+    assert len(pinned) == 18
+    for key, text in pinned.items():
+        pair, source, fmt = key.split("|")
+        m1, m2 = pairs[pair]
+        code, out, _ = run_cli(
+            ["compare", "--m1", m1, "--m2", m2, "--g-norm", source, "--format", fmt], capsys
+        )
+        assert code == 0 and out == text, key
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from scipy.integrate import dblquad, quad
 
 import gibbs_stein as gs
 from gibbs_stein.factors import uniform_increment
+from gibbs_stein.compare import mismatch_terms, solution_norm
 from gibbs_stein.lattice import grid_points, lattice_weight_brute
 from gibbs_stein.size_bias import bernoulli_convolution
 
@@ -221,13 +222,95 @@ def test_generator_bound_dominates_exact_tv_for_all_models():
             assert rep.generator_bound >= rep.exact_tv - 1e-10
 
 
-def test_per_branch_norms_never_looser():
-    for model in (gs.repelling_model(1.0), gs.product_model(1.0)):
-        n = 4 if model.kind == "repelling" else 5
-        loose = gs.lattice_comparison_report(model, n)
-        tight = gs.lattice_comparison_report(model, n, per_branch_norms=True)
-        assert tight.generator_bound <= loose.generator_bound + 1e-12
-        assert tight.generator_bound >= tight.exact_tv - 1e-10
+def _former_branches(model, n, source):
+    """The branch terms, norms and tail of the former lattice-local certificate.
+
+    It always extended the lattice law and charged the limit's mass above n,
+    whichever support was the larger.
+    """
+    mu_n, mu = gs.lattice_measure(model, n), gs.limit_measure(model)
+    norm_limit, _ = solution_norm(mu, source, f_support=n)
+    norm_lattice, _ = solution_norm(mu_n, source, extended=True)
+    tail = math.fsum(mu.pmf[n + 1 :].tolist())
+    return mismatch_terms(mu, mu_n), mismatch_terms(mu_n, mu), norm_limit, norm_lattice, tail
+
+
+def per_branch_reference(model, n, source):
+    """(branch, bound, terms, norm) with each norm attached to its own branch."""
+    a, b, norm_limit, norm_lattice, tail = _former_branches(model, n, source)
+    value_a, value_b = norm_limit * (a[0] + a[1]), norm_lattice * (b[0] + b[1])
+    if value_a <= value_b:
+        return "lattice_averaged", value_a + tail, a, norm_limit
+    return "limit_averaged", value_b + tail, b, norm_lattice
+
+
+def max_norm_reference(model, n, source):
+    """The bound with the larger norm times the smaller branch sum."""
+    a, b, norm_limit, norm_lattice, tail = _former_branches(model, n, source)
+    comps = a if a[0] + a[1] <= b[0] + b[1] else b
+    return max(norm_limit, norm_lattice) * (comps[0] + comps[1]) + tail
+
+
+REFERENCE_MODELS = (gs.ideal_gas_model(1.0), gs.repelling_model(1.0), gs.product_model(1.0))
+
+
+@pytest.mark.parametrize("source", ["exact", "rate_spread"])
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("offset", [-3, 0, 4], ids=["below_N", "at_N", "above_N"])
+def test_report_matches_the_per_branch_reference(model, source, offset):
+    N = gs.limit_measure(model).support_max
+    n = N + offset
+    rep = gs.lattice_comparison_report(model, n, g_norm_source=source)
+    branch, bound, terms, norm = per_branch_reference(model, n, source)
+    mu_n, mu = gs.lattice_measure(model, n), gs.limit_measure(model)
+    assert rep.exact_tv == gs.tv_distance(mu_n.pmf, mu.pmf)
+    if n <= N:
+        assert rep.branch_used == branch
+        assert rep.generator_bound == bound
+        assert (rep.omega_term, rep.ratio_term, rep.norm_factor) == (*terms, norm)
+        assert rep.tail_term == math.fsum(mu.pmf[n + 1 :].tolist())
+        assert rep.generator_bound <= max_norm_reference(model, n, source)
+    else:
+        # the limit law is the one extended, so the lattice mass above N is charged
+        assert rep.tail_term == math.fsum(mu_n.pmf[N + 1 :].tolist())
+        assert rep.generator_bound >= bound
+    assert rep.generator_bound >= rep.exact_tv - 1e-10
+
+
+@pytest.mark.parametrize(
+    "model",
+    [gs.ideal_gas_model(2.0), gs.repelling_model(1.0)],
+    ids=lambda m: m.kind,
+)
+def test_limit_truncated_below_n_still_dominates(model):
+    rep = gs.lattice_comparison_report(model, 10, truncation=5)
+    mu_n = gs.lattice_measure(model, 10)
+    assert rep.tail_term == math.fsum(mu_n.pmf[6:].tolist())
+    assert rep.generator_bound >= rep.exact_tv - 1e-10
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (gs.ideal_gas_model(0.6524698737873694), 117),
+        (gs.repelling_model(0.6965633921780648), 18),
+        (gs.product_model(1.0), 30),
+    ],
+    ids=lambda v: getattr(v, "kind", str(v)),
+)
+def test_default_truncation_below_n_charges_the_lattice_tail(model, n):
+    N = gs.limit_measure(model).support_max
+    assert N < n
+    rep = gs.lattice_comparison_report(model, n)
+    mu_n = gs.lattice_measure(model, n)
+    assert rep.tail_term == math.fsum(mu_n.pmf[N + 1 :].tolist())
+    assert rep.generator_bound >= rep.exact_tv - 1e-10
+
+
+def test_report_rejects_other_norm_sources():
+    for source in ("user", "nonsense"):
+        with pytest.raises(ValueError, match="g_norm_source must be 'exact' or 'rate_spread'"):
+            gs.lattice_comparison_report(gs.product_model(1.0), 5, g_norm_source=source)
 
 
 def test_product_ratio_term_capped():
