@@ -17,7 +17,6 @@ from .measures import (
     builtin,
     discrete_uniform,
     from_pmf,
-    from_potential,
     geometric,
     hypergeometric,
     negative_binomial,
@@ -27,7 +26,6 @@ from .stein import (
     SteinSolution,
     TestFunction,
     apply_generator,
-    extended_solution_norm,
     extremal_indicator,
     increment_coefficients,
     solution_coefficients,
@@ -42,10 +40,10 @@ from .factors import (
     BoundCertificate,
     ConditionCheck,
     RateRange,
+    bound_certificates,
     check_conditions,
     closed_form_bounds,
     condition,
-    extended_supnorm_bound,
     increment_bound,
     rate_range,
     solution_bound,

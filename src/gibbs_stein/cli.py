@@ -162,49 +162,10 @@ def cmd_solve(args) -> int:
 def cmd_bounds(args) -> int:
     m = parse_measure(args.measure, args.truncation, args.tail_tol)
     ladder = parse_range(args.j) if args.j else [j for j in (1, 2, 3, 5) if j <= m.support_max]
-    certs: list[factors.BoundCertificate] = [factors.supnorm_bound(m)]
-    try:
-        certs.extend(factors.closed_form_bounds(m))
-    except ValueError:
-        pass
-    exact_rows = [
-        {
-            "quantity": "solution_norm",
-            "j": None,
-            "value": stein.sup_solution_norm(m),
-            "formula": "exact_supremum",
-            "exactness": "exact_equality",
-            "licensed": True,
-            "conditions": "",
-            "notes": "",
-        }
+    rows = [
+        {**cert.to_dict(), "conditions": _conditions_text(cert)}
+        for cert in factors.bound_certificates(m, ladder)
     ]
-    for j in ladder:
-        exact, simple = factors.increment_bound(m, j)
-        certs.extend([exact, simple, factors.solution_bound(m, j)])
-        try:
-            # the uniform certificates were added once above
-            certs.extend(c for c in factors.closed_form_bounds(m, j=j) if c.j is not None)
-        except ValueError:
-            pass
-        exact_rows.append(
-            {
-                "quantity": "increment_at_j",
-                "j": j,
-                "value": stein.sup_increment_exact(m, j),
-                "formula": "exact_supremum",
-                "exactness": "exact_equality",
-                "licensed": True,
-                "conditions": "",
-                "notes": "",
-            }
-        )
-    rows = []
-    for cert in certs:
-        row = cert.to_dict()
-        row["conditions"] = _conditions_text(cert)
-        rows.append(row)
-    rows.extend(exact_rows)
     header = ["quantity", "j", "value", "formula", "exactness", "licensed", "conditions", "notes"]
     _emit(rows, header, args, {"measure": m.label()})
     return 0
@@ -347,7 +308,7 @@ _CONFIG_ALIASES = {
 def _config_argv(path: str) -> list[str]:
     """A --config file's entries as flags, so that the parser converts and checks them.
 
-    `false` and `null` leave the flag as given.
+    An entry set to `false` or `null` is an error: it would name no value.
     """
     try:
         with open(path) as handle:
@@ -356,12 +317,16 @@ def _config_argv(path: str) -> list[str]:
         raise CliError(f"config file {path!r}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise CliError(f"config file {path!r}: expected a JSON object")
+    unset = [key for key, value in overrides.items() if value is False or value is None]
+    if unset:
+        raise CliError(
+            f"config file {path!r}: {', '.join(map(repr, unset))} set to false or null; "
+            "give a value or leave the entry out"
+        )
     argv = []
     for key, value in overrides.items():
         key = key.replace("-", "_")
-        flag = "--" + _CONFIG_ALIASES.get(key, key).replace("_", "-")
-        if value is not False and value is not None:
-            argv.append(f"{flag}={value}")
+        argv.append(f"--{_CONFIG_ALIASES.get(key, key).replace('_', '-')}={value}")
     return argv
 
 

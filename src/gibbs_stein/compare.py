@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import extended_supnorm_bound, supnorm_bound
+from .factors import supnorm_bound
 from .measures import GibbsMeasure
-from .stein import extended_solution_norm, sup_solution_norm
+from .stein import sup_solution_norm
 
 __all__ = [
     "tv_distance",
@@ -115,17 +115,6 @@ class ComparisonReport:
             "notes": self.notes,
         }
 
-    def to_csv_row(self) -> list:
-        return [
-            self.measures[0],
-            self.measures[1],
-            self.exact_tv,
-            self.certified_bound,
-            self.branch_used,
-            self.tail_term,
-            self.g_norm_source,
-        ]
-
 
 def mismatch_terms(solver: GibbsMeasure, averaged: GibbsMeasure) -> tuple[float, float]:
     """(activity term, ratio term) of the display, g solving for `solver`, X_a ~ `averaged`.
@@ -156,16 +145,20 @@ def solution_norm(
     "exact" is the solver's exact supremum, over f vanishing above f_support,
     or for the pure-death extension of m when extended; "rate_spread" is the
     rate-spread certificate (the test class only shrinks under f_support), and
-    +inf unlicensed where that certificate is inapplicable.
+    +inf unlicensed where that certificate is inapplicable.  Above the support
+    the extension's solution is mu(f)/k, which never exceeds 1/(N+1), so an
+    extended norm is at least that tail ceiling.
     """
     if source == "exact":
-        if extended:
-            return extended_solution_norm(m), True
-        return sup_solution_norm(m, f_support=f_support), True
-    if source == "rate_spread":
-        cert = extended_supnorm_bound(m) if extended else supnorm_bound(m)
-        return (cert.value if cert.applicable else math.inf), cert.applicable
-    raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
+        norm = sup_solution_norm(m, f_support=f_support)
+    elif source == "rate_spread":
+        cert = supnorm_bound(m)
+        if not cert.applicable:
+            return math.inf, False
+        norm = cert.value
+    else:
+        raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
+    return (max(norm, 1.0 / (m.support_max + 1)) if extended else norm), True
 
 
 def _comparison(

@@ -36,6 +36,10 @@ Poisson(lambda) the increment supremum is at most min(1/k, (1 - e^-lambda)/lambd
 for the geometric(p) it is at most min(1/k, (1+p)/(k+1)) with solution norm at
 most 1/p; for the binomial the rate-normalized variant
 min(1/((1-p)k), 1/(p(n-k))) applies.
+
+`bound_certificates` assembles a whole `bounds` report, exact suprema
+included; it checks each licensing condition once per measure and shares its
+per-j builders with `increment_bound` and `solution_bound`.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import FAMILIES, GibbsMeasure
+from .stein import sup_increment_exact, sup_solution_norm
 
 __all__ = [
     "ConditionCheck",
@@ -58,8 +63,8 @@ __all__ = [
     "increment_bound",
     "solution_bound",
     "supnorm_bound",
-    "extended_supnorm_bound",
     "closed_form_bounds",
+    "bound_certificates",
 ]
 
 _REL_TOL = 1e-12
@@ -170,53 +175,43 @@ def rate_range(m: GibbsMeasure) -> RateRange:
 # Bound operations
 # ---------------------------------------------------------------------------
 
-def increment_bound(m: GibbsMeasure, j: int) -> tuple[BoundCertificate, BoundCertificate]:
-    """The exact-equality increment value and the cruder reciprocal form at j."""
+def _check_index(m: GibbsMeasure, j: int, bound: str):
     n = m.support_max
     if not 1 <= j <= n:
-        raise ValueError(f"increment bound defined for 1 <= j <= {n}, got {j}")
-    cond = (condition(m, "rate_sandwich"),)
-    tables = m.cumulatives()
-    b_j = m.birth_rates[j]
-    tail_over_rate = tables.Fbar[j + 1] / b_j if j < n else 0.0
+        raise ValueError(f"{bound} bound defined for 1 <= j <= {n}, got {j}")
+
+
+def _increment_certificates(
+    m: GibbsMeasure, j: int, cond: tuple[ConditionCheck, ...]
+) -> tuple[BoundCertificate, BoundCertificate]:
+    tables, b_j = m.cumulatives(), m.birth_rates[j]
+    tail_over_rate = tables.Fbar[j + 1] / b_j if j < m.support_max else 0.0
     exact_value = tail_over_rate + tables.F[j - 1] / j
     simple_value = min(1.0 / j, 1.0 / b_j) if b_j > 0 else 1.0 / j
-    exact = BoundCertificate(
-        quantity="increment_at_j",
-        value=float(exact_value),
-        formula="increment_exact_form",
-        conditions=cond,
-        j=j,
-        exactness="exact_equality",
+    return (
+        BoundCertificate("increment_at_j", float(exact_value), "increment_exact_form", cond, j,
+                         exactness="exact_equality"),
+        BoundCertificate("increment_at_j", float(simple_value), "increment_rate_reciprocal", cond, j),
     )
-    simple = BoundCertificate(
-        quantity="increment_at_j",
-        value=float(simple_value),
-        formula="increment_rate_reciprocal",
-        conditions=cond,
-        j=j,
-        exactness="upper_bound",
-    )
-    return exact, simple
+
+
+def _solution_certificate(
+    m: GibbsMeasure, j: int, cond: tuple[ConditionCheck, ...], mean: float
+) -> BoundCertificate:
+    value = (min(math.log(j), mean) + 1.0 / m.birth_rates[0]) / m.cumulatives().Fbar[j]
+    return BoundCertificate("solution_at_j", float(value), "solution_log_tail", cond, j)
+
+
+def increment_bound(m: GibbsMeasure, j: int) -> tuple[BoundCertificate, BoundCertificate]:
+    """The exact-equality increment value and the cruder reciprocal form at j."""
+    _check_index(m, j, "increment")
+    return _increment_certificates(m, j, (condition(m, "rate_sandwich"),))
 
 
 def solution_bound(m: GibbsMeasure, j: int) -> BoundCertificate:
     """Nonuniform bound (min(ln j, mean) + 1/b_0)/Fbar(j) on |g(j)|."""
-    n = m.support_max
-    if not 1 <= j <= n:
-        raise ValueError(f"solution bound defined for 1 <= j <= {n}, got {j}")
-    cond = (condition(m, "rate_tail_lower"),)
-    tables = m.cumulatives()
-    b0 = m.birth_rates[0]
-    value = (min(math.log(j), m.mean()) + 1.0 / b0) / tables.Fbar[j]
-    return BoundCertificate(
-        quantity="solution_at_j",
-        value=float(value),
-        formula="solution_log_tail",
-        conditions=cond,
-        j=j,
-        exactness="upper_bound",
-    )
+    _check_index(m, j, "solution")
+    return _solution_certificate(m, j, (condition(m, "rate_tail_lower"),), m.mean())
 
 
 def _rate_spread_value(rr: RateRange) -> float:
@@ -255,24 +250,6 @@ def supnorm_bound(m: GibbsMeasure) -> BoundCertificate:
     )
 
 
-def extended_supnorm_bound(m: GibbsMeasure) -> BoundCertificate:
-    """Norm bound valid for the pure-death extension of m's generator.
-
-    Above the support the solution is mu(f)/k <= 1/(N+1), so the bound is the
-    rate-spread value capped below by that tail ceiling.
-    """
-    base = supnorm_bound(m)
-    tail_cap = 1.0 / (m.support_max + 1)
-    if not base.applicable:
-        return base
-    return BoundCertificate(
-        quantity="solution_norm",
-        value=max(base.value, tail_cap),
-        formula="extended_norm_rate_spread",
-        notes=base.notes,
-    )
-
-
 def uniform_increment(kind: str, params: dict) -> float | None:
     """The family's uniform-in-j increment bound in closed form, or None if it has none."""
     family = FAMILIES.get(kind)
@@ -281,28 +258,54 @@ def uniform_increment(kind: str, params: dict) -> float | None:
     return family.increment(**family.values(params))
 
 
-def closed_form_bounds(m_or_kind, params: dict | None = None, j: int | None = None) -> list[BoundCertificate]:
-    """Per-family sharpened bounds from the family registry (Poisson, geometric, binomial)."""
-    if isinstance(m_or_kind, GibbsMeasure):
-        kind, params = m_or_kind.kind, m_or_kind.params
-    else:
-        kind = str(m_or_kind)
-        params = params or {}
-    family = FAMILIES.get(kind)
-    if family is None or (family.increment is None and family.increment_at is None):
-        raise ValueError(f"no closed-form bounds for kind {kind!r}")
-    values = family.values(params)
-    certs = [
-        BoundCertificate(quantity, factor(**values), f"{kind}_{name}")
+def closed_form_bounds(m: GibbsMeasure, j: int | None = None) -> list[BoundCertificate]:
+    """The family's closed-form certificates from the registry ([] where it has none).
+
+    Without j these are the uniform ones (increment and solution norm); with
+    j, the per-j increment certificate alone.
+    """
+    family = FAMILIES.get(m.kind)
+    if family is None:
+        return []
+    if j is not None:
+        if family.increment_at is None:
+            return []
+        value = family.increment_at(j, **family.values(m.params))
+        return [BoundCertificate("increment_at_j", value, f"{m.kind}_increment_at_j", j=j,
+                                 notes=family.notes)]
+    return [
+        BoundCertificate(quantity, factor(**family.values(m.params)), f"{m.kind}_{name}")
         for quantity, name, factor in (
             ("increment_uniform", "increment", family.increment),
             ("solution_norm", "norm", family.norm),
         )
         if factor is not None
     ]
-    if j is not None and family.increment_at is not None:
-        certs.append(BoundCertificate(
-            quantity="increment_at_j", value=family.increment_at(j, **values),
-            formula=f"{kind}_increment_at_j", j=j, notes=family.notes,
-        ))
+
+
+def bound_certificates(m: GibbsMeasure, js: list[int]) -> list[BoundCertificate]:
+    """Every certificate of a `bounds` report for the indices js, in report order.
+
+    The rate-spread norm and the uniform closed forms come first; then, per j,
+    the two increment forms, the solution bound and the family's increment at
+    j; last the exact suprema (the solution norm, then the increment at each
+    j), as exact-equality certificates with formula "exact_supremum".  Each
+    licensing condition and the mean are computed once for the whole ladder.
+    """
+    certs = [supnorm_bound(m), *closed_form_bounds(m)]
+    norm = sup_solution_norm(m)
+    sandwich = (condition(m, "rate_sandwich"),)
+    tail = (condition(m, "rate_tail_lower"),)
+    mean = m.mean()
+    for j in js:
+        _check_index(m, j, "increment")
+        certs.extend(_increment_certificates(m, j, sandwich))
+        certs.append(_solution_certificate(m, j, tail, mean))
+        certs.extend(closed_form_bounds(m, j))
+    certs.append(BoundCertificate("solution_norm", norm, "exact_supremum", exactness="exact_equality"))
+    certs.extend(
+        BoundCertificate("increment_at_j", sup_increment_exact(m, j), "exact_supremum", j=j,
+                         exactness="exact_equality")
+        for j in js
+    )
     return certs

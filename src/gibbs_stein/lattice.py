@@ -28,7 +28,7 @@ weight-ratio mismatch of the two generators, each direction with its own
 norm, plus the mass of the law on the larger support above the smaller one
 (the limit's above n if N > n, the lattice law's above N if N < n).  For
 Bernoulli sums a size-bias coupling bound charges its increments to harmonic
-sums or to reciprocal birth rates, with a norm from `compare.solution_norm`.
+sums or to reciprocal birth rates, with the target's exact solution norm.
 
 A caution on the repelling family: the lattice/continuum weight ratios
 match only from k = 3 on; at k = 2 they differ by the factor (n^2-1)/n^2,
@@ -45,13 +45,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
-from .compare import generator_comparison, solution_norm, tv_distance
+from .compare import generator_comparison, tv_distance
 from .factors import condition, uniform_increment
 from .measures import FAMILIES, GibbsMeasure, TailPolicy, poisson
 from .size_bias import CouplingSpec
+from .stein import sup_solution_norm
 
 __all__ = [
     "InteractionModel",
@@ -116,6 +116,10 @@ class InteractionModel:
         if self.log_W_fn is not None:
             return self.log_W_fn(k)
         if self.separable_integrand is not None:
+            # imported here, not at the top: only custom models integrate, and
+            # scipy.integrate is slow to import
+            from scipy.integrate import quad
+
             integrand = self.separable_integrand(k)
             value, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
             return k * math.log(value) if value > 0.0 else -math.inf
@@ -375,17 +379,6 @@ class LatticeBoundReport:
             "notes": self.notes,
         }
 
-    def to_csv_row(self) -> list:
-        return [
-            self.n,
-            self.exact_tv,
-            self.generator_bound,
-            self.closed_form_value,
-            self.omega_term,
-            self.ratio_term,
-            self.tail_term,
-        ]
-
 
 def lattice_comparison_report(
     model: InteractionModel,
@@ -496,7 +489,6 @@ class CouplingBound:
     licensed: bool
     conditions: tuple
     g_norm: float
-    notes: str = ""
 
     def to_dict(self) -> dict:
         return {
@@ -506,13 +498,10 @@ class CouplingBound:
             "licensed": self.licensed,
             "conditions": [c.to_dict() for c in self.conditions],
             "g_norm": self.g_norm,
-            "notes": self.notes,
         }
 
 
-def sum_coupling_bound(
-    m: GibbsMeasure, spec: CouplingSpec, g_norm_source: str = "exact"
-) -> CouplingBound:
+def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     """Size-bias coupling bound on d_TV(law of the Bernoulli sum, m).
 
     The increment part charges each coupled pair (S, Shat_i), weighted by
@@ -521,7 +510,7 @@ def sum_coupling_bound(
     increment bound on the traversed stretch (the reciprocal rate at the
     lower state; sharpened by the family closed form where one exists).
     The norm part is the mean absolute deviation of the birth rate over the
-    sum's law times a solution-norm bound.  Licensed by nonincreasing rates.
+    sum's law times the exact solution norm.  Licensed by nonincreasing rates.
 
     The increment part is evaluated in slabs: the charge and the rate
     weight b[s]/omega of each pair (s, t) are tabulated once on 0..n, and
@@ -562,8 +551,7 @@ def sum_coupling_bound(
     mean_rate = math.fsum((law * rates).tolist())
     mad = math.fsum((law * np.abs(rates - mean_rate)).tolist())
 
-    g_norm, licensed = solution_norm(m, g_norm_source)
-    notes = "" if licensed else "rate-spread norm inapplicable"
+    g_norm = sup_solution_norm(m)
     norm_part = g_norm * mad
 
     return CouplingBound(
@@ -573,7 +561,6 @@ def sum_coupling_bound(
         licensed=all(c.holds for c in cond),
         conditions=cond,
         g_norm=g_norm,
-        notes=notes,
     )
 
 
@@ -626,7 +613,7 @@ def poisson_sum_bounds(
         target = poisson(lam, truncation=spec.n, tail_tol=tail_tol)
     factor = uniform_increment(target.kind, target.params)
 
-    coupling = sum_coupling_bound(target, spec, g_norm_source="exact")
+    coupling = sum_coupling_bound(target, spec)
     linear = factor * math.fsum(
         spec.p[i] * spec.mean_abs_gap(i) for i in range(spec.n) if spec.p[i] > 0
     )

@@ -39,7 +39,6 @@ __all__ = [
     "TailPolicy",
     "CumulativeTables",
     "GibbsMeasure",
-    "from_potential",
     "from_pmf",
     "poisson",
     "binomial",
@@ -202,12 +201,6 @@ class GibbsMeasure:
     def cumulatives(self) -> CumulativeTables:
         return self._tables
 
-    def log_rate_increment(self, k: int) -> float:
-        """V(k+1) - V(k) for k < N (log of b_k / omega)."""
-        if not 0 <= k < self.support_max:
-            raise ValueError("rate increment defined for 0 <= k < N")
-        return float(self.V[k + 1] - self.V[k])
-
     # -- transformations -----------------------------------------------------
     def reparametrized(self, alpha: float) -> "GibbsMeasure":
         """Equivalent representation (alpha*omega, V - k*log(alpha))."""
@@ -286,16 +279,6 @@ class GibbsMeasure:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GibbsMeasure({self.label()}, N={self.support_max})"
-
-
-def from_potential(
-    omega: float,
-    V: np.ndarray,
-    kind: str = "potential",
-    params: dict | None = None,
-    truncation: TailPolicy | None = None,
-) -> GibbsMeasure:
-    return GibbsMeasure(omega, V, kind=kind, params=params, truncation=truncation)
 
 
 def from_pmf(

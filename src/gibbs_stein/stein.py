@@ -56,7 +56,6 @@ __all__ = [
     "sup_increment_exact",
     "extremal_indicator",
     "sup_solution_norm",
-    "extended_solution_norm",
 ]
 
 
@@ -361,8 +360,3 @@ def sup_solution_norm(m: GibbsMeasure, f_support: int | None = None) -> float:
         return 0.0
     return max(sup_solution_exact(m, j, f_support) for j in range(1, n + 1))
 
-
-def extended_solution_norm(m: GibbsMeasure) -> float:
-    """Norm bound for the pure-death extension: above the support the solution
-    is mu(f)/k, which for f in B0 never exceeds 1/(N+1)."""
-    return max(sup_solution_norm(m), 1.0 / (m.support_max + 1))

@@ -214,6 +214,18 @@ def test_console_entry_point():
     assert "norm_rate_spread" in proc.stdout
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    # quad is imported only where a custom model integrates its continuum weights
+    src = os.path.dirname(os.path.dirname(gibbs_stein.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gibbs_stein; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_package_runs_as_module():
     src = os.path.dirname(os.path.dirname(gibbs_stein.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -311,6 +323,16 @@ def test_config_switch_for_the_removed_flag_exits_two(tmp_path, capsys):
     assert "unrecognized arguments: --per-branch-norms" in capsys.readouterr().err
 
 
+def test_config_false_or_null_exits_two_naming_the_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"per_branch_norms": False, "bogus": None}))
+    code, out, err = run_cli(
+        ["lattice", "--model", "product", "--n", "3", "--config", str(cfg)], capsys
+    )
+    assert code == 2
+    assert out == "" and "'per_branch_norms'" in err and "'bogus'" in err
+
+
 @pytest.mark.parametrize("model, lam", [("ideal_gas", "2"), ("repelling", "1")])
 def test_lattice_with_limit_truncated_below_n_dominates(model, lam, capsys):
     code, out, _ = run_cli(
@@ -366,3 +388,44 @@ def test_compare_value_norm_source_needs_two_values(capsys):
     )
     assert code == 2
     assert out == "" and "value:X,Y takes two norm bounds" in err
+
+
+PINNED_BOUNDS = os.path.join(os.path.dirname(__file__), "data", "bounds_outputs.json")
+
+
+def test_bounds_output_matches_the_pinned_text(capsys):
+    # keys are "<measure>|<ladder>": the default ladder or --j 1..5, which some supports
+    # do not reach, so those calls pin exit 2 and the error text
+    with open(PINNED_BOUNDS) as handle:
+        pinned = json.load(handle)
+    assert len(pinned) == 18
+    for key, expected in pinned.items():
+        desc, ladder = key.split("|")
+        argv = ["bounds", "--measure", desc] + ([] if ladder == "default" else ["--j", ladder])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (expected["exit"], expected["stdout"], expected["stderr"]), key
+
+
+def test_bounds_checks_each_condition_once_per_measure(monkeypatch, capsys):
+    from gibbs_stein import factors
+
+    scans = []
+    condition = factors.condition
+
+    def counted(m, name):
+        scans.append(name)
+        return condition(m, name)
+
+    monkeypatch.setattr(factors, "condition", counted)
+    code, _, _ = run_cli(["bounds", "--measure", "binomial:40,0.3", "--j", "1..40"], capsys)
+    assert code == 0
+    assert len(scans) <= 2
+
+
+def test_bounds_json_rows_share_one_schema(capsys):
+    for desc in ("poisson:1.0", "geometric:0.5", "binomial:10,0.3", "pmf:1,2,3,4"):
+        code, out, _ = run_cli(["bounds", "--measure", desc, "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert any(row["formula"] == "exact_supremum" for row in rows)
+        assert {tuple(row) for row in rows} == {tuple(rows[0])}, desc

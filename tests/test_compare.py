@@ -156,9 +156,6 @@ def test_extended_dominance_on_random_nested_pairs():
 def test_report_serialization_row():
     m1 = gs.poisson(1.0, truncation=20)
     rep = gs.generator_comparison_bound(m1, gs.poisson(1.3, truncation=20))
-    row = rep.to_csv_row()
-    assert row[0] == "poisson(lam=1.0)"
-    assert row[4] in ("direction_1_to_2", "direction_2_to_1")
     payload = rep.to_dict()
     assert payload["certified_bound"] == rep.certified_bound
 

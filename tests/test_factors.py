@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gibbs_stein as gs
+from gibbs_stein.compare import solution_norm
 
 RNG = np.random.default_rng(911)
 
@@ -231,7 +232,8 @@ def test_supnorm_dominance_across_binomial_grid():
 
 def test_extended_supnorm_adds_tail_ceiling():
     m = gs.poisson(0.05, truncation=3)
-    assert gs.extended_supnorm_bound(m).value >= 0.25
+    norm, licensed = solution_norm(m, "rate_spread", extended=True)
+    assert licensed and norm >= 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -239,43 +241,42 @@ def test_extended_supnorm_adds_tail_ceiling():
 # ---------------------------------------------------------------------------
 
 def test_poisson_closed_form_at_k():
-    certs = gs.closed_form_bounds("poisson", {"lam": 1.0}, j=2)
-    at_k = next(c for c in certs if c.j == 2)
+    (at_k,) = gs.closed_form_bounds(gs.poisson(1.0), j=2)
+    assert at_k.j == 2
     assert at_k.value == pytest.approx(0.5, abs=1e-15)
 
 
 def test_geometric_closed_forms():
-    certs = gs.closed_form_bounds("geometric", {"p": 0.5})
+    certs = gs.closed_form_bounds(gs.geometric(0.5))
     uniform = next(c for c in certs if c.quantity == "increment_uniform")
     assert uniform.value == pytest.approx(min(1.0, 1.5), abs=0)
     norm = next(c for c in certs if c.quantity == "solution_norm")
     assert norm.value == pytest.approx(2.0)
     norm4 = next(
         c
-        for c in gs.closed_form_bounds("geometric", {"p": 0.25})
+        for c in gs.closed_form_bounds(gs.geometric(0.25))
         if c.quantity == "solution_norm"
     )
     assert norm4.value == pytest.approx(4.0)
 
 
 def test_binomial_closed_form_rate_normalized():
-    certs = gs.closed_form_bounds("binomial", {"n": 10, "p": 0.3}, j=4)
-    cert = certs[0]
+    (cert,) = gs.closed_form_bounds(gs.binomial(10, 0.3), j=4)
     assert cert.value == pytest.approx(min(1 / (0.7 * 4), 1 / (0.3 * 6)), rel=1e-12)
 
 
 def test_closed_forms_dominate_exact(subtests=None):
     m = gs.poisson(1.0, truncation=60)
     for k in range(1, 30):
-        cert = next(c for c in gs.closed_form_bounds(m, j=k) if c.j == k)
+        (cert,) = gs.closed_form_bounds(m, j=k)
         assert cert.value >= gs.sup_increment_exact(m, k) - 1e-10
     mg = gs.geometric(0.5)
     for k in range(1, 30):
-        cert = next(c for c in gs.closed_form_bounds(mg, j=k) if c.j == k)
+        (cert,) = gs.closed_form_bounds(mg, j=k)
         assert cert.value >= gs.sup_increment_exact(mg, k) - 1e-10
     mb = gs.binomial(10, 0.3)
     for k in range(1, 10):
-        cert = next(c for c in gs.closed_form_bounds(mb, j=k) if c.j == k)
+        (cert,) = gs.closed_form_bounds(mb, j=k)
         assert cert.value >= gs.sup_increment_exact(mb, k) - 1e-10
 
 
@@ -283,15 +284,39 @@ def test_closed_forms_dominate_exact(subtests=None):
 def test_poisson_closed_forms_dominate_at_small_lambda(lam):
     # (1 - e^-lam)/lam loses its digits to cancellation here; the bound must not
     m = gs.poisson(lam, truncation=3)
-    exact = gs.sup_increment_exact(m, 1)
-    for cert in gs.closed_form_bounds(m, j=1):
-        if cert.licensed:
-            assert cert.value >= exact - 1e-10
+    exact = [gs.sup_increment_exact(m, j) for j in range(1, m.support_max + 1)]
+    uniform = gs.closed_form_bounds(m)
+    assert [c.formula for c in uniform] == ["poisson_increment"]
+    for cert in uniform + gs.closed_form_bounds(m, j=1):
+        assert cert.licensed
+        assert cert.value >= (exact[0] if cert.j == 1 else max(exact)) - 1e-10
 
 
-def test_closed_forms_reject_other_kinds():
-    with pytest.raises(ValueError):
-        gs.closed_form_bounds("discrete_uniform", {"n": 3})
+def test_closed_forms_are_empty_for_other_kinds():
+    for m in (gs.discrete_uniform(3), gs.negative_binomial(2.0, 0.45), gs.from_pmf([1.0, 2.0, 3.0])):
+        assert gs.closed_form_bounds(m) == []
+        assert gs.closed_form_bounds(m, j=1) == []
+    # the binomial has a per-j form only
+    assert gs.closed_form_bounds(gs.binomial(10, 0.3)) == []
+
+
+@pytest.mark.parametrize("make", [lambda: gs.geometric(0.5), lambda: gs.binomial(12, 0.3),
+                                  lambda: gs.from_pmf([3.0, 1.0, 2.0, 0.5, 4.0])])
+def test_bound_certificates_are_the_per_j_certificates(make):
+    m = make()
+    js = list(range(1, m.support_max + 1))
+    certs = gs.bound_certificates(m, js)
+    expected = [gs.supnorm_bound(m), *gs.closed_form_bounds(m)]
+    for j in js:
+        expected += [*gs.increment_bound(m, j), gs.solution_bound(m, j), *gs.closed_form_bounds(m, j)]
+    assert certs[: len(expected)] == expected
+    exact = certs[len(expected):]
+    assert [(c.quantity, c.j, c.formula, c.exactness, c.licensed) for c in exact] == [
+        ("solution_norm", None, "exact_supremum", "exact_equality", True)
+    ] + [("increment_at_j", j, "exact_supremum", "exact_equality", True) for j in js]
+    assert [c.value for c in exact] == [gs.sup_solution_norm(m)] + [
+        gs.sup_increment_exact(m, j) for j in js
+    ]
 
 
 def test_certificate_serialization_carries_conditions():

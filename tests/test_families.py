@@ -50,11 +50,8 @@ def test_family_record_holds_on_instances(kind):
         if m.support_max == 0:
             continue
         increments = [gs.sup_increment_exact(m, j) for j in range(1, m.support_max + 1)]
-        certs = [gs.supnorm_bound(m)]
-        if family.increment is not None or family.increment_at is not None:
-            certs += gs.closed_form_bounds(m)
-            certs += [c for j in range(1, m.support_max + 1)
-                      for c in gs.closed_form_bounds(m, j=j) if c.j is not None]
+        certs = [gs.supnorm_bound(m), *gs.closed_form_bounds(m)]
+        certs += [c for j in range(1, m.support_max + 1) for c in gs.closed_form_bounds(m, j=j)]
         for cert in certs:
             if not cert.licensed:
                 continue

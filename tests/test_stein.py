@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gibbs_stein as gs
+from gibbs_stein.compare import solution_norm
 from gibbs_stein.stein import (
     _box_supremum,
     _compensated_cumsum,
@@ -243,7 +244,9 @@ def test_geometric_norm_below_reciprocal_p():
 
 def test_extended_norm_includes_tail_ceiling():
     m = gs.poisson(0.05, truncation=3)
-    assert gs.extended_solution_norm(m) >= 1.0 / 4
+    norm, licensed = solution_norm(m, "exact", extended=True)
+    assert licensed and norm >= 1.0 / 4
+    assert norm == max(gs.sup_solution_norm(m), 1.0 / 4)
 
 
 def test_supremum_index_validation():
