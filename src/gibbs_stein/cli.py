@@ -109,11 +109,46 @@ def parse_test_function(desc: str, size: int) -> np.ndarray:
         raise CliError(f"test function {desc!r}: {exc}") from exc
 
 
+# argparse types: a bad value exits 2 with "argument --flag: <message>"
+
 def parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part != ""]
+    """Integers given as 3,5,8 or as the inclusive range 2..6."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers such as 3,5,8 or 2..6, got {text!r}"
+        ) from None
+
+
+def _cell_counts(text: str) -> list[int]:
+    counts = parse_range(text)
+    if min(counts, default=1) < 1:
+        raise argparse.ArgumentTypeError(f"cell counts must be positive, got {text!r}")
+    return counts
+
+
+def _activity(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"activity must be positive and finite, got {text!r}")
+    return value
+
+
+def _truncation(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"truncation bound must be nonnegative, got {text!r}")
+    return value
 
 
 def _emit(rows: list[dict], header: list[str], args, extra_meta: dict | None = None):
@@ -161,7 +196,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bounds(args) -> int:
     m = parse_measure(args.measure, args.truncation, args.tail_tol)
-    ladder = parse_range(args.j) if args.j else [j for j in (1, 2, 3, 5) if j <= m.support_max]
+    ladder = args.j or [j for j in (1, 2, 3, 5) if j <= m.support_max]
     rows = [
         {**cert.to_dict(), "conditions": _conditions_text(cert)}
         for cert in factors.bound_certificates(m, ladder)
@@ -193,7 +228,7 @@ def cmd_compare(args) -> int:
 def cmd_lattice(args) -> int:
     model = _MODELS[args.model](args.lam)
     rows = []
-    for n in parse_range(args.n):
+    for n in args.n:
         rep = lattice.lattice_comparison_report(
             model, n, truncation=args.truncation, tail_tol=args.tail_tol, g_norm_source=args.g_norm,
         )
@@ -238,7 +273,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    parser.add_argument("--truncation", type=int, default=None,
+    parser.add_argument("--truncation", type=_truncation, default=None,
                         help="explicit truncation bound for infinite-support laws")
     parser.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-14,
                         help="tail mass tolerance for automatic truncation")
@@ -261,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bound certificates for a measure")
     p.add_argument("--measure", required=True, help=_MEASURE_HELP)
-    p.add_argument("--j", default=None, help="indices, e.g. 1,2,5 or 1..10")
+    p.add_argument("--j", type=parse_range, default=None, help="indices, e.g. 1,2,5 or 1..10")
     _add_common(p)
     p.set_defaults(fn=cmd_bounds)
 
@@ -275,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="lattice-vs-limit reports over a range of n")
     p.add_argument("--model", required=True, choices=_MODELS)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    p.add_argument("--lambda", dest="lam", type=_activity, default=1.0,
                    help="activity (z) of the model")
-    p.add_argument("--n", required=True, help="cell counts, e.g. 2..6 or 3,5,8")
+    p.add_argument("--n", type=_cell_counts, required=True,
+                   help="cell counts, e.g. 2..6 or 3,5,8")
     p.add_argument("--g-norm", dest="g_norm", default="exact",
                    choices=("exact", "rate_spread"))
     _add_common(p)

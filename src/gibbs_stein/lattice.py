@@ -50,7 +50,7 @@ from scipy.special import gammaln, logsumexp
 from .compare import generator_comparison, tv_distance
 from .factors import condition, uniform_increment
 from .measures import FAMILIES, GibbsMeasure, TailPolicy, poisson
-from .size_bias import CouplingSpec
+from .size_bias import CouplingSpec, _fsum_arrays
 from .stein import sup_solution_norm
 
 __all__ = [
@@ -457,17 +457,24 @@ def _pair_terms(b: np.ndarray, family_cap: float | None) -> np.ndarray:
     """Table of min(harmonic_between(s, t), |s - t| cap(min(s, t))) on 0..n.
 
     b holds the birth rates on 0..n; cap(k) = 1/b[k] (+inf where b[k] = 0),
-    lowered to the family's uniform increment bound where one exists.  Each
-    harmonic entry is one fsum over the same reciprocals harmonic_between
-    adds, so it is the same correctly rounded value.  The diagonal is 0:
-    a pair with s = t is never charged, and 0 * inf would be NaN there.
+    lowered to the family's uniform increment bound where one exists.  The
+    reciprocals 1.0/ell that harmonic_between adds are integers in units
+    2^-scale, so the harmonic entry for (s, t) is the difference D of two
+    exact integer prefix sums, in those units.  D is split into 32-bit limbs,
+    D = A 2^32 + B, each exact as a double, and their one float addition
+    rounds D correctly: the value of harmonic_between's fsum, bit for bit.
+    The diagonal is 0: a pair with s = t is never charged, and 0 * inf
+    would be NaN there.
     """
     size = b.size
-    recip = [1.0 / ell for ell in range(1, size)]
-    harm = np.zeros((size, size))
-    for lo in range(size - 1):
-        harm[lo, lo + 1 :] = [math.fsum(recip[lo:hi]) for hi in range(lo + 1, size)]
-    harm += harm.T
+    scale = size.bit_length() + 53  # 1.0/ell >= 2^-bit_length(size), 53 bits of significand
+    prefix = itertools.accumulate(
+        (int(math.ldexp(1.0 / ell, scale)) for ell in range(1, size)), initial=0
+    )
+    high, low = np.array([divmod(total, 1 << 32) for total in prefix], dtype=np.int64).T
+    harm = np.abs(
+        (np.subtract.outer(high, high) * 2.0**32 + np.subtract.outer(low, low)) * 2.0**-scale
+    )
     cap = np.divide(1.0, b, out=np.full(size, math.inf), where=b > 0)
     if family_cap is not None:
         cap = np.minimum(cap, family_cap)
@@ -518,8 +525,9 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     for dependent specs with p_i < 1, the (n+1) x n array of its X_i = 0
     pairs (CouplingSpec.coupling_slabs).  Every piece is the product
     ((p_i/lam) * pr) * rate weight * charge of the pair-by-pair form, and
-    one fsum, correctly rounded whatever the order, adds them all, so the
-    value matches that form bit for bit in O(n^2) memory.
+    one exact sum in whole-array passes (size_bias._fsum_arrays, the same
+    float math.fsum returns) adds them all, so the value matches that form
+    bit for bit in O(n^2) memory.
     """
     n_max = m.support_max
     if spec.n > n_max:
@@ -540,11 +548,11 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
                 continue
             weight = spec.p[i] / lam
             one, zero = spec.coupling_slabs(i)
-            yield (((weight * one) * rate_weight[1:]) * step_term).tolist()
+            yield ((weight * one) * rate_weight[1:]) * step_term
             if zero is not None:
-                yield (((weight * zero) * rate_weight[:, None]) * term[:, :-1]).ravel().tolist()
+                yield ((weight * zero) * rate_weight[:, None]) * term[:, :-1]
 
-    increment_part = m.omega * math.fsum(itertools.chain.from_iterable(slabs()))
+    increment_part = m.omega * _fsum_arrays(slabs)
 
     law = spec.sum_law()
     rates = m.birth_rates[: law.size]
@@ -622,13 +630,13 @@ def poisson_sum_bounds(
     improved = None
     if spec.independent:
         independent_bound = factor * math.fsum((spec.p**2).tolist())
-        terms = []
-        for i in range(spec.n):
-            if spec.p[i] == 0.0:
-                continue
-            none_else = math.prod(1.0 - pj for j, pj in enumerate(spec.p) if j != i)
-            terms.append(spec.p[i] ** 2 * min(0.5 * (1.0 + none_else), factor))
-        improved = math.fsum(terms)
+        # column 0 of the leave-one-out laws: the product of 1 - p_j over j != i
+        none_else = spec.conditional_sums[:, 0]
+        improved = math.fsum(
+            spec.p[i] ** 2 * min(0.5 * (1.0 + none_else[i]), factor)
+            for i in range(spec.n)
+            if spec.p[i] != 0.0
+        )
 
     return PoissonSumReport(
         lam=lam,

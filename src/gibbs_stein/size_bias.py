@@ -21,6 +21,13 @@ bounds: on the event X_i = 1 the redraw can be taken to be the identity
 (S = Shat_i + 1 exactly); on X_i = 0 the leftover sum is redrawn
 independently.  For independent coordinates that choice degenerates to the
 classical perfect coupling with S - Shat_i = X_i.
+
+The layer works in whole-array passes with the bits of the per-element
+forms it replaced: independent specs build all n leave-one-out laws, and
+the law of S, in one lockstep pass over the coordinates; a dependent spec
+forms each index's law given X_i = 0 once; and the long correctly rounded
+sums behind the coupling bounds go through _fsum_arrays, an exact sum over
+arrays that returns what math.fsum returns over the same pieces.
 """
 
 from __future__ import annotations
@@ -43,6 +50,95 @@ __all__ = [
 ]
 
 _PMF_TOL = 1e-12
+
+# _fsum_arrays: pieces per whole-array pass (bounds its temporaries), pieces
+# per run of float sums that stay exact, and the input size below which
+# math.fsum itself is the faster way to the same float
+_CHUNK = 1 << 15
+_EXACT_RUN = 1 << 26
+_SMALL = 2048
+_LOW_MANTISSA = (1 << 26) - 1
+# 2^(1075 - E) for biased exponents E = 1 .. 2047 as two factors, each a
+# double: it turns a float sum of low parts at E into an integer count of
+# that bin's unit 2^(E - 1075)
+_SHIFT = 1075 - np.arange(1, 2048)
+_TO_UNITS = (np.ldexp(1.0, _SHIFT // 2), np.ldexp(1.0, _SHIFT - _SHIFT // 2))
+
+
+def _fsum_arrays(pieces) -> float:
+    """math.fsum over every entry of the float64 arrays that pieces() yields.
+
+    Returns the same float as math.fsum, the correctly rounded exact sum,
+    in whole-array passes over chunks of _CHUNK pieces.  Each piece is cut
+    at bit 26 of its 53-bit significand into a high and a low part, and
+    np.bincount adds each part per biased exponent E.  Within one exponent
+    the parts are integers below 2^27 and 2^26 of one unit, so these float
+    sums are exact over runs of fewer than 2^26 pieces.  Each run's sums
+    join as one Python int of units 2^-1074, and a single int division
+    rounds the total correctly.  A non-finite piece, or pieces so large that
+    math.fsum could overflow midway, send the whole sum to math.fsum itself,
+    which is why pieces is a function: it is called again.
+    """
+    hi, lo = np.zeros(2048), np.zeros(2048)
+    units = count = run = top = 0
+    for block in _blocks(pieces()):
+        if count == 0 and block.size < _SMALL:  # the whole input, since only the last block is short
+            return math.fsum(block.tolist())
+        for start in range(0, block.size, _CHUNK):
+            chunk = block[start : start + _CHUNK]
+            bits = chunk.view(np.int64)
+            exponent = (bits >> 52) & 0x7FF
+            top = max(top, int(exponent.max()))
+            count += chunk.size
+            # inf or nan (exponent 0x7FF), or a sum of |piece| < count 2^(top - 1022)
+            # above 2^1020, which no longer keeps every partial sum finite
+            if top == 0x7FF or top - 1022 + count.bit_length() > 1020:
+                return _fsum_fallback(pieces)
+            high = (bits & ~_LOW_MANTISSA).view(np.float64)
+            hi += np.bincount(exponent, high, 2048)
+            lo += np.bincount(exponent, chunk - high, 2048)
+            run += chunk.size
+            if run > _EXACT_RUN - _CHUNK:
+                units += _units(hi, lo)
+                hi, lo = np.zeros(2048), np.zeros(2048)
+                run = 0
+    return (units + _units(hi, lo)) / (1 << 1074)
+
+
+def _units(hi: np.ndarray, lo: np.ndarray) -> int:
+    """Exact sum, in units 2^-1074, of per-exponent sums of high and low parts.
+
+    Bins 0 (subnormal) and 1 share the unit 2^-1074.  Bin E >= 1 counts
+    low parts in units 2^(E - 1) and high parts in units 2^(E + 25), which
+    is bin E + 26's low unit; the counts stay below 2^54.  Eight bins at a
+    time join into one int64 below 2^62 before the Python ints take over.
+    """
+    hi[1] += hi[0]
+    lo[1] += lo[0]
+    counts = np.zeros(2080, dtype=np.int64)  # bins 1 .. 2073 at 0 .. 2072, padded to 8s
+    counts[:2047] += ((lo[1:] * _TO_UNITS[0]) * _TO_UNITS[1]).astype(np.int64)
+    counts[26:2073] += ((hi[1:] * _TO_UNITS[0]) * _TO_UNITS[1] * 2.0**-26).astype(np.int64)
+    words = counts.reshape(-1, 8) @ (np.int64(1) << np.arange(8, dtype=np.int64))
+    used = np.flatnonzero(words)
+    return sum(w << (8 * g) for w, g in zip(words[used].tolist(), used.tolist()))
+
+
+def _blocks(arrays):
+    """The arrays' entries, flattened, in runs of at least _CHUNK (the last may be shorter)."""
+    buffer: list[np.ndarray] = []
+    buffered = 0
+    for arr in arrays:
+        buffer.append(np.ravel(np.asarray(arr, dtype=np.float64)))
+        buffered += buffer[-1].size
+        if buffered >= _CHUNK:
+            yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
+            buffer, buffered = [], 0
+    if buffer:
+        yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
+
+
+def _fsum_fallback(pieces) -> float:
+    return math.fsum(itertools.chain.from_iterable(np.ravel(a).tolist() for a in pieces()))
 
 
 def _check_pmf(arr: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
@@ -84,16 +180,45 @@ def bernoulli_convolution(p: np.ndarray) -> np.ndarray:
     return law
 
 
+def _leave_one_out_laws(p: np.ndarray) -> np.ndarray:
+    """Leave-one-out laws of independent Bernoulli(p_i) coordinates, with the full law.
+
+    Row i < n of the (n+1) x (n+1) result is bernoulli_convolution(np.delete(p, i))
+    on 0..n-1 and row n is bernoulli_convolution(p), bit for bit: all rows
+    are built in one lockstep pass over the coordinates.  At step k the rows
+    i < k fold in coordinate k by new[s] = old[s](1 - p_k) + old[s-1] p_k,
+    the two products np.convolve adds, while row k keeps the law of the
+    coordinates before k and row k + 1 takes that law with p_k folded in.
+    So column 0 of row i is the product of (1 - p_j) over j != i, in order.
+    """
+    n = p.size
+    q = 1.0 - p
+    table = np.zeros((n + 1, n + 1))
+    table[0, 0] = 1.0
+    for k in range(n):
+        head = table[k, : k + 1].copy()
+        rows = table[: k + 1, : k + 2]
+        rows[:, 1:] = rows[:, 1:] * q[k] + rows[:, :-1] * p[k]
+        rows[:, 0] *= q[k]
+        table[k + 1, : k + 2] = table[k, : k + 2]
+        table[k, : k + 1] = head
+        table[k, k + 1] = 0.0
+    return table
+
+
 class CouplingSpec:
     """Per-index conditional laws for the size-biased sum construction.
 
     p[i] are the Bernoulli means; conditional_sums[i] is the pmf of
     Shat_i = sum_{j != i} Xhat_j on {0, ..., n-1} given X_i = 1.  With
     independent=True the conditional tables are the leave-one-out
-    convolutions and are generated (or verified) automatically.
+    convolutions and are generated (or verified) automatically, in one
+    lockstep pass that ends with the law of S, which the spec keeps.  Their
+    column 0 is the product of 1 - p_j over j != i.  Dependent specs form
+    the law of S given X_i = 0 once per index, on first use.
     """
 
-    __slots__ = ("p", "conditional_sums", "independent", "_sum_law")
+    __slots__ = ("p", "conditional_sums", "independent", "_sum_law", "_given_zero_laws")
 
     def __init__(
         self,
@@ -112,10 +237,11 @@ class CouplingSpec:
         n = p.size
 
         if independent:
-            derived = np.zeros((n, n))
-            for i in range(n):
-                law = bernoulli_convolution(np.delete(p, i))
-                derived[i, : law.size] = law
+            laws = _leave_one_out_laws(p)
+            derived = laws[:n, :n]
+            if sum_law is None:
+                sum_law = laws[n]
+                sum_law.setflags(write=False)
             if conditional_sums is not None:
                 given = np.asarray(conditional_sums, dtype=float)
                 if given.shape != derived.shape or np.max(np.abs(given - derived)) > 1e-9:
@@ -139,6 +265,7 @@ class CouplingSpec:
         self.conditional_sums.setflags(write=False)
         self.independent = independent
         self._sum_law = None if sum_law is None else np.asarray(sum_law, dtype=float)
+        self._given_zero_laws: dict[int, np.ndarray] = {}
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -209,33 +336,36 @@ class CouplingSpec:
     def sum_law(self) -> np.ndarray:
         """Law of S itself.
 
-        Independent specs use the exact convolution; configuration-level
-        input carries the law along; otherwise the law is recovered from
+        Independent specs keep the exact convolution their leave-one-out
+        pass ends with; configuration-level input carries the law along;
+        otherwise the law is recovered from
         s P(S = s) = sum_i p_i P(Shat_i = s-1), flagging inconsistent tables.
         The derived law is computed once and kept, read-only, on the spec.
         """
         if self._sum_law is not None:
             return self._sum_law
         law = np.zeros(self.n + 1)
-        if self.independent:
-            conv = bernoulli_convolution(self.p)
-            law[: conv.size] = conv
-        else:
-            mix = self.mixture_law()
-            s = np.arange(1, self.n + 1, dtype=float)
-            law[1:] = self.lam * mix[1:] / s
-            head = 1.0 - math.fsum(law[1:].tolist())
-            if head < -1e-9:
-                raise ValueError(
-                    "conditional sums are inconsistent: no law of the sum matches the mixture"
-                )
-            law[0] = max(head, 0.0)
+        mix = self.mixture_law()
+        s = np.arange(1, self.n + 1, dtype=float)
+        law[1:] = self.lam * mix[1:] / s
+        head = 1.0 - math.fsum(law[1:].tolist())
+        if head < -1e-9:
+            raise ValueError(
+                "conditional sums are inconsistent: no law of the sum matches the mixture"
+            )
+        law[0] = max(head, 0.0)
         law.setflags(write=False)
         self._sum_law = law
         return law
 
     def _given_zero(self, i: int) -> np.ndarray:
-        """Law of S given X_i = 0, peeled off the law of S (dependent specs)."""
+        """Law of S given X_i = 0, peeled off the law of S (dependent specs).
+
+        Formed once per index and kept, read-only, on the spec.
+        """
+        given_zero = self._given_zero_laws.get(i)
+        if given_zero is not None:
+            return given_zero
         given_zero = self.sum_law().copy()
         given_zero[1:] -= self.p[i] * self.conditional_sums[i]
         if np.any(given_zero < -1e-9):
@@ -243,6 +373,8 @@ class CouplingSpec:
         given_zero = np.clip(given_zero, 0.0, None)
         if self.p[i] < 1.0:
             given_zero /= math.fsum(given_zero.tolist())
+        given_zero.setflags(write=False)
+        self._given_zero_laws[i] = given_zero
         return given_zero
 
     def _check_index(self, i: int) -> None:
@@ -309,7 +441,7 @@ class CouplingSpec:
             return math.fsum(one.tolist())
         states = np.arange(self.n + 1, dtype=float)
         gap = np.abs(np.subtract.outer(states, states[:-1]))
-        return math.fsum(itertools.chain(one.tolist(), (zero * gap).ravel().tolist()))
+        return _fsum_arrays(lambda: (one, zero * gap))
 
     def to_dict(self) -> dict:
         return {

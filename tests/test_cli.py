@@ -429,3 +429,34 @@ def test_bounds_json_rows_share_one_schema(capsys):
         rows = json.loads(out)["rows"]
         assert any(row["formula"] == "exact_supremum" for row in rows)
         assert {tuple(row) for row in rows} == {tuple(rows[0])}, desc
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["bounds", "--measure", "poisson:1", "--j", "x"], None,
+         "argument --j: expected integers such as 3,5,8 or 2..6, got 'x'"),
+        (["lattice", "--model", "product", "--n", "abc"], None,
+         "argument --n: expected integers such as 3,5,8 or 2..6, got 'abc'"),
+        (["lattice", "--model", "product", "--n", "3"], {"n": [2, 3]},
+         "argument --n: expected integers such as 3,5,8 or 2..6, got '[2, 3]'"),
+        (["lattice", "--model", "product", "--n", "0"], None,
+         "argument --n: cell counts must be positive, got '0'"),
+        (["lattice", "--model", "product", "--n", "3", "--lambda", "-1"], None,
+         "argument --lambda: activity must be positive and finite, got '-1'"),
+        (["solve", "--measure", "poisson:1", "--f", "constant:1", "--truncation", "-3"], None,
+         "argument --truncation: truncation bound must be nonnegative, got '-3'"),
+    ],
+    ids=["bounds_j_not_integer", "lattice_n_not_integer", "lattice_n_json_list_in_config",
+         "lattice_n_zero", "lattice_lambda_negative", "solve_truncation_negative"],
+)
+def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

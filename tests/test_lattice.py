@@ -603,3 +603,81 @@ def test_custom_model_full_lattice_pipeline():
             attract(points) for points in itertools.product(grid, repeat=k)
         ) / 5.0**k
         assert model.Wn(5, k) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, truncation", [
+    ([0.95] + [0.01] * 4, None),
+    ([1.0, 0.0, 0.4, 0.7, 0.2], None),
+    ([0.4], None),
+    ([1e-17, 1e-17], 5),
+    (list(np.random.default_rng(23).uniform(0.0, 0.08, 30)), None),
+], ids=["inhomogeneous", "p0_p1", "n1", "tiny", "uniform_30"])
+def test_improved_bound_equals_product_form(p, truncation):
+    spec = gs.CouplingSpec.independent_bernoulli(p)
+    rep = gs.poisson_sum_bounds(spec, truncation=truncation)
+    target = gs.poisson(spec.lam, truncation=truncation)
+    if truncation is None and target.support_max < spec.n:
+        target = gs.poisson(spec.lam, truncation=spec.n)
+    factor = uniform_increment(target.kind, target.params)
+    terms = []
+    for i in range(spec.n):
+        if spec.p[i] == 0.0:
+            continue
+        none_else = math.prod(1.0 - pj for j, pj in enumerate(spec.p) if j != i)
+        terms.append(spec.p[i] ** 2 * min(0.5 * (1.0 + none_else), factor))
+    assert rep.improved_bound.hex() == math.fsum(terms).hex()
+
+
+def spread_means(n, lo, hi, step):
+    """n means in [lo, hi) spread by an irrational rotation, with no random draw."""
+    return lo + (hi - lo) * ((np.arange(n) * step) % 1.0)
+
+
+def pinned_mixture_spec(n):
+    a = spread_means(n, 0.02, 0.3, 0.6180339887498949)
+    b = spread_means(n, 0.01, 0.12, 0.4142135623730951)
+    p = 0.4 * a + 0.6 * b
+    cond = np.array([
+        0.4 * a[i] * bernoulli_convolution(np.delete(a, i))
+        + 0.6 * b[i] * bernoulli_convolution(np.delete(b, i))
+        for i in range(n)
+    ]) / p[:, None]
+    return gs.CouplingSpec(p, conditional_sums=cond)
+
+
+# hex values at n = 120, as the fsum-per-piece implementation computed them
+PINNED_120 = {
+    "dependent": {
+        "coupling": {"value": "0x1.8c30dbc04f60ap+2", "increment_part": "0x1.854851b08743bp+2",
+                     "norm_part": "0x1.ba2283f2073dfp-4", "g_norm": "0x1.5a487567071c2p-3"},
+        "poisson_sum": {"lam": "0x1.8994d7b127518p+3", "exact_tv": "0x1.b745d8f0b83a7p-2",
+                        "harmonic_coupling_bound": "0x1.8cc162cc2f8e1p+2",
+                        "linear_coupling_bound": "0x1.becd9257cb565p+2",
+                        "independent_bound": None, "improved_bound": None},
+    },
+    "independent": {
+        "coupling": {"value": "0x1.57119c1e0f2dfp-3", "increment_part": "0x1.ddee2da380d41p-4",
+                     "norm_part": "0x1.a06a15313b0fap-5", "g_norm": "0x1.58ec235704da6p-3"},
+        "poisson_sum": {"lam": "0x1.8c10ba72a65a5p+3", "exact_tv": "0x1.1d4ad0e7b7004p-5",
+                        "harmonic_coupling_bound": "0x1.e69e7fc72d79fp-4",
+                        "linear_coupling_bound": "0x1.0ffdbc38642eep-3",
+                        "independent_bound": "0x1.0ffdbc38642eep-3",
+                        "improved_bound": "0x1.0ffdbc38642eep-3"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_120))
+def test_bernoulli_sum_values_pinned_at_n_120(name):
+    n = 120
+    if name == "dependent":
+        spec = pinned_mixture_spec(n)
+    else:
+        spec = gs.CouplingSpec.independent_bernoulli(spread_means(n, 0.01, 0.2, 0.7548776662466927))
+    cb = gs.sum_coupling_bound(gs.binomial(n, spec.lam / n), spec)
+    assert cb.licensed
+    assert {key: getattr(cb, key).hex() for key in PINNED_120[name]["coupling"]} == PINNED_120[name]["coupling"]
+    rep = gs.poisson_sum_bounds(spec).to_dict()
+    assert {key: None if value is None else value.hex() for key, value in rep.items()} == (
+        PINNED_120[name]["poisson_sum"]
+    )

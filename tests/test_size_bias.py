@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gibbs_stein as gs
-from gibbs_stein.size_bias import bernoulli_convolution
+from gibbs_stein.size_bias import _CHUNK, _SMALL, _fsum_arrays, bernoulli_convolution
 
 RNG = np.random.default_rng(31415)
 
@@ -201,6 +203,74 @@ def test_coupling_slabs_hold_the_tuple_probabilities():
             if zero is not None:
                 got += [(s, t, pr) for (s, t), pr in np.ndenumerate(zero) if s != t and pr != 0.0]
             assert sorted(got) == expected
+
+
+@pytest.mark.parametrize("p", [
+    [0.4],
+    [1.0],
+    [0.0, 0.5],
+    [0.3, 0.2, 0.25, 0.15, 0.4],
+    [1.0, 0.0, 0.4, 0.7, 0.2],
+    [0.0, 1.0, 1.0, 0.0],
+    [0.95] + [0.01] * 4,
+    list(np.random.default_rng(5).uniform(0.0, 1.0, 40)),
+], ids=["n1", "n1_p1", "p0_first", "five", "p0_p1", "only_p0_p1", "inhomogeneous", "uniform_40"])
+def test_leave_one_out_rows_equal_convolutions(p):
+    spec = gs.CouplingSpec.independent_bernoulli(p)
+    n = len(p)
+    for i in range(n):
+        expected = np.zeros(n)
+        law = bernoulli_convolution(np.delete(np.asarray(p), i))
+        expected[: law.size] = law
+        assert [x.hex() for x in spec.conditional_sums[i].tolist()] == [x.hex() for x in expected.tolist()]
+        none_else = float(math.prod(1.0 - pj for j, pj in enumerate(spec.p) if j != i))
+        assert spec.conditional_sums[i, 0].hex() == none_else.hex()
+    whole = bernoulli_convolution(p)
+    assert [x.hex() for x in spec.sum_law().tolist()] == [x.hex() for x in whole.tolist()]
+
+
+def _fsum_outcome(total):
+    """The float a sum returns, by hex (nan included), or the type of the error it raises."""
+    try:
+        return total().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.floats(), st.floats(-1e300, 1e300), st.sampled_from(SPECIAL_FLOATS)),
+                    max_size=30),
+    length=st.sampled_from([0, 1, 2, _SMALL - 1, _SMALL, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+    parts=st.integers(1, 4),
+    cancel=st.booleans(),
+    tame=st.booleans(),
+)
+@example(values=[], length=0, parts=1, cancel=False, tame=False)
+@example(values=[-0.0], length=_CHUNK, parts=2, cancel=False, tame=False)
+@example(values=[5e-324, 1e-310, -3e-320], length=_CHUNK + 1, parts=3, cancel=False, tame=False)
+@example(values=[1.0, 1e-300, 1e300, 2.0**-1074], length=_CHUNK + 1, parts=1, cancel=True, tame=False)
+@example(values=[2.0**-1074, 1.0, 2.0**1020], length=2 * _CHUNK + 3, parts=4, cancel=False, tame=False)
+@example(values=[1e308, 1e308, -1e308], length=3, parts=1, cancel=False, tame=False)
+@example(values=[1e308], length=_CHUNK, parts=2, cancel=False, tame=False)
+@example(values=[0.1, math.inf], length=_CHUNK, parts=2, cancel=False, tame=False)
+@example(values=[0.1, math.inf, -math.inf], length=_SMALL, parts=1, cancel=False, tame=False)
+@example(values=[0.1, math.nan], length=_CHUNK + 1, parts=3, cancel=False, tame=False)
+def test_exact_sum_kernel_equals_fsum(values, length, parts, cancel, tame):
+    base = np.resize(np.array(values, dtype=float), length) if values else np.zeros(length)
+    if tame:  # finite and below 1e300, so that long inputs take the exact path
+        base[~(np.abs(base) < 1e300)] = 1.0
+    # vary the pieces along the array so that repeats do not just scale one value
+    base = base * np.ldexp(1.0, -(np.arange(length) % 7))
+    if cancel:
+        base = np.concatenate([base, -base[::-1]])
+    pieces = np.array_split(base, parts)
+    kernel = _fsum_outcome(lambda: _fsum_arrays(lambda: iter(pieces)))
+    assert kernel == _fsum_outcome(lambda: math.fsum(base.tolist()))
 
 
 def test_sum_law_is_derived_once():
