@@ -23,6 +23,7 @@ A JSON config file given via --config overrides same-named flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -59,6 +60,15 @@ def _render(value) -> str:
 
 class CliError(Exception):
     """Input that failed to parse; exits with status 2."""
+
+
+@contextlib.contextmanager
+def _blame(flag: str):
+    """Report a bad input met inside the block as the fault of `flag`."""
+    try:
+        yield
+    except (CliError, ValueError) as exc:
+        raise CliError(f"argument {flag}: {exc}") from exc
 
 
 _MEASURE_HELP = "a JSON measure file, inline JSON, or kind:params, one of " + ", ".join(
@@ -112,16 +122,20 @@ def parse_test_function(desc: str, size: int) -> np.ndarray:
 # argparse types: a bad value exits 2 with "argument --flag: <message>"
 
 def parse_range(text: str) -> list[int]:
-    """Integers given as 3,5,8 or as the inclusive range 2..6."""
+    """Integers given as 3,5,8 or as the inclusive range 2..6, at least one."""
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",") if part != ""]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected integers such as 3,5,8 or 2..6, got {text!r}"
         ) from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return values
 
 
 def _cell_counts(text: str) -> list[int]:
@@ -131,14 +145,23 @@ def _cell_counts(text: str) -> list[int]:
     return counts
 
 
-def _activity(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"activity must be positive and finite, got {text!r}")
-    return value
+def _positive_below(limit: float, what: str):
+    """A float type for values in (0, limit)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not 0.0 < value < limit:
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_activity = _positive_below(math.inf, "activity must be positive and finite")
+_tail_tol = _positive_below(1.0, "tail tolerance must lie strictly between 0 and 1")
 
 
 def _truncation(text: str) -> int:
@@ -166,15 +189,24 @@ def _emit(rows: list[dict], header: list[str], args, extra_meta: dict | None = N
         for row in rows:
             writer.writerow([_render(row.get(col)) for col in header])
         text = buf.getvalue()
+    text = text if text.endswith("\n") else text + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"argument --out: {exc}") from exc
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _conditions_text(cert: factors.BoundCertificate) -> str:
     return ";".join(f"{c.name}={'T' if c.holds else 'F'}" for c in cert.conditions)
+
+
+def _measure(args, flag: str):
+    with _blame(f"--{flag}"):
+        return parse_measure(getattr(args, flag), args.truncation, args.tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +214,10 @@ def _conditions_text(cert: factors.BoundCertificate) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    m = parse_measure(args.measure, args.truncation, args.tail_tol)
-    f = parse_test_function(args.f, m.support_max + 1)
-    sol = stein.solve(m, f)
+    m = _measure(args, "measure")
+    with _blame("--f"):
+        f = parse_test_function(args.f, m.support_max + 1)
+        sol = stein.solve(m, f)
     delta = sol.delta()
     rows = [
         {"j": j, "g": float(sol.g[j]), "dg": float(delta[j]) if j < delta.size else None}
@@ -195,28 +228,31 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    m = parse_measure(args.measure, args.truncation, args.tail_tol)
+    m = _measure(args, "measure")
     ladder = args.j or [j for j in (1, 2, 3, 5) if j <= m.support_max]
-    rows = [
-        {**cert.to_dict(), "conditions": _conditions_text(cert)}
-        for cert in factors.bound_certificates(m, ladder)
-    ]
+    with _blame("--j"):
+        certs = factors.bound_certificates(m, ladder)
+    rows = [{**cert.to_dict(), "conditions": _conditions_text(cert)} for cert in certs]
     header = ["quantity", "j", "value", "formula", "exactness", "licensed", "conditions", "notes"]
     _emit(rows, header, args, {"measure": m.label()})
     return 0
 
 
 def cmd_compare(args) -> int:
-    m1 = parse_measure(args.m1, args.truncation, args.tail_tol)
-    m2 = parse_measure(args.m2, args.truncation, args.tail_tol)
+    m1, m2 = _measure(args, "m1"), _measure(args, "m2")
     source, values = args.g_norm, None
-    if source.startswith("value:"):
-        parts = source.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise CliError(f"--g-norm {source!r}: value:X,Y takes two norm bounds")
-        values = (float(parts[0]), float(parts[1]))
-        source = "user"
-    row = compare_mod.generator_comparison(m1, m2, source, values).to_dict()
+    with _blame("--g-norm"):
+        if source.startswith("value:"):
+            parts = source.split(":", 1)[1].split(",")
+            if len(parts) != 2:
+                raise CliError(f"{source!r}: value:X,Y takes two norm bounds")
+            values = (float(parts[0]), float(parts[1]))
+            if not min(values) >= 0.0:
+                raise CliError(f"{source!r}: norm bounds must be nonnegative")
+            source = "user"
+        elif source not in ("exact", "rate_spread"):
+            raise CliError(f"expected exact, rate_spread or value:X,Y, got {source!r}")
+        row = compare_mod.generator_comparison(m1, m2, source, values).to_dict()
     header = [
         "m1", "m2", "exact_tv", "certified_bound", "bound_value",
         "branch_used", "tail_term", "g_norm_source", "notes",
@@ -229,9 +265,15 @@ def cmd_lattice(args) -> int:
     model = _MODELS[args.model](args.lam)
     rows = []
     for n in args.n:
-        rep = lattice.lattice_comparison_report(
-            model, n, truncation=args.truncation, tail_tol=args.tail_tol, g_norm_source=args.g_norm,
-        )
+        try:
+            rep = lattice.lattice_comparison_report(
+                model, n, truncation=args.truncation, tail_tol=args.tail_tol, g_norm_source=args.g_norm,
+            )
+        except ValueError as exc:
+            # the limit law depends on the activity and truncation alone, the lattice law on n
+            with _blame("--lambda" if args.truncation is None else "--truncation"):
+                lattice.limit_measure(model, truncation=args.truncation, tail_tol=args.tail_tol)
+            raise CliError(f"argument --n: {n} cells: {exc}") from exc
         rows.append(rep.to_dict())
     header = [
         "n", "exact_tv", "generator_bound", "closed_form",
@@ -242,17 +284,21 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_poisson_sum(args) -> int:
-    try:
-        if args.spec:
-            with open(args.spec) as handle:
-                spec = CouplingSpec.from_dict(json.load(handle))
-        elif args.p:
-            spec = CouplingSpec.independent_bernoulli([float(x) for x in args.p.split(",")])
-        else:
-            raise CliError("poisson-sum needs --p or --spec")
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
-        raise CliError(f"coupling specification: {exc}") from exc
-    rep = lattice.poisson_sum_bounds(spec, truncation=args.truncation, tail_tol=args.tail_tol)
+    flag = "--spec" if args.spec else "--p"
+    with _blame(flag):
+        try:
+            if args.spec:
+                with open(args.spec) as handle:
+                    spec = CouplingSpec.from_dict(json.load(handle))
+            elif args.p:
+                spec = CouplingSpec.independent_bernoulli([float(x) for x in args.p.split(",")])
+            else:
+                raise CliError("poisson-sum needs --p or --spec")
+        except (json.JSONDecodeError, OSError) as exc:
+            raise CliError(f"coupling specification: {exc}") from exc
+    # an explicit truncation is kept as given; otherwise the sum's own size sets it
+    with _blame(flag if args.truncation is None else "--truncation"):
+        rep = lattice.poisson_sum_bounds(spec, truncation=args.truncation, tail_tol=args.tail_tol)
     header = [
         "lam", "exact_tv", "harmonic_coupling_bound", "linear_coupling_bound",
         "independent_bound", "improved_bound",
@@ -275,7 +321,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     parser.add_argument("--truncation", type=_truncation, default=None,
                         help="explicit truncation bound for infinite-support laws")
-    parser.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-14,
+    parser.add_argument("--tail-tol", dest="tail_tol", type=_tail_tol, default=1e-14,
                         help="tail mass tolerance for automatic truncation")
     parser.add_argument("--config", default=None,
                         help="JSON file whose entries override same-named flags")

@@ -22,6 +22,13 @@ Custom families evaluate W_n by explicit k-fold grid summation (guarded,
 deterministic order) and W by one-dimensional quadrature when the family
 declares a separable integrand.
 
+The limit laws live on {0, 1, ...} and are truncated by the one rule of
+`measures`: a declared tail that bounds the mass beyond N through a bound
+on the pmf ratios.  The repelling and product limits state theirs in
+`measures.FAMILIES` (3 lambda/(n+2) and z/(n+2), from their rate suprema),
+so their declared tails are proved; a custom model's ratio bound 1/2 is
+read off its next observed ratios, so its tail is an estimate.
+
 The distance from S_n to the limit law (truncated at N) is certified by
 `compare.generator_comparison`, as in the `compare` command: activity plus
 weight-ratio mismatch of the two generators, each direction with its own
@@ -45,11 +52,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .compare import generator_comparison, tv_distance
 from .factors import condition, uniform_increment
-from .measures import FAMILIES, GibbsMeasure, TailPolicy, poisson
+from .measures import FAMILIES, GibbsMeasure, _log_weights, _logsumexp, _truncated, poisson
 from .size_bias import CouplingSpec, _fsum_arrays
 from .stein import sup_solution_norm
 
@@ -176,7 +182,7 @@ def repelling_model(lam: float) -> InteractionModel:
         return math.log(k * (k - 1) / 6.0)
 
     def closed_form(n: int) -> float:
-        log_tail = (n + 1) * math.log(lam) + lam - gammaln(n + 2)
+        log_tail = (n + 1) * math.log(lam) + lam - math.lgamma(n + 2)
         return math.exp(log_tail) / repelling_limit_partition(lam)
 
     return InteractionModel(
@@ -194,8 +200,8 @@ def product_model(z: float = 1.0) -> InteractionModel:
         # W_n(k) = n^(-k^2) (sum_{i=0}^{n-1} i^(k-1))^k, in log space
         if n < 2:
             return -math.inf
-        powers = [(k - 1) * math.log(i) for i in range(1, n)]
-        return -k * k * math.log(n) + k * float(logsumexp(powers))
+        powers = (k - 1) * np.log(np.arange(1.0, n))
+        return -k * k * math.log(n) + k * _logsumexp(powers)
 
     def log_w(k: int) -> float:
         return -k * math.log(k)
@@ -206,7 +212,7 @@ def product_model(z: float = 1.0) -> InteractionModel:
         if abs(z - 1.0) > 0:
             raise ValueError("the product closed form is stated for activity 1")
         main = 2.0 * math.exp(math.e + 1.0 / math.e) / n
-        rest = math.exp(1.0 / n - (n + 1) * math.log(n) - gammaln(n + 2))
+        rest = math.exp(1.0 / n - (n + 1) * math.log(n) - math.lgamma(n + 2))
         return main + rest
 
     return InteractionModel(
@@ -275,59 +281,34 @@ def limit_measure(
     truncation: int | None = None,
     tail_tol: float = 1e-14,
 ) -> GibbsMeasure:
-    """The continuum limit law, truncated with a declared tail bound."""
+    """The continuum limit law, truncated with a declared tail bound.
+
+    A limit family in `measures.FAMILIES` states a proved bound on its pmf
+    ratios; a custom model's ratios beyond n are taken to stay below 1/2
+    once the next three observed ratios do, a rule that is observed, not
+    proved.  Custom weights are evaluated one by one, so their table stops
+    at 2^17 terms.
+    """
     z = model.z
     if model.limit is not None:
         return model.limit(z, truncation=truncation, tail_tol=tail_tol)
+    log_W: list[float] = []
 
-    def log_term(k: int) -> float:
-        return model.log_W(k) + k * math.log(z) - gammaln(k + 1)
+    def potential(size: int) -> np.ndarray:
+        log_W.extend(model.log_W(k) for k in range(len(log_W), size))
+        return np.array(log_W[:size])
 
-    bound, tail_estimate = _truncate_by_ratio(log_term, truncation, tail_tol)
-    V = np.array([model.log_W(k) for k in range(bound + 1)])
     kind = f"{model.kind}_limit"
-    # the activity goes under the name the limit family's record gives it
-    name = FAMILIES[kind].args[0][0] if kind in FAMILIES else "z"
-    return GibbsMeasure(
-        z, V, kind=kind, params={name: z},
-        truncation=TailPolicy(bound, tail_estimate, max(tail_tol, tail_estimate)),
-    )
+    if kind in FAMILIES:
+        # the activity goes under the name the limit family's record gives it
+        params = {FAMILIES[kind].args[0][0]: z}
+        return _truncated(kind, z, potential, params, truncation, tail_tol)
 
+    def observed_ratio(n: int) -> float:
+        ahead = _log_weights(z, potential(n + 5))[n + 1 :]
+        return 0.5 if np.all(np.diff(ahead) < math.log(0.5)) else 1.0
 
-def _truncate_by_ratio(
-    log_term: Callable[[int], float], truncation: int | None, tail_tol: float
-) -> tuple[int, float]:
-    """Pick N so the weight tail beyond N is (estimated) below tail_tol.
-
-    The tail is capped geometrically once consecutive term ratios stay
-    below 1/2; failure to reach that regime flags a divergent series.
-    Returns (N, declared relative tail mass).
-    """
-    max_n = 100_000
-
-    def tail_cap(n: int, log_partial: float) -> float | None:
-        probes = [log_term(n + 1 + i) for i in range(4)]
-        for a, b in zip(probes, probes[1:]):
-            if b - a >= math.log(0.5):
-                return None
-        return probes[0] + math.log(2.0) - log_partial
-
-    log_partial = -math.inf
-    for n in range(max_n + 1):
-        log_partial = float(np.logaddexp(log_partial, log_term(n)))
-        if truncation is not None:
-            if n == truncation:
-                cap = tail_cap(n, log_partial)
-                if cap is None:
-                    raise ValueError(
-                        "explicit truncation sits before the geometric tail regime"
-                    )
-                return n, math.exp(cap)
-        else:
-            cap = tail_cap(n, log_partial)
-            if cap is not None and cap < math.log(tail_tol):
-                return n, math.exp(cap)
-    raise ValueError("series did not enter a geometric regime; divergent weights?")
+    return _truncated(kind, z, potential, {"z": z}, truncation, tail_tol, observed_ratio, 1 << 17)
 
 
 def repelling_limit_partition(lam: float) -> float:
@@ -556,7 +537,10 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
 
     law = spec.sum_law()
     rates = m.birth_rates[: law.size]
-    mean_rate = math.fsum((law * rates).tolist())
+    # the convolved law can add to just under 1, which would put the mean of a
+    # constant rate below it; the mean lies between the rates the law reaches
+    live = rates[law > 0]
+    mean_rate = min(max(math.fsum((law * rates).tolist()), live.min()), live.max())
     mad = math.fsum((law * np.abs(rates - mean_rate)).tolist())
 
     g_norm = sup_solution_norm(m)

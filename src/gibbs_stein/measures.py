@@ -9,8 +9,12 @@ Any law with contiguous support starting at 0 can be written this way; the
 representation is unique only up to (omega, V) -> (a*omega, V - k*log a) and
 an additive constant on V, which this module fixes by absorbing log Z into V
 when converting from an explicit pmf.  All mass arithmetic happens in log
-space (log-gamma for factorials, log-sum-exp for the partition sum) because
-the interesting weights, such as k^-k or lambda^k/k!, underflow quickly.
+space because the interesting weights, such as k^-k or lambda^k/k!,
+underflow quickly.  Three numpy helpers carry it: `_log_gamma_run` gives
+log Gamma(s + k) - log Gamma(s) over a run k = 0, 1, ... as a compensated
+running sum of log(s + i) (so log k! is the run from s = 1), `_logsumexp` is
+the max-shifted log-sum-exp behind every normalisation, and `_truncated`
+picks truncation points.
 
 The distinguished birth-death dynamics attached to a measure uses unit per
 capita death rates d_k = k and birth rates
@@ -20,9 +24,13 @@ capita death rates d_k = k and birth rates
 which satisfy detailed balance pmf(k) b_k = pmf(k+1) d_{k+1}.
 
 Conceptually infinite laws (Poisson, geometric, ...) are represented by a
-truncation to {0, ..., N} chosen so the discarded tail mass is below a
-declared tolerance; the truncation bound and actual tail mass travel with
-the measure so downstream certificates can surface them.
+truncation to {0, ..., N}.  Each such family states in `FAMILIES` a bound
+rho(n) on the ratio pmf(k+1)/pmf(k) for every k > n, so the weights beyond
+m are at most w(m+1) / (1 - rho(m)) in total; with the terms up to m summed
+exactly this is a proved bound on the discarded tail, rounded up for the
+error of the log weights.  The smallest N whose bound is below the declared
+tolerance is kept, and the bound travels with the measure so downstream
+certificates can surface it.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, gammaln, logsumexp, pdtrc
 
 __all__ = [
     "TailPolicy",
@@ -83,6 +90,55 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# ---------------------------------------------------------------------------
+# Log-space helpers
+# ---------------------------------------------------------------------------
+
+_U = 2.0**-53  # unit roundoff
+
+
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums of x with Neumaier's compensation.
+
+    Each step's rounding error is recovered exactly (TwoSum) from the plain
+    running sum and accumulated alongside it, as Neumaier's loop does, so
+    entry k equals that loop's compensated sum of x[0..k].
+    """
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    added = s - prev
+    errors = (prev - (s - added)) + (x - added)
+    return s + np.cumsum(errors)
+
+
+def _log_gamma_run(start: float, count: int) -> np.ndarray:
+    """log Gamma(start + k) - log Gamma(start) for k = 0..count-1.
+
+    The compensated running sum of log(start + i) over i < k, so log k! is
+    `_log_gamma_run(1.0, count)[k]`; add math.lgamma(start) for log Gamma
+    itself.  Each entry carries the rounding of its logs, not of the sum.
+    """
+    logs = np.log(start + np.arange(count - 1, dtype=float))
+    return np.concatenate(([0.0], _compensated_cumsum(logs)))
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    """log sum exp(x), shifted by the maximum; the largest term enters through log1p."""
+    x = np.asarray(x, dtype=float)
+    top = int(np.argmax(x))
+    if not math.isfinite(x[top]):
+        return float(x[top])
+    rest = np.exp(x - x[top])
+    rest[top] = 0.0
+    return float(x[top] + math.log1p(np.sum(rest)))
+
+
+def _log_weights(omega: float, V: np.ndarray) -> np.ndarray:
+    """Unnormalised log weights V(k) + k log omega - log k!."""
+    k = np.arange(V.size, dtype=float)
+    return V + k * math.log(omega) - _log_gamma_run(1.0, V.size)
+
+
 class GibbsMeasure:
     """Immutable discrete Gibbs measure on {0, ..., N}.
 
@@ -121,16 +177,16 @@ class GibbsMeasure:
         if not np.all(np.isfinite(V)):
             raise ValueError("potential must be finite on the whole support")
 
-        k = np.arange(V.size, dtype=float)
-        log_weights = V + k * math.log(omega) - gammaln(k + 1.0)
-        log_z = float(logsumexp(log_weights))
+        log_weights = _log_weights(omega, V)
+        log_z = _logsumexp(log_weights)
         log_pmf = log_weights - log_z
         pmf = np.exp(log_pmf)
         if np.any(pmf == 0.0):
+            k = int(np.argmax(pmf == 0.0))
             raise ValueError(
-                "support weight underflows double precision; narrow the truncation window"
+                f"support weight underflows double precision: pmf({k}) = exp({log_pmf[k]:.6g})"
             )
-        total = math.fsum(pmf.tolist())
+        total = float(np.sum(pmf))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"pmf failed to normalize (sum = {total!r})")
 
@@ -261,9 +317,14 @@ class GibbsMeasure:
         # compare birth rates, which unlike V survive reparametrization
         if family.build is None:
             raise ValueError(f"{m.kind} measures cannot be rebuilt from their params")
-        window = {"truncation": m.support_max} if family.truncated else {}
-        rates = family.build(**family.values(m.params), **window).birth_rates
-        if rates.shape != m.birth_rates.shape or not np.allclose(m.birth_rates, rates, rtol=1e-12, atol=0.0):
+        window = {"truncation": m.support_max} if family.tail_ratio else {}
+        rebuilt = family.build(**family.values(m.params), **window)
+        # each table's V is within 4 ulps of its exact values and a log rate is a
+        # difference of two entries, so the two tables' log rates may differ by
+        # 16 ulps of the largest |V|, which 32u (1 + max |V|) covers
+        tol = 32 * _U * (1.0 + max(np.abs(m.V).max(), np.abs(rebuilt.V).max()))
+        rates = rebuilt.birth_rates
+        if rates.shape != m.birth_rates.shape or not np.allclose(m.birth_rates, rates, rtol=tol, atol=0.0):
             raise ValueError(f"{m.kind} params {m.params} do not match the measure's tables")
         return m
 
@@ -300,9 +361,8 @@ def from_pmf(
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ValueError("non-contiguous or degenerate support: weights must be strictly positive")
     log_w = np.log(weights)
-    log_total = float(logsumexp(log_w))
     k = np.arange(weights.size, dtype=float)
-    V = (log_w - log_total) + gammaln(k + 1.0) - k * math.log(omega)
+    V = (log_w - _logsumexp(log_w)) + _log_gamma_run(1.0, weights.size) - k * math.log(omega)
     return GibbsMeasure(omega, V, kind=kind, params=params, truncation=truncation)
 
 
@@ -310,42 +370,91 @@ def from_pmf(
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def _resolve_truncation(
-    sf: Callable[[int], float],
-    start: int,
+def _truncated(
+    kind: str,
+    omega: float,
+    potential: Callable[[int], np.ndarray],
+    params: dict,
     truncation: int | None,
     tail_tol: float,
-) -> tuple[int, float]:
-    """Pick the truncation bound: either the explicit one or the smallest N
-    whose discarded tail is below tail_tol."""
-    if truncation is not None:
-        n = int(truncation)
-        if n < 0:
-            raise ValueError("truncation bound must be nonnegative")
-        return n, float(sf(n))
-    n = max(int(start), 1)
-    while sf(n) > tail_tol:
-        n = max(n + 1, int(n * 1.5))
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sf(mid) > tail_tol:
-            lo = mid + 1
+    ratio: Callable[[int], float] | None = None,
+    max_size: int = 1 << 20,
+) -> GibbsMeasure:
+    """The law of activity omega and potential table `potential(size)`, truncated.
+
+    ratio(n), by default the family's `tail_ratio`, bounds pmf(k+1)/pmf(k)
+    for all k > n.  On weights w(0..m+1), scaled to a largest of 1, the
+    terms beyond N sum to at most R = w(N+1) + ... + w(m) + w(m+1)/(1 -
+    ratio(m)), so at most the share R/(S_N + R) of the mass lies beyond N,
+    S_N = w(0) + ... + w(N).  That share is rounded up for the rounding of
+    the weights: log k! is within 4u log k! (u the unit roundoff; numpy's log
+    and exp are within one ulp), so a log weight is within u(|V| +
+    4k|log omega| + 4 log k! + |log w|), and shift and exp add u|log w -
+    max log w| + 2u.  The share moves by at most twice the largest of these,
+    and by 16u in the compensated sums and divisions.  Weights that
+    underflow add at most their count in least subnormals to R.
+
+    N is the explicit truncation or the smallest whose rounded share is at
+    most tail_tol.  The table doubles until ratio(m) < 1 and either m >=
+    2N + 1 or the last term of R is below u R, where a longer table would
+    barely tighten the bound.
+    """
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail tolerance must lie strictly between 0 and 1, got {tail_tol!r}")
+    if truncation is not None and not 0 <= int(truncation) <= (max_size - 3) // 2:
+        raise ValueError(f"truncation bound must lie in 0..{(max_size - 3) // 2}, got {truncation}")
+    ratio = ratio or (lambda n: FAMILIES[kind].tail_ratio(n, **params))
+    size = 64 if truncation is None else 2 * int(truncation) + 3
+    while size <= max_size:
+        m = size - 2
+        rho = ratio(m) * (1.0 + 4 * _U)
+        if not rho < 1.0:
+            size *= 2
+            continue
+        V = potential(size)
+        log_w = _log_weights(omega, V)
+        shifted = log_w - log_w.max()
+        drift = np.arange(size) * math.log(omega)
+        log_fact = V + drift - log_w
+        worst = _U * float(np.max(np.abs(V) + 4 * np.abs(drift) + 4 * log_fact + np.abs(log_w) - shifted))
+        w = np.exp(shifted)
+        rest = w[-1] / (1.0 - rho) + (size + 1.0 / (1.0 - rho)) * 2.0**-1074
+        beyond = _compensated_cumsum(np.append(rest, w[m:0:-1]))[::-1]  # R for N = 0..m
+        share = beyond / (_compensated_cumsum(w[:-1]) + beyond)
+        bound = np.nextafter(share * (1.0 + 2.5 * worst + 21 * _U), math.inf)
+        if truncation is not None:
+            n = int(truncation)
         else:
-            hi = mid
-    return lo, float(sf(lo))
+            hits = np.flatnonzero(bound <= tail_tol)
+            if not hits.size:
+                size *= 2
+                continue
+            n = int(hits[0])
+            if 2 * n + 1 > m and rest > _U * beyond[n]:
+                size = 2 * n + 3
+                continue
+        tail = float(bound[n])
+        return GibbsMeasure(
+            omega, V[: n + 1], kind=kind, params=params,
+            truncation=TailPolicy(n, tail, max(tail_tol, tail)),
+        )
+    raise ValueError(
+        f"no truncation within {max_size} terms has a tail bound below {tail_tol!r}: the "
+        "weights decay too slowly, or their series is divergent"
+    )
+
+
+def _check_p(family: str, p: float):
+    """p must lie in (0, 1) and leave a failure probability 1 - p below 1 in double precision."""
+    if not 0.0 < p < 1.0 or 1.0 - p == 1.0:
+        raise ValueError(f"{family} needs 0 < p < 1 with 1 - p < 1 in double precision, got {p!r}")
 
 
 def poisson(lam: float, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> GibbsMeasure:
     """Poisson(lambda), stored with omega = lambda and constant potential."""
-    if not lam > 0:
-        raise ValueError("poisson rate must be positive")
-    bound, tail = _resolve_truncation(lambda n: float(pdtrc(n, lam)), int(lam) + 10, truncation, tail_tol)
-    V = np.full(bound + 1, -lam)
-    return GibbsMeasure(
-        lam, V, kind="poisson", params={"lam": lam},
-        truncation=TailPolicy(bound, tail, max(tail_tol, tail)),
-    )
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"poisson rate must be positive and finite, got {lam!r}")
+    return _truncated("poisson", lam, lambda size: np.full(size, -lam), {"lam": lam}, truncation, tail_tol)
 
 
 def binomial(n: int, p: float) -> GibbsMeasure:
@@ -354,27 +463,15 @@ def binomial(n: int, p: float) -> GibbsMeasure:
         raise ValueError("binomial needs n >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("binomial needs 0 < p < 1")
-    k = np.arange(n + 1, dtype=float)
-    V = -gammaln(n - k + 1.0)
+    V = -_log_gamma_run(1.0, n + 1)[::-1]
     return GibbsMeasure(p / (1.0 - p), V, kind="binomial", params={"n": n, "p": p})
 
 
 def geometric(p: float, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> GibbsMeasure:
     """Geometric with pmf p(1-p)^k on {0, 1, ...}; omega = 1-p, V(k) = log k!."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("geometric needs 0 < p < 1")
-    q = 1.0 - p
-
-    def sf(n: int) -> float:
-        return math.exp((n + 1) * math.log(q))
-
-    start = int(math.ceil(math.log(tail_tol) / math.log(q))) if truncation is None else 0
-    bound, tail = _resolve_truncation(sf, start, truncation, tail_tol)
-    k = np.arange(bound + 1, dtype=float)
-    V = gammaln(k + 1.0)
-    return GibbsMeasure(
-        q, V, kind="geometric", params={"p": p},
-        truncation=TailPolicy(bound, tail, max(tail_tol, tail)),
+    _check_p("geometric", p)
+    return _truncated(
+        "geometric", 1.0 - p, lambda size: _log_gamma_run(1.0, size), {"p": p}, truncation, tail_tol
     )
 
 
@@ -382,18 +479,12 @@ def negative_binomial(
     r: float, p: float, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> GibbsMeasure:
     """Negative binomial counting failures before the r-th success."""
-    if not r > 0:
-        raise ValueError("negative binomial needs r > 0")
-    if not 0.0 < p < 1.0:
-        raise ValueError("negative binomial needs 0 < p < 1")
-    bound, tail = _resolve_truncation(
-        lambda n: float(betainc(n + 1, r, 1.0 - p)), int(r * (1 - p) / p) + 10, truncation, tail_tol
-    )
-    k = np.arange(bound + 1, dtype=float)
-    V = gammaln(r + k) - gammaln(r)
-    return GibbsMeasure(
-        1.0 - p, V, kind="negative_binomial", params={"r": r, "p": p},
-        truncation=TailPolicy(bound, tail, max(tail_tol, tail)),
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"negative binomial needs a positive finite r, got {r!r}")
+    _check_p("negative binomial", p)
+    return _truncated(
+        "negative_binomial", 1.0 - p, lambda size: _log_gamma_run(r, size), {"r": r, "p": p},
+        truncation, tail_tol,
     )
 
 
@@ -407,12 +498,14 @@ def hypergeometric(population: int, successes: int, draws: int) -> GibbsMeasure:
             "so that zero successes is attainable"
         )
     top = min(draws, successes)
-    k = np.arange(top + 1, dtype=float)
-    log_w = (
-        gammaln(successes + 1) - gammaln(k + 1) - gammaln(successes - k + 1)
-        + gammaln(population - successes + 1)
-        - gammaln(draws - k + 1)
-        - gammaln(population - successes - draws + k + 1)
+    # -log(k! (successes - k)! (draws - k)! (population - successes - draws + k)!),
+    # each factorial a run over k = 0..top less its constant log Gamma(start)
+    count = top + 1
+    log_w = -(
+        _log_gamma_run(1.0, count)
+        + _log_gamma_run(successes - top + 1.0, count)[::-1]
+        + _log_gamma_run(draws - top + 1.0, count)[::-1]
+        + _log_gamma_run(population - successes - draws + 1.0, count)
     )
     weights = np.exp(log_w - log_w.max())
     return from_pmf(
@@ -433,19 +526,22 @@ class Family:
     """One law's facts: its name, constructor, descriptor order and closed-form Stein factors.
 
     `args` lists the `params` keys, which are `build`'s keywords, in descriptor
-    order with their types; `truncated` laws' constructors also take
-    `truncation` and `tail_tol`.  The rest take the params as keywords and
-    return plain numbers: `rates` the birth-rate infimum and supremum over the
-    untruncated family, `increment` a uniform and `increment_at(j, ...)` a
-    per-j increment bound, `norm` a solution-norm bound (None where no closed
-    form is known); `notes` go with the per-j certificate.
+    order with their types.  The rest take the params as keywords and return
+    plain numbers: `rates` the birth-rate infimum and supremum over the
+    untruncated family, `tail_ratio(n, ...)` a bound on pmf(k+1)/pmf(k) for
+    all k > n on laws with infinite support, which are truncated and whose
+    constructors also take `truncation` and `tail_tol`, `increment` a
+    uniform and `increment_at(j, ...)` a per-j increment bound, `norm` a
+    solution-norm bound (None where no closed form is known); `notes` go
+    with the per-j certificate.  Since pmf(k+1)/pmf(k) = b_k/(k+1), a rate
+    supremum b gives the tail ratio b/(n+2).
     """
 
     kind: str
     build: Callable[..., GibbsMeasure] | None
     args: tuple[tuple[str, type], ...]
     rates: Callable[..., tuple[float, float]] | None
-    truncated: bool = False
+    tail_ratio: Callable[..., float] | None = None
     increment: Callable[..., float] | None = None
     increment_at: Callable[..., float] | None = None
     norm: Callable[..., float] | None = None
@@ -473,7 +569,8 @@ def _binomial_increment_at(j: int, n: int, p: float) -> float:
 
 FAMILIES = {family.kind: family for family in (
     Family(
-        "poisson", poisson, (("lam", float),), lambda lam: (lam, lam), truncated=True,
+        "poisson", poisson, (("lam", float),), lambda lam: (lam, lam),
+        tail_ratio=lambda n, lam: lam / (n + 2),
         increment=_poisson_increment,
         increment_at=lambda j, lam: min(1.0 / j, _poisson_increment(lam)),
     ),
@@ -485,7 +582,8 @@ FAMILIES = {family.kind: family for family in (
     ),
     # b_k = (1-p)(k+1) grows without bound
     Family(
-        "geometric", geometric, (("p", float),), lambda p: (1.0 - p, math.inf), truncated=True,
+        "geometric", geometric, (("p", float),), lambda p: (1.0 - p, math.inf),
+        tail_ratio=lambda n, p: 1.0 - p,
         increment=lambda p: min(1.0, 1.0 + p),
         increment_at=lambda j, p: min(1.0 / j, (1.0 + p) / (j + 1)),
         norm=lambda p: 1.0 / p,
@@ -493,7 +591,9 @@ FAMILIES = {family.kind: family for family in (
     # b_k = (1-p)(k+r)
     Family(
         "negative_binomial", negative_binomial, (("r", float), ("p", float)),
-        lambda r, p: ((1.0 - p) * r, math.inf), truncated=True,
+        lambda r, p: ((1.0 - p) * r, math.inf),
+        # pmf(k+1)/pmf(k) = (1-p)(r+k)/(k+1) moves monotonically toward 1 - p
+        tail_ratio=lambda n, r, p: (1.0 - p) * max(1.0, (r + n + 1) / (n + 2)),
     ),
     Family(
         "hypergeometric", hypergeometric,
@@ -506,9 +606,15 @@ FAMILIES = {family.kind: family for family in (
     ),
     # the continuum limits of the lattice models (lattice.limit_measure builds them)
     # rates lam, lam/3, 3lam, 2lam, (k+1)lam/(k-1) -> lam
-    Family("repelling_limit", None, (("lam", float),), lambda lam: (lam / 3.0, 3.0 * lam)),
+    Family(
+        "repelling_limit", None, (("lam", float),), lambda lam: (lam / 3.0, 3.0 * lam),
+        tail_ratio=lambda n, lam: 3.0 * lam / (n + 2),
+    ),
     # b_k = z k^k/(k+1)^(k+1) decreases to 0; the supremum is b_0 = z
-    Family("product_limit", None, (("z", float),), lambda z: (0.0, z)),
+    Family(
+        "product_limit", None, (("z", float),), lambda z: (0.0, z),
+        tail_ratio=lambda n, z: z / (n + 2),
+    ),
 )}
 
 BUILTIN_KINDS = tuple(kind for kind, family in FAMILIES.items() if family.build is not None)
@@ -524,5 +630,5 @@ def builtin(kind: str, *args, truncation: int | None = None, tail_tol: float = D
     ):
         raise ValueError(f"{kind} takes {','.join(name for name, _ in family.args)}")
     params = {name: int(v) if typ is int else v for (name, typ), v in zip(family.args, args)}
-    window = {"truncation": truncation, "tail_tol": tail_tol} if family.truncated else {}
+    window = {"truncation": truncation, "tail_tol": tail_tol} if family.tail_ratio else {}
     return family.build(**params, **window)

@@ -230,7 +230,7 @@ class CouplingSpec:
         p = np.asarray(p, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("p must be a non-empty vector of Bernoulli means")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN means fail here too
             raise ValueError("Bernoulli means must lie in [0, 1]")
         if not math.fsum(p.tolist()) > 0.0:
             raise ValueError("at least one Bernoulli mean must be positive")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GibbsMeasure
+from .measures import GibbsMeasure, _compensated_cumsum
 
 __all__ = [
     "TestFunction",
@@ -136,20 +136,6 @@ def _as_values(f, size: int) -> np.ndarray:
     if values.size != size:
         raise ValueError(f"test function must have length {size}, got {values.size}")
     return values
-
-
-def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
-    """Running sums of x with Neumaier's compensation.
-
-    Each step's rounding error is recovered exactly (TwoSum) from the plain
-    running sum and accumulated alongside it, as Neumaier's loop does, so
-    entry k equals that loop's compensated sum of x[0..k].
-    """
-    s = np.cumsum(x)
-    prev = np.concatenate(([0.0], s[:-1]))
-    added = s - prev
-    errors = (prev - (s - added)) + (x - added)
-    return s + np.cumsum(errors)
 
 
 def solve(m: GibbsMeasure, f, method: str = "auto") -> SteinSolution:

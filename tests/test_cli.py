@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gibbs_stein
@@ -215,15 +216,17 @@ def test_console_entry_point():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # quad is imported only where a custom model integrates its continuum weights
+    # no scipy module at all: the measures' log-space numerics are numpy, and quad is
+    # imported only where a custom model integrates its continuum weights
     src = os.path.dirname(os.path.dirname(gibbs_stein.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, gibbs_stein; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, gibbs_stein; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_package_runs_as_module():
@@ -446,9 +449,19 @@ def test_bounds_json_rows_share_one_schema(capsys):
          "argument --lambda: activity must be positive and finite, got '-1'"),
         (["solve", "--measure", "poisson:1", "--f", "constant:1", "--truncation", "-3"], None,
          "argument --truncation: truncation bound must be nonnegative, got '-3'"),
+        (["bounds", "--measure", "poisson:1", "--tail-tol", "-1"], None,
+         "argument --tail-tol: tail tolerance must lie strictly between 0 and 1, got '-1'"),
+        (["bounds", "--measure", "poisson:3", "--tail-tol", "nan"], None,
+         "argument --tail-tol: tail tolerance must lie strictly between 0 and 1, got 'nan'"),
+        (["bounds", "--measure", "poisson:3"], {"truncation_tolerance": 0},
+         "argument --tail-tol: tail tolerance must lie strictly between 0 and 1, got '0'"),
+        (["bounds", "--measure", "poisson:3", "--j", "5..2"], None, "argument --j: empty range '5..2'"),
+        (["lattice", "--model", "product", "--n", "9..4"], None, "argument --n: empty range '9..4'"),
     ],
     ids=["bounds_j_not_integer", "lattice_n_not_integer", "lattice_n_json_list_in_config",
-         "lattice_n_zero", "lattice_lambda_negative", "solve_truncation_negative"],
+         "lattice_n_zero", "lattice_lambda_negative", "solve_truncation_negative",
+         "tail_tol_negative", "tail_tol_nan", "tail_tol_zero_in_config", "bounds_j_empty",
+         "lattice_n_empty"],
 )
 def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_path, capsys):
     if config is not None:
@@ -460,3 +473,57 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--measure", "poisson:inf"],
+         "argument --measure: measure descriptor 'poisson:inf': poisson rate must be positive and finite"),
+        (["bounds", "--measure", "geometric:1e-300"],
+         "argument --measure: measure descriptor 'geometric:1e-300': geometric needs 0 < p < 1 "
+         "with 1 - p < 1"),
+        (["bounds", "--measure", "negative_binomial:2,1e-17"],
+         "argument --measure: measure descriptor 'negative_binomial:2,1e-17': negative binomial needs"),
+        (["compare", "--m1", "poisson:1", "--m2", "poisson:2", "--g-norm", "value:abc,1"],
+         "argument --g-norm: could not convert string to float: 'abc'"),
+        (["compare", "--m1", "poisson:1", "--m2", "poisson:2", "--g-norm", "value:-1,1"],
+         "argument --g-norm: 'value:-1,1': norm bounds must be nonnegative"),
+        (["bounds", "--measure", "pmf:1,2,3,4", "--j", "1..5"],
+         "argument --j: increment bound defined for 1 <= j <= 3, got 4"),
+        (["poisson-sum", "--p", "nan,0.5"], "argument --p: Bernoulli means must lie in [0, 1]"),
+        (["poisson-sum", "--p", "0.05,0.05,0.05", "--truncation", "1"],
+         "argument --truncation: the Bernoulli sum must live inside the target support"),
+        (["lattice", "--model", "product", "--n", "2"],
+         "argument --n: 2 cells: the product model needs n >= 3"),
+        (["lattice", "--model", "ideal_gas", "--n", "3", "--truncation", "2000"],
+         "argument --truncation: support weight underflows double precision: pmf(178)"),
+        (["bounds", "--measure", "poisson:1", "--out", os.path.join(os.sep, "nonexistent-dir", "x.csv")],
+         "argument --out: "),
+    ],
+    ids=["poisson_inf", "geometric_p_vanishing", "negative_binomial_p_vanishing", "g_norm_not_a_float",
+         "g_norm_negative", "j_beyond_support", "poisson_sum_nan_mean", "poisson_sum_truncation_below_n", "lattice_n_below_minimum",
+         "lattice_truncation_underflows", "out_directory_missing"],
+)
+def test_bad_values_met_at_run_time_exit_two_naming_the_flag(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {message}"), err
+
+
+def test_underflowing_poisson_sum_target_names_the_state(capsys):
+    code, out, err = run_cli(["poisson-sum", "--p", ",".join(["0.001"] * 200)], capsys)
+    assert code == 2 and out == ""
+    # lambda = 0.2 truncated at n = 200: the first pmf entry below the double range
+    assert err == "error: argument --p: support weight underflows double precision: pmf(135) = exp(-748.058)\n"
+    assert "narrow the truncation window" not in err
+
+
+def test_coupling_reduction_check_passes_on_every_seed(capsys):
+    from gibbs_stein.verify import check_coupling_bound_poisson
+
+    for seed in range(1, 14):
+        ok, detail = check_coupling_bound_poisson(np.random.default_rng(seed))
+        assert ok and detail.startswith("norm part 0.0e+00"), (seed, detail)
+    code, out, _ = run_cli(["verify", "--seed", "7"], capsys)
+    assert code == 0 and "FAIL coupling_bound_poisson_reduction" not in out

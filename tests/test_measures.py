@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import hypergeom, nbinom
 
 import gibbs_stein as gs
+from gibbs_stein.measures import _log_gamma_run, _logsumexp
 
 
 def test_from_pmf_normalizes_simple_table():
@@ -239,3 +241,127 @@ def test_indicator_rejects_points_outside_the_table():
     for points in ([4], [-1], [0, 9]):
         with pytest.raises(ValueError, match="indicator points must lie in 0..3"):
             gs.TestFunction.indicator(points, 4)
+
+
+def _ulps(value: float, exact) -> float:
+    return float(abs(mpmath.mpf(value) - exact) / mpmath.mpf(np.spacing(abs(value))))
+
+
+def test_log_factorials_within_one_ulp_of_40_digits():
+    table = _log_gamma_run(1.0, 20_001)
+    assert table[0] == table[1] == 0.0
+    with mpmath.workdps(40):
+        for k in [*range(2, 2_001), *range(2_001, 20_001, 37), 20_000]:
+            assert _ulps(table[k], mpmath.loggamma(k + 1)) <= 1.0, k
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.1, 0.5, 2.5, 7.3, 33.3, 480.82818734978434])
+def test_log_gamma_runs_at_non_integer_starts_within_a_few_ulps(r):
+    # log Gamma(r + k) - log Gamma(r): within one ulp of the summed |log(r + i)|, and
+    # within two of the value itself unless the running sum crosses zero (r < 1/2)
+    table = _log_gamma_run(r, 1_001)
+    magnitude = np.cumsum(np.abs(np.log(r + np.arange(1_000.0))))
+    with mpmath.workdps(40):
+        base = mpmath.loggamma(mpmath.mpf(r))
+        for k in range(1, 1_001):
+            exact = mpmath.loggamma(mpmath.mpf(r) + k) - base
+            error = abs(mpmath.mpf(table[k]) - exact)
+            assert error <= np.spacing(magnitude[k - 1]), (r, k)
+            if r >= 0.5:
+                assert _ulps(table[k], exact) <= 2.0, (r, k)
+
+
+def test_logsumexp_matches_40_digits_and_keeps_infinities():
+    rng = np.random.default_rng(12)
+    with mpmath.workdps(40):
+        for size in (1, 2, 7, 300):
+            x = rng.uniform(-800.0, 50.0, size)
+            exact = mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(v)) for v in x))
+            assert _ulps(_logsumexp(x), exact) <= 2.0
+    assert _logsumexp(np.array([-math.inf, 0.0, -math.inf])) == 0.0
+    assert _logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+
+
+def _exact_tail(first_term, ratio, n):
+    """Share beyond n of a law with term(0) = first_term and term(k+1) = term(k) ratio(k), to 50 digits."""
+    head = tail = mpmath.mpf(0)
+    term, k = mpmath.mpf(first_term), 0
+    while k <= n or term > tail * mpmath.mpf(10) ** -45 or k < 2 * n + 10:
+        if k <= n:
+            head += term
+        else:
+            tail += term
+        term *= ratio(k)
+        k += 1
+    return tail / (head + tail)
+
+
+def _tail_cases():
+    mp = mpmath.mpf
+    for lam in np.geomspace(1e-3, 740.0, 19):
+        lam = float(lam)
+        for tol in (1e-14, 1e-6):
+            yield gs.poisson(lam, tail_tol=tol), tol, lambda k, lam=lam: mp(lam) / (k + 1)
+    for p in (0.01, 0.1, 0.37, 0.5, 0.9, 0.99):
+        yield gs.geometric(p), 1e-14, lambda k, p=p: 1 - mp(p)
+    # at r = 480.8 and p = 0.1 the weight p^r of 0 underflows
+    for r, p in [*((r, p) for r in (0.3, 1.0, 2.5, 40.0) for p in (0.1, 0.45, 0.9)),
+                 (480.82818734978434, 0.45), (480.82818734978434, 0.9)]:
+        yield (gs.negative_binomial(r, p), 1e-14,
+               lambda k, r=r, p=p: (1 - mp(p)) * (mp(r) + k) / (k + 1))
+    for lam in (0.1, 1.0, 5.0, 30.0):
+        weight = lambda k: mp(1) if k < 2 else mp(k) * (k - 1) / 6
+        yield (gs.limit_measure(gs.repelling_model(lam)), 1e-14,
+               lambda k, lam=lam, weight=weight: mp(lam) * weight(k + 1) / (weight(k) * (k + 1)))
+    for z in (0.5, 1.0, 2.0, 5.0):
+        weight = lambda k: mp(1) if k == 0 else mp(k) ** -k
+        yield (gs.limit_measure(gs.product_model(z)), 1e-14,
+               lambda k, z=z, weight=weight: mp(z) * weight(k + 1) / (weight(k) * (k + 1)))
+
+
+def test_declared_tails_bound_the_exact_tail_with_zero_slack():
+    with mpmath.workdps(50):
+        for m, tol, ratio in _tail_cases():
+            exact = _exact_tail(1, ratio, m.support_max)
+            declared = m.truncation.tail_mass
+            assert mpmath.mpf(declared) >= exact, (m.label(), declared, exact)
+            assert declared <= tol, m.label()
+
+
+def test_family_parameters_must_be_finite_and_proper():
+    for make, message in (
+        (lambda: gs.poisson(math.inf), "finite"),
+        (lambda: gs.poisson(math.nan), "positive"),
+        (lambda: gs.negative_binomial(math.inf, 0.5), "positive finite r"),
+        (lambda: gs.geometric(1e-300), "1 - p < 1"),
+        (lambda: gs.negative_binomial(2.0, 1e-17), "1 - p < 1"),
+        (lambda: gs.geometric(math.nan), "0 < p < 1"),
+        (lambda: gs.poisson(1.0, tail_tol=0.0), "tail tolerance"),
+        (lambda: gs.poisson(1.0, tail_tol=math.nan), "tail tolerance"),
+        (lambda: gs.geometric(0.5, tail_tol=1.0), "tail tolerance"),
+        (lambda: gs.poisson(1.0, truncation=-1), "truncation bound"),
+        (lambda: gs.poisson(1e300), "no truncation"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+def test_underflow_error_names_the_state_and_its_log_weight():
+    with pytest.raises(ValueError) as info:
+        gs.poisson(0.5, truncation=400)
+    message = str(info.value)
+    assert message.startswith("support weight underflows double precision: pmf(")
+    k = int(message.split("pmf(")[1].split(")")[0])
+    log_pmf = k * math.log(0.5) - math.lgamma(k + 1) - 0.5
+    assert log_pmf < -745.0 < (k - 1) * math.log(0.5) - math.lgamma(k) - 0.5
+    assert f"exp({log_pmf:.6g})" in message
+
+
+def test_measure_file_whose_potential_moved_a_few_ulps_loads():
+    # another log-Gamma may round V differently; rates of a table whose |V| reaches
+    # 4551 agree to 2 ulps of 4551 (1.8e-12 relative) only
+    payload = gs.binomial(800, 0.5).to_dict()
+    V = np.array(payload["V"])
+    payload["V"] = np.where(np.arange(V.size) % 2 == 0, np.nextafter(V, np.inf), np.nextafter(V, -np.inf)).tolist()
+    m = gs.GibbsMeasure.from_dict(payload)
+    assert m.kind == "binomial" and m.support_max == 800
