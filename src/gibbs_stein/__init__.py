@@ -33,8 +33,10 @@ from .stein import (
     solve_extended,
     stationarity_defect,
     sup_increment_exact,
+    sup_increment_table,
     sup_solution_exact,
     sup_solution_norm,
+    sup_solution_table,
 )
 from .factors import (
     BoundCertificate,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factors import supnorm_bound
-from .measures import GibbsMeasure
+from .measures import GibbsMeasure, _fsum
 from .stein import sup_solution_norm
 
 __all__ = [
@@ -70,9 +70,9 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     p = np.pad(p, (0, size - p.size))
     q = np.pad(q, (0, size - q.size))
     for name, arr in (("first", p), ("second", q)):
-        if abs(math.fsum(arr.tolist()) - 1.0) > 1e-12 or np.any(arr < -1e-15):
+        if abs(_fsum(arr) - 1.0) > 1e-12 or np.any(arr < -1e-15):
             raise ValueError(f"{name} argument is not a normalized pmf")
-    return 0.5 * math.fsum(np.abs(p - q).tolist())
+    return 0.5 * _fsum(np.abs(p - q))
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,19 @@ def mismatch_terms(solver: GibbsMeasure, averaged: GibbsMeasure) -> tuple[float,
     ratio term     (w_s/w_a) sum_{x=1}^{N_a} x pmf_a(x) |e^{(dV_s - dV_a)(x)} - 1|
 
     The gap |e^d - 1| is 1 above the solver's support, where its pure-death
-    extension has no births, and +inf once d >= 700.  math.expm1 is applied
-    per element: numpy's vectorized expm1 may differ from it by an ulp.
+    extension has no births, and +inf once d >= 700.  math.expm1 is mapped
+    over the entries: numpy's vectorized expm1 may differ from it by an ulp.
     """
     w_s, w_a = solver.omega, averaged.omega
     n_a = averaged.support_max
     shared = min(solver.support_max, n_a)
     d = np.diff(solver.V)[:shared] - np.diff(averaged.V)[:shared]
     gaps = np.ones(n_a)
-    gaps[:shared] = [abs(math.expm1(v)) if v < 700.0 else math.inf for v in d.tolist()]
+    gaps[:shared] = np.abs(np.fromiter(map(math.expm1, np.minimum(d, 700.0).tolist()), float, shared))
+    gaps[:shared][~(d < 700.0)] = math.inf
     terms = np.arange(1, n_a + 1) * averaged.pmf[1:] * gaps
     activity_term = averaged.mean() * abs(w_s - w_a) / w_a
-    return activity_term, (w_s / w_a) * math.fsum(terms.tolist())
+    return activity_term, (w_s / w_a) * _fsum(terms)
 
 
 def solution_norm(
@@ -189,7 +190,7 @@ def _comparison(
         exact_tv=tv_distance(m1.pmf, m2.pmf),
         bound_value=min(v1, v2),
         branch_used="direction_1_to_2" if v1 <= v2 else "direction_2_to_1",
-        tail_term=math.fsum(m2.pmf[n + 1 :].tolist()),
+        tail_term=_fsum(m2.pmf[n + 1 :]),
         g_norm_source=source,
         g_norms=(norm1, norm2),
         terms=terms1 if v1 <= v2 else terms2,

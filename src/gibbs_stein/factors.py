@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import FAMILIES, GibbsMeasure
-from .stein import sup_increment_exact, sup_solution_norm
+from .stein import sup_increment_table, sup_solution_norm
 
 __all__ = [
     "ConditionCheck",
@@ -303,8 +303,9 @@ def bound_certificates(m: GibbsMeasure, js: list[int]) -> list[BoundCertificate]
         certs.append(_solution_certificate(m, j, tail, mean))
         certs.extend(closed_form_bounds(m, j))
     certs.append(BoundCertificate("solution_norm", norm, "exact_supremum", exactness="exact_equality"))
+    increments = sup_increment_table(m) if js else None
     certs.extend(
-        BoundCertificate("increment_at_j", sup_increment_exact(m, j), "exact_supremum", j=j,
+        BoundCertificate("increment_at_j", float(increments[j - 1]), "exact_supremum", j=j,
                          exactness="exact_equality")
         for j in js
     )

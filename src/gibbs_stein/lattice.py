@@ -55,8 +55,8 @@ import numpy as np
 
 from .compare import generator_comparison, tv_distance
 from .factors import condition, uniform_increment
-from .measures import FAMILIES, GibbsMeasure, _log_weights, _logsumexp, _truncated, poisson
-from .size_bias import CouplingSpec, _fsum_arrays
+from .measures import FAMILIES, GibbsMeasure, _fsum_arrays, _log_weights, _logsumexp, _truncated, poisson
+from .size_bias import CouplingSpec
 from .stein import sup_solution_norm
 
 __all__ = [
@@ -506,7 +506,7 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     for dependent specs with p_i < 1, the (n+1) x n array of its X_i = 0
     pairs (CouplingSpec.coupling_slabs).  Every piece is the product
     ((p_i/lam) * pr) * rate weight * charge of the pair-by-pair form, and
-    one exact sum in whole-array passes (size_bias._fsum_arrays, the same
+    one exact sum in whole-array passes (measures._fsum_arrays, the same
     float math.fsum returns) adds them all, so the value matches that form
     bit for bit in O(n^2) memory.
     """

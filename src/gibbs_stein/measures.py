@@ -14,7 +14,9 @@ underflow quickly.  Three numpy helpers carry it: `_log_gamma_run` gives
 log Gamma(s + k) - log Gamma(s) over a run k = 0, 1, ... as a compensated
 running sum of log(s + i) (so log k! is the run from s = 1), `_logsumexp` is
 the max-shifted log-sum-exp behind every normalisation, and `_truncated`
-picks truncation points.
+picks truncation points.  The library's correctly rounded sums of long
+tables share one exact kernel kept here, `_fsum_arrays` (`_fsum` for one
+array), which returns the float math.fsum returns.
 
 The distinguished birth-death dynamics attached to a measure uses unit per
 capita death rates d_k = k and birth rates
@@ -35,6 +37,7 @@ certificates can surface it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -109,6 +112,150 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     added = s - prev
     errors = (prev - (s - added)) + (x - added)
     return s + np.cumsum(errors)
+
+
+# ---------------------------------------------------------------------------
+# Exact sums
+# ---------------------------------------------------------------------------
+
+# _fsum_arrays: pieces per whole-array pass (bounds its temporaries), pieces
+# per run of float sums that stay exact, and the weights of its shortcut: on
+# a table whose entries rise `span` binades from its first nonzero one to its
+# largest, math.fsum costs about (_FSUM_SPAN + span) units per entry, the
+# exact pass about _FIXED_COST units per call, so a single input priced under
+# that cost goes to math.fsum itself
+_CHUNK = 1 << 15
+_EXACT_RUN = 1 << 26
+_FSUM_SPAN = 48
+_FIXED_COST = 1 << 16
+_LOW_MANTISSA = (1 << 26) - 1
+# 2^(1075 - E) for biased exponents E = 1 .. 2047 as two factors, each a
+# double: it turns a float sum of low parts at E into an integer count of
+# that bin's unit 2^(E - 1075); high parts count in units 2^26 times larger
+_SHIFT = 1075 - np.arange(1, 2048)
+_TO_UNITS = (np.ldexp(1.0, _SHIFT // 2), np.ldexp(1.0, _SHIFT - _SHIFT // 2))
+_TO_HIGH_UNITS = _TO_UNITS[1] * 2.0**-26
+_WORD = np.int64(1) << np.arange(8, dtype=np.int64)
+
+
+def _fsum_arrays(pieces) -> float:
+    """math.fsum over every entry of the float64 arrays that pieces() yields.
+
+    Returns the same float as math.fsum, the correctly rounded exact sum,
+    in whole-array passes over chunks of _CHUNK pieces.  Each piece is cut
+    at bit 26 of its 53-bit significand into a high and a low part, and
+    np.bincount adds each part per biased exponent E.  Within one exponent
+    the parts are integers below 2^27 and 2^26 of one unit, so these float
+    sums are exact over runs of fewer than 2^26 pieces.  Each run's sums,
+    over the exponents it holds, join as one Python int of units 2^-1074,
+    and a single int division rounds the total correctly.  A non-finite
+    piece, or pieces so large that math.fsum could overflow midway, send
+    the whole sum to math.fsum itself, which is why pieces is a function: it
+    is called again.  An input of one chunk that the shortcut weights above
+    price below the exact pass goes to math.fsum too.
+    """
+    hi, lo = np.zeros(2048), np.zeros(2048)
+    units = count = run = top = 0
+    for block in _blocks(pieces()):
+        for start in range(0, block.size, _CHUNK):
+            chunk = block[start : start + _CHUNK]
+            count += chunk.size
+            # a short first chunk is the whole input, since only the last block is short
+            if count < _CHUNK and _prefers_fsum(chunk):
+                return math.fsum(chunk.tolist())
+            bits = chunk.view(np.int64)
+            exponent = (bits >> 52) & 0x7FF
+            high = int(exponent.max())
+            top = max(top, high)
+            # inf or nan (exponent 0x7FF), or a sum of |piece| < count 2^(top - 1022)
+            # above 2^1020, which no longer keeps every partial sum finite
+            if top == 0x7FF or top - 1022 + count.bit_length() > 1020:
+                return _fsum_fallback(pieces)
+            high_part = (bits & ~_LOW_MANTISSA).view(np.float64)
+            hi[: high + 1] += np.bincount(exponent, high_part, high + 1)
+            lo[: high + 1] += np.bincount(exponent, chunk - high_part, high + 1)
+            run += chunk.size
+            if run > _EXACT_RUN - _CHUNK:
+                units += _units(hi, lo)
+                hi, lo = np.zeros(2048), np.zeros(2048)
+                run = 0
+    return (units + _units(hi, lo)) / (1 << 1074)
+
+
+def _head_span(chunk: np.ndarray) -> int:
+    """Biased exponent of chunk's largest entry minus that of its first nonzero one.
+
+    math.fsum keeps about one partial per 53 binades between the entries it
+    has added and its running sum, so a table that rises from a tiny head,
+    as a Poisson pmf does, makes every later entry pay for that span, and
+    one that falls from its head does not.  Mixed signs take the full span
+    of 2046 binades.  Without a sign bit the bits order as the values do.
+    """
+    bits = chunk.view(np.uint64)
+    greatest = int(bits.max())
+    if greatest >> 63:
+        return 2046
+    head = int(bits[0]) or int(bits[int(np.argmax(bits != 0))])
+    return (greatest >> 52) - (head >> 52)
+
+
+def _prefers_fsum(x: np.ndarray) -> bool:
+    """Whether math.fsum over the single array x is cheaper than the exact pass."""
+    # below 32 entries the price stays under _FIXED_COST at any span
+    return x.size * (_FSUM_SPAN + 2046) < _FIXED_COST or (
+        x.size < _CHUNK and x.size * (_FSUM_SPAN + _head_span(x)) < _FIXED_COST
+    )
+
+
+def _units(hi: np.ndarray, lo: np.ndarray) -> int:
+    """Exact sum, in units 2^-1074, of per-exponent sums of high and low parts.
+
+    Bins 0 (subnormal) and 1 share the unit 2^-1074.  Bin E >= 1 counts
+    low parts in units 2^(E - 1) and high parts in units 2^(E + 25), which
+    is bin E + 26's low unit; the counts stay below 2^54.  Only the bins
+    from the least to the greatest used one are converted, and eight of them
+    at a time join into one int64 below 2^62 before the Python ints take over.
+    """
+    hi[1] += hi[0]
+    lo[1] += lo[0]
+    used = np.flatnonzero((hi[1:] != 0.0) | (lo[1:] != 0.0))
+    if used.size == 0:
+        return 0
+    low, high = int(used[0]) + 1, int(used[-1]) + 1
+    span = high - low + 1
+    counts = np.zeros(-(-(span + 26) // 8) * 8, dtype=np.int64)
+    first = _TO_UNITS[0][low - 1 : high]
+    counts[:span] += ((lo[low : high + 1] * first) * _TO_UNITS[1][low - 1 : high]).astype(np.int64)
+    counts[26 : span + 26] += ((hi[low : high + 1] * first) * _TO_HIGH_UNITS[low - 1 : high]).astype(np.int64)
+    words = counts.reshape(-1, 8) @ _WORD
+    nonzero = np.flatnonzero(words)
+    total = sum(w << (8 * g) for w, g in zip(words[nonzero].tolist(), nonzero.tolist()))
+    return total << (low - 1)
+
+
+def _blocks(arrays):
+    """The arrays' entries, flattened, in runs of at least _CHUNK (the last may be shorter)."""
+    buffer: list[np.ndarray] = []
+    buffered = 0
+    for arr in arrays:
+        buffer.append(np.ravel(np.asarray(arr, dtype=np.float64)))
+        buffered += buffer[-1].size
+        if buffered >= _CHUNK:
+            yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
+            buffer, buffered = [], 0
+    if buffer:
+        yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
+
+
+def _fsum_fallback(pieces) -> float:
+    return math.fsum(itertools.chain.from_iterable(np.ravel(a).tolist() for a in pieces()))
+
+
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum over one float64 array, by the cheaper of the two ways."""
+    if _prefers_fsum(x):
+        return math.fsum(x.tolist())
+    return _fsum_arrays(lambda: (x,))
 
 
 def _log_gamma_run(start: float, count: int) -> np.ndarray:
@@ -192,11 +339,15 @@ class GibbsMeasure:
 
         # b_k = omega * exp(V(k+1) - V(k)) for k < N; the support boundary
         # forces b_N = 0 (V(N+1) = -inf).
-        if V.size > 1:
-            birth = np.exp(math.log(omega) + np.diff(V))
-        else:
-            birth = np.zeros(0)
-        birth = np.append(birth, 0.0)
+        log_birth = math.log(omega) + np.diff(V)
+        with np.errstate(over="ignore"):
+            birth = np.append(np.exp(log_birth), 0.0)
+        overflow = np.isinf(birth)
+        if overflow.any():
+            k = int(np.argmax(overflow))
+            raise ValueError(
+                f"birth rate b_{k} = exp({log_birth[k]:.6g}) overflows double precision"
+            )
 
         tables = CumulativeTables(
             F=_readonly(np.cumsum(pmf)), Fbar=_readonly(np.cumsum(pmf[::-1])[::-1].copy())
@@ -241,8 +392,7 @@ class GibbsMeasure:
         return float(k)
 
     def mean(self) -> float:
-        k = np.arange(self.V.size, dtype=float)
-        return math.fsum((k * self._pmf).tolist())
+        return _fsum(np.arange(self.V.size, dtype=float) * self._pmf)
 
     def mean_via_rates(self) -> float:
         """E X = omega * E exp(V(X+1) - V(X)), i.e. the pmf-weighted birth rate."""
@@ -317,8 +467,15 @@ class GibbsMeasure:
         # compare birth rates, which unlike V survive reparametrization
         if family.build is None:
             raise ValueError(f"{m.kind} measures cannot be rebuilt from their params")
+        values = family.values(m.params)
+        # a finite family's params fix its support, which is checked before anything is built
+        if family.support_max is not None and family.support_max(**values) != m.support_max:
+            raise ValueError(
+                f"{m.kind} params {m.params} do not match the measure's tables: they give "
+                f"the support 0..{family.support_max(**values)}, the tables 0..{m.support_max}"
+            )
         window = {"truncation": m.support_max} if family.tail_ratio else {}
-        rebuilt = family.build(**family.values(m.params), **window)
+        rebuilt = family.build(**values, **window)
         # each table's V is within 4 ulps of its exact values and a log rate is a
         # difference of two entries, so the two tables' log rates may differ by
         # 16 ulps of the largest |V|, which 32u (1 + max |V|) covers
@@ -530,7 +687,8 @@ class Family:
     plain numbers: `rates` the birth-rate infimum and supremum over the
     untruncated family, `tail_ratio(n, ...)` a bound on pmf(k+1)/pmf(k) for
     all k > n on laws with infinite support, which are truncated and whose
-    constructors also take `truncation` and `tail_tol`, `increment` a
+    constructors also take `truncation` and `tail_tol`, `support_max` the
+    largest state of a finite family's support, `increment` a
     uniform and `increment_at(j, ...)` a per-j increment bound, `norm` a
     solution-norm bound (None where no closed form is known); `notes` go
     with the per-j certificate.  Since pmf(k+1)/pmf(k) = b_k/(k+1), a rate
@@ -542,6 +700,7 @@ class Family:
     args: tuple[tuple[str, type], ...]
     rates: Callable[..., tuple[float, float]] | None
     tail_ratio: Callable[..., float] | None = None
+    support_max: Callable[..., int] | None = None
     increment: Callable[..., float] | None = None
     increment_at: Callable[..., float] | None = None
     norm: Callable[..., float] | None = None
@@ -578,6 +737,7 @@ FAMILIES = {family.kind: family for family in (
     Family(
         "binomial", binomial, (("n", int), ("p", float)),
         lambda n, p: (p / (1.0 - p), n * p / (1.0 - p)),
+        support_max=lambda n, p: n,
         increment_at=_binomial_increment_at, notes="rate-normalized variant",
     ),
     # b_k = (1-p)(k+1) grows without bound
@@ -598,11 +758,13 @@ FAMILIES = {family.kind: family for family in (
     Family(
         "hypergeometric", hypergeometric,
         (("population", int), ("successes", int), ("draws", int)), None,
+        support_max=lambda population, successes, draws: min(successes, draws),
     ),
     # b_k = k+1
     Family(
         "discrete_uniform", discrete_uniform, (("n", int),),
         lambda n: (1.0, float(n)) if n >= 1 else (0.0, 0.0),
+        support_max=lambda n: n,
     ),
     # the continuum limits of the lattice models (lattice.limit_measure builds them)
     # rates lam, lam/3, 3lam, 2lam, (k+1)lam/(k-1) -> lam

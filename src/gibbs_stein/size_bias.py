@@ -26,19 +26,18 @@ The layer works in whole-array passes with the bits of the per-element
 forms it replaced: independent specs build all n leave-one-out laws, and
 the law of S, in one lockstep pass over the coordinates; a dependent spec
 forms each index's law given X_i = 0 once; and the long correctly rounded
-sums behind the coupling bounds go through _fsum_arrays, an exact sum over
-arrays that returns what math.fsum returns over the same pieces.
+sums behind the coupling bounds go through measures._fsum_arrays, an exact
+sum over arrays that returns what math.fsum returns over the same pieces.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GibbsMeasure
+from .measures import GibbsMeasure, _fsum_arrays
 from .stein import solve
 
 __all__ = [
@@ -50,95 +49,6 @@ __all__ = [
 ]
 
 _PMF_TOL = 1e-12
-
-# _fsum_arrays: pieces per whole-array pass (bounds its temporaries), pieces
-# per run of float sums that stay exact, and the input size below which
-# math.fsum itself is the faster way to the same float
-_CHUNK = 1 << 15
-_EXACT_RUN = 1 << 26
-_SMALL = 2048
-_LOW_MANTISSA = (1 << 26) - 1
-# 2^(1075 - E) for biased exponents E = 1 .. 2047 as two factors, each a
-# double: it turns a float sum of low parts at E into an integer count of
-# that bin's unit 2^(E - 1075)
-_SHIFT = 1075 - np.arange(1, 2048)
-_TO_UNITS = (np.ldexp(1.0, _SHIFT // 2), np.ldexp(1.0, _SHIFT - _SHIFT // 2))
-
-
-def _fsum_arrays(pieces) -> float:
-    """math.fsum over every entry of the float64 arrays that pieces() yields.
-
-    Returns the same float as math.fsum, the correctly rounded exact sum,
-    in whole-array passes over chunks of _CHUNK pieces.  Each piece is cut
-    at bit 26 of its 53-bit significand into a high and a low part, and
-    np.bincount adds each part per biased exponent E.  Within one exponent
-    the parts are integers below 2^27 and 2^26 of one unit, so these float
-    sums are exact over runs of fewer than 2^26 pieces.  Each run's sums
-    join as one Python int of units 2^-1074, and a single int division
-    rounds the total correctly.  A non-finite piece, or pieces so large that
-    math.fsum could overflow midway, send the whole sum to math.fsum itself,
-    which is why pieces is a function: it is called again.
-    """
-    hi, lo = np.zeros(2048), np.zeros(2048)
-    units = count = run = top = 0
-    for block in _blocks(pieces()):
-        if count == 0 and block.size < _SMALL:  # the whole input, since only the last block is short
-            return math.fsum(block.tolist())
-        for start in range(0, block.size, _CHUNK):
-            chunk = block[start : start + _CHUNK]
-            bits = chunk.view(np.int64)
-            exponent = (bits >> 52) & 0x7FF
-            top = max(top, int(exponent.max()))
-            count += chunk.size
-            # inf or nan (exponent 0x7FF), or a sum of |piece| < count 2^(top - 1022)
-            # above 2^1020, which no longer keeps every partial sum finite
-            if top == 0x7FF or top - 1022 + count.bit_length() > 1020:
-                return _fsum_fallback(pieces)
-            high = (bits & ~_LOW_MANTISSA).view(np.float64)
-            hi += np.bincount(exponent, high, 2048)
-            lo += np.bincount(exponent, chunk - high, 2048)
-            run += chunk.size
-            if run > _EXACT_RUN - _CHUNK:
-                units += _units(hi, lo)
-                hi, lo = np.zeros(2048), np.zeros(2048)
-                run = 0
-    return (units + _units(hi, lo)) / (1 << 1074)
-
-
-def _units(hi: np.ndarray, lo: np.ndarray) -> int:
-    """Exact sum, in units 2^-1074, of per-exponent sums of high and low parts.
-
-    Bins 0 (subnormal) and 1 share the unit 2^-1074.  Bin E >= 1 counts
-    low parts in units 2^(E - 1) and high parts in units 2^(E + 25), which
-    is bin E + 26's low unit; the counts stay below 2^54.  Eight bins at a
-    time join into one int64 below 2^62 before the Python ints take over.
-    """
-    hi[1] += hi[0]
-    lo[1] += lo[0]
-    counts = np.zeros(2080, dtype=np.int64)  # bins 1 .. 2073 at 0 .. 2072, padded to 8s
-    counts[:2047] += ((lo[1:] * _TO_UNITS[0]) * _TO_UNITS[1]).astype(np.int64)
-    counts[26:2073] += ((hi[1:] * _TO_UNITS[0]) * _TO_UNITS[1] * 2.0**-26).astype(np.int64)
-    words = counts.reshape(-1, 8) @ (np.int64(1) << np.arange(8, dtype=np.int64))
-    used = np.flatnonzero(words)
-    return sum(w << (8 * g) for w, g in zip(words[used].tolist(), used.tolist()))
-
-
-def _blocks(arrays):
-    """The arrays' entries, flattened, in runs of at least _CHUNK (the last may be shorter)."""
-    buffer: list[np.ndarray] = []
-    buffered = 0
-    for arr in arrays:
-        buffer.append(np.ravel(np.asarray(arr, dtype=np.float64)))
-        buffered += buffer[-1].size
-        if buffered >= _CHUNK:
-            yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
-            buffer, buffered = [], 0
-    if buffer:
-        yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
-
-
-def _fsum_fallback(pieces) -> float:
-    return math.fsum(itertools.chain.from_iterable(np.ravel(a).tolist() for a in pieces()))
 
 
 def _check_pmf(arr: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:

@@ -24,9 +24,13 @@ per-coordinate coefficients, so the supremum over the box [0, 1]^(N+1) is
 attained at an indicator function read off the coefficient signs.  The
 coefficient masses collapse to cumulative-table expressions (Brown and Xia,
 Ann. Probab. 2001): the supremum of |g_f(j)| is F(j-1) Fbar(j) / (j pmf(j)),
-and that of the increment is a sum of three such masses, so each supremum
-is O(1) and the solution norm O(N).  The coefficient vectors and their box
-supremum are kept as the reference these closed forms are checked against.
+and that of the increment is a sum of three such masses.  Both are
+computed as tables over j = 1..N in a few whole-array passes
+(`sup_solution_table`, `sup_increment_table`), and the solution norm is the
+maximum of the first table, so each costs O(N) numpy work.  The O(1) scalar
+forms at one j, and beneath them the coefficient vectors and their box
+supremum, are kept as the reference the tables are checked against bit for
+bit.
 
 A measure with support {0..n} can also be compared against laws living on
 a larger range: the generator is extended as a pure-death process above n
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GibbsMeasure, _compensated_cumsum
+from .measures import GibbsMeasure, _compensated_cumsum, _fsum
 
 __all__ = [
     "TestFunction",
@@ -54,6 +58,8 @@ __all__ = [
     "increment_coefficients",
     "sup_solution_exact",
     "sup_increment_exact",
+    "sup_solution_table",
+    "sup_increment_table",
     "extremal_indicator",
     "sup_solution_norm",
 ]
@@ -153,7 +159,7 @@ def solve(m: GibbsMeasure, f, method: str = "auto") -> SteinSolution:
     n = m.support_max
     values = _as_values(f, n + 1)
     pmf = m.pmf
-    mu_f = math.fsum((pmf * values).tolist())
+    mu_f = _fsum(pmf * values)
     terms = pmf * (values - mu_f)
     abs_prefix = np.cumsum(np.abs(terms))
     abs_total = abs_prefix[-1]
@@ -339,10 +345,53 @@ def extremal_indicator(m: GibbsMeasure, j: int, quantity: str = "increment") -> 
     return f_star
 
 
-def sup_solution_norm(m: GibbsMeasure, f_support: int | None = None) -> float:
-    """max_j sup_f |g_f(j)|, the exact certified bound on the solution norm."""
+def _products_over(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """_product_over at every entry: x y / w with the smaller factor divided first."""
+    return np.minimum(x, y) / w * np.maximum(x, y)
+
+
+def sup_solution_table(m: GibbsMeasure, f_support: int | None = None) -> np.ndarray:
+    """sup_solution_exact(m, j, f_support) for j = 1..N, bit for bit, as one array."""
+    n = m.support_max
+    tables = m.cumulatives()
+    below = tables.F[:n] if f_support is None else tables.F[np.minimum(np.arange(n), f_support)]
+    return _products_over(below, tables.Fbar[1:], np.arange(1, n + 1) * m.pmf[1:])
+
+
+def sup_increment_table(m: GibbsMeasure, f_support: int | None = None) -> np.ndarray:
+    """sup_increment_exact(m, j, f_support) for j = 1..N, bit for bit, as one array.
+
+    Entry j - 1 evaluates the scalar form's expression at j in the same
+    order; j = N keeps its own F(N-1)/N, and the indices j > f_support
+    their own |A' - A| form.
+    """
     n = m.support_max
     if n == 0:
+        return np.zeros(0)
+    pmf, tables = m.pmf, m.cumulatives()
+    F, Fbar = tables.F, tables.Fbar
+    js = np.arange(1, n + 1)
+    w = js * pmf[1:]  # j pmf(j); w[j] is (j+1) pmf(j+1)
+    below, tail, w_next = F[: n - 1], Fbar[2:], w[1:]
+    out = np.empty(n)
+    out[: n - 1] = (
+        below / js[:-1]
+        + _products_over(pmf[1:n], tail, w_next)
+        + np.maximum(_products_over(below, tail, w_next) - _products_over(below, Fbar[1:n], w[:-1]), 0.0)
+        + np.maximum(_products_over(below, tail, w[:-1]) - _products_over(F[1:n], tail, w_next), 0.0)
+    )
+    out[n - 1] = F[n - 1] / n
+    if f_support is not None and f_support < n:
+        # j = f_support + 1 .. N, where only F(s) |A' - A| remains
+        s = f_support
+        at_next = np.append(_products_over(F[s], Fbar[s + 2 :], w[s + 1 :]), 0.0)
+        out[s:] = np.abs(at_next - _products_over(F[s], Fbar[s + 1 :], w[s:]))
+    return out
+
+
+def sup_solution_norm(m: GibbsMeasure, f_support: int | None = None) -> float:
+    """max_j sup_f |g_f(j)|, the exact certified bound on the solution norm."""
+    if m.support_max == 0:
         return 0.0
-    return max(sup_solution_exact(m, j, f_support) for j in range(1, n + 1))
+    return float(sup_solution_table(m, f_support).max())
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,31 @@ def test_measure_file_missing_a_parameter_names_it(tmp_path, capsys):
     assert out == "" and "binomial measure lacks parameter 'p'" in err
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [("binomial", {"n": 1e13, "p": 0.5}), ("discrete_uniform", {"n": 10**12}),
+     ("hypergeometric", {"population": 4 * 10**12, "successes": 10**12, "draws": 10**12})],
+)
+def test_measure_file_whose_params_name_a_huge_support_exits_two(kind, params, tmp_path, capsys):
+    # the sizes are compared before the family is rebuilt, which would allocate n + 1 entries
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": kind, "params": params, "omega": 1.0, "V": [0.0] * 4}))
+    code, out, err = run_cli(["bounds", "--measure", str(path)], capsys)
+    assert code == 2
+    assert out == "" and f"{kind} params" in err and "do not match the measure's tables" in err
+    assert "the tables 0..3" in err
+
+
+def test_overflowing_birth_rate_exits_two_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        code, out, err = run_cli(["bounds", "--measure", "pmf:1e-320,1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "argument --measure" in err and "birth rate b_0 = exp(736.827) overflows double precision" in err
+    assert "Warning" not in err
+
+
 def test_config_values_go_through_the_flag_types(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lambda": "abc"}))
@@ -353,14 +379,18 @@ PINNED_COMPARE = os.path.join(os.path.dirname(__file__), "data", "compare_output
 
 def test_compare_output_matches_the_pinned_text(capsys):
     # keys are "<pair>|<g-norm>|<format>"; the pairs cover equal supports and both nestings
+    # the large pairs reach the extended branch and the restricted test class at N = 680
+    restricted = json.dumps(parse_measure("poisson:500").restricted(560).to_dict())
     pairs = {
         "equal": ("binomial:10,0.3", "binomial:10,0.32"),
         "m1_inside_m2": ("binomial:8,0.3", "binomial:12,0.2"),
         "m2_inside_m1": ("binomial:12,0.2", "binomial:8,0.3"),
+        "large_equal": ("poisson:500", "poisson:505"),
+        "large_restricted": ("poisson:500", restricted),
     }
     with open(PINNED_COMPARE) as handle:
         pinned = json.load(handle)
-    assert len(pinned) == 18
+    assert len(pinned) == 22
     for key, text in pinned.items():
         pair, source, fmt = key.split("|")
         m1, m2 = pairs[pair]
@@ -391,6 +421,41 @@ def test_compare_value_norm_source_needs_two_values(capsys):
     )
     assert code == 2
     assert out == "" and "value:X,Y takes two norm bounds" in err
+
+
+PINNED_LATTICE = os.path.join(os.path.dirname(__file__), "data", "lattice_outputs.json")
+
+
+def test_lattice_output_matches_the_pinned_text(capsys):
+    # keys are "<model>|<format>"; the cell counts run up to 80, below the product
+    # model's underflow ceiling
+    activities = {"repelling": "1", "product": "1", "ideal_gas": "2"}
+    with open(PINNED_LATTICE) as handle:
+        pinned = json.load(handle)
+    assert len(pinned) == 6
+    for key, text in pinned.items():
+        model, fmt = key.split("|")
+        argv = ["lattice", "--model", model, "--lambda", activities[model],
+                "--n", "3,4,5,6,7,8,10,12,20,40,80", "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == text, key
+
+
+PINNED_POISSON_SUM = os.path.join(os.path.dirname(__file__), "data", "poisson_sum_outputs.json")
+
+
+def test_poisson_sum_output_matches_the_pinned_text(tmp_path, capsys):
+    # keys are "<spec>|<format>"; each entry carries its spec, one independent and
+    # one dependent (configuration-level) coupling
+    with open(PINNED_POISSON_SUM) as handle:
+        pinned = json.load(handle)
+    assert len(pinned) == 4
+    for key, expected in pinned.items():
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(expected["spec"]))
+        fmt = key.split("|")[1]
+        code, out, _ = run_cli(["poisson-sum", "--spec", str(spec_path), "--format", fmt], capsys)
+        assert code == 0 and out == expected["stdout"], key
 
 
 PINNED_BOUNDS = os.path.join(os.path.dirname(__file__), "data", "bounds_outputs.json")

@@ -365,3 +365,8 @@ def test_measure_file_whose_potential_moved_a_few_ulps_loads():
     payload["V"] = np.where(np.arange(V.size) % 2 == 0, np.nextafter(V, np.inf), np.nextafter(V, -np.inf)).tolist()
     m = gs.GibbsMeasure.from_dict(payload)
     assert m.kind == "binomial" and m.support_max == 800
+
+
+def test_overflowing_birth_rate_names_the_state():
+    with pytest.raises(ValueError, match=r"birth rate b_2 = exp\(737\.\d+\) overflows double precision"):
+        gs.from_pmf(np.array([1.0, 1.0, 1e-320, 1.0]))

@@ -8,9 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbs_stein as gs
-from gibbs_stein.size_bias import _CHUNK, _SMALL, _fsum_arrays, bernoulli_convolution
+from gibbs_stein.measures import _CHUNK, _FIXED_COST, _FSUM_SPAN, _fsum, _fsum_arrays, _prefers_fsum
+from gibbs_stein.size_bias import bernoulli_convolution
 
 RNG = np.random.default_rng(31415)
+# the shortest input of one exponent that the exact-sum kernel does not hand to math.fsum
+_SMALL = -(-_FIXED_COST // _FSUM_SPAN)
 
 
 def enumerate_sum_law(p):
@@ -271,6 +274,47 @@ def test_exact_sum_kernel_equals_fsum(values, length, parts, cancel, tame):
     pieces = np.array_split(base, parts)
     kernel = _fsum_outcome(lambda: _fsum_arrays(lambda: iter(pieces)))
     assert kernel == _fsum_outcome(lambda: math.fsum(base.tolist()))
+
+
+def _assert_sums_agree(x):
+    expected = _fsum_outcome(lambda: math.fsum(x.tolist()))
+    assert _fsum_outcome(lambda: _fsum(x)) == expected
+    assert _fsum_outcome(lambda: _fsum_arrays(lambda: (x,))) == expected
+
+
+def test_exact_sum_kernel_returns_fsum_on_wide_pmf_tables():
+    wide = [gs.poisson(500.0).pmf, gs.poisson(740.0).pmf, np.arange(681) * gs.poisson(500.0).pmf]
+    assert wide[1].min() < np.finfo(float).tiny  # subnormal entries
+    for x in wide:
+        assert not _prefers_fsum(x)  # rising from a tiny head: the exact pass
+        _assert_sums_agree(x)
+    _assert_sums_agree(np.abs(wide[0] - gs.poisson(505.0).pmf[: wide[0].size]))
+
+
+def test_exact_sum_kernel_on_both_sides_of_the_shortcut():
+    # a flat table is priced _FSUM_SPAN per entry, a rising one more per entry
+    rising = np.ldexp(1.0, np.arange(-1000, 0, 10))
+    sides = [
+        (np.full(_SMALL - 1, 0.1), True),
+        (np.full(_SMALL, 0.1), False),
+        (rising[::-1].copy(), True),  # falling from its largest entry
+        (rising, False),
+        (np.concatenate([np.zeros(40), rising]), False),  # zeros do not start the rise
+    ]
+    for x, cheap in sides:
+        assert _prefers_fsum(x) == cheap
+        _assert_sums_agree(x)
+    for x in (np.array([0.3]), np.zeros(1), np.zeros(5000), np.array([-0.0] * 40000), np.zeros(0),
+              np.array([5e-324, -1e-310, 2.5e-320] * 2000)):
+        _assert_sums_agree(x)
+
+
+@pytest.mark.parametrize("tail", [[math.inf], [math.nan], [math.inf, -math.inf], [-math.inf], [1e308, 1e308]])
+def test_exact_sum_kernel_falls_back_on_inf_nan_and_overflow(tail):
+    x = np.concatenate([gs.poisson(500.0).pmf, tail])
+    assert not _prefers_fsum(x)
+    _assert_sums_agree(x)
+
 
 
 def test_sum_law_is_derived_once():

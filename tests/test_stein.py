@@ -352,6 +352,41 @@ def test_suprema_finite_near_the_underflow_ceiling():
         assert math.isfinite(gs.sup_solution_norm(m)), m.label()
 
 
+def _table_laws():
+    from gibbs_stein.verify import _standard_measures
+
+    # a generator of its own, so that these draws do not move the module RNG's later ones
+    rng = np.random.default_rng(1313)
+    potentials = [
+        gs.GibbsMeasure(float(rng.uniform(0.2, 5.0)), np.cumsum(-rng.exponential(0.6, int(rng.integers(2, 80)))))
+        for _ in range(20)
+    ]
+    near_ceiling = [gs.lattice_measure(gs.product_model(lam), n)
+                    for lam, n in ((0.5, 80), (0.5, 81), (0.625, 82), (1.0, 86), (1.0, 87))]
+    return (MEASURES + _standard_measures() + potentials + near_ceiling
+            + [gs.poisson(500.0), gs.poisson(740.0), gs.discrete_uniform(1), gs.binomial(2, 0.3)])
+
+
+def test_supremum_tables_equal_the_scalar_forms_bit_for_bit():
+    laws = _table_laws()
+    assert len(laws) == 7 + 7 + 20 + 5 + 4
+    for m in laws:
+        n = m.support_max
+        for s in (None, 0, 1, n // 2, n - 1, n):
+            solution = gs.sup_solution_table(m, s)
+            increment = gs.sup_increment_table(m, s)
+            js = range(1, n + 1)
+            assert np.array_equal(solution, [gs.sup_solution_exact(m, j, s) for j in js]), (m.label(), s)
+            assert np.array_equal(increment, [gs.sup_increment_exact(m, j, s) for j in js]), (m.label(), s)
+        assert gs.sup_solution_norm(m) == max(gs.sup_solution_exact(m, j) for j in range(1, n + 1))
+
+
+def test_supremum_tables_of_a_single_state_are_empty():
+    m = gs.from_pmf(np.array([1.0]))
+    assert gs.sup_solution_table(m).size == gs.sup_increment_table(m).size == 0
+    assert gs.sup_solution_norm(m) == 0.0
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: gs.discrete_uniform(10000), lambda: gs.negative_binomial(1.0, 0.0025)],
