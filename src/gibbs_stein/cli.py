@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -102,10 +103,10 @@ def parse_test_function(desc: str, size: int) -> np.ndarray:
     desc = desc.strip()
     try:
         if desc.startswith("["):
-            return np.asarray(json.loads(desc), dtype=float)
+            return stein.TestFunction(json.loads(desc)).values
         if os.path.exists(desc):
             with open(desc) as handle:
-                return np.asarray(json.load(handle), dtype=float)
+                return stein.TestFunction(json.load(handle)).values
         kind, _, arg_text = desc.partition(":")
         if kind == "indicator":
             points = [int(a) for a in arg_text.split(",") if a != ""]
@@ -115,7 +116,7 @@ def parse_test_function(desc: str, size: int) -> np.ndarray:
         raise CliError(f"cannot parse test function {desc!r}")
     except CliError:
         raise
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError) as exc:  # TypeError: a JSON entry that is no number
         raise CliError(f"test function {desc!r}: {exc}") from exc
 
 
@@ -263,16 +264,14 @@ def cmd_compare(args) -> int:
 
 def cmd_lattice(args) -> int:
     model = _MODELS[args.model](args.lam)
+    # the limit law depends on the activity and truncation alone, the lattice law on n
+    with _blame("--lambda" if args.truncation is None else "--truncation"):
+        limit = lattice.limit_measure(model, truncation=args.truncation, tail_tol=args.tail_tol)
     rows = []
     for n in args.n:
         try:
-            rep = lattice.lattice_comparison_report(
-                model, n, truncation=args.truncation, tail_tol=args.tail_tol, g_norm_source=args.g_norm,
-            )
+            rep = lattice.lattice_comparison_report(model, n, g_norm_source=args.g_norm, limit=limit)
         except ValueError as exc:
-            # the limit law depends on the activity and truncation alone, the lattice law on n
-            with _blame("--lambda" if args.truncation is None else "--truncation"):
-                lattice.limit_measure(model, truncation=args.truncation, tail_tol=args.tail_tol)
             raise CliError(f"argument --n: {n} cells: {exc}") from exc
         rows.append(rep.to_dict())
     header = [
@@ -412,8 +411,14 @@ def _config_argv(path: str) -> list[str]:
     return argv
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:

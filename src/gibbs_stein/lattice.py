@@ -367,6 +367,7 @@ def lattice_comparison_report(
     truncation: int | None = None,
     tail_tol: float = 1e-14,
     g_norm_source: str = "exact",
+    limit: GibbsMeasure | None = None,
 ) -> LatticeBoundReport:
     """Generator-comparison certificate for the n-cell law vs the limit law.
 
@@ -375,12 +376,13 @@ def lattice_comparison_report(
     the lattice law is extended and charged the limit's mass above n; at
     N < n the limit law is extended and charged the lattice mass above N.
     The limit law goes first, so an exact tie keeps lattice_averaged unless
-    N > n.
+    N > n.  A caller reporting several n may pass the limit law built once
+    by `limit_measure`; truncation and tail_tol are then not used.
     """
     if g_norm_source not in ("exact", "rate_spread"):
         raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
     mu_n = lattice_measure(model, n)
-    mu = limit_measure(model, truncation=truncation, tail_tol=tail_tol)
+    mu = limit if limit is not None else limit_measure(model, truncation=truncation, tail_tol=tail_tol)
     rep = generator_comparison(mu, mu_n, g_norm_source)
 
     # the report lists the limit law first unless its support is the larger

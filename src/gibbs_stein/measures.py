@@ -447,6 +447,9 @@ class GibbsMeasure:
 
     @staticmethod
     def from_dict(payload: dict) -> "GibbsMeasure":
+        for field in ("omega", "V"):
+            if field not in payload:
+                raise ValueError(f"measure lacks field {field!r}")
         trunc = payload.get("truncation")
         policy = (
             TailPolicy(int(trunc["bound"]), float(trunc["tail_mass"]), float(trunc["tolerance"]))

@@ -80,7 +80,8 @@ class TestFunction:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("test function must be a non-empty 1-d table")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        # NaN fails both comparisons, so it is caught here too
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("test function values must lie in [0, 1]")
         if self.support_max is not None and np.any(values[self.support_max + 1 :] != 0.0):
             raise ValueError("f must be in B0: values above the declared support must be 0")

@@ -306,6 +306,16 @@ def test_measure_file_missing_a_parameter_names_it(tmp_path, capsys):
     assert out == "" and "binomial measure lacks parameter 'p'" in err
 
 
+@pytest.mark.parametrize("payload, field", [({"omega": 1}, "V"), ({"V": [0.0, 0.0]}, "omega")])
+def test_measure_missing_a_field_names_it(payload, field, tmp_path, capsys):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(payload))
+    for desc in (json.dumps(payload), str(path)):
+        code, out, err = run_cli(["compare", "--m1", desc, "--m2", "poisson:1"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: argument --m1: measure descriptor {desc!r}: measure lacks field {field!r}\n"
+
+
 @pytest.mark.parametrize(
     "kind, params",
     [("binomial", {"n": 1e13, "p": 0.5}), ("discrete_uniform", {"n": 10**12}),
@@ -415,6 +425,20 @@ def test_indicator_points_outside_support_exit_two(argv, capsys):
     assert out == "" and "indicator points must lie in 0.." in err
 
 
+@pytest.mark.parametrize("values", ["[0, 0.5, Infinity]", "[0, NaN, 1]", "[0, 0.5, 1.5]", "[-0.5, 0, 1]"])
+@pytest.mark.parametrize("source", ["inline", "file"])
+def test_test_function_table_outside_the_unit_interval_exits_two(values, source, tmp_path, capsys):
+    desc = values
+    if source == "file":
+        desc = str(tmp_path / "f.json")
+        (tmp_path / "f.json").write_text(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the table is refused before any arithmetic warns
+        code, out, err = run_cli(["solve", "--measure", "poisson:1", "--truncation", "2", "--f", desc], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: argument --f: test function {desc!r}: test function values must lie in [0, 1]\n"
+
+
 def test_compare_value_norm_source_needs_two_values(capsys):
     code, out, err = run_cli(
         ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2", "--g-norm", "value:3"], capsys
@@ -488,6 +512,81 @@ def test_bounds_checks_each_condition_once_per_measure(monkeypatch, capsys):
     code, _, _ = run_cli(["bounds", "--measure", "binomial:40,0.3", "--j", "1..40"], capsys)
     assert code == 0
     assert len(scans) <= 2
+
+
+def test_lattice_builds_the_limit_law_once_per_call(monkeypatch, capsys):
+    from gibbs_stein import lattice
+
+    builds = []
+    limit_measure = lattice.limit_measure
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return limit_measure(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "limit_measure", counted)
+    code, _, _ = run_cli(["lattice", "--model", "repelling", "--n", "3..8"], capsys)
+    assert code == 0
+    assert len(builds) == 1
+
+
+def test_one_parser_serves_every_call_without_leaking_state(tmp_path, monkeypatch, capsys):
+    from gibbs_stein import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"truncation": 12, "seed": 5, "format": "json"}))
+    sequence = [
+        ["solve", "--measure", "poisson:2", "--f", "indicator:0,3", "--truncation", "20",
+         "--format", "json", "--seed", "3"],
+        ["bounds", "--measure", "binomial:12,0.4", "--j", "1..4", "--tail-tol", "1e-10", "--seed", "9"],
+        ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2", "--g-norm", "rate_spread",
+         "--truncation", "30", "--format", "json"],
+        ["lattice", "--model", "ideal_gas", "--lambda", "2", "--n", "3..5", "--g-norm", "rate_spread",
+         "--truncation", "15", "--tail-tol", "1e-8"],
+        ["poisson-sum", "--p", "0.1,0.2,0.05", "--truncation", "8", "--format", "json", "--seed", "4"],
+        # the same subcommands with their defaults: nothing set above may stick
+        ["solve", "--measure", "poisson:2", "--f", "indicator:0,3"],
+        ["bounds", "--measure", "binomial:12,0.4"],
+        ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2"],
+        ["lattice", "--model", "ideal_gas", "--n", "3..5"],
+        ["poisson-sum", "--p", "0.1,0.2,0.05"],
+        ["bounds", "--measure", "geometric:0.5", "--config", str(cfg)],
+        ["bounds", "--measure", "geometric:0.5"],
+        ["lattice", "--model", "product", "--n", "abc"],  # argparse exits 2
+        ["compare", "--m1", "poisson:1", "--m2", "poisson:2", "--g-norm", "bogus"],  # a CliError
+        ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    # each call alone with a fresh parser, last first, so that a value that leaks
+    # forward from one call into the next would show
+    alone = []
+    for argv in reversed(sequence):
+        cli._parser.cache_clear()
+        alone.insert(0, call(argv))
+    assert [code for code, _, _ in alone] == [0] * 12 + [2, 2, 0]
+    assert "argument --n: expected integers" in alone[12][2]
+    assert alone[13][2].startswith("error: argument --g-norm: expected exact")
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv, first in zip(sequence, alone):
+        assert call(argv) == first, argv
+    assert len(builds) == 1
 
 
 def test_bounds_json_rows_share_one_schema(capsys):
@@ -565,10 +664,14 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
          "argument --truncation: support weight underflows double precision: pmf(178)"),
         (["bounds", "--measure", "poisson:1", "--out", os.path.join(os.sep, "nonexistent-dir", "x.csv")],
          "argument --out: "),
+        (["solve", "--measure", "poisson:1", "--f", "constant:nan"],
+         "argument --f: test function 'constant:nan': test function values must lie in [0, 1]\n"),
+        (["solve", "--measure", "poisson:1", "--truncation", "0", "--f", '[{"a": 1}]'],
+         "argument --f: test function '[{\"a\": 1}]': float() argument must be a string or a real number"),
     ],
     ids=["poisson_inf", "geometric_p_vanishing", "negative_binomial_p_vanishing", "g_norm_not_a_float",
          "g_norm_negative", "j_beyond_support", "poisson_sum_nan_mean", "poisson_sum_truncation_below_n", "lattice_n_below_minimum",
-         "lattice_truncation_underflows", "out_directory_missing"],
+         "lattice_truncation_underflows", "out_directory_missing", "f_constant_nan", "f_table_entry_not_a_number"],
 )
 def test_bad_values_met_at_run_time_exit_two_naming_the_flag(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

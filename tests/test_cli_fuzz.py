@@ -125,7 +125,8 @@ def ranged(name, good_hi, bad):
 
 def solve_case():
     f = choice("--f", ["indicator:0", "indicator:0,1", "constant:0.5", "[0.5]"],
-               ["indicator:x", "indicator:-1", "constant:abc", "constant:2", "[", "bogus", "indicator:99999"])
+               ["indicator:x", "indicator:-1", "constant:abc", "constant:2", "constant:nan", "[", "bogus",
+                "indicator:99999"])
     return st.tuples(measure_part("--measure"), f, common()).map(lambda t: ["solve", t[0], t[1], *t[2]])
 
 
