@@ -502,15 +502,17 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     The norm part is the mean absolute deviation of the birth rate over the
     sum's law times the exact solution norm.  Licensed by nonincreasing rates.
 
-    The increment part is evaluated in slabs: the charge and the rate
-    weight b[s]/omega of each pair (s, t) are tabulated once on 0..n, and
-    each index contributes the array of its X_i = 1 pairs (t + 1, t) and,
-    for dependent specs with p_i < 1, the (n+1) x n array of its X_i = 0
-    pairs (CouplingSpec.coupling_slabs).  Every piece is the product
+    The increment part is evaluated in whole-array blocks: the charge and
+    the rate weight b[s]/omega of each pair (s, t) are tabulated once on
+    0..n; one array holds every index's X_i = 1 pairs (t + 1, t), and for
+    dependent specs the X_i = 0 pairs of the indices with p_i < 1 come as
+    stacked (rows, n+1, n) blocks of about measures._CHUNK entries, one
+    index at a time once its slab is larger
+    (CouplingSpec.zero_slab_blocks).  Every piece is the product
     ((p_i/lam) * pr) * rate weight * charge of the pair-by-pair form, and
-    one exact sum in whole-array passes (measures._fsum_arrays, the same
-    float math.fsum returns) adds them all, so the value matches that form
-    bit for bit in O(n^2) memory.
+    the one exact-sum kernel (measures._fsum_arrays, the same float
+    math.fsum returns) adds them all, so the value matches that form bit
+    for bit in O(n^2) memory.
     """
     n_max = m.support_max
     if spec.n > n_max:
@@ -525,15 +527,17 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     term = _pair_terms(b, uniform_increment(m.kind, m.params))
     step_term = np.diagonal(term, offset=-1)  # term[t + 1, t]
 
+    weight = spec.p / lam
+
     def slabs():
-        for i in range(spec.n):
-            if spec.p[i] <= 0.0:
-                continue
-            weight = spec.p[i] / lam
-            one, zero = spec.coupling_slabs(i)
-            yield ((weight * one) * rate_weight[1:]) * step_term
-            if zero is not None:
-                yield ((weight * zero) * rate_weight[:, None]) * term[:, :-1]
+        for rows, zero in spec.zero_slab_blocks():
+            zero *= weight[rows, None, None]
+            zero *= rate_weight[:, None]
+            zero *= term[:, :-1]
+            yield zero
+        live = spec.p > 0.0
+        one = spec.conditional_sums[live] * spec.p[live, None]
+        yield ((weight[live, None] * one) * rate_weight[1:]) * step_term
 
     increment_part = m.omega * _fsum_arrays(slabs)
 
@@ -608,9 +612,8 @@ def poisson_sum_bounds(
     factor = uniform_increment(target.kind, target.params)
 
     coupling = sum_coupling_bound(target, spec)
-    linear = factor * math.fsum(
-        spec.p[i] * spec.mean_abs_gap(i) for i in range(spec.n) if spec.p[i] > 0
-    )
+    live = spec.p > 0.0
+    linear = factor * math.fsum((spec.p[live] * spec.mean_abs_gaps()[live]).tolist())
 
     independent_bound = None
     improved = None

@@ -122,12 +122,14 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
 # per run of float sums that stay exact, and the weights of its shortcut: on
 # a table whose entries rise `span` binades from its first nonzero one to its
 # largest, math.fsum costs about (_FSUM_SPAN + span) units per entry, the
-# exact pass about _FIXED_COST units per call, so a single input priced under
-# that cost goes to math.fsum itself
+# exact pass about _FIXED_COST units per call and, in _fsum_rows, about
+# _ROW_COST units per row, so an input priced under that cost goes to
+# math.fsum itself
 _CHUNK = 1 << 15
 _EXACT_RUN = 1 << 26
 _FSUM_SPAN = 48
 _FIXED_COST = 1 << 16
+_ROW_COST = 1 << 14
 _LOW_MANTISSA = (1 << 26) - 1
 # 2^(1075 - E) for biased exponents E = 1 .. 2047 as two factors, each a
 # double: it turns a float sum of low parts at E into an integer count of
@@ -147,12 +149,13 @@ def _fsum_arrays(pieces) -> float:
     np.bincount adds each part per biased exponent E.  Within one exponent
     the parts are integers below 2^27 and 2^26 of one unit, so these float
     sums are exact over runs of fewer than 2^26 pieces.  Each run's sums,
-    over the exponents it holds, join as one Python int of units 2^-1074,
-    and a single int division rounds the total correctly.  A non-finite
-    piece, or pieces so large that math.fsum could overflow midway, send
-    the whole sum to math.fsum itself, which is why pieces is a function: it
-    is called again.  An input of one chunk that the shortcut weights above
-    price below the exact pass goes to math.fsum too.
+    over the exponents it holds, join as one Python int of units 2^-1074
+    (_units with one row), and a single int division rounds the total
+    correctly.  A non-finite piece, or pieces so large that math.fsum could
+    overflow midway, send the whole sum to math.fsum itself, which is why
+    pieces is a function: it is called again.  An input of one chunk that
+    the shortcut weights above price below the exact pass goes to math.fsum
+    too.
     """
     hi, lo = np.zeros(2048), np.zeros(2048)
     units = count = run = top = 0
@@ -163,23 +166,87 @@ def _fsum_arrays(pieces) -> float:
             # a short first chunk is the whole input, since only the last block is short
             if count < _CHUNK and _prefers_fsum(chunk):
                 return math.fsum(chunk.tolist())
-            bits = chunk.view(np.int64)
-            exponent = (bits >> 52) & 0x7FF
+            exponent = _exponents(chunk)
             high = int(exponent.max())
             top = max(top, high)
             # inf or nan (exponent 0x7FF), or a sum of |piece| < count 2^(top - 1022)
             # above 2^1020, which no longer keeps every partial sum finite
             if top == 0x7FF or top - 1022 + count.bit_length() > 1020:
                 return _fsum_fallback(pieces)
-            high_part = (bits & ~_LOW_MANTISSA).view(np.float64)
-            hi[: high + 1] += np.bincount(exponent, high_part, high + 1)
-            lo[: high + 1] += np.bincount(exponent, chunk - high_part, high + 1)
+            high_sums, low_sums = _binned_parts(chunk, exponent, high + 1)
+            hi[: high + 1] += high_sums
+            lo[: high + 1] += low_sums
             run += chunk.size
             if run > _EXACT_RUN - _CHUNK:
-                units += _units(hi, lo)
+                units += _units(hi, lo)[0]
                 hi, lo = np.zeros(2048), np.zeros(2048)
                 run = 0
-    return (units + _units(hi, lo)) / (1 << 1074)
+    return (units + _units(hi, lo)[0]) / (1 << 1074)
+
+
+def _fsum_rows(table: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-d float64 table, bit for bit.
+
+    The same exact sum as _fsum_arrays, for many rows at once.  A row wider
+    than _CHUNK is one _fsum_arrays call, which splits it into chunks.  A
+    row holding inf or nan, or large enough that math.fsum could overflow
+    midway, and a row that the shortcut weights price below _ROW_COST go to
+    math.fsum itself, in row order, so a row that makes math.fsum raise
+    raises here too.  The other rows go in blocks of about _CHUNK entries
+    and bins: one np.bincount per part bins every row's high and low parts
+    by (row, exponent), and one _units call turns the block's bins into
+    each row's exact sum.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    rows, width = table.shape
+    if width * (_FSUM_SPAN + 2046) < _ROW_COST:  # every row is cheap, at any span
+        return np.array([math.fsum(row) for row in table.tolist()], dtype=np.float64)
+    if width > _CHUNK:
+        return np.array([_fsum_arrays(lambda row=row: (row,)) for row in table], dtype=np.float64)
+    bits = table.view(np.uint64)
+    greatest = bits.max(axis=1)
+    signed = greatest >> 63 != 0
+    top = (greatest >> 52).astype(np.int64)  # the largest exponent, in a row without a sign bit
+    if signed.any():
+        top[signed] = ((bits[signed] << 1) >> 53).max(axis=1)
+    # as in _fsum_arrays: inf or nan, or partial sums that may overflow
+    slow = top - 1022 + width.bit_length() > 1020
+    if width * _FSUM_SPAN < _ROW_COST:
+        slow |= width * (_FSUM_SPAN + _head_spans(bits, greatest)) < _ROW_COST
+    out = np.empty(rows)
+    if slow.any():
+        out[slow] = [math.fsum(row) for row in table[slow].tolist()]
+    fast = np.flatnonzero(~slow)
+    if fast.size == 0:
+        return out
+    # each row bins exponents 0..stride-1; a block holds the fewest rows whose entries or bins reach _CHUNK
+    stride = max(int(top[fast].max()) + 1, 2)
+    step = -(-_CHUNK // max(width, stride))
+    for start in range(0, fast.size, step):
+        block = fast[start : start + step]
+        if block[-1] - block[0] == block.size - 1:  # a run of rows: views, not copies
+            block = slice(int(block[0]), int(block[-1]) + 1)
+        values = table[block]
+        count = values.shape[0]
+        keys = _exponents(values)
+        keys += np.arange(0, count * stride, stride)[:, None]
+        hi, lo = _binned_parts(values, keys, count * stride)
+        out[block] = [units / (1 << 1074) for units in _units(hi.reshape(count, -1), lo.reshape(count, -1))]
+    return out
+
+
+def _exponents(x: np.ndarray) -> np.ndarray:
+    """Biased exponent of each entry of a float64 array: 0 for zeros and subnormals, 0x7FF for inf and nan."""
+    exponent = x.view(np.int64) >> 52
+    exponent &= 0x7FF
+    return exponent
+
+
+def _binned_parts(x: np.ndarray, keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums per key of the high and low parts of x's entries, cut at bit 26 of the significand."""
+    part = (x.view(np.int64) & ~_LOW_MANTISSA).view(np.float64)
+    high_sums = np.bincount(keys.ravel(), part.ravel(), size)
+    return high_sums, np.bincount(keys.ravel(), np.subtract(x, part, out=part).ravel(), size)
 
 
 def _head_span(chunk: np.ndarray) -> int:
@@ -199,6 +266,16 @@ def _head_span(chunk: np.ndarray) -> int:
     return (greatest >> 52) - (head >> 52)
 
 
+def _head_spans(bits: np.ndarray, greatest: np.ndarray) -> np.ndarray:
+    """_head_span of each row of a 2-d table, given its bits as uint64 and their row maxima."""
+    head = bits[:, 0]
+    later = np.flatnonzero(head == 0)  # rows whose first nonzero entry comes later
+    if later.size:
+        head = head.copy()
+        head[later] = bits[later, np.argmax(bits[later] != 0, axis=1)]
+    return np.where(greatest >> 63 != 0, 2046, (greatest >> 52).astype(np.int64) - (head >> 52).astype(np.int64))
+
+
 def _prefers_fsum(x: np.ndarray) -> bool:
     """Whether math.fsum over the single array x is cheaper than the exact pass."""
     # below 32 entries the price stays under _FIXED_COST at any span
@@ -207,30 +284,35 @@ def _prefers_fsum(x: np.ndarray) -> bool:
     )
 
 
-def _units(hi: np.ndarray, lo: np.ndarray) -> int:
-    """Exact sum, in units 2^-1074, of per-exponent sums of high and low parts.
+def _units(hi: np.ndarray, lo: np.ndarray) -> list[int]:
+    """Exact sums, in units 2^-1074, of per-exponent sums of high and low parts.
 
-    Bins 0 (subnormal) and 1 share the unit 2^-1074.  Bin E >= 1 counts
-    low parts in units 2^(E - 1) and high parts in units 2^(E + 25), which
-    is bin E + 26's low unit; the counts stay below 2^54.  Only the bins
-    from the least to the greatest used one are converted, and eight of them
-    at a time join into one int64 below 2^62 before the Python ints take over.
+    hi and lo hold the bins of biased exponents 0, 1, ... along their last
+    axis, one sum per row: one int is returned per row of 2-d bins, or a
+    single one for 1-d bins.  Bins 0 (subnormal) and 1 share the unit
+    2^-1074.  Bin E >= 1 counts low parts in units 2^(E - 1) and high parts
+    in units 2^(E + 25), which is bin E + 26's low unit; the counts stay
+    below 2^54.  Only the bins from the least to the greatest one used in
+    any row are converted, and eight of them at a time join into one int64
+    below 2^62 per row before the Python ints take over.
     """
-    hi[1] += hi[0]
-    lo[1] += lo[0]
-    used = np.flatnonzero((hi[1:] != 0.0) | (lo[1:] != 0.0))
+    hi[..., 1] += hi[..., 0]
+    lo[..., 1] += lo[..., 0]
+    used = (hi[..., 1:] != 0.0) | (lo[..., 1:] != 0.0)
+    used = np.flatnonzero(used if used.ndim == 1 else used.any(axis=0))
     if used.size == 0:
-        return 0
+        return [0] * (hi.size // hi.shape[-1])
     low, high = int(used[0]) + 1, int(used[-1]) + 1
     span = high - low + 1
-    counts = np.zeros(-(-(span + 26) // 8) * 8, dtype=np.int64)
+    counts = np.zeros(hi.shape[:-1] + (-(-(span + 26) // 8) * 8,), dtype=np.int64)
     first = _TO_UNITS[0][low - 1 : high]
-    counts[:span] += ((lo[low : high + 1] * first) * _TO_UNITS[1][low - 1 : high]).astype(np.int64)
-    counts[26 : span + 26] += ((hi[low : high + 1] * first) * _TO_HIGH_UNITS[low - 1 : high]).astype(np.int64)
-    words = counts.reshape(-1, 8) @ _WORD
-    nonzero = np.flatnonzero(words)
-    total = sum(w << (8 * g) for w, g in zip(words[nonzero].tolist(), nonzero.tolist()))
-    return total << (low - 1)
+    counts[..., :span] += ((lo[..., low : high + 1] * first) * _TO_UNITS[1][low - 1 : high]).astype(np.int64)
+    counts[..., 26 : span + 26] += (
+        (hi[..., low : high + 1] * first) * _TO_HIGH_UNITS[low - 1 : high]
+    ).astype(np.int64)
+    words = (counts.reshape(counts.shape[:-1] + (-1, 8)) @ _WORD).reshape(-1, counts.shape[-1] // 8)
+    shifts = range(0, counts.shape[-1], 8)
+    return [sum(w << s for w, s in zip(row, shifts) if w) << (low - 1) for row in words.tolist()]
 
 
 def _blocks(arrays):
@@ -447,20 +529,37 @@ class GibbsMeasure:
 
     @staticmethod
     def from_dict(payload: dict) -> "GibbsMeasure":
+        """The measure a to_dict payload (parsed JSON) describes.
+
+        A missing field or truncation key, or a value of the wrong type,
+        raises ValueError naming it.
+        """
         for field in ("omega", "V"):
             if field not in payload:
                 raise ValueError(f"measure lacks field {field!r}")
+        kind = payload.get("kind", "potential")
+        params = payload.get("params") or {}
         trunc = payload.get("truncation")
-        policy = (
-            TailPolicy(int(trunc["bound"]), float(trunc["tail_mass"]), float(trunc["tolerance"]))
-            if trunc
-            else None
-        )
+        if not isinstance(kind, str):
+            raise ValueError("measure field 'kind' must be a JSON string")
+        for field, value in (("params", params), ("truncation", trunc or {})):
+            if not isinstance(value, dict):
+                raise ValueError(f"measure field {field!r} must be a JSON object")
+        policy = None
+        if trunc:
+            for key in ("bound", "tail_mass", "tolerance"):
+                if key not in trunc:
+                    raise ValueError(f"truncation lacks {key!r}")
+            policy = TailPolicy(
+                _typed("truncation.bound", int, trunc["bound"]),
+                _typed("truncation.tail_mass", float, trunc["tail_mass"]),
+                _typed("truncation.tolerance", float, trunc["tolerance"]),
+            )
         m = GibbsMeasure(
-            float(payload["omega"]),
-            np.asarray(payload["V"], dtype=float),
-            kind=payload.get("kind", "potential"),
-            params=payload.get("params") or {},
+            _typed("omega", float, payload["omega"]),
+            _typed("V", lambda v: np.asarray(v, dtype=float), payload["V"]),
+            kind=kind,
+            params=params,
             truncation=policy,
         )
         family = FAMILIES.get(m.kind)
@@ -470,7 +569,7 @@ class GibbsMeasure:
         # compare birth rates, which unlike V survive reparametrization
         if family.build is None:
             raise ValueError(f"{m.kind} measures cannot be rebuilt from their params")
-        values = family.values(m.params)
+        values = _typed("params", family.values, m.params)
         # a finite family's params fix its support, which is checked before anything is built
         if family.support_max is not None and family.support_max(**values) != m.support_max:
             raise ValueError(
@@ -500,6 +599,14 @@ class GibbsMeasure:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GibbsMeasure({self.label()}, N={self.support_max})"
+
+
+def _typed(field: str, convert, value):
+    """convert(value) for a measure's JSON field; a value of the wrong type raises ValueError naming it."""
+    try:
+        return convert(value)
+    except TypeError as exc:
+        raise ValueError(f"measure field {field!r}: {exc}") from exc
 
 
 def from_pmf(

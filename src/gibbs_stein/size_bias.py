@@ -24,10 +24,17 @@ classical perfect coupling with S - Shat_i = X_i.
 
 The layer works in whole-array passes with the bits of the per-element
 forms it replaced: independent specs build all n leave-one-out laws, and
-the law of S, in one lockstep pass over the coordinates; a dependent spec
-forms each index's law given X_i = 0 once; and the long correctly rounded
-sums behind the coupling bounds go through measures._fsum_arrays, an exact
-sum over arrays that returns what math.fsum returns over the same pieces.
+the law of S, in one lockstep pass over the coordinates.  A dependent spec
+checks its n conditional tables in one pass and forms all n laws given
+X_i = 0 as one (n, n+1) table, once; its X_i = 0 slabs (coupling_slabs)
+and mean absolute gaps are built in blocks of indices holding about
+measures._CHUNK entries, one index at a time once a slab is larger, so
+memory stays O(n^2).  Every correctly rounded sum goes through one exact
+kernel: measures._fsum_rows adds each row of a table, measures._fsum_arrays
+(its one-row case, over a stream of arrays) the pieces of one long sum, and
+both return what math.fsum returns over the same pieces.  The per-index
+forms (coupling_given_index, coupling_slabs, mean_abs_gap) stay as the
+reference the blocks are tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GibbsMeasure, _fsum_arrays
+from .measures import _CHUNK, GibbsMeasure, _fsum_arrays, _fsum_rows
 from .stein import solve
 
 __all__ = [
@@ -60,6 +67,26 @@ def _check_pmf(arr: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
     if abs(math.fsum(arr.tolist()) - 1.0) > tol:
         raise ValueError(f"{what} is not a probability vector")
     return arr
+
+
+def _check_pmf_rows(table: np.ndarray, rows: np.ndarray, what: str, tol: float) -> None:
+    """_check_pmf(table[i], f"{what} {i}", tol) for each listed row i, in one pass.
+
+    The first bad row raises the error _check_pmf would raise for it,
+    negative entries before the sum.  A row whose sum makes math.fsum
+    overflow takes the row-by-row path, which raises where it did.
+    """
+    negative = np.any(table[rows] < -1e-15, axis=1)
+    bad = negative.copy()
+    try:
+        bad[~negative] = np.abs(_fsum_rows(table[rows[~negative]]) - 1.0) > tol
+    except OverflowError:
+        for i in rows:
+            _check_pmf(table[i], f"{what} {i}", tol=tol)
+    if bad.any():
+        first = int(np.argmax(bad))
+        problem = "has negative entries" if negative[first] else "is not a probability vector"
+        raise ValueError(f"{what} {rows[first]} {problem}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +152,10 @@ class CouplingSpec:
     convolutions and are generated (or verified) automatically, in one
     lockstep pass that ends with the law of S, which the spec keeps.  Their
     column 0 is the product of 1 - p_j over j != i.  Dependent specs form
-    the law of S given X_i = 0 once per index, on first use.
+    the laws of S given X_i = 0, for every index, as one table on first use.
     """
 
-    __slots__ = ("p", "conditional_sums", "independent", "_sum_law", "_given_zero_laws")
+    __slots__ = ("p", "conditional_sums", "independent", "_sum_law", "_given_zero_table")
 
     def __init__(
         self,
@@ -165,9 +192,7 @@ class CouplingSpec:
             conditional_sums = np.asarray(conditional_sums, dtype=float)
             if conditional_sums.shape != (n, n):
                 raise ValueError(f"conditional sums must be an {n}x{n} table (rows on 0..n-1)")
-            for i in range(n):
-                if p[i] > 0.0:
-                    _check_pmf(conditional_sums[i], f"conditional sum law {i}", tol=_PMF_TOL * n)
+            _check_pmf_rows(conditional_sums, np.flatnonzero(p > 0.0), "conditional sum law", _PMF_TOL * n)
 
         self.p = p
         self.p.setflags(write=False)
@@ -175,7 +200,7 @@ class CouplingSpec:
         self.conditional_sums.setflags(write=False)
         self.independent = independent
         self._sum_law = None if sum_law is None else np.asarray(sum_law, dtype=float)
-        self._given_zero_laws: dict[int, np.ndarray] = {}
+        self._given_zero_table: np.ndarray | None = None
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -236,11 +261,11 @@ class CouplingSpec:
 
     def mixture_law(self) -> np.ndarray:
         """Law of S* = Shat_I + 1 on {0, ..., n}; the index mixture of shifts."""
-        lam = self.lam
+        live = self.p > 0.0
+        terms = (self.p[live] / self.lam)[:, None] * self.conditional_sums[live]
+        # the running sum from 0 in index order: add.reduce may add a column pairwise
         mix = np.zeros(self.n + 1)
-        for i in range(self.n):
-            if self.p[i] > 0.0:
-                mix[1:] += (self.p[i] / lam) * self.conditional_sums[i]
+        mix[1:] = np.add.accumulate(np.concatenate([np.zeros((1, self.n)), terms]), axis=0)[-1]
         return mix
 
     def sum_law(self) -> np.ndarray:
@@ -268,24 +293,29 @@ class CouplingSpec:
         self._sum_law = law
         return law
 
-    def _given_zero(self, i: int) -> np.ndarray:
-        """Law of S given X_i = 0, peeled off the law of S (dependent specs).
+    def _given_zero_laws(self) -> np.ndarray:
+        """Row i: the law of S given X_i = 0, peeled off the law of S (dependent specs).
 
-        Formed once per index and kept, read-only, on the spec.
+        All rows are formed in one pass on first use and kept, read-only, on
+        the spec; a negative entry below -1e-9 in the row of an index with
+        p_i > 0 flags the tables as inconsistent, and each such row with
+        p_i < 1 is normalised by its correctly rounded sum.  Rows of indices
+        with p_i = 0 are never read.
         """
-        given_zero = self._given_zero_laws.get(i)
-        if given_zero is not None:
-            return given_zero
-        given_zero = self.sum_law().copy()
-        given_zero[1:] -= self.p[i] * self.conditional_sums[i]
-        if np.any(given_zero < -1e-9):
+        if self._given_zero_table is not None:
+            return self._given_zero_table
+        table = np.repeat(self.sum_law()[None, :], self.n, axis=0)
+        with np.errstate(invalid="ignore"):  # 0 * inf in a row with p_i = 0
+            table[:, 1:] -= self.p[:, None] * self.conditional_sums
+        live = self.p > 0.0
+        if np.any(table[live] < -1e-9):
             raise ValueError("conditional sums are inconsistent with the law of the sum")
-        given_zero = np.clip(given_zero, 0.0, None)
-        if self.p[i] < 1.0:
-            given_zero /= math.fsum(given_zero.tolist())
-        given_zero.setflags(write=False)
-        self._given_zero_laws[i] = given_zero
-        return given_zero
+        np.clip(table, 0.0, None, out=table)
+        scaled = live & (self.p < 1.0)
+        table[scaled] /= _fsum_rows(table[scaled])[:, None]
+        table.setflags(write=False)
+        self._given_zero_table = table
+        return table
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -310,7 +340,7 @@ class CouplingSpec:
                 out.append((pr * self.p[i], s_hat + 1, s_hat))
                 out.append((pr * (1.0 - self.p[i]), s_hat, s_hat))
             return out
-        given_zero = self._given_zero(i)
+        given_zero = self._given_zero_laws()[i]
         for s_hat, pr_hat in enumerate(cond):
             if pr_hat == 0.0:
                 continue
@@ -337,7 +367,7 @@ class CouplingSpec:
         one = cond * self.p[i]
         if self.independent:
             return one, None
-        given_zero = self._given_zero(i)
+        given_zero = self._given_zero_laws()[i]
         if not self.p[i] < 1.0:
             return one, None
         return one, np.multiply.outer(given_zero, (1.0 - self.p[i]) * cond)
@@ -349,9 +379,54 @@ class CouplingSpec:
         one, zero = self.coupling_slabs(i)
         if zero is None:
             return math.fsum(one.tolist())
+        return _fsum_arrays(lambda: (one, zero * self._gap_table()))
+
+    def _gap_table(self) -> np.ndarray:
+        """|s - t| for the pairs (s, t) of the X_i = 0 slabs, on 0..n by 0..n-1."""
         states = np.arange(self.n + 1, dtype=float)
-        gap = np.abs(np.subtract.outer(states, states[:-1]))
-        return _fsum_arrays(lambda: (one, zero * gap))
+        return np.abs(np.subtract.outer(states, states[:-1]))
+
+    def zero_slab_blocks(self):
+        """The X_i = 0 slabs of coupling_slabs, stacked over blocks of indices.
+
+        Yields (rows, zero) with zero[k] equal, bit for bit, to
+        coupling_slabs(rows[k])[1], for every index with 0 < p_i < 1 in
+        order (none for independent specs), in blocks of the fewest indices
+        whose slabs reach _CHUNK entries: one index at a time once its
+        (n+1) x n slab is that large.  Each zero is a fresh array, which
+        the caller may overwrite.
+        """
+        if self.independent:
+            return
+        mixed = np.flatnonzero((self.p > 0.0) & (self.p < 1.0))
+        step = -(-_CHUNK // ((self.n + 1) * self.n))
+        for start in range(0, mixed.size, step):
+            rows = mixed[start : start + step]
+            cond = (1.0 - self.p[rows])[:, None] * self.conditional_sums[rows]
+            yield rows, self._given_zero_laws()[rows][:, :, None] * cond[:, None, :]
+
+    def mean_abs_gaps(self) -> np.ndarray:
+        """mean_abs_gap(i) for every index, bit for bit, and 0 where p_i = 0.
+
+        Each index's terms, its X_i = 1 pairs and its X_i = 0 slab times the
+        state gap, lie along one row of a table built per block of
+        zero_slab_blocks, and measures._fsum_rows adds every row at once.
+        Indices with p_i = 1 add their X_i = 1 pairs alone.
+        """
+        if self.independent:
+            return self.p.copy()
+        n = self.n
+        gaps = np.zeros(n)
+        sure = np.flatnonzero(self.p == 1.0)
+        if sure.size:
+            gaps[sure] = _fsum_rows(self.conditional_sums[sure] * self.p[sure, None])
+        gap = self._gap_table()
+        for rows, zero in self.zero_slab_blocks():
+            terms = np.empty((rows.size, n + 2, n))
+            terms[:, 0] = self.conditional_sums[rows] * self.p[rows, None]
+            np.multiply(zero, gap, out=terms[:, 1:])
+            gaps[rows] = _fsum_rows(terms.reshape(rows.size, -1))
+        return gaps
 
     def to_dict(self) -> dict:
         return {

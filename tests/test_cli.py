@@ -316,6 +316,33 @@ def test_measure_missing_a_field_names_it(payload, field, tmp_path, capsys):
         assert err == f"error: argument --m1: measure descriptor {desc!r}: measure lacks field {field!r}\n"
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"omega": [1], "V": [0, 0]}, "measure field 'omega': float() argument"),
+    ({"omega": None, "V": [0, 0]}, "measure field 'omega': float() argument"),
+    ({"omega": 1, "V": [0, 0], "params": [1]}, "measure field 'params' must be a JSON object"),
+    ({"omega": 1, "V": [0, 0], "kind": [1]}, "measure field 'kind' must be a JSON string"),
+    ({"omega": 1, "V": [0, 0], "truncation": [1]}, "measure field 'truncation' must be a JSON object"),
+    ({"omega": 1, "V": [0, 0], "truncation": {"bound": [1], "tail_mass": 0, "tolerance": 1}},
+     "measure field 'truncation.bound': int() argument"),
+    ({"omega": 1, "V": [0, 0], "kind": "poisson", "params": {"lam": [1]}}, "measure field 'params': float() argument"),
+])
+def test_measure_value_of_the_wrong_type_exits_two_naming_the_field(payload, message, capsys):
+    desc = json.dumps(payload)
+    code, out, err = run_cli(["bounds", "--measure", desc], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: argument --measure: measure descriptor {desc!r}: {message}")
+
+
+@pytest.mark.parametrize("key", ["bound", "tail_mass", "tolerance"])
+def test_measure_truncation_missing_a_key_names_it(key, capsys):
+    truncation = {"bound": 1, "tail_mass": 0.0, "tolerance": 1e-14}
+    del truncation[key]
+    desc = json.dumps({"omega": 1, "V": [0, 0], "truncation": truncation})
+    code, out, err = run_cli(["bounds", "--measure", desc], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: argument --measure: measure descriptor {desc!r}: truncation lacks {key!r}\n"
+
+
 @pytest.mark.parametrize(
     "kind, params",
     [("binomial", {"n": 1e13, "p": 0.5}), ("discrete_uniform", {"n": 10**12}),

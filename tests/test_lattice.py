@@ -383,16 +383,21 @@ def test_harmonic_partial_sum():
             gs.harmonic_between(x, y)
 
 
-def mixture_spec(rng, n, mean):
-    """Dependent spec: the coordinates are independent given a fair two-way label."""
+def mixture_spec(rng, n, mean, zero_at=()):
+    """Dependent spec: the coordinates are independent given a fair two-way label.
+
+    Coordinates in zero_at are always 0, and their rows (never read) uniform.
+    """
     a = np.clip(mean * 1.6 * rng.uniform(0.5, 1.5, n), 1e-6, 0.95)
     b = np.clip(mean * 0.6 * rng.uniform(0.5, 1.5, n), 1e-6, 0.95)
+    a[list(zero_at)] = b[list(zero_at)] = 0.0
     p = 0.5 * a + 0.5 * b
     cond = np.array([
         0.5 * a[i] * bernoulli_convolution(np.delete(a, i))
         + 0.5 * b[i] * bernoulli_convolution(np.delete(b, i))
         for i in range(n)
-    ]) / p[:, None]
+    ]) / np.where(p > 0.0, p, 1.0)[:, None]
+    cond[list(zero_at)] = 1.0 / n
     return gs.CouplingSpec(p, conditional_sums=cond)
 
 
@@ -424,6 +429,8 @@ COUPLING_SPECS = {
     "independent_p0_p1": gs.CouplingSpec.independent_bernoulli([1.0, 0.0, 0.4, 0.7, 0.2]),
     "mixture_9": mixture_spec(np.random.default_rng(17), 9, 0.2),
     "mixture_14": mixture_spec(np.random.default_rng(18), 14, 0.05),
+    "mixture_40": mixture_spec(np.random.default_rng(19), 40, 0.1),  # several blocks of indices
+    "mixture_p0": mixture_spec(np.random.default_rng(20), 8, 0.2, zero_at=(0, 3)),
     "configurations": gs.CouplingSpec.from_configurations(
         [((0, 0, 0), 0.2), ((1, 0, 1), 0.3), ((1, 1, 1), 0.1), ((0, 1, 0), 0.4)]
     ),
@@ -453,6 +460,24 @@ def test_coupling_bound_slabs_equal_tuple_loop(name):
         reference = tuple_loop_increment(m, spec)
         assert cb.increment_part.hex() == reference.hex(), target_name
         assert cb.value == cb.increment_part + cb.norm_part
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_SPECS))
+def test_poisson_sum_bounds_equal_the_tuple_loop(name):
+    spec = COUPLING_SPECS[name]
+    rep = gs.poisson_sum_bounds(spec)
+    target = gs.poisson(spec.lam, truncation=max(spec.n, gs.poisson(spec.lam).support_max))
+    cb = gs.sum_coupling_bound(target, spec)
+    assert rep.harmonic_coupling_bound.hex() == (tuple_loop_increment(target, spec) + cb.norm_part).hex()
+    # independent coordinates take E_i |S - Shat_i| = p_i in closed form
+    gaps = [
+        spec.p[i] * (spec.p[i] if spec.independent else math.fsum(
+            pr * abs(s - s_hat) for pr, s, s_hat in spec.coupling_given_index(i)))
+        for i in range(spec.n)
+        if spec.p[i] > 0.0
+    ]
+    factor = uniform_increment(target.kind, target.params)
+    assert rep.linear_coupling_bound.hex() == (factor * math.fsum(gaps)).hex()
 
 
 def test_coupling_bound_poisson_target_drops_norm_part():

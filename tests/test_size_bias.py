@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbs_stein as gs
-from gibbs_stein.measures import _CHUNK, _FIXED_COST, _FSUM_SPAN, _fsum, _fsum_arrays, _prefers_fsum
-from gibbs_stein.size_bias import bernoulli_convolution
+from gibbs_stein.measures import (
+    _CHUNK, _FIXED_COST, _FSUM_SPAN, _fsum, _fsum_arrays, _fsum_rows, _head_span, _head_spans, _prefers_fsum,
+)
+from gibbs_stein.size_bias import _check_pmf, bernoulli_convolution
 
 RNG = np.random.default_rng(31415)
 # the shortest input of one exponent that the exact-sum kernel does not hand to math.fsum
@@ -189,6 +191,124 @@ def test_mean_abs_gap_equals_tuple_loop():
             assert spec.mean_abs_gap(i).hex() == reference.hex()
 
 
+def mixture_tables(rng, n, zero_at=()):
+    """Conditional tables of a two-label mixture of independent coordinates.
+
+    Coordinates in zero_at are always 0; their own rows are left uniform,
+    which no check reads since their mean is 0.
+    """
+    a = np.clip(0.3 * rng.uniform(0.5, 1.5, n), 1e-6, 0.95)
+    b = np.clip(0.1 * rng.uniform(0.5, 1.5, n), 1e-6, 0.95)
+    a[list(zero_at)] = b[list(zero_at)] = 0.0
+    p = 0.5 * a + 0.5 * b
+    cond = np.full((n, n), 1.0 / n)
+    for i in np.flatnonzero(p > 0.0):
+        cond[i] = (0.5 * a[i] * bernoulli_convolution(np.delete(a, i))
+                   + 0.5 * b[i] * bernoulli_convolution(np.delete(b, i))) / p[i]
+    return p, cond
+
+
+def _gap_reference(spec):
+    return [spec.mean_abs_gap(i).hex() for i in range(spec.n) if spec.p[i] > 0.0]
+
+
+def _gaps(spec):
+    return [g.hex() for g in spec.mean_abs_gaps()[spec.p > 0.0].tolist()]
+
+
+def test_mean_abs_gaps_equal_the_per_index_form():
+    rng = np.random.default_rng(4242)
+    specs = [
+        gs.CouplingSpec(*mixture_tables(rng, 40)),  # several blocks of indices
+        gs.CouplingSpec(*mixture_tables(rng, 12, zero_at=(0, 5))),
+        gs.CouplingSpec.from_configurations([((1, 0, 0), 0.5), ((1, 1, 0), 0.25), ((1, 1, 1), 0.25)]),
+        gs.CouplingSpec.from_configurations(random_configurations(rng, 9, 40)),
+        gs.CouplingSpec.independent_bernoulli([1.0, 0.0, 0.4, 0.7]),
+    ]
+    assert specs[2].p[0] == 1.0 and specs[1].p[5] == 0.0
+    slab = 41 * 40
+    sizes = [zero.size for _, zero in specs[0].zero_slab_blocks()]
+    assert len(sizes) > 1 and all(_CHUNK <= size < _CHUNK + slab for size in sizes[:-1])
+    for spec in specs:
+        mix = np.zeros(spec.n + 1)  # the index mixture, added index by index
+        for i in np.flatnonzero(spec.p > 0.0):
+            mix[1:] += (spec.p[i] / spec.lam) * spec.conditional_sums[i]
+        assert spec.mixture_law().tobytes() == mix.tobytes()
+        assert _gaps(spec) == _gap_reference(spec)
+        assert np.all(spec.mean_abs_gaps()[spec.p == 0.0] == 0.0)
+        for rows, zero in spec.zero_slab_blocks():
+            for k, i in enumerate(rows):
+                assert zero[k].tobytes() == spec.coupling_slabs(i)[1].tobytes()
+
+
+def test_mean_abs_gaps_split_rows_wider_than_a_chunk():
+    n = 190  # each index's X_i = 0 slab alone holds more than _CHUNK entries
+    assert (n + 1) * n > _CHUNK
+    spec = gs.CouplingSpec(*mixture_tables(np.random.default_rng(190), n))
+    blocks = list(spec.zero_slab_blocks())
+    assert len(blocks) == n and all(rows.size == 1 for rows, _ in blocks)
+    assert _gaps(spec) == _gap_reference(spec)
+
+
+def _check_outcome(p, cond):
+    """The error of CouplingSpec(p, cond), or None."""
+    try:
+        gs.CouplingSpec(p, conditional_sums=cond)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _row_loop_outcome(p, cond):
+    """The same check one row at a time, as _check_pmf per row."""
+    try:
+        for i in range(p.size):
+            if p[i] > 0.0:
+                _check_pmf(cond[i], f"conditional sum law {i}", tol=1e-12 * p.size)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("bad, raises", [
+    ({}, False),
+    ({3: ("negative", 2)}, True),
+    ({3: ("scale", 1.5)}, True),
+    ({2: ("scale", 1.5), 4: ("negative", 1)}, True),
+    ({2: ("negative", 0), 4: ("scale", 0.5)}, True),
+    ({1: ("negative", 0), 0: ("scale", 2.0)}, True),  # row 0 has p_0 = 0 and is never checked
+    ({0: ("scale", 2.0)}, False),
+    ({3: ("scale", 1.0 + 1e-9)}, True),
+    ({3: ("overflow", 0)}, True),
+    ({2: ("scale", 3.0), 3: ("overflow", 0)}, True),
+    ({3: ("nan", 0)}, False),  # a nan sum is not more than tol away from 1
+], ids=["consistent", "negative", "sum", "sum_before_negative", "negative_before_sum", "p0_row_skipped",
+        "only_p0_row_bad", "just_off", "overflow", "sum_before_overflow", "nan_passes"])
+def test_dependent_table_checks_name_the_first_bad_row(bad, raises):
+    p, cond = mixture_tables(np.random.default_rng(7), 6, zero_at=(0,))
+    for row, (kind, arg) in bad.items():
+        if kind == "negative":
+            cond[row, arg] = -1e-3
+        elif kind == "scale":
+            cond[row] *= arg
+        elif kind == "overflow":
+            cond[row, :2] = 1e308
+        else:
+            cond[row, arg] = math.nan
+    outcome = _check_outcome(p, cond)
+    assert outcome == _row_loop_outcome(p, cond)
+    assert (outcome is not None) == raises
+
+
+def test_given_zero_laws_flag_tables_inconsistent_with_the_sum_law():
+    spec = gs.CouplingSpec(np.array([0.5, 0.5]), conditional_sums=np.array([[0.0, 1.0], [0.0, 1.0]]),
+                           sum_law=np.array([0.9, 0.0, 0.1]))
+    with pytest.raises(ValueError, match="inconsistent with the law of the sum"):
+        spec.coupling_given_index(0)
+    with pytest.raises(ValueError, match="inconsistent with the law of the sum"):
+        spec.mean_abs_gaps()
+
+
 def test_coupling_slabs_hold_the_tuple_probabilities():
     rng = np.random.default_rng(1618)
     specs = [
@@ -314,6 +434,78 @@ def test_exact_sum_kernel_falls_back_on_inf_nan_and_overflow(tail):
     x = np.concatenate([gs.poisson(500.0).pmf, tail])
     assert not _prefers_fsum(x)
     _assert_sums_agree(x)
+
+
+def _row_sums(table):
+    return [x.hex() for x in _fsum_rows(table).tolist()]
+
+
+def _fsum_hex(table):
+    return [math.fsum(row).hex() for row in np.asarray(table).tolist()]
+
+
+ROW_WIDTHS = [1, 2, 7, 8, 31, 61, 200, 342, 1000, _CHUNK - 1, _CHUNK, _CHUNK + 1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from(SPECIAL_FLOATS[3:8])), min_size=1, max_size=30),
+    rows=st.integers(1, 5),
+    width=st.sampled_from(ROW_WIDTHS),
+    spread=st.booleans(),
+    zero_row=st.booleans(),
+)
+@example(values=[-0.0], rows=3, width=_CHUNK + 1, spread=False, zero_row=True)
+@example(values=[5e-324, 1e-310, -3e-320], rows=4, width=1000, spread=True, zero_row=False)
+@example(values=[1.0, 1e-300, 1e300, 2.0**-1074], rows=5, width=342, spread=True, zero_row=True)
+@example(values=[0.25, -0.25], rows=2, width=1, spread=False, zero_row=False)
+def test_row_kernel_equals_fsum_of_each_row(values, rows, width, spread, zero_row):
+    base = np.resize(np.array(values, dtype=float), rows * width).reshape(rows, width)
+    if spread:  # exponents over the whole range up to 2^1000, where no partial sum overflows
+        exponents = np.arange(rows * width).reshape(rows, width) * 379 % 2075 - 1074
+        base = np.ldexp(np.frexp(base)[0], exponents)
+    else:  # vary the entries along each row so that repeats do not just scale one value
+        base = base * np.ldexp(1.0, -(np.arange(width) % 7))
+    if zero_row:
+        base[0] = 0.0
+    assert _row_sums(base) == _fsum_hex(base)
+    # a row is the same sum alone, as a column slice, and as a one-row _fsum_arrays
+    assert _row_sums(base[-1:]) == _fsum_hex(base[-1:])
+    assert _fsum_rows(base[:, ::-1])[-1].hex() == math.fsum(base[-1, ::-1].tolist()).hex()
+    assert _fsum_outcome(lambda: _fsum_arrays(lambda: (base[-1],))) == _fsum_hex(base[-1:])[0]
+
+
+@pytest.mark.parametrize("width", [61, 1000, _CHUNK + 1])
+@pytest.mark.parametrize("special", [[math.inf], [math.nan], [-math.inf, 1.0], [1.5e308, -1.5e308, 1e308]])
+def test_row_kernel_keeps_other_rows_exact_beside_inf_nan_and_near_overflow(width, special):
+    rng = np.random.default_rng(width)
+    table = rng.standard_normal((4, width)) * np.ldexp(1.0, rng.integers(-1074, 900, (4, width)))
+    table[2, : len(special)] = special
+    assert _row_sums(table) == _fsum_hex(table)
+
+
+@pytest.mark.parametrize("head", [[1e308, 1e308], [1e308, 1e308, -1e308]], ids=["sum", "partial_sum"])
+def test_row_kernel_raises_where_fsum_overflows(head):
+    table = np.tile(gs.poisson(200.0).pmf[:400], (3, 1))
+    table[1, : len(head)] = head
+    with pytest.raises(OverflowError):
+        math.fsum(table[1].tolist())
+    with pytest.raises(OverflowError):
+        _fsum_rows(table)
+    assert _row_sums(table[[0, 2]]) == _fsum_hex(table[[0, 2]])
+
+
+def test_row_prices_take_each_rows_head_span():
+    rising = np.ldexp(1.0, np.arange(-1000, 0, 10))
+    table = np.array([rising, rising[::-1], np.concatenate([np.zeros(40), rising[40:]]), -rising,
+                      np.where(np.arange(100) % 2, rising, -rising), np.zeros(100), np.full(100, -0.0)])
+    bits = table.view(np.uint64)
+    assert _head_spans(bits, bits.max(axis=1)).tolist() == [_head_span(row) for row in table]
+
+
+def test_row_kernel_handles_empty_tables():
+    assert _fsum_rows(np.zeros((0, 50))).shape == (0,)
+    assert _row_sums(np.zeros((3, 0))) == [0.0.hex()] * 3
 
 
 
