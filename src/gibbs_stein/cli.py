@@ -426,10 +426,7 @@ def main(argv=None) -> int:
             # flags given later win, so the config overrides the command line
             args = parser.parse_args([*argv, *_config_argv(args.config)])
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

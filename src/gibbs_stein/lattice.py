@@ -508,11 +508,12 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     dependent specs the X_i = 0 pairs of the indices with p_i < 1 come as
     stacked (rows, n+1, n) blocks of about measures._CHUNK entries, one
     index at a time once its slab is larger
-    (CouplingSpec.zero_slab_blocks).  Every piece is the product
-    ((p_i/lam) * pr) * rate weight * charge of the pair-by-pair form, and
-    the one exact-sum kernel (measures._fsum_arrays, the same float
-    math.fsum returns) adds them all, so the value matches that form bit
-    for bit in O(n^2) memory.
+    (CouplingSpec.zero_slab_blocks, the one implementation of those
+    pairs).  Every piece is the product ((p_i/lam) * pr) * rate weight *
+    charge of one pair that CouplingSpec.coupling_given_index lists, and the
+    one exact-sum kernel (measures._fsum_arrays, the same float math.fsum
+    returns) adds them all, so the value equals math.fsum over that tuple
+    loop's pairs, bit for bit, in O(n^2) memory.
     """
     n_max = m.support_max
     if spec.n > n_max:

@@ -416,7 +416,7 @@ class GibbsMeasure:
                 f"support weight underflows double precision: pmf({k}) = exp({log_pmf[k]:.6g})"
             )
         total = float(np.sum(pmf))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"pmf failed to normalize (sum = {total!r})")
 
         # b_k = omega * exp(V(k+1) - V(k)) for k < N; the support boundary

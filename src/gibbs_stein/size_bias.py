@@ -26,15 +26,14 @@ The layer works in whole-array passes with the bits of the per-element
 forms it replaced: independent specs build all n leave-one-out laws, and
 the law of S, in one lockstep pass over the coordinates.  A dependent spec
 checks its n conditional tables in one pass and forms all n laws given
-X_i = 0 as one (n, n+1) table, once; its X_i = 0 slabs (coupling_slabs)
-and mean absolute gaps are built in blocks of indices holding about
-measures._CHUNK entries, one index at a time once a slab is larger, so
-memory stays O(n^2).  Every correctly rounded sum goes through one exact
-kernel: measures._fsum_rows adds each row of a table, measures._fsum_arrays
-(its one-row case, over a stream of arrays) the pieces of one long sum, and
-both return what math.fsum returns over the same pieces.  The per-index
-forms (coupling_given_index, coupling_slabs, mean_abs_gap) stay as the
-reference the blocks are tested against.
+X_i = 0 as one (n, n+1) table, once; its X_i = 0 slabs (zero_slab_blocks)
+and mean absolute gaps (mean_abs_gaps) are built in blocks of indices
+holding about measures._CHUNK entries, one index at a time once a slab is
+larger, so memory stays O(n^2).  Every correctly rounded sum goes through
+one exact kernel, measures._fsum_rows, which adds each row of a table and
+returns what math.fsum returns over the same entries.  The tuple loop
+coupling_given_index lists the same joint law one pair at a time and is
+the reference the blocks are tested against.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _CHUNK, GibbsMeasure, _fsum_arrays, _fsum_rows
+from .measures import _CHUNK, GibbsMeasure, _fsum_rows
 from .stein import solve
 
 __all__ = [
@@ -64,7 +63,7 @@ def _check_pmf(arr: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
         raise ValueError(f"{what} must be a non-empty 1-d table")
     if np.any(arr < -1e-15):
         raise ValueError(f"{what} has negative entries")
-    if abs(math.fsum(arr.tolist()) - 1.0) > tol:
+    if not abs(math.fsum(arr.tolist()) - 1.0) <= tol:  # a NaN sum fails too
         raise ValueError(f"{what} is not a probability vector")
     return arr
 
@@ -79,7 +78,7 @@ def _check_pmf_rows(table: np.ndarray, rows: np.ndarray, what: str, tol: float) 
     negative = np.any(table[rows] < -1e-15, axis=1)
     bad = negative.copy()
     try:
-        bad[~negative] = np.abs(_fsum_rows(table[rows[~negative]]) - 1.0) > tol
+        bad[~negative] = ~(np.abs(_fsum_rows(table[rows[~negative]]) - 1.0) <= tol)
     except OverflowError:
         for i in rows:
             _check_pmf(table[i], f"{what} {i}", tol=tol)
@@ -181,7 +180,7 @@ class CouplingSpec:
                 sum_law.setflags(write=False)
             if conditional_sums is not None:
                 given = np.asarray(conditional_sums, dtype=float)
-                if given.shape != derived.shape or np.max(np.abs(given - derived)) > 1e-9:
+                if given.shape != derived.shape or not np.max(np.abs(given - derived)) <= 1e-9:
                     raise ValueError(
                         "conditional sums inconsistent with independence of the coordinates"
                     )
@@ -220,8 +219,11 @@ class CouplingSpec:
         n = len(items[0][0])
         if any(len(bits) != n for bits, _ in items):
             raise ValueError("configurations must share one length")
+        for bits, pr in items:
+            if not pr >= 0.0:
+                raise ValueError(f"configuration {list(bits)} has probability {pr}, not a non-negative number")
         total = math.fsum(pr for _, pr in items)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError("configuration probabilities must sum to 1")
         p = np.zeros(n)
         cond = np.zeros((n, n))
@@ -284,7 +286,7 @@ class CouplingSpec:
         s = np.arange(1, self.n + 1, dtype=float)
         law[1:] = self.lam * mix[1:] / s
         head = 1.0 - math.fsum(law[1:].tolist())
-        if head < -1e-9:
+        if not head >= -1e-9:
             raise ValueError(
                 "conditional sums are inconsistent: no law of the sum matches the mixture"
             )
@@ -308,7 +310,7 @@ class CouplingSpec:
         with np.errstate(invalid="ignore"):  # 0 * inf in a row with p_i = 0
             table[:, 1:] -= self.p[:, None] * self.conditional_sums
         live = self.p > 0.0
-        if np.any(table[live] < -1e-9):
+        if not np.all(table[live] >= -1e-9):
             raise ValueError("conditional sums are inconsistent with the law of the sum")
         np.clip(table, 0.0, None, out=table)
         scaled = live & (self.p < 1.0)
@@ -352,49 +354,22 @@ class CouplingSpec:
                     out.append(((1.0 - self.p[i]) * pr_hat * pr_s, s, s_hat))
         return out
 
-    def coupling_slabs(self, i: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The off-diagonal part of coupling_given_index(i) as two arrays.
-
-        one[t] is the probability of the pair (S, Shat_i) = (t + 1, t), the
-        X_i = 1 part; zero[s, t] is that of (s, t) on X_i = 0, or None when
-        that part has no off-diagonal mass (independent coordinates, where
-        S = Shat_i there, or p_i = 1).  Each entry is the product that
-        coupling_given_index forms, in its order, so the values agree bit for
-        bit; pairs it leaves out appear here as zeros.
-        """
-        self._check_index(i)
-        cond = self.conditional_sums[i]
-        one = cond * self.p[i]
-        if self.independent:
-            return one, None
-        given_zero = self._given_zero_laws()[i]
-        if not self.p[i] < 1.0:
-            return one, None
-        return one, np.multiply.outer(given_zero, (1.0 - self.p[i]) * cond)
-
-    def mean_abs_gap(self, i: int) -> float:
-        """E_i |S - Shat_i| under the canonical coupling (p_i when independent)."""
-        if self.independent:
-            return float(self.p[i])
-        one, zero = self.coupling_slabs(i)
-        if zero is None:
-            return math.fsum(one.tolist())
-        return _fsum_arrays(lambda: (one, zero * self._gap_table()))
-
     def _gap_table(self) -> np.ndarray:
         """|s - t| for the pairs (s, t) of the X_i = 0 slabs, on 0..n by 0..n-1."""
         states = np.arange(self.n + 1, dtype=float)
         return np.abs(np.subtract.outer(states, states[:-1]))
 
     def zero_slab_blocks(self):
-        """The X_i = 0 slabs of coupling_slabs, stacked over blocks of indices.
+        """The X_i = 0 parts of coupling_given_index, stacked over blocks of indices.
 
-        Yields (rows, zero) with zero[k] equal, bit for bit, to
-        coupling_slabs(rows[k])[1], for every index with 0 < p_i < 1 in
-        order (none for independent specs), in blocks of the fewest indices
-        whose slabs reach _CHUNK entries: one index at a time once its
-        (n+1) x n slab is that large.  Each zero is a fresh array, which
-        the caller may overwrite.
+        Yields (rows, zero) where zero[k, s, t] is the probability of the pair
+        (S, Shat_i) = (s, t) on X_i = 0 for i = rows[k], on 0..n by 0..n-1:
+        the product coupling_given_index forms, with zeros for the pairs it
+        leaves out.  The rows are every index with 0 < p_i < 1 in order (none
+        for independent specs, where S = Shat_i on X_i = 0), in blocks of the
+        fewest indices whose slabs reach _CHUNK entries: one index at a time
+        once its (n+1) x n slab is that large.  Each zero is a fresh array,
+        which the caller may overwrite.
         """
         if self.independent:
             return
@@ -406,11 +381,12 @@ class CouplingSpec:
             yield rows, self._given_zero_laws()[rows][:, :, None] * cond[:, None, :]
 
     def mean_abs_gaps(self) -> np.ndarray:
-        """mean_abs_gap(i) for every index, bit for bit, and 0 where p_i = 0.
+        """E_i |S - Shat_i| under the canonical coupling for every index, and 0 where p_i = 0.
 
-        Each index's terms, its X_i = 1 pairs and its X_i = 0 slab times the
-        state gap, lie along one row of a table built per block of
-        zero_slab_blocks, and measures._fsum_rows adds every row at once.
+        Independent specs give p_i.  Otherwise each index's terms, its
+        X_i = 1 pairs and its X_i = 0 slab times the state gap, lie along one
+        row of a table built per block of zero_slab_blocks, and
+        measures._fsum_rows adds every row at once, correctly rounded.
         Indices with p_i = 1 add their X_i = 1 pairs alone.
         """
         if self.independent:
@@ -441,7 +417,7 @@ def sum_size_bias(spec: CouplingSpec) -> np.ndarray:
     mix = spec.mixture_law()
     direct = size_bias(spec.sum_law()).biased
     gap = float(np.max(np.abs(mix - direct)))
-    if gap > 1e-9:
+    if not gap <= 1e-9:
         raise ValueError(
             f"mixture law differs from the size-biased sum law by {gap:.3e}; "
             "the conditional tables are inconsistent"

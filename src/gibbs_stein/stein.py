@@ -27,10 +27,10 @@ Ann. Probab. 2001): the supremum of |g_f(j)| is F(j-1) Fbar(j) / (j pmf(j)),
 and that of the increment is a sum of three such masses.  Both are
 computed as tables over j = 1..N in a few whole-array passes
 (`sup_solution_table`, `sup_increment_table`), and the solution norm is the
-maximum of the first table, so each costs O(N) numpy work.  The O(1) scalar
-forms at one j, and beneath them the coefficient vectors and their box
-supremum, are kept as the reference the tables are checked against bit for
-bit.
+maximum of the first table, so each costs O(N) numpy work.  The values at
+one j (`sup_solution_exact`, `sup_increment_exact`) are reads of these
+tables.  The reference they are checked against shares none of their
+arithmetic: the coefficient vectors and their box supremum.
 
 A measure with support {0..n} can also be compared against laws living on
 a larger range: the generator is extended as a pure-death process above n
@@ -142,6 +142,8 @@ def _as_values(f, size: int) -> np.ndarray:
         values = np.asarray(f, dtype=float)
     if values.size != size:
         raise ValueError(f"test function must have length {size}, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("test function values must be finite")
     return values
 
 
@@ -185,12 +187,7 @@ def solve_extended(m: GibbsMeasure, f, domain_max: int) -> SteinSolution:
     n = m.support_max
     if domain_max <= n:
         raise ValueError("domain_max must exceed the measure's support bound")
-    if isinstance(f, TestFunction):
-        values = f.values
-    else:
-        values = np.asarray(f, dtype=float)
-    if values.size != domain_max + 1:
-        raise ValueError(f"test function must have length {domain_max + 1}, got {values.size}")
+    values = _as_values(f, domain_max + 1)
     if np.any(values[n + 1 :] != 0.0):
         raise ValueError("f must be in B0: values above the support must be 0")
 
@@ -230,11 +227,17 @@ def stationarity_defect(m: GibbsMeasure, g) -> float:
 # Exact suprema over the [0, 1]-valued test class
 # ---------------------------------------------------------------------------
 
-def solution_coefficients(m: GibbsMeasure, j: int) -> np.ndarray:
-    """Coefficients c with g_f(j) = sum_k c[k] f(k) for every test table f."""
+def _check_index(m: GibbsMeasure, j: int, quantity: str) -> None:
+    """Reject j outside 1..N, naming the quantity's coefficients."""
     n = m.support_max
     if not 1 <= j <= n:
-        raise ValueError(f"solution coefficients defined for 1 <= j <= {n}")
+        raise ValueError(f"{quantity} coefficients defined for 1 <= j <= {n}")
+
+
+def solution_coefficients(m: GibbsMeasure, j: int) -> np.ndarray:
+    """Coefficients c with g_f(j) = sum_k c[k] f(k) for every test table f."""
+    _check_index(m, j, "solution")
+    n = m.support_max
     pmf = m.pmf
     tables = m.cumulatives()
     scale = j * pmf[j]
@@ -246,11 +249,9 @@ def solution_coefficients(m: GibbsMeasure, j: int) -> np.ndarray:
 
 def increment_coefficients(m: GibbsMeasure, j: int) -> np.ndarray:
     """Coefficients d with g_f(j+1) - g_f(j) = sum_k d[k] f(k)."""
-    n = m.support_max
-    if not 1 <= j <= n:
-        raise ValueError(f"increment coefficients defined for 1 <= j <= {n}")
+    _check_index(m, j, "increment")
     c_j = solution_coefficients(m, j)
-    if j == n:
+    if j == m.support_max:
         # g(N+1) = 0, so the increment at N is -g(N).
         return -c_j
     return solution_coefficients(m, j + 1) - c_j
@@ -273,66 +274,22 @@ def _box_supremum(coeffs: np.ndarray, f_support: int | None) -> tuple[float, np.
     return value, f_star
 
 
-def _product_over(x: float, y: float, w: float) -> float:
-    """x y / w with the smaller factor divided first, for x, y in (0, 1] and w > 0.
-
-    It overflows only when x y / w itself exceeds the double range, even where
-    w is subnormal and x / w or y / w alone would not fit.
-    """
-    lo, hi = (x, y) if x <= y else (y, x)
-    return lo / w * hi
-
-
 def sup_solution_exact(m: GibbsMeasure, j: int, f_support: int | None = None) -> float:
     """Exact sup over f in B (or B0 with the given support s) of |g_f(j)|.
 
-    This is the positive coefficient mass F(min(j-1, s)) Fbar(j) / (j pmf(j)),
-    which the negative one never exceeds.
+    Entry j - 1 of sup_solution_table(m, f_support).
     """
-    n = m.support_max
-    if not 1 <= j <= n:
-        raise ValueError(f"solution coefficients defined for 1 <= j <= {n}")
-    tables = m.cumulatives()
-    below = tables.F.item(j - 1 if f_support is None else min(j - 1, f_support))
-    return _product_over(below, tables.Fbar.item(j), j * m.pmf.item(j))
+    _check_index(m, j, "solution")
+    return float(sup_solution_table(m, f_support)[j - 1])
 
 
 def sup_increment_exact(m: GibbsMeasure, j: int, f_support: int | None = None) -> float:
     """Exact sup over f in B (or B0 with the given support s) of |g_f(j+1) - g_f(j)|.
 
-    With A = Fbar(j)/(j pmf(j)), B = F(j-1)/(j pmf(j)) and A', B' the same at
-    j+1 (0 at j = N), the increment's coefficient is pmf(k)(A' - A) below j,
-    pmf(j) A' + F(j-1)/j at j and pmf(k)(B - B') above j.  Over B the positive
-    and negative masses are equal; the positive one,
-
-        pmf(j) A' + F(j-1)/j + F(j-1) (A' - A)^+ + Fbar(j+1) (B - B')^+,
-
-    is returned, each product evaluated as one ratio so that a subnormal pmf
-    entry does not overflow it.  Over B0 with s >= j the coefficients above s
-    share one sign, so dropping them leaves the other sign's mass, and the
-    supremum, as over B; with s < j only F(s) |A' - A| remains.
+    Entry j - 1 of sup_increment_table(m, f_support).
     """
-    n = m.support_max
-    if not 1 <= j <= n:
-        raise ValueError(f"increment coefficients defined for 1 <= j <= {n}")
-    tables = m.cumulatives()
-    # element readers returning Python floats
-    pmf, F, Fbar = m.pmf.item, tables.F.item, tables.Fbar.item
-    w = j * pmf(j)
-    if f_support is not None and f_support < j:
-        below = F(f_support)
-        at_next = _product_over(below, Fbar(j + 1), (j + 1) * pmf(j + 1)) if j < n else 0.0
-        return abs(at_next - _product_over(below, Fbar(j), w))
-    below = F(j - 1)
-    if j == n:
-        return below / j
-    w_next, tail = (j + 1) * pmf(j + 1), Fbar(j + 1)
-    return (
-        below / j
-        + _product_over(pmf(j), tail, w_next)  # pmf(j) A'
-        + max(_product_over(below, tail, w_next) - _product_over(below, Fbar(j), w), 0.0)
-        + max(_product_over(below, tail, w) - _product_over(F(j), tail, w_next), 0.0)
-    )
+    _check_index(m, j, "increment")
+    return float(sup_increment_table(m, f_support)[j - 1])
 
 
 def extremal_indicator(m: GibbsMeasure, j: int, quantity: str = "increment") -> np.ndarray:
@@ -347,12 +304,20 @@ def extremal_indicator(m: GibbsMeasure, j: int, quantity: str = "increment") -> 
 
 
 def _products_over(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """_product_over at every entry: x y / w with the smaller factor divided first."""
+    """x y / w at every entry, for x, y in (0, 1] and w > 0, the smaller factor divided first.
+
+    An entry overflows only when x y / w itself exceeds the double range, even
+    where w is subnormal and x / w or y / w alone would not fit.
+    """
     return np.minimum(x, y) / w * np.maximum(x, y)
 
 
 def sup_solution_table(m: GibbsMeasure, f_support: int | None = None) -> np.ndarray:
-    """sup_solution_exact(m, j, f_support) for j = 1..N, bit for bit, as one array."""
+    """Exact sup over f in B (or B0 with support s) of |g_f(j)|, for j = 1..N.
+
+    Entry j - 1 is the positive coefficient mass F(min(j-1, s)) Fbar(j) / (j pmf(j)),
+    which the negative one never exceeds.
+    """
     n = m.support_max
     tables = m.cumulatives()
     below = tables.F[:n] if f_support is None else tables.F[np.minimum(np.arange(n), f_support)]
@@ -360,11 +325,20 @@ def sup_solution_table(m: GibbsMeasure, f_support: int | None = None) -> np.ndar
 
 
 def sup_increment_table(m: GibbsMeasure, f_support: int | None = None) -> np.ndarray:
-    """sup_increment_exact(m, j, f_support) for j = 1..N, bit for bit, as one array.
+    """Exact sup over f in B (or B0 with support s) of |g_f(j+1) - g_f(j)|, for j = 1..N.
 
-    Entry j - 1 evaluates the scalar form's expression at j in the same
-    order; j = N keeps its own F(N-1)/N, and the indices j > f_support
-    their own |A' - A| form.
+    With A = Fbar(j)/(j pmf(j)), B = F(j-1)/(j pmf(j)) and A', B' the same at
+    j+1 (0 at j = N), the increment's coefficient is pmf(k)(A' - A) below j,
+    pmf(j) A' + F(j-1)/j at j and pmf(k)(B - B') above j.  Over B the positive
+    and negative masses are equal; entry j - 1 is the positive one,
+
+        pmf(j) A' + F(j-1)/j + F(j-1) (A' - A)^+ + Fbar(j+1) (B - B')^+,
+
+    each product evaluated as one ratio so that a subnormal pmf entry does
+    not overflow it; at j = N it is F(N-1)/N.  Over B0 with s >= j the
+    coefficients above s share one sign, so dropping them leaves the other
+    sign's mass, and the supremum, as over B; with s < j only F(s) |A' - A|
+    remains.
     """
     n = m.support_max
     if n == 0:

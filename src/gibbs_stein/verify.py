@@ -173,8 +173,9 @@ def check_increment_exactness(rng) -> tuple[bool, str]:
     for m in [measures.poisson(1.0), measures.geometric(0.5), measures.binomial(10, 0.3)]:
         if not factors.condition(m, "rate_sandwich").holds:
             return False, f"sandwich condition unexpectedly fails for {m.label()}"
+        exact_inc = stein.sup_increment_table(m).tolist()
         for j in range(1, min(m.support_max, 25) + 1):
-            exact = stein.sup_increment_exact(m, j)
+            exact = exact_inc[j - 1]
             formula = factors.increment_bound(m, j)[0].value
             worst = max(worst, abs(exact - formula))
     return worst <= 1e-10, f"max identity gap {worst:.2e}"
@@ -183,25 +184,28 @@ def check_increment_exactness(rng) -> tuple[bool, str]:
 def check_extremal_attainment(rng) -> tuple[bool, str]:
     worst = 0.0
     m = measures.poisson(2.0)
+    exact_inc = stein.sup_increment_table(m).tolist()
     for j in (1, 2, 5, 8):
         f_star = stein.extremal_indicator(m, j, "increment")
         sol = stein.solve(m, f_star)
         attained = abs(sol.g[j + 1] - sol.g[j])
-        worst = max(worst, abs(attained - stein.sup_increment_exact(m, j)))
+        worst = max(worst, abs(attained - exact_inc[j - 1]))
     return worst <= 1e-10, f"max attainment gap {worst:.2e}"
 
 
 def check_closed_form_suprema(rng) -> tuple[bool, str]:
-    # the O(1) suprema against the box supremum of the explicit coefficients,
+    # the supremum tables against the box supremum of the explicit coefficients,
     # over B and over B0 at two support bounds
     worst = 0.0
     for m in _standard_measures():
         n = m.support_max
         for s in (None, n // 2, 1):
+            solution = stein.sup_solution_table(m, s).tolist()
+            increment = stein.sup_increment_table(m, s).tolist()
             for j in range(1, n + 1):
                 for closed, coeffs in (
-                    (stein.sup_solution_exact(m, j, s), stein.solution_coefficients(m, j)),
-                    (stein.sup_increment_exact(m, j, s), stein.increment_coefficients(m, j)),
+                    (solution[j - 1], stein.solution_coefficients(m, j)),
+                    (increment[j - 1], stein.increment_coefficients(m, j)),
                 ):
                     ref, _ = stein._box_supremum(coeffs, s)
                     worst = max(worst, abs(closed - ref) / max(ref, 1e-300))
@@ -215,16 +219,18 @@ def check_certificate_dominance(rng) -> tuple[bool, str]:
         cert = factors.supnorm_bound(m)
         if cert.applicable:
             margin = min(margin, cert.value - exact_norm)
+        exact_sol = stein.sup_solution_table(m).tolist()
+        exact_incs = stein.sup_increment_table(m).tolist()
         for j in (1, 2, 3):
             if j > m.support_max:
                 continue
-            exact_inc = stein.sup_increment_exact(m, j)
+            exact_inc = exact_incs[j - 1]
             ex, simple = factors.increment_bound(m, j)
             if ex.licensed:
                 margin = min(margin, ex.value - exact_inc, simple.value - exact_inc)
             sb = factors.solution_bound(m, j)
             if sb.licensed:
-                margin = min(margin, sb.value - stein.sup_solution_exact(m, j))
+                margin = min(margin, sb.value - exact_sol[j - 1])
     return margin >= -1e-10, f"min dominance margin {margin:.2e}"
 
 

@@ -1,5 +1,6 @@
 """Fuzzed command lines: `main` exits 0 or 2, never with a traceback, and an
-exit-2 message names the flag, config key or descriptor at fault.
+exit-2 message names the flag, config key or descriptor at fault; a report
+printed with exit 0 holds no NaN.
 
 Each case is drawn per subcommand from a grammar of valid and corrupted flag
 values, `--config` files and inline JSON measures.  A part of the command
@@ -13,9 +14,11 @@ whole battery, so it is left out.  Drawn support sizes stay at or below
 import contextlib
 import io
 import json
+import math
+import re
 from dataclasses import dataclass
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbs_stein as gs
@@ -153,6 +156,18 @@ def lattice_case():
         lambda t: ["lattice", t[0], t[1], *[p for p in t[2:4] if p], *t[4]])
 
 
+# specs whose tables hold a NaN: a conditional sum law, and the all-zero configuration's probability
+NAN_SPECS = [
+    json.dumps({"p": [0.5, 0.5], "conditional_sums": [[0.5, math.nan], [0.5, 0.5]]}),
+    json.dumps({"configurations": [{"bits": [0, 0], "prob": math.nan}, {"bits": [1, 0], "prob": 0.5},
+                                   {"bits": [1, 1], "prob": 0.5}]}),
+]
+
+
+def spec_part(text, bad):
+    return Part(("--spec", "{dir}/spec.json"), ("--spec", "{dir}/spec.json"), bad, (("spec.json", text),))
+
+
 def poisson_sum_case():
     p = st.one_of(
         st.lists(floats(0.0, 1.0), min_size=1, max_size=40).map(lambda ps: flag("--p", ",".join(ps))),
@@ -162,8 +177,8 @@ def poisson_sum_case():
     spec = st.sampled_from([
         (spec_good, False), ("{", True), ('{"p": []}', True), ("[1]", True),
         (json.dumps({"p": [0.3, 0.2], "independent": True, "conditional_sums": [[0, 1], [1, 0]]}), True),
-    ]).map(lambda s: Part(("--spec", "{dir}/spec.json"), ("--spec", "{dir}/spec.json"), s[1],
-                          (("spec.json", s[0]),)))
+        *((text, True) for text in NAN_SPECS),
+    ]).map(lambda s: spec_part(*s))
     missing = st.just(Part(("--spec", "{dir}/none.json"), ("--spec",), True))
     return st.tuples(st.one_of(p, spec, missing), common()).map(lambda t: ["poisson-sum", t[0], *t[1]])
 
@@ -175,7 +190,7 @@ def run(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse rejects a flag value
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def render(parts, directory):
@@ -196,13 +211,16 @@ def names(parts, directory):
 
 
 @settings(max_examples=160, deadline=None, derandomize=True)
+@example(parts=["poisson-sum", spec_part(NAN_SPECS[0], True)])
+@example(parts=["poisson-sum", spec_part(NAN_SPECS[1], True)])
 @given(parts=st.one_of(solve_case(), bounds_case(), compare_case(), lattice_case(), poisson_sum_case()))
 def test_fuzzed_command_lines_exit_zero_or_two_naming_the_fault(parts, tmp_path_factory):
     directory = tmp_path_factory.mktemp("argv")
-    code, err = run(render(parts, directory))
+    code, out, err = run(render(parts, directory))
     assert code in (0, 2), (parts, code, err)
     assert "Traceback" not in err, err
     if code == 0:
+        assert not re.search(r"\bnan\b", out, re.IGNORECASE), (parts, out)
         return
     assert any(name in err for name in names(parts, directory)), (parts, err)
     bad = [part for part in parts if not isinstance(part, str) and part.bad]

@@ -134,11 +134,10 @@ def test_increment_equality_matches_exact_supremum_when_licensed():
     for m in (gs.poisson(0.5), gs.poisson(5.0), gs.geometric(0.25), gs.binomial(12, 0.4)):
         exact_ok = gs.condition(m, "rate_sandwich").holds
         assert exact_ok
+        exact = gs.sup_increment_table(m)
         for j in range(1, min(m.support_max, 20) + 1):
             cert, _ = gs.increment_bound(m, j)
-            assert cert.value == pytest.approx(
-                gs.sup_increment_exact(m, j), abs=1e-10
-            )
+            assert cert.value == pytest.approx(exact[j - 1], abs=1e-10)
 
 
 def test_poisson_increment_chain_on_grid():
@@ -147,8 +146,9 @@ def test_poisson_increment_chain_on_grid():
         m = gs.poisson(float(lam), truncation=60)
         factor = (1.0 - math.exp(-lam)) / lam
         strict_somewhere = False
+        table = gs.sup_increment_table(m)
         for k in range(1, 51):
-            exact = gs.sup_increment_exact(m, k)
+            exact = table[k - 1]
             mid = min(1.0 / k, factor)
             outer = min(1.0 / k, 1.0 / lam)
             assert exact <= mid + 1e-10
@@ -192,10 +192,11 @@ def test_solution_bound_binomial_formula():
 
 def test_solution_bound_dominates_exact_supremum():
     for m in (gs.poisson(1.0), gs.poisson(5.0), gs.geometric(0.5), gs.binomial(10, 0.3)):
+        exact = gs.sup_solution_table(m)
         for j in range(1, min(m.support_max, 15) + 1):
             cert = gs.solution_bound(m, j)
             if cert.licensed:
-                assert cert.value >= gs.sup_solution_exact(m, j) - 1e-10
+                assert cert.value >= exact[j - 1] - 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +267,18 @@ def test_binomial_closed_form_rate_normalized():
 
 
 def test_closed_forms_dominate_exact(subtests=None):
-    m = gs.poisson(1.0, truncation=60)
-    for k in range(1, 30):
-        (cert,) = gs.closed_form_bounds(m, j=k)
-        assert cert.value >= gs.sup_increment_exact(m, k) - 1e-10
-    mg = gs.geometric(0.5)
-    for k in range(1, 30):
-        (cert,) = gs.closed_form_bounds(mg, j=k)
-        assert cert.value >= gs.sup_increment_exact(mg, k) - 1e-10
-    mb = gs.binomial(10, 0.3)
-    for k in range(1, 10):
-        (cert,) = gs.closed_form_bounds(mb, j=k)
-        assert cert.value >= gs.sup_increment_exact(mb, k) - 1e-10
+    for m, top in ((gs.poisson(1.0, truncation=60), 30), (gs.geometric(0.5), 30), (gs.binomial(10, 0.3), 10)):
+        exact = gs.sup_increment_table(m)
+        for k in range(1, top):
+            (cert,) = gs.closed_form_bounds(m, j=k)
+            assert cert.value >= exact[k - 1] - 1e-10
 
 
 @pytest.mark.parametrize("lam", [1e-20, 1e-8])
 def test_poisson_closed_forms_dominate_at_small_lambda(lam):
     # (1 - e^-lam)/lam loses its digits to cancellation here; the bound must not
     m = gs.poisson(lam, truncation=3)
-    exact = [gs.sup_increment_exact(m, j) for j in range(1, m.support_max + 1)]
+    exact = gs.sup_increment_table(m).tolist()
     uniform = gs.closed_form_bounds(m)
     assert [c.formula for c in uniform] == ["poisson_increment"]
     for cert in uniform + gs.closed_form_bounds(m, j=1):
@@ -314,9 +308,7 @@ def test_bound_certificates_are_the_per_j_certificates(make):
     assert [(c.quantity, c.j, c.formula, c.exactness, c.licensed) for c in exact] == [
         ("solution_norm", None, "exact_supremum", "exact_equality", True)
     ] + [("increment_at_j", j, "exact_supremum", "exact_equality", True) for j in js]
-    assert [c.value for c in exact] == [gs.sup_solution_norm(m)] + [
-        gs.sup_increment_exact(m, j) for j in js
-    ]
+    assert [c.value for c in exact] == [gs.sup_solution_norm(m)] + gs.sup_increment_table(m).tolist()
 
 
 def test_certificate_serialization_carries_conditions():

@@ -49,7 +49,7 @@ def test_family_record_holds_on_instances(kind):
             assert np.all(b >= lo * (1 - 1e-12)) and np.all(b <= hi * (1 + 1e-12)), m.label()
         if m.support_max == 0:
             continue
-        increments = [gs.sup_increment_exact(m, j) for j in range(1, m.support_max + 1)]
+        increments = gs.sup_increment_table(m).tolist()
         certs = [gs.supnorm_bound(m), *gs.closed_form_bounds(m)]
         certs += [c for j in range(1, m.support_max + 1) for c in gs.closed_form_bounds(m, j=j)]
         for cert in certs:

@@ -155,11 +155,17 @@ def test_spec_json_ingestion():
     assert np.allclose(spec3.p, [0.4, 0.4])
 
 
-def test_mean_abs_gap_perfect_coupling():
+def _tuple_gap(spec, i):
+    """E_i |S - Shat_i| as math.fsum over the pairs coupling_given_index(i) lists."""
+    return math.fsum(pr * abs(s - s_hat) for pr, s, s_hat in spec.coupling_given_index(i))
+
+
+def test_mean_abs_gaps_perfect_coupling():
     p = [0.3, 0.6, 0.1]
     spec = gs.CouplingSpec.independent_bernoulli(p)
+    assert spec.mean_abs_gaps().tolist() == p
     for i, pi in enumerate(p):
-        assert spec.mean_abs_gap(i) == pytest.approx(pi)
+        assert _tuple_gap(spec, i) == pytest.approx(pi)
 
 
 def random_configurations(rng, n, count):
@@ -168,7 +174,7 @@ def random_configurations(rng, n, count):
     return list(zip(sorted(bits), weights / weights.sum()))
 
 
-def test_mean_abs_gap_equals_tuple_loop():
+def test_mean_abs_gaps_equal_tuple_loop():
     rng = np.random.default_rng(2718)
     specs = [gs.CouplingSpec.from_configurations(random_configurations(rng, n, 3 * n))
              for n in (2, 4, 6, 7)]
@@ -182,13 +188,14 @@ def test_mean_abs_gap_equals_tuple_loop():
     ))
     for spec in specs:
         assert not spec.independent
+        gaps = spec.mean_abs_gaps().tolist()
         for i in range(spec.n):
             if spec.p[i] <= 0.0:
+                assert gaps[i] == 0.0
                 with pytest.raises(ValueError, match="zero mean"):
-                    spec.mean_abs_gap(i)
+                    spec.coupling_given_index(i)
                 continue
-            reference = math.fsum(pr * abs(s - s_hat) for pr, s, s_hat in spec.coupling_given_index(i))
-            assert spec.mean_abs_gap(i).hex() == reference.hex()
+            assert gaps[i].hex() == _tuple_gap(spec, i).hex()
 
 
 def mixture_tables(rng, n, zero_at=()):
@@ -208,15 +215,29 @@ def mixture_tables(rng, n, zero_at=()):
     return p, cond
 
 
-def _gap_reference(spec):
-    return [spec.mean_abs_gap(i).hex() for i in range(spec.n) if spec.p[i] > 0.0]
+def _assert_gaps_equal_the_tuple_loop(spec, indices=None):
+    """mean_abs_gaps() against the tuple loop (p_i itself when independent), bit for bit."""
+    gaps = spec.mean_abs_gaps()
+    assert np.all(gaps[spec.p == 0.0] == 0.0)
+    for i in np.flatnonzero(spec.p > 0.0) if indices is None else indices:
+        reference = spec.p[i] if spec.independent else _tuple_gap(spec, i)
+        assert gaps[i].hex() == reference.hex(), i
 
 
-def _gaps(spec):
-    return [g.hex() for g in spec.mean_abs_gaps()[spec.p > 0.0].tolist()]
+def _assert_slabs_hold_the_tuple_probabilities(spec):
+    """The X_i = 1 pairs and the nonzero off-diagonal entries of each zero block
+    are the off-diagonal pairs coupling_given_index(i) lists, probabilities bit for bit."""
+    zero_of = {int(i): zero[k] for rows, zero in spec.zero_slab_blocks() for k, i in enumerate(rows)}
+    for i in np.flatnonzero(spec.p > 0.0):
+        expected = sorted((s, t, pr) for pr, s, t in spec.coupling_given_index(i) if s != t and pr != 0.0)
+        one = spec.conditional_sums[i] * spec.p[i]
+        got = [(t + 1, t, pr) for t, pr in enumerate(one.tolist()) if pr != 0.0]
+        if i in zero_of:
+            got += [(s, t, pr) for (s, t), pr in np.ndenumerate(zero_of[i]) if s != t and pr != 0.0]
+        assert sorted(got) == expected, i
 
 
-def test_mean_abs_gaps_equal_the_per_index_form():
+def test_mean_abs_gaps_and_zero_slabs_in_blocks_equal_the_tuple_loop():
     rng = np.random.default_rng(4242)
     specs = [
         gs.CouplingSpec(*mixture_tables(rng, 40)),  # several blocks of indices
@@ -234,11 +255,8 @@ def test_mean_abs_gaps_equal_the_per_index_form():
         for i in np.flatnonzero(spec.p > 0.0):
             mix[1:] += (spec.p[i] / spec.lam) * spec.conditional_sums[i]
         assert spec.mixture_law().tobytes() == mix.tobytes()
-        assert _gaps(spec) == _gap_reference(spec)
-        assert np.all(spec.mean_abs_gaps()[spec.p == 0.0] == 0.0)
-        for rows, zero in spec.zero_slab_blocks():
-            for k, i in enumerate(rows):
-                assert zero[k].tobytes() == spec.coupling_slabs(i)[1].tobytes()
+        _assert_gaps_equal_the_tuple_loop(spec)
+        _assert_slabs_hold_the_tuple_probabilities(spec)
 
 
 def test_mean_abs_gaps_split_rows_wider_than_a_chunk():
@@ -247,7 +265,7 @@ def test_mean_abs_gaps_split_rows_wider_than_a_chunk():
     spec = gs.CouplingSpec(*mixture_tables(np.random.default_rng(190), n))
     blocks = list(spec.zero_slab_blocks())
     assert len(blocks) == n and all(rows.size == 1 for rows, _ in blocks)
-    assert _gaps(spec) == _gap_reference(spec)
+    _assert_gaps_equal_the_tuple_loop(spec, indices=(0, 1, n // 2, n - 1))
 
 
 def _check_outcome(p, cond):
@@ -281,9 +299,9 @@ def _row_loop_outcome(p, cond):
     ({3: ("scale", 1.0 + 1e-9)}, True),
     ({3: ("overflow", 0)}, True),
     ({2: ("scale", 3.0), 3: ("overflow", 0)}, True),
-    ({3: ("nan", 0)}, False),  # a nan sum is not more than tol away from 1
+    ({3: ("nan", 0)}, True),  # a nan sum is not within tol of 1
 ], ids=["consistent", "negative", "sum", "sum_before_negative", "negative_before_sum", "p0_row_skipped",
-        "only_p0_row_bad", "just_off", "overflow", "sum_before_overflow", "nan_passes"])
+        "only_p0_row_bad", "just_off", "overflow", "sum_before_overflow", "nan_fails"])
 def test_dependent_table_checks_name_the_first_bad_row(bad, raises):
     p, cond = mixture_tables(np.random.default_rng(7), 6, zero_at=(0,))
     for row, (kind, arg) in bad.items():
@@ -309,7 +327,7 @@ def test_given_zero_laws_flag_tables_inconsistent_with_the_sum_law():
         spec.mean_abs_gaps()
 
 
-def test_coupling_slabs_hold_the_tuple_probabilities():
+def test_zero_slab_blocks_hold_the_tuple_probabilities():
     rng = np.random.default_rng(1618)
     specs = [
         gs.CouplingSpec.independent_bernoulli([1.0, 0.0, 0.4, 0.7]),
@@ -318,14 +336,7 @@ def test_coupling_slabs_hold_the_tuple_probabilities():
         gs.CouplingSpec.from_configurations([((1, 0, 0), 0.5), ((1, 1, 0), 0.25), ((1, 1, 1), 0.25)]),
     ]
     for spec in specs:
-        for i in np.flatnonzero(spec.p > 0.0):
-            expected = sorted((s, t, pr) for pr, s, t in spec.coupling_given_index(i)
-                              if s != t and pr != 0.0)
-            one, zero = spec.coupling_slabs(i)
-            got = [(t + 1, t, pr) for t, pr in enumerate(one.tolist()) if pr != 0.0]
-            if zero is not None:
-                got += [(s, t, pr) for (s, t), pr in np.ndenumerate(zero) if s != t and pr != 0.0]
-            assert sorted(got) == expected
+        _assert_slabs_hold_the_tuple_probabilities(spec)
 
 
 @pytest.mark.parametrize("p", [
@@ -566,3 +577,89 @@ def test_residual_rejects_bad_star_law():
     W = gs.binomial(5, 0.3).pmf
     with pytest.raises(ValueError, match="probability"):
         gs.stein_residual_via_size_bias(m, W, np.array([0.5, 0.2]), np.zeros(21))
+
+
+# ---------------------------------------------------------------------------
+# non-finite and negative entries in probability tables
+# ---------------------------------------------------------------------------
+
+_NOT_A_PROBABILITY = [math.nan, math.inf, -math.inf, -0.25]
+
+
+@st.composite
+def _corrupted(draw, values):
+    """values with one to three entries replaced by NaN, +-inf or a negative number."""
+    out = list(values)
+    for k in draw(st.lists(st.integers(0, len(out) - 1), min_size=1, max_size=3)):
+        out[k] = draw(st.sampled_from(_NOT_A_PROBABILITY))
+    return out
+
+
+def _finite_outputs(call):
+    """call()'s floats, or [] when it raises ValueError."""
+    try:
+        out = call()
+    except ValueError:
+        return []
+    return out
+
+
+def _spec_outputs(spec):
+    rep = gs.poisson_sum_bounds(spec)
+    return [*spec.sum_law(), *spec.mean_abs_gaps(), rep.lam, rep.exact_tv,
+            rep.harmonic_coupling_bound, rep.linear_coupling_bound]
+
+
+_RESIDUAL_TARGET = gs.poisson(1.0, truncation=6)
+_W = np.array([0.25, 0.5, 0.25])
+_INDEPENDENT_TABLES = gs.CouplingSpec.independent_bernoulli([0.5, 0.3, 0.0]).conditional_sums
+_CONFIGURATIONS = [((0, 0, 0), 0.25), ((1, 0, 0), 0.25), ((1, 1, 0), 0.25), ((1, 1, 1), 0.25)]
+
+
+def _bad_table_calls():
+    """(name, strategy of zero-argument calls) for each entry point that reads a probability table."""
+    half = [0.5] * (_RESIDUAL_TARGET.support_max + 1)
+
+    def residual(w, w_star, f):
+        return lambda: [gs.stein_residual_via_size_bias(_RESIDUAL_TARGET, np.array(w), np.array(w_star), np.array(f))]
+
+    w_star = gs.size_bias(_W).biased.tolist()
+    tables = _INDEPENDENT_TABLES.tolist()
+    return st.one_of(
+        _corrupted([0.25, 0.25, 0.5]).map(lambda p: lambda: [gs.tv_distance(p, [0.5, 0.5])]),
+        _corrupted([0.25, 0.25, 0.5]).map(lambda q: lambda: [gs.tv_distance([0.5, 0.5], q)]),
+        _corrupted([0.2, 0.3, 0.5]).map(lambda base: lambda: [*gs.size_bias(np.array(base)).biased]),
+        _corrupted(_W.tolist()).map(lambda w: residual(w, w_star, half)),
+        _corrupted(w_star).map(lambda ws: residual(_W, ws, half)),
+        _corrupted(half).map(lambda f: residual(_W, w_star, f)),
+        _corrupted([0.5, 0.3, 0.0]).map(lambda p: lambda: _spec_outputs(gs.CouplingSpec(p, _INDEPENDENT_TABLES))),
+        st.integers(0, 2).flatmap(lambda row: _corrupted(tables[row]).map(
+            lambda bad: lambda: _spec_outputs(gs.CouplingSpec(
+                [0.5, 0.3, 0.0], [bad if i == row else t for i, t in enumerate(tables)])))),
+        _corrupted([pr for _, pr in _CONFIGURATIONS]).map(lambda probs: lambda: _spec_outputs(
+            gs.CouplingSpec.from_configurations(zip([bits for bits, _ in _CONFIGURATIONS], probs)))),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(call=_bad_table_calls())
+def test_bad_table_entries_raise_or_give_finite_values(call):
+    assert all(math.isfinite(v) for v in _finite_outputs(call))
+
+
+def test_nan_tables_raise_naming_the_table():
+    nan = math.nan
+    with pytest.raises(ValueError, match="first argument is not a normalized pmf"):
+        gs.tv_distance([nan, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="base law is not a probability vector"):
+        gs.size_bias(np.array([0.5, nan]))
+    with pytest.raises(ValueError, match="conditional sum law 0 is not a probability vector"):
+        gs.CouplingSpec([0.5, 0.5], [[0.5, nan], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="inconsistent with independence"):
+        gs.CouplingSpec([0.5, 0.5], [[nan, 0.5], [0.5, 0.5]], independent=True)
+    with pytest.raises(ValueError, match=r"configuration \[0, 0\] has probability nan"):
+        gs.CouplingSpec.from_configurations([((0, 0), nan), ((1, 0), 0.5), ((1, 1), 0.5)])
+    with pytest.raises(ValueError, match=r"configuration \[1, 0\] has probability -0.5"):
+        gs.CouplingSpec.from_configurations([((0, 0), 1.0), ((1, 0), -0.5), ((1, 1), 0.5)])
+    with pytest.raises(ValueError, match="test function values must be finite"):
+        gs.solve(gs.poisson(1.0, truncation=3), [0.5, nan, 0.5, 0.5])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -202,9 +203,10 @@ def test_solution_supremum_matches_closed_form():
     # independent oracle: the box supremum collapses to F(j-1) Fbar(j) / (j pmf(j))
     for m in MEASURES:
         t = m.cumulatives()
+        table = gs.sup_solution_table(m)
         for j in range(1, m.support_max + 1):
             closed = t.F[j - 1] * t.Fbar[j] / (j * m.pmf[j])
-            assert gs.sup_solution_exact(m, j) == pytest.approx(closed, rel=1e-10)
+            assert table[j - 1] == pytest.approx(closed, rel=1e-10)
 
 
 def test_solution_coefficients_reproduce_solver():
@@ -220,6 +222,7 @@ def test_solution_coefficients_reproduce_solver():
 
 def test_increment_supremum_attained_by_indicator():
     for m in (gs.poisson(1.0), gs.geometric(0.5), gs.binomial(10, 0.3)):
+        table = gs.sup_increment_table(m)
         for j in (1, 2, 5):
             if j > m.support_max:
                 continue
@@ -227,7 +230,7 @@ def test_increment_supremum_attained_by_indicator():
             assert set(np.unique(f_star)).issubset({0.0, 1.0})
             sol = gs.solve(m, f_star)
             attained = abs(sol.g[j + 1] - sol.g[j])
-            assert attained == pytest.approx(gs.sup_increment_exact(m, j), abs=1e-10)
+            assert attained == pytest.approx(table[j - 1], abs=1e-10)
 
 
 def test_geometric_increment_supremum_value():
@@ -251,10 +254,23 @@ def test_extended_norm_includes_tail_ceiling():
 
 def test_supremum_index_validation():
     m = gs.poisson(1.0, truncation=10)
-    with pytest.raises(ValueError):
-        gs.sup_increment_exact(m, 0)
-    with pytest.raises(ValueError):
-        gs.sup_solution_exact(m, 11)
+    for read, j in ((gs.sup_increment_exact, 0), (increment_coefficients, 11)):
+        with pytest.raises(ValueError, match=r"^increment coefficients defined for 1 <= j <= 10$"):
+            read(m, j)
+    for read, j in ((gs.sup_solution_exact, 11), (solution_coefficients, 0)):
+        with pytest.raises(ValueError, match=r"^solution coefficients defined for 1 <= j <= 10$"):
+            read(m, j)
+
+
+def test_supremum_reads_are_table_entries():
+    m = gs.geometric(0.3)
+    n = m.support_max
+    for s in (None, 2, n):
+        solution, increment = gs.sup_solution_table(m, s), gs.sup_increment_table(m, s)
+        for j in (1, 2, n):
+            assert gs.sup_solution_exact(m, j, s) == solution[j - 1]
+            assert gs.sup_increment_exact(m, j, s) == increment[j - 1]
+            assert type(gs.sup_increment_exact(m, j, s)) is float
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +300,11 @@ def test_closed_form_suprema_equal_box_reference():
     for m in MEASURES + irregular:
         n = m.support_max
         for s in (None, 0, 1, n // 2, n - 1, n):
+            solution, increment = gs.sup_solution_table(m, s), gs.sup_increment_table(m, s)
             for j in range(1, n + 1):
                 for closed, coeffs in (
-                    (gs.sup_solution_exact(m, j, s), solution_coefficients(m, j)),
-                    (gs.sup_increment_exact(m, j, s), increment_coefficients(m, j)),
+                    (solution[j - 1], solution_coefficients(m, j)),
+                    (increment[j - 1], increment_coefficients(m, j)),
                 ):
                     ref, _ = _box_supremum(coeffs, s)
                     assert abs(closed - ref) <= 1e-12 * ref, (m.label(), j, s)
@@ -346,8 +363,7 @@ def test_suprema_finite_near_the_underflow_ceiling():
         assert m.pmf.min() < np.finfo(float).tiny  # a subnormal pmf entry
         for s in (None, n // 2):
             assert not math.isnan(gs.sup_solution_norm(m, s)), (m.label(), s)
-            for j in range(1, n + 1):
-                assert math.isfinite(gs.sup_increment_exact(m, j, s)), (m.label(), j, s)
+            assert np.all(np.isfinite(gs.sup_increment_table(m, s))), (m.label(), s)
     for m in lattice:
         assert math.isfinite(gs.sup_solution_norm(m)), m.label()
 
@@ -367,18 +383,43 @@ def _table_laws():
             + [gs.poisson(500.0), gs.poisson(740.0), gs.discrete_uniform(1), gs.binomial(2, 0.3)])
 
 
-def test_supremum_tables_equal_the_scalar_forms_bit_for_bit():
+def _mp_suprema(pmf) -> tuple[list, list]:
+    """sup over B of |g_f(j)| and of |g_f(j+1) - g_f(j)|, j = 1..N, from the stored pmf.
+
+    The closed forms of sup_solution_table and sup_increment_table in the
+    working precision, with F and Fbar as exact prefix and suffix sums.
+    """
+    p = [mpmath.mpf(float(x)) for x in pmf]
+    n = len(p) - 1
+    F = list(itertools.accumulate(p))
+    Fbar = list(itertools.accumulate(reversed(p)))[::-1] + [mpmath.mpf(0)]
+    # A = Fbar(j)/(j pmf(j)) and B = F(j-1)/(j pmf(j)), both 0 at j = N + 1
+    A = [None] + [Fbar[j] / (j * p[j]) for j in range(1, n + 1)] + [0]
+    B = [None] + [F[j - 1] / (j * p[j]) for j in range(1, n + 1)] + [0]
+    solution = [F[j - 1] * A[j] for j in range(1, n + 1)]
+    increment = [
+        p[j] * A[j + 1] + F[j - 1] / j + F[j - 1] * max(A[j + 1] - A[j], 0) + Fbar[j + 1] * max(B[j] - B[j + 1], 0)
+        for j in range(1, n + 1)
+    ]
+    return solution, increment
+
+
+def test_supremum_tables_match_mpmath_closed_forms():
+    # over B only: for B0 with s < j the table's |A' - A| cancels, and the box test covers it
     laws = _table_laws()
     assert len(laws) == 7 + 7 + 20 + 5 + 4
-    for m in laws:
-        n = m.support_max
-        for s in (None, 0, 1, n // 2, n - 1, n):
-            solution = gs.sup_solution_table(m, s)
-            increment = gs.sup_increment_table(m, s)
-            js = range(1, n + 1)
-            assert np.array_equal(solution, [gs.sup_solution_exact(m, j, s) for j in js]), (m.label(), s)
-            assert np.array_equal(increment, [gs.sup_increment_exact(m, j, s) for j in js]), (m.label(), s)
-        assert gs.sup_solution_norm(m) == max(gs.sup_solution_exact(m, j) for j in range(1, n + 1))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for m in laws:
+            ref_solution, ref_increment = _mp_suprema(m.pmf)
+            for table, ref in ((gs.sup_solution_table(m), ref_solution),
+                               (gs.sup_increment_table(m), ref_increment)):
+                assert table.size == len(ref) == m.support_max, m.label()
+                for j, (value, exact) in enumerate(zip(table.tolist(), ref), start=1):
+                    gap = float(abs(value - exact) / exact)
+                    assert gap <= 1e-13, (m.label(), j, gap)
+                    worst = max(worst, gap)
+    assert worst > 0.0  # the tables do round
 
 
 def test_supremum_tables_of_a_single_state_are_empty():
