@@ -70,7 +70,11 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     p = np.pad(p, (0, size - p.size))
     q = np.pad(q, (0, size - q.size))
     for name, arr in (("first", p), ("second", q)):
-        if np.any(arr < -1e-15) or not abs(_fsum(arr) - 1.0) <= 1e-12:  # a NaN sum fails too
+        try:  # a NaN sum fails the comparison too
+            normalized = not np.any(arr < -1e-15) and abs(_fsum(arr) - 1.0) <= 1e-12
+        except OverflowError:  # entries so large that their sum leaves the double range
+            normalized = False
+        if not normalized:
             raise ValueError(f"{name} argument is not a normalized pmf")
     return 0.5 * _fsum(np.abs(p - q))
 

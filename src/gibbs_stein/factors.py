@@ -90,13 +90,6 @@ class RateRange:
     sup_rate: float
     window_limited: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "inf_rate": self.inf_rate,
-            "sup_rate": self.sup_rate,
-            "window_limited": self.window_limited,
-        }
-
 
 @dataclass(frozen=True)
 class BoundCertificate:

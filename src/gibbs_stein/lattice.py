@@ -29,13 +29,15 @@ on the pmf ratios.  The repelling and product limits state theirs in
 so their declared tails are proved; a custom model's ratio bound 1/2 is
 read off its next observed ratios, so its tail is an estimate.
 
-The distance from S_n to the limit law (truncated at N) is certified by
+The distance from S_n to the limit law truncated at N is certified by
 `compare.generator_comparison`, as in the `compare` command: activity plus
 weight-ratio mismatch of the two generators, each direction with its own
 norm, plus the mass of the law on the larger support above the smaller one
-(the limit's above n if N > n, the lattice law's above N if N < n).  For
-Bernoulli sums a size-bias coupling bound charges its increments to harmonic
-sums or to reciprocal birth rates, with the target's exact solution norm.
+(the limit's above n if N > n, the lattice law's above N if N < n).  N is
+`limit_measure`'s own truncation unless the caller hands the report a limit
+law built at another.  For Bernoulli sums a size-bias coupling bound charges
+its increments to harmonic sums or to reciprocal birth rates, with the
+target's exact solution norm.
 
 A caution on the repelling family: the lattice/continuum weight ratios
 match only from k = 3 on; at k = 2 they differ by the factor (n^2-1)/n^2,
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -94,7 +96,8 @@ class InteractionModel:
     fk evaluates the raw interaction at a tuple of points, which is what
     the brute-force lattice summation uses.  The model also carries the
     fewest cells it needs, its analytic bound closed_form(n) if any, and the
-    constructor of its limit law if that is a built-in family.
+    constructor of its limit law if that is a built-in family.  The activity
+    z must be positive.
     """
 
     kind: str
@@ -107,6 +110,10 @@ class InteractionModel:
     min_cells: int = 1
     closed_form: Callable[[int], float] | None = None
     limit: Callable[..., GibbsMeasure] | None = None
+
+    def __post_init__(self):
+        if not self.z > 0:  # NaN fails too
+            raise ValueError("activity must be positive")
 
     def log_Wn(self, n: int, k: int) -> float:
         if k <= 1:
@@ -162,8 +169,6 @@ def _fk_product(points: tuple[float, ...]) -> float:
 
 
 def ideal_gas_model(lam: float) -> InteractionModel:
-    if not lam > 0:
-        raise ValueError("activity must be positive")
     return InteractionModel(
         kind="ideal_gas", z=lam, point_rule="midpoint", fk=_fk_ideal,
         log_Wn_fn=lambda n, k: 0.0, log_W_fn=lambda k: 0.0, limit=poisson,
@@ -172,8 +177,6 @@ def ideal_gas_model(lam: float) -> InteractionModel:
 
 def repelling_model(lam: float) -> InteractionModel:
     """Pairwise squared-distance interaction on the midpoint grid."""
-    if not lam > 0:
-        raise ValueError("activity must be positive")
 
     def log_wn(n: int, k: int) -> float:
         return math.log(k * (k - 1) * (n + 1) * (n - 1)) - math.log(6.0 * n * n)
@@ -193,8 +196,6 @@ def repelling_model(lam: float) -> InteractionModel:
 
 def product_model(z: float = 1.0) -> InteractionModel:
     """Coordinate-product interaction on the left-endpoint grid."""
-    if not z > 0:
-        raise ValueError("activity must be positive")
 
     def log_wn(n: int, k: int) -> float:
         # W_n(k) = n^(-k^2) (sum_{i=0}^{n-1} i^(k-1))^k, in log space
@@ -230,8 +231,6 @@ def custom_model(
 ) -> InteractionModel:
     if point_rule not in ("midpoint", "left_endpoint"):
         raise ValueError("point_rule must be 'midpoint' or 'left_endpoint'")
-    if not z > 0:
-        raise ValueError("activity must be positive")
     return InteractionModel(
         kind="custom", z=z, point_rule=point_rule, fk=fk,
         log_W_fn=log_W_fn, separable_integrand=separable_integrand,
@@ -364,25 +363,25 @@ class LatticeBoundReport:
 def lattice_comparison_report(
     model: InteractionModel,
     n: int,
-    truncation: int | None = None,
-    tail_tol: float = 1e-14,
     g_norm_source: str = "exact",
     limit: GibbsMeasure | None = None,
 ) -> LatticeBoundReport:
     """Generator-comparison certificate for the n-cell law vs the limit law.
 
-    Through `compare.generator_comparison`: each direction carries its own
-    norm and the smaller branch is kept.  With the limit truncated at N > n
-    the lattice law is extended and charged the limit's mass above n; at
-    N < n the limit law is extended and charged the lattice mass above N.
-    The limit law goes first, so an exact tie keeps lattice_averaged unless
-    N > n.  A caller reporting several n may pass the limit law built once
-    by `limit_measure`; truncation and tail_tol are then not used.
+    limit is the limit law compared against, `limit_measure(model)` when
+    None; a caller that wants another truncation, or reports several n,
+    builds it once with `limit_measure` and passes it.  Through
+    `compare.generator_comparison`: each direction carries its own norm and
+    the smaller branch is kept.  With the limit truncated at N > n the
+    lattice law is extended and charged the limit's mass above n; at N < n
+    the limit law is extended and charged the lattice mass above N.  The
+    limit law goes first, so an exact tie keeps lattice_averaged unless
+    N > n.
     """
     if g_norm_source not in ("exact", "rate_spread"):
         raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
     mu_n = lattice_measure(model, n)
-    mu = limit if limit is not None else limit_measure(model, truncation=truncation, tail_tol=tail_tol)
+    mu = limit_measure(model) if limit is None else limit
     rep = generator_comparison(mu, mu_n, g_norm_source)
 
     # the report lists the limit law first unless its support is the larger
@@ -480,16 +479,6 @@ class CouplingBound:
     conditions: tuple
     g_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "increment_part": self.increment_part,
-            "norm_part": self.norm_part,
-            "licensed": self.licensed,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "g_norm": self.g_norm,
-        }
-
 
 def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     """Size-bias coupling bound on d_TV(law of the Bernoulli sum, m).
@@ -585,14 +574,7 @@ class PoissonSumReport:
     improved_bound: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "exact_tv": self.exact_tv,
-            "harmonic_coupling_bound": self.harmonic_coupling_bound,
-            "linear_coupling_bound": self.linear_coupling_bound,
-            "independent_bound": self.independent_bound,
-            "improved_bound": self.improved_bound,
-        }
+        return asdict(self)
 
 
 def poisson_sum_bounds(

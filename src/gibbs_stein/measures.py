@@ -379,7 +379,6 @@ class GibbsMeasure:
     __slots__ = (
         "omega",
         "V",
-        "log_partition",
         "log_pmf",
         "_pmf",
         "_birth",
@@ -407,8 +406,7 @@ class GibbsMeasure:
             raise ValueError("potential must be finite on the whole support")
 
         log_weights = _log_weights(omega, V)
-        log_z = _logsumexp(log_weights)
-        log_pmf = log_weights - log_z
+        log_pmf = log_weights - _logsumexp(log_weights)
         pmf = np.exp(log_pmf)
         if np.any(pmf == 0.0):
             k = int(np.argmax(pmf == 0.0))
@@ -437,7 +435,6 @@ class GibbsMeasure:
 
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "V", _readonly(V))
-        object.__setattr__(self, "log_partition", float(log_z))
         object.__setattr__(self, "log_pmf", _readonly(log_pmf))
         object.__setattr__(self, "_pmf", _readonly(pmf))
         object.__setattr__(self, "_birth", _readonly(birth))
@@ -618,14 +615,19 @@ def from_pmf(
 ) -> GibbsMeasure:
     """Build a measure from nonnegative weights on {0, ..., N}.
 
-    The weights must be strictly positive throughout (the support has to be
-    contiguous and contain 0); the non-uniqueness of the Gibbs form is fixed
-    by absorbing log Z into V, so the stored representation has Z = 1.
+    The weights must be finite and strictly positive throughout (the support
+    has to be contiguous and contain 0); the non-uniqueness of the Gibbs form
+    is fixed by absorbing log Z into V, so the stored representation has
+    Z = 1.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size < 1:
         raise ValueError("weight table must be one-dimensional and non-empty")
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
+    nonfinite = ~np.isfinite(weights)
+    if nonfinite.any():
+        k = int(np.argmax(nonfinite))
+        raise ValueError(f"weight {k} is {float(weights[k])}; weights must be finite")
+    if np.any(weights <= 0.0):
         raise ValueError("non-contiguous or degenerate support: weights must be strictly positive")
     log_w = np.log(weights)
     k = np.arange(weights.size, dtype=float)

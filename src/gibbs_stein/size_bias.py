@@ -63,7 +63,11 @@ def _check_pmf(arr: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
         raise ValueError(f"{what} must be a non-empty 1-d table")
     if np.any(arr < -1e-15):
         raise ValueError(f"{what} has negative entries")
-    if not abs(math.fsum(arr.tolist()) - 1.0) <= tol:  # a NaN sum fails too
+    try:
+        total = math.fsum(arr.tolist())
+    except OverflowError:  # entries so large that their sum leaves the double range
+        total = math.inf
+    if not abs(total - 1.0) <= tol:  # a NaN sum fails too
         raise ValueError(f"{what} is not a probability vector")
     return arr
 
@@ -73,7 +77,8 @@ def _check_pmf_rows(table: np.ndarray, rows: np.ndarray, what: str, tol: float) 
 
     The first bad row raises the error _check_pmf would raise for it,
     negative entries before the sum.  A row whose sum makes math.fsum
-    overflow takes the row-by-row path, which raises where it did.
+    overflow sends every row down the row-by-row path, which names the
+    first bad one.
     """
     negative = np.any(table[rows] < -1e-15, axis=1)
     bad = negative.copy()
@@ -222,7 +227,10 @@ class CouplingSpec:
         for bits, pr in items:
             if not pr >= 0.0:
                 raise ValueError(f"configuration {list(bits)} has probability {pr}, not a non-negative number")
-        total = math.fsum(pr for _, pr in items)
+        try:
+            total = math.fsum(pr for _, pr in items)
+        except OverflowError:  # probabilities so large that their sum leaves the double range
+            total = math.inf
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError("configuration probabilities must sum to 1")
         p = np.zeros(n)

@@ -67,14 +67,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A [0, 1]-valued test table, optionally vanishing above a declared support.
+    """A [0, 1]-valued test table: a member of the class B.
 
-    With support_max set this represents the class B0 used for comparisons
-    across mismatched supports; otherwise the full class B.
+    A member of B0, which vanishes above a declared support, is a table with
+    zeros there; `solve_extended` is the one place that checks it.
     """
 
     values: np.ndarray
-    support_max: int | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -83,18 +82,16 @@ class TestFunction:
         # NaN fails both comparisons, so it is caught here too
         if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("test function values must lie in [0, 1]")
-        if self.support_max is not None and np.any(values[self.support_max + 1 :] != 0.0):
-            raise ValueError("f must be in B0: values above the declared support must be 0")
         object.__setattr__(self, "values", values)
 
     @staticmethod
-    def indicator(points, size: int, support_max: int | None = None) -> "TestFunction":
+    def indicator(points, size: int) -> "TestFunction":
         points = np.asarray(points, dtype=int)
         if np.any((points < 0) | (points >= size)):
             raise ValueError(f"indicator points must lie in 0..{size - 1}, got {points.tolist()}")
         values = np.zeros(size)
         values[points] = 1.0
-        return TestFunction(values, support_max)
+        return TestFunction(values)
 
     @staticmethod
     def constant(c: float, size: int) -> "TestFunction":

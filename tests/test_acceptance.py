@@ -239,7 +239,7 @@ def test_criterion_8_product_family():
         tv = gs.tv_distance(mu_n.pmf, mu.pmf)
         closed = gs.closed_form_bound(model, n)
         min_margin = min(min_margin, closed - tv)
-        rep = gs.lattice_comparison_report(model, n, truncation=60)
+        rep = gs.lattice_comparison_report(model, n, limit=mu)
         max_ratio_frac = max(max_ratio_frac, rep.ratio_term / (2.0 * math.exp(math.e) / n))
     assert min_margin >= -1e-10
     assert max_ratio_frac <= 1.0

@@ -160,6 +160,20 @@ def test_poisson_sum_spec_file_checks_independent_tables(tmp_path, capsys):
     assert "conditional sums inconsistent with independence of the coordinates" in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"p": [0.5, 0.5], "conditional_sums": [[1e308, 1e308], [0.5, 0.5]]},
+     "conditional sum law 0 is not a probability vector"),
+    ({"configurations": [{"bits": [0, 0], "prob": 1e308}, {"bits": [1, 1], "prob": 1e308}]},
+     "configuration probabilities must sum to 1"),
+], ids=["conditional_sums", "configurations"])
+def test_poisson_sum_spec_whose_table_sum_overflows_exits_two(payload, message, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["poisson-sum", "--spec", str(spec_path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: argument --spec: {message}\n"
+
+
 def test_poisson_sum_target_covers_long_sums(capsys):
     p = ",".join(["0.05"] * 60)
     code, out, _ = run_cli(["poisson-sum", "--p", p, "--format", "json"], capsys)
@@ -682,6 +696,10 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
          "argument --g-norm: 'value:-1,1': norm bounds must be nonnegative"),
         (["bounds", "--measure", "pmf:1,2,3,4", "--j", "1..5"],
          "argument --j: increment bound defined for 1 <= j <= 3, got 4"),
+        (["bounds", "--measure", "pmf:1,inf"],
+         "argument --measure: measure descriptor 'pmf:1,inf': weight 1 is inf; weights must be finite\n"),
+        (["bounds", "--measure", "pmf:1,nan,2"],
+         "argument --measure: measure descriptor 'pmf:1,nan,2': weight 1 is nan; weights must be finite\n"),
         (["poisson-sum", "--p", "nan,0.5"], "argument --p: Bernoulli means must lie in [0, 1]"),
         (["poisson-sum", "--p", "0.05,0.05,0.05", "--truncation", "1"],
          "argument --truncation: the Bernoulli sum must live inside the target support"),
@@ -697,7 +715,8 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
          "argument --f: test function '[{\"a\": 1}]': float() argument must be a string or a real number"),
     ],
     ids=["poisson_inf", "geometric_p_vanishing", "negative_binomial_p_vanishing", "g_norm_not_a_float",
-         "g_norm_negative", "j_beyond_support", "poisson_sum_nan_mean", "poisson_sum_truncation_below_n", "lattice_n_below_minimum",
+         "g_norm_negative", "j_beyond_support", "pmf_weight_inf", "pmf_weight_nan", "poisson_sum_nan_mean",
+         "poisson_sum_truncation_below_n", "lattice_n_below_minimum",
          "lattice_truncation_underflows", "out_directory_missing", "f_constant_nan", "f_table_entry_not_a_number"],
 )
 def test_bad_values_met_at_run_time_exit_two_naming_the_flag(argv, message, capsys):

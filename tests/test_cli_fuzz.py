@@ -164,6 +164,13 @@ NAN_SPECS = [
 ]
 
 
+# specs whose tables hold entries so large that their sums overflow the double range
+OVERFLOW_SPECS = [
+    json.dumps({"p": [0.5, 0.5], "conditional_sums": [[1e308, 1e308], [0.5, 0.5]]}),
+    json.dumps({"configurations": [{"bits": [0, 0], "prob": 1e308}, {"bits": [1, 1], "prob": 1e308}]}),
+]
+
+
 def spec_part(text, bad):
     return Part(("--spec", "{dir}/spec.json"), ("--spec", "{dir}/spec.json"), bad, (("spec.json", text),))
 
@@ -213,6 +220,8 @@ def names(parts, directory):
 @settings(max_examples=160, deadline=None, derandomize=True)
 @example(parts=["poisson-sum", spec_part(NAN_SPECS[0], True)])
 @example(parts=["poisson-sum", spec_part(NAN_SPECS[1], True)])
+@example(parts=["poisson-sum", spec_part(OVERFLOW_SPECS[0], True)])
+@example(parts=["poisson-sum", spec_part(OVERFLOW_SPECS[1], True)])
 @given(parts=st.one_of(solve_case(), bounds_case(), compare_case(), lattice_case(), poisson_sum_case()))
 def test_fuzzed_command_lines_exit_zero_or_two_naming_the_fault(parts, tmp_path_factory):
     directory = tmp_path_factory.mktemp("argv")

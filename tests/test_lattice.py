@@ -222,6 +222,32 @@ def test_generator_bound_dominates_exact_tv_for_all_models():
             assert rep.generator_bound >= rep.exact_tv - 1e-10
 
 
+def _hex_fields(rep):
+    return {key: value.hex() if isinstance(value, float) else value for key, value in vars(rep).items()}
+
+
+@pytest.mark.parametrize("model", [gs.ideal_gas_model(2.0), gs.repelling_model(1.0), gs.product_model(1.0)],
+                         ids=lambda m: m.kind)
+def test_report_without_a_limit_law_builds_the_default_one(model):
+    limit = gs.limit_measure(model)
+    big_n = limit.support_max
+    for n in (max(big_n // 2, model.min_cells), big_n, big_n + 3):
+        for source in ("exact", "rate_spread"):
+            rep = gs.lattice_comparison_report(model, n, g_norm_source=source)
+            given = gs.lattice_comparison_report(model, n, g_norm_source=source, limit=limit)
+            assert _hex_fields(rep) == _hex_fields(given), (n, source)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_every_model_rejects_an_activity_that_is_not_positive(bad):
+    for make in (gs.ideal_gas_model, gs.repelling_model, gs.product_model,
+                 lambda z: gs.custom_model(lambda pts: 1.0, z)):
+        with pytest.raises(ValueError, match="^activity must be positive$"):
+            make(bad)
+    with pytest.raises(ValueError, match="^point_rule must be 'midpoint' or 'left_endpoint'$"):
+        gs.custom_model(lambda pts: 1.0, bad, point_rule="right_endpoint")
+
+
 def _former_branches(model, n, source):
     """The branch terms, norms and tail of the former lattice-local certificate.
 
@@ -283,7 +309,7 @@ def test_report_matches_the_per_branch_reference(model, source, offset):
     ids=lambda m: m.kind,
 )
 def test_limit_truncated_below_n_still_dominates(model):
-    rep = gs.lattice_comparison_report(model, 10, truncation=5)
+    rep = gs.lattice_comparison_report(model, 10, limit=gs.limit_measure(model, truncation=5))
     mu_n = gs.lattice_measure(model, 10)
     assert rep.tail_term == math.fsum(mu_n.pmf[6:].tolist())
     assert rep.generator_bound >= rep.exact_tv - 1e-10

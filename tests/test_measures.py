@@ -26,6 +26,12 @@ def test_from_pmf_rejects_degenerate_support():
         gs.from_pmf(np.array([]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+def test_from_pmf_names_a_weight_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match=f"^weight 1 is {bad}; weights must be finite$"):
+        gs.from_pmf(np.array([1.0, bad, 0.0, bad]))
+
+
 def test_poisson_uses_flat_potential_and_activity_lambda():
     lam = 2.5
     m = gs.poisson(lam, truncation=40)

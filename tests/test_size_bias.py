@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbs_stein as gs
+from gibbs_stein import measures
 from gibbs_stein.measures import (
     _CHUNK, _FIXED_COST, _FSUM_SPAN, _fsum, _fsum_arrays, _fsum_rows, _head_span, _head_spans, _prefers_fsum,
 )
@@ -447,6 +448,31 @@ def test_exact_sum_kernel_falls_back_on_inf_nan_and_overflow(tail):
     _assert_sums_agree(x)
 
 
+def test_exact_sum_kernel_joins_runs_as_they_fill(monkeypatch):
+    # a run holds 2^26 pieces, too many for a test: shorten it to two chunks
+    monkeypatch.setattr(measures, "_EXACT_RUN", 2 * _CHUNK)
+    joins = []
+    units = measures._units
+    monkeypatch.setattr(measures, "_units", lambda hi, lo: joins.append(1) or units(hi, lo))
+    rng = np.random.default_rng(2026)
+    for case in range(21):
+        size = int(rng.integers(3 * _CHUNK, 7 * _CHUNK + 1)) if case < 20 else 5 * _CHUNK
+        # signed, with exponents over the whole range up to 2^1000, where no partial sum overflows
+        x = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 1001, size))
+        if case % 2:  # the entries cancel in pairs but for a few tiny ones, which make the sum
+            pairs = x[: size // 2 - 8]
+            rest = size - 2 * pairs.size
+            tiny = np.ldexp(rng.uniform(-1.0, 1.0, rest), rng.integers(-1074, -1000, rest))
+            x = rng.permutation(np.concatenate([pairs, -pairs, tiny]))
+        if case == 20:  # an inf met after runs have been joined: the sum goes to math.fsum
+            x[4 * _CHUNK + 17] = math.inf
+        pieces = np.split(x, np.sort(rng.integers(0, size, int(rng.integers(2, 9)))))
+        joins.clear()
+        kernel = _fsum_outcome(lambda: _fsum_arrays(lambda: iter(pieces)))
+        assert kernel == _fsum_outcome(lambda: math.fsum(x.tolist())), case
+        assert len(joins) >= (2 if case < 20 else 1), case
+
+
 def _row_sums(table):
     return [x.hex() for x in _fsum_rows(table).tolist()]
 
@@ -663,3 +689,16 @@ def test_nan_tables_raise_naming_the_table():
         gs.CouplingSpec.from_configurations([((0, 0), 1.0), ((1, 0), -0.5), ((1, 1), 0.5)])
     with pytest.raises(ValueError, match="test function values must be finite"):
         gs.solve(gs.poisson(1.0, truncation=3), [0.5, nan, 0.5, 0.5])
+
+
+def test_tables_whose_sums_overflow_raise_naming_the_table():
+    # math.fsum raises OverflowError on these sums; such a table does not sum to 1
+    huge = 1e308
+    with pytest.raises(ValueError, match="first argument is not a normalized pmf"):
+        gs.tv_distance([huge, huge], [1.0])
+    with pytest.raises(ValueError, match="base law is not a probability vector"):
+        gs.size_bias(np.array([huge, huge]))
+    with pytest.raises(ValueError, match="conditional sum law 0 is not a probability vector"):
+        gs.CouplingSpec([0.5, 0.5], [[huge, huge], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="configuration probabilities must sum to 1"):
+        gs.CouplingSpec.from_configurations([((0, 0), huge), ((1, 1), huge)])

@@ -220,16 +220,18 @@ def test_solution_coefficients_reproduce_solver():
         )
 
 
-def test_increment_supremum_attained_by_indicator():
+@pytest.mark.parametrize("quantity", ["increment", "solution"])
+def test_supremum_attained_by_indicator(quantity):
+    table_of = gs.sup_increment_table if quantity == "increment" else gs.sup_solution_table
     for m in (gs.poisson(1.0), gs.geometric(0.5), gs.binomial(10, 0.3)):
-        table = gs.sup_increment_table(m)
+        table = table_of(m)
         for j in (1, 2, 5):
             if j > m.support_max:
                 continue
-            f_star = extremal_indicator(m, j, "increment")
+            f_star = extremal_indicator(m, j, quantity)
             assert set(np.unique(f_star)).issubset({0.0, 1.0})
-            sol = gs.solve(m, f_star)
-            attained = abs(sol.g[j + 1] - sol.g[j])
+            g = gs.solve(m, f_star).g
+            attained = abs(g[j + 1] - g[j]) if quantity == "increment" else abs(g[j])
             assert attained == pytest.approx(table[j - 1], abs=1e-10)
 
 
