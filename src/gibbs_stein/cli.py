@@ -78,7 +78,7 @@ _MEASURE_HELP = "a JSON measure file, inline JSON, or kind:params, one of " + ",
 )
 
 
-def parse_measure(desc: str, truncation: int | None = None, tail_tol: float = 1e-14):
+def parse_measure(desc: str, truncation: int | None = None, tail_tol: float = measures.DEFAULT_TAIL_TOL):
     desc = desc.strip()
     try:
         if desc.startswith("{"):
@@ -320,7 +320,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     parser.add_argument("--truncation", type=_truncation, default=None,
                         help="explicit truncation bound for infinite-support laws")
-    parser.add_argument("--tail-tol", dest="tail_tol", type=_tail_tol, default=1e-14,
+    parser.add_argument("--tail-tol", dest="tail_tol", type=_tail_tol, default=measures.DEFAULT_TAIL_TOL,
                         help="tail mass tolerance for automatic truncation")
     parser.add_argument("--config", default=None,
                         help="JSON file whose entries override same-named flags")

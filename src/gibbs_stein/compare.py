@@ -28,10 +28,12 @@ Each formula lives here once and is shared with `gibbs_stein.lattice`:
 ratio terms for one direction, `solution_norm` is the selector that picks
 the norm bound (exact supremum or rate-spread certificate) for a solver,
 its restricted test class, or its pure-death extension, and
-`generator_comparison` is the one support dispatch: equal supports are
+`generator_comparison` is the one comparison body: equal supports are
 compared as given, otherwise the smaller support is extended.  Each
 direction carries its own norm (the per-branch rule), and the smaller
-branch is kept.
+branch is kept.  `generator_comparison_bound` (equal supports) and
+`generator_comparison_extended` (strictly nested) check their supports and
+hand the pair to it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factors import supnorm_bound
-from .measures import GibbsMeasure, _fsum
+from .measures import GibbsMeasure, _fsum, _sums_to_one
 from .stein import sup_solution_norm
 
 __all__ = [
@@ -70,11 +72,7 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     p = np.pad(p, (0, size - p.size))
     q = np.pad(q, (0, size - q.size))
     for name, arr in (("first", p), ("second", q)):
-        try:  # a NaN sum fails the comparison too
-            normalized = not np.any(arr < -1e-15) and abs(_fsum(arr) - 1.0) <= 1e-12
-        except OverflowError:  # entries so large that their sum leaves the double range
-            normalized = False
-        if not normalized:
+        if np.any(arr < -1e-15) or not _sums_to_one(arr, 1e-12):
             raise ValueError(f"{name} argument is not a normalized pmf")
     return 0.5 * _fsum(np.abs(p - q))
 
@@ -166,25 +164,33 @@ def solution_norm(
     return (max(norm, 1.0 / (m.support_max + 1)) if extended else norm), True
 
 
-def _comparison(
+def generator_comparison(
     m1: GibbsMeasure,
     m2: GibbsMeasure,
-    source: str,
-    values: tuple[float, float] | None,
-    extended: bool,
+    g_norm_source: str = "exact",
+    g_norm_values: tuple[float, float] | None = None,
 ) -> ComparisonReport:
-    """The shared body: supp(m1) = {0..n} equals supp(m2) or, extended, sits inside it."""
-    if source not in G_NORM_SOURCES:
+    """Certified TV bound for measures on {0..n1} and {0..n2}, nested either way.
+
+    Equal supports are compared as given; otherwise the smaller support
+    {0..n} goes first and is extended as a pure-death process, and the bound
+    gains the tail term sum_{k>n} of the larger law.  The report's measures,
+    norms and directions follow (smaller, larger); g_norm_values keep their
+    order.
+    """
+    if g_norm_source not in G_NORM_SOURCES:
         raise ValueError(f"g_norm_source must be one of {G_NORM_SOURCES}")
+    m1, m2 = sorted((m1, m2), key=lambda m: m.support_max)  # stable on ties
     n = m1.support_max
+    extended = n < m2.support_max
     notes = ""
-    if source == "user":
-        if values is None:
+    if g_norm_source == "user":
+        if g_norm_values is None:
             raise ValueError("user-supplied norms require g_norm_values")
-        norm1, norm2 = float(values[0]), float(values[1])
+        norm1, norm2 = float(g_norm_values[0]), float(g_norm_values[1])
     else:
-        norm1, licensed1 = solution_norm(m1, source, extended=extended)
-        norm2, licensed2 = solution_norm(m2, source, f_support=n if extended else None)
+        norm1, licensed1 = solution_norm(m1, g_norm_source, extended=extended)
+        norm2, licensed2 = solution_norm(m2, g_norm_source, f_support=n if extended else None)
         if not (licensed1 and licensed2):
             notes = "rate-spread norm inapplicable on at least one side"
     terms1, terms2 = mismatch_terms(m1, m2), mismatch_terms(m2, m1)
@@ -195,7 +201,7 @@ def _comparison(
         bound_value=min(v1, v2),
         branch_used="direction_1_to_2" if v1 <= v2 else "direction_2_to_1",
         tail_term=_fsum(m2.pmf[n + 1 :]),
-        g_norm_source=source,
+        g_norm_source=g_norm_source,
         g_norms=(norm1, norm2),
         terms=terms1 if v1 <= v2 else terms2,
         notes=notes,
@@ -208,12 +214,12 @@ def generator_comparison_bound(
     g_norm_source: str = "exact",
     g_norm_values: tuple[float, float] | None = None,
 ) -> ComparisonReport:
-    """Certified TV bound for two measures sharing the support {0..N}."""
+    """generator_comparison for two measures that must share the support {0..N}."""
     if m1.support_max != m2.support_max:
         raise ValueError(
             "supports differ; use generator_comparison_extended for nested supports"
         )
-    return _comparison(m1, m2, g_norm_source, g_norm_values, extended=False)
+    return generator_comparison(m1, m2, g_norm_source, g_norm_values)
 
 
 def generator_comparison_extended(
@@ -222,29 +228,7 @@ def generator_comparison_extended(
     g_norm_source: str = "exact",
     g_norm_values: tuple[float, float] | None = None,
 ) -> ComparisonReport:
-    """Certified TV bound when supp(m1) = {0..n} sits strictly inside supp(m2).
-
-    The reported bound splits into the generator-mismatch minimum and the
-    tail term sum_{k>n} m2(k) contributed by the pure-death extension.
-    """
+    """generator_comparison when supp(m1) = {0..n} must sit strictly inside supp(m2)."""
     if m1.support_max >= m2.support_max:
         raise ValueError("m1's support must be strictly smaller than m2's")
-    return _comparison(m1, m2, g_norm_source, g_norm_values, extended=True)
-
-
-def generator_comparison(
-    m1: GibbsMeasure,
-    m2: GibbsMeasure,
-    g_norm_source: str = "exact",
-    g_norm_values: tuple[float, float] | None = None,
-) -> ComparisonReport:
-    """Certified TV bound for measures on {0..n1} and {0..n2}, nested either way.
-
-    Equal supports are compared as given (generator_comparison_bound);
-    otherwise the smaller support goes first and is extended
-    (generator_comparison_extended), so the report's measures, norms and
-    directions follow (smaller, larger).  g_norm_values keep their order.
-    """
-    small, large = sorted((m1, m2), key=lambda m: m.support_max)  # stable on ties
-    extended = small.support_max < large.support_max
-    return _comparison(small, large, g_norm_source, g_norm_values, extended)
+    return generator_comparison(m1, m2, g_norm_source, g_norm_values)

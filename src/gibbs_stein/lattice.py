@@ -57,7 +57,9 @@ import numpy as np
 
 from .compare import generator_comparison, tv_distance
 from .factors import condition, uniform_increment
-from .measures import FAMILIES, GibbsMeasure, _fsum_arrays, _log_weights, _logsumexp, _truncated, poisson
+from .measures import (
+    DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _fsum_arrays, _log_weights, _logsumexp, _truncated, poisson,
+)
 from .size_bias import CouplingSpec
 from .stein import sup_solution_norm
 
@@ -278,7 +280,7 @@ def lattice_measure(model: InteractionModel, n: int) -> GibbsMeasure:
 def limit_measure(
     model: InteractionModel,
     truncation: int | None = None,
-    tail_tol: float = 1e-14,
+    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> GibbsMeasure:
     """The continuum limit law, truncated with a declared tail bound.
 
@@ -326,7 +328,7 @@ class LatticeBoundReport:
     generator_bound = norm_factor * (omega_term + ratio_term) + tail_term is
     the certified TV bound of the direction `compare.generator_comparison`
     keeps, lattice_averaged if it solves the limit law's equation and
-    limit_averaged otherwise; closed_form_value is the model's analytic
+    limit_averaged otherwise; closed_form is the model's analytic
     bound when one is defined (None otherwise).
     """
 
@@ -334,7 +336,7 @@ class LatticeBoundReport:
     n: int
     exact_tv: float
     generator_bound: float
-    closed_form_value: float | None
+    closed_form: float | None
     omega_term: float
     ratio_term: float
     tail_term: float
@@ -344,20 +346,7 @@ class LatticeBoundReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "exact_tv": self.exact_tv,
-            "generator_bound": self.generator_bound,
-            "closed_form": self.closed_form_value,
-            "omega_term": self.omega_term,
-            "ratio_term": self.ratio_term,
-            "tail_term": self.tail_term,
-            "branch_used": self.branch_used,
-            "norm_factor": self.norm_factor,
-            "g_norm_source": self.g_norm_source,
-            "notes": self.notes,
-        }
+        return dict(vars(self))
 
 
 def lattice_comparison_report(
@@ -397,7 +386,7 @@ def lattice_comparison_report(
         n=n,
         exact_tv=rep.exact_tv,
         generator_bound=rep.certified_bound,
-        closed_form_value=closed,
+        closed_form=closed,
         omega_term=rep.terms[0],
         ratio_term=rep.terms[1],
         tail_term=rep.tail_term,
@@ -578,7 +567,7 @@ class PoissonSumReport:
 
 
 def poisson_sum_bounds(
-    spec: CouplingSpec, truncation: int | None = None, tail_tol: float = 1e-14
+    spec: CouplingSpec, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> PoissonSumReport:
     """Certified Poisson approximation for a Bernoulli-sum coupling spec.
 

@@ -67,16 +67,28 @@ DEFAULT_TAIL_TOL = 1e-14
 class TailPolicy:
     """Truncation record for measures that stand in for an infinite law."""
 
-    truncation_bound: int
+    bound: int
     tail_mass: float
-    tail_mass_tolerance: float
+    tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "bound": self.truncation_bound,
-            "tail_mass": self.tail_mass,
-            "tolerance": self.tail_mass_tolerance,
-        }
+        return dict(vars(self))
+
+    def check(self, n: int) -> None:
+        """The record must declare the mass beyond n, a table's last state, within its tolerance.
+
+        A declared tail may exceed 1 (a law truncated far below its bulk), so
+        it is not capped; a bad field raises ValueError naming it.
+        """
+        if self.bound != n:
+            raise ValueError(f"truncation.bound must equal the tables' last state {n}, got {self.bound!r}")
+        if not 0.0 <= self.tail_mass < math.inf:
+            raise ValueError(f"truncation.tail_mass must be finite and nonnegative, got {self.tail_mass!r}")
+        if not self.tail_mass <= self.tolerance < math.inf:
+            raise ValueError(
+                f"truncation.tolerance must be finite and at least the tail mass {self.tail_mass!r}, "
+                f"got {self.tolerance!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -340,6 +352,14 @@ def _fsum(x: np.ndarray) -> float:
     return _fsum_arrays(lambda: (x,))
 
 
+def _sums_to_one(values: np.ndarray, tol: float) -> bool:
+    """Whether a float64 table sums to 1 within tol; a NaN sum, or one that overflows, does not."""
+    try:
+        return abs(_fsum(values) - 1.0) <= tol
+    except OverflowError:  # entries so large that their sum leaves the double range
+        return False
+
+
 def _log_gamma_run(start: float, count: int) -> np.ndarray:
     """log Gamma(start + k) - log Gamma(start) for k = 0..count-1.
 
@@ -396,14 +416,14 @@ class GibbsMeasure:
         params: dict | None = None,
         truncation: TailPolicy | None = None,
     ):
-        omega = float(omega)
-        if not (omega > 0.0) or not math.isfinite(omega):
-            raise ValueError(f"activity omega must be a positive finite real, got {omega}")
+        omega = _activity(omega)
         V = np.asarray(V, dtype=float)
         if V.ndim != 1 or V.size < 1:
             raise ValueError("potential table must be one-dimensional and non-empty")
         if not np.all(np.isfinite(V)):
             raise ValueError("potential must be finite on the whole support")
+        if truncation is not None:
+            truncation.check(V.size - 1)
 
         log_weights = _log_weights(omega, V)
         log_pmf = log_weights - _logsumexp(log_weights)
@@ -566,7 +586,7 @@ class GibbsMeasure:
         # compare birth rates, which unlike V survive reparametrization
         if family.build is None:
             raise ValueError(f"{m.kind} measures cannot be rebuilt from their params")
-        values = _typed("params", family.values, m.params)
+        values = family.values(m.params)
         # a finite family's params fix its support, which is checked before anything is built
         if family.support_max is not None and family.support_max(**values) != m.support_max:
             raise ValueError(
@@ -599,11 +619,19 @@ class GibbsMeasure:
 
 
 def _typed(field: str, convert, value):
-    """convert(value) for a measure's JSON field; a value of the wrong type raises ValueError naming it."""
+    """convert(value) for a measure's JSON field; a value convert rejects raises ValueError naming it."""
     try:
         return convert(value)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"measure field {field!r}: {exc}") from exc
+
+
+def _activity(omega) -> float:
+    """omega as a float, which must be positive and finite."""
+    omega = float(omega)
+    if not (omega > 0.0) or not math.isfinite(omega):
+        raise ValueError(f"activity omega must be a positive finite real, got {omega}")
+    return omega
 
 
 def from_pmf(
@@ -620,6 +648,7 @@ def from_pmf(
     is fixed by absorbing log Z into V, so the stored representation has
     Z = 1.
     """
+    omega = _activity(omega)
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size < 1:
         raise ValueError("weight table must be one-dimensional and non-empty")
@@ -726,8 +755,15 @@ def poisson(lam: float, truncation: int | None = None, tail_tol: float = DEFAULT
     return _truncated("poisson", lam, lambda size: np.full(size, -lam), {"lam": lam}, truncation, tail_tol)
 
 
+def _check_count(family: str, name: str, value) -> None:
+    """A count parameter must be a finite whole number (10.0 is one; 10.5, nan and inf are not)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{family} needs a finite whole number {name}, got {value!r}")
+
+
 def binomial(n: int, p: float) -> GibbsMeasure:
     """Binomial(n, p) via omega = p/(1-p), V(k) = -log((n-k)!)."""
+    _check_count("binomial", "n", n)
     if n < 1:
         raise ValueError("binomial needs n >= 1")
     if not 0.0 < p < 1.0:
@@ -759,6 +795,8 @@ def negative_binomial(
 
 def hypergeometric(population: int, successes: int, draws: int) -> GibbsMeasure:
     """Hypergeometric draw counts; requires the support to start at 0."""
+    for name, value in (("population", population), ("successes", successes), ("draws", draws)):
+        _check_count("hypergeometric", name, value)
     if not (0 < successes < population and 0 < draws < population):
         raise ValueError("hypergeometric parameters out of range")
     if draws + successes > population:
@@ -785,6 +823,7 @@ def hypergeometric(population: int, successes: int, draws: int) -> GibbsMeasure:
 
 def discrete_uniform(n: int) -> GibbsMeasure:
     """Uniform law on {0, ..., n}."""
+    _check_count("discrete uniform", "n", n)
     if n < 0:
         raise ValueError("discrete uniform needs n >= 0")
     return from_pmf(np.ones(n + 1), omega=1.0, kind="discrete_uniform", params={"n": n})
@@ -819,11 +858,14 @@ class Family:
     notes: str = ""
 
     def values(self, params: dict) -> dict:
-        """The family's params from `params`, converted to their declared types."""
+        """The family's params from `params`, converted to their declared types.
+
+        A missing parameter, or one its type rejects, raises ValueError naming it.
+        """
         missing = [name for name, _ in self.args if name not in params]
         if missing:
             raise ValueError(f"{self.kind} measure lacks parameter {missing[0]!r}")
-        return {name: typ(params[name]) for name, typ in self.args}
+        return {name: _typed("params", typ, params[name]) for name, typ in self.args}
 
 
 def _poisson_increment(lam: float) -> float:

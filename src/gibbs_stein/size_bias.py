@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _CHUNK, GibbsMeasure, _fsum_rows
+from .measures import _CHUNK, GibbsMeasure, _fsum_rows, _sums_to_one
 from .stein import solve
 
 __all__ = [
@@ -63,11 +63,7 @@ def _check_pmf(arr: np.ndarray, what: str, tol: float = 1e-9) -> np.ndarray:
         raise ValueError(f"{what} must be a non-empty 1-d table")
     if np.any(arr < -1e-15):
         raise ValueError(f"{what} has negative entries")
-    try:
-        total = math.fsum(arr.tolist())
-    except OverflowError:  # entries so large that their sum leaves the double range
-        total = math.inf
-    if not abs(total - 1.0) <= tol:  # a NaN sum fails too
+    if not _sums_to_one(arr, tol):
         raise ValueError(f"{what} is not a probability vector")
     return arr
 
@@ -227,11 +223,7 @@ class CouplingSpec:
         for bits, pr in items:
             if not pr >= 0.0:
                 raise ValueError(f"configuration {list(bits)} has probability {pr}, not a non-negative number")
-        try:
-            total = math.fsum(pr for _, pr in items)
-        except OverflowError:  # probabilities so large that their sum leaves the double range
-            total = math.inf
-        if not abs(total - 1.0) <= 1e-9:
+        if not _sums_to_one(np.array([pr for _, pr in items]), 1e-9):
             raise ValueError("configuration probabilities must sum to 1")
         p = np.zeros(n)
         cond = np.zeros((n, n))

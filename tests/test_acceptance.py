@@ -220,7 +220,7 @@ def test_criterion_7_repelling_closed_form_dominates():
     min_margin = math.inf
     for n in range(2, 11):
         rep = gs.lattice_comparison_report(model, n)
-        min_margin = min(min_margin, rep.closed_form_value - rep.exact_tv)
+        min_margin = min(min_margin, rep.closed_form - rep.exact_tv)
     print(f"[criterion 7] FAIL (expected): min closed-form margin = {min_margin:.3e}")
     assert min_margin >= -1e-10
 

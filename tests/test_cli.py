@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -218,6 +219,15 @@ def test_verify_exits_zero_and_strict_nonzero(capsys):
     assert "first failing property" in out
 
 
+@pytest.mark.parametrize("seed", ["42", "7", "1"])
+def test_verify_output_matches_the_pinned_text(seed, capsys):
+    code, out, err = run_cli(["verify", "--seed", seed], capsys)
+    assert code == 0 and err == ""
+    pinned = os.path.join(os.path.dirname(__file__), "data", f"verify_seed{seed}.txt")
+    with open(pinned, "rb") as handle:
+        assert out.encode() == handle.read()
+
+
 def test_console_entry_point():
     # the child interpreter imports the same package as this test, installed or not
     src = os.path.dirname(os.path.dirname(gibbs_stein.__file__))
@@ -339,12 +349,39 @@ def test_measure_missing_a_field_names_it(payload, field, tmp_path, capsys):
     ({"omega": 1, "V": [0, 0], "truncation": {"bound": [1], "tail_mass": 0, "tolerance": 1}},
      "measure field 'truncation.bound': int() argument"),
     ({"omega": 1, "V": [0, 0], "kind": "poisson", "params": {"lam": [1]}}, "measure field 'params': float() argument"),
+    ({"omega": "x", "V": [0, 0]}, "measure field 'omega': could not convert string to float: 'x'"),
+    ({"omega": 1, "V": ["a", 1]}, "measure field 'V': could not convert string to float: 'a'"),
+    ({"omega": 1, "V": [0, 0], "truncation": {"bound": "x", "tail_mass": 0, "tolerance": 1}},
+     "measure field 'truncation.bound': invalid literal for int()"),
+    ({"omega": 1, "V": [0, 0], "truncation": {"bound": math.nan, "tail_mass": 0, "tolerance": 1}},
+     "measure field 'truncation.bound': cannot convert float NaN to integer"),
+    ({"omega": 1, "V": [0, 0], "truncation": {"bound": math.inf, "tail_mass": 0, "tolerance": 1}},
+     "measure field 'truncation.bound': cannot convert float infinity to integer"),
+    ({"omega": 1, "V": [0, 0], "kind": "poisson", "params": {"lam": "x"}},
+     "measure field 'params': could not convert string to float: 'x'"),
 ])
 def test_measure_value_of_the_wrong_type_exits_two_naming_the_field(payload, message, capsys):
     desc = json.dumps(payload)
     code, out, err = run_cli(["bounds", "--measure", desc], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: argument --measure: measure descriptor {desc!r}: {message}")
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"tail_mass": -1}, "truncation.tail_mass must be finite and nonnegative, got -1.0"),
+    ({"tail_mass": 1e-3, "tolerance": 1e-4},
+     "truncation.tolerance must be finite and at least the tail mass 0.001, got 0.0001"),
+    ({"bound": 3}, "truncation.bound must equal the tables' last state 16, got 3"),
+    ({"bound": -7}, "truncation.bound must equal the tables' last state 16, got -7"),
+])
+def test_measure_truncation_record_that_does_not_fit_its_table_exits_two(record, message, capsys):
+    # NaN and Infinity in each key run as examples in test_cli_fuzz.py
+    payload = gibbs_stein.poisson(1.0).to_dict()
+    payload["truncation"].update(record)
+    desc = json.dumps(payload)
+    code, out, err = run_cli(["bounds", "--measure", desc], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: argument --measure: measure descriptor {desc!r}: {message}"), err
 
 
 @pytest.mark.parametrize("key", ["bound", "tail_mass", "tolerance"])
@@ -713,11 +750,13 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
          "argument --f: test function 'constant:nan': test function values must lie in [0, 1]\n"),
         (["solve", "--measure", "poisson:1", "--truncation", "0", "--f", '[{"a": 1}]'],
          "argument --f: test function '[{\"a\": 1}]': float() argument must be a string or a real number"),
+        (["solve", "--measure", "poisson:1", "--f", "foo:1"], "argument --f: cannot parse test function 'foo:1'\n"),
     ],
     ids=["poisson_inf", "geometric_p_vanishing", "negative_binomial_p_vanishing", "g_norm_not_a_float",
          "g_norm_negative", "j_beyond_support", "pmf_weight_inf", "pmf_weight_nan", "poisson_sum_nan_mean",
          "poisson_sum_truncation_below_n", "lattice_n_below_minimum",
-         "lattice_truncation_underflows", "out_directory_missing", "f_constant_nan", "f_table_entry_not_a_number"],
+         "lattice_truncation_underflows", "out_directory_missing", "f_constant_nan", "f_table_entry_not_a_number",
+         "f_unknown_kind"],
 )
 def test_bad_values_met_at_run_time_exit_two_naming_the_flag(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -171,6 +171,29 @@ OVERFLOW_SPECS = [
 ]
 
 
+def _poisson_payload(**record):
+    """poisson(1) as JSON, with some keys of its truncation record replaced."""
+    payload = gs.poisson(1.0).to_dict()
+    payload["truncation"].update(record)
+    return payload
+
+
+# measures whose JSON holds a NaN or Infinity token, and the words the error names the field by
+NONFINITE_MEASURES = [
+    *(({"omega": bad, "V": [0, 0]}, "activity omega") for bad in (math.nan, math.inf)),
+    *(({"omega": 1, "V": [0, bad]}, "potential") for bad in (math.nan, math.inf)),
+    ({**gs.poisson(1.0).to_dict(), "params": {"lam": math.nan}}, "poisson rate"),
+    ({"kind": "binomial", "params": {"n": math.inf, "p": 0.5}, "omega": 1, "V": [0, 0]}, "measure field 'params'"),
+    *((_poisson_payload(**{key: bad}), f"truncation.{key}")
+      for key in ("bound", "tail_mass", "tolerance") for bad in (math.nan, math.inf)),
+]
+
+
+def nonfinite_measure(case):
+    payload, field = NONFINITE_MEASURES[case]
+    return ["bounds", Part(("--measure", json.dumps(payload)), (field,), True)]
+
+
 def spec_part(text, bad):
     return Part(("--spec", "{dir}/spec.json"), ("--spec", "{dir}/spec.json"), bad, (("spec.json", text),))
 
@@ -222,6 +245,18 @@ def names(parts, directory):
 @example(parts=["poisson-sum", spec_part(NAN_SPECS[1], True)])
 @example(parts=["poisson-sum", spec_part(OVERFLOW_SPECS[0], True)])
 @example(parts=["poisson-sum", spec_part(OVERFLOW_SPECS[1], True)])
+@example(parts=nonfinite_measure(0))
+@example(parts=nonfinite_measure(1))
+@example(parts=nonfinite_measure(2))
+@example(parts=nonfinite_measure(3))
+@example(parts=nonfinite_measure(4))
+@example(parts=nonfinite_measure(5))
+@example(parts=nonfinite_measure(6))
+@example(parts=nonfinite_measure(7))
+@example(parts=nonfinite_measure(8))
+@example(parts=nonfinite_measure(9))
+@example(parts=nonfinite_measure(10))
+@example(parts=nonfinite_measure(11))
 @given(parts=st.one_of(solve_case(), bounds_case(), compare_case(), lattice_case(), poisson_sum_case()))
 def test_fuzzed_command_lines_exit_zero_or_two_naming_the_fault(parts, tmp_path_factory):
     directory = tmp_path_factory.mktemp("argv")

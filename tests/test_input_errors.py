@@ -1,0 +1,117 @@
+"""Input checks of the library that no other test reaches, one (call, message) pair each.
+
+Each call is a small input that reaches its check, so a check that stops
+firing, or whose message drifts, fails here by name.  Two branches cannot
+be reached from any input and are not listed: the normalisation check after
+log-sum-exp in `GibbsMeasure` and the range check of
+`measures._binomial_increment_at`, whose callers keep j within 1..n.  The
+command-line and JSON-measure checks are pinned in test_cli.py.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import gibbs_stein as gs
+from gibbs_stein import compare, factors
+
+M = gs.poisson(1.0, truncation=4)
+SOLUTION = gs.solve(M, gs.TestFunction.indicator([0], 5))
+DEPENDENT = gs.CouplingSpec([0.5, 0.5], conditional_sums=[[0.5, 0.5], [0.5, 0.5]], independent=False)
+
+
+CASES = {
+    # stein
+    "solve_unknown_method": (lambda: gs.solve(M, np.zeros(5), method="bogus"), "unknown method 'bogus'"),
+    "residual_index_out_of_range": (lambda: SOLUTION.residual(6), "residual defined for 0 <= k <= 4"),
+    "solve_extended_domain_within_support": (
+        lambda: gs.solve_extended(M, np.zeros(5), 4), "domain_max must exceed the measure's support bound"),
+    "apply_generator_short_g": (lambda: gs.apply_generator(M, np.zeros(5), 0), "g must be defined on 0..N+1"),
+    "stationarity_defect_short_g": (lambda: gs.stationarity_defect(M, np.zeros(5)), "g must be defined on 0..N+1"),
+    "extremal_indicator_unknown_quantity": (
+        lambda: gs.extremal_indicator(M, 1, "bogus"), "quantity must be 'increment' or 'solution'"),
+    "test_function_empty": (lambda: gs.TestFunction([]), "test function must be a non-empty 1-d table"),
+    "test_function_2d": (lambda: gs.TestFunction([[0.5]]), "test function must be a non-empty 1-d table"),
+    # measures
+    "measure_omega_zero": (
+        lambda: gs.GibbsMeasure(0.0, [0.0]), "activity omega must be a positive finite real, got 0.0"),
+    "measure_potential_2d": (
+        lambda: gs.GibbsMeasure(1.0, [[0.0]]), "potential table must be one-dimensional and non-empty"),
+    "measure_potential_empty": (
+        lambda: gs.GibbsMeasure(1.0, []), "potential table must be one-dimensional and non-empty"),
+    "measure_potential_inf": (
+        lambda: gs.GibbsMeasure(1.0, [0.0, math.inf]), "potential must be finite on the whole support"),
+    "expectation_length": (lambda: M.expectation(np.zeros(3)), "test table must have length 5, got 3"),
+    "reparametrized_alpha": (lambda: M.reparametrized(0.0), "alpha must be positive"),
+    "restricted_bound": (lambda: M.restricted(5), "restriction bound must lie in the support, got 5"),
+    "binomial_p": (lambda: gs.binomial(10, 1.5), "binomial needs 0 < p < 1"),
+    "hypergeometric_no_successes": (lambda: gs.hypergeometric(10, 0, 3), "hypergeometric parameters out of range"),
+    "hypergeometric_draws_all": (lambda: gs.hypergeometric(10, 3, 10), "hypergeometric parameters out of range"),
+    "discrete_uniform_negative": (lambda: gs.discrete_uniform(-1), "discrete uniform needs n >= 0"),
+    # counts must be finite whole numbers
+    "binomial_n_fractional": (lambda: gs.binomial(10.5, 0.3), "binomial needs a finite whole number n, got 10.5"),
+    "binomial_n_inf": (lambda: gs.binomial(math.inf, 0.3), "binomial needs a finite whole number n, got inf"),
+    "binomial_n_nan": (lambda: gs.binomial(math.nan, 0.3), "binomial needs a finite whole number n, got nan"),
+    "hypergeometric_population_fractional": (
+        lambda: gs.hypergeometric(20.5, 5, 6), "hypergeometric needs a finite whole number population, got 20.5"),
+    "hypergeometric_successes_fractional": (
+        lambda: gs.hypergeometric(20, 5.5, 6), "hypergeometric needs a finite whole number successes, got 5.5"),
+    "hypergeometric_draws_inf": (
+        lambda: gs.hypergeometric(20, 5, math.inf), "hypergeometric needs a finite whole number draws, got inf"),
+    "discrete_uniform_fractional": (
+        lambda: gs.discrete_uniform(2.5), "discrete uniform needs a finite whole number n, got 2.5"),
+    "discrete_uniform_nan": (
+        lambda: gs.discrete_uniform(math.nan), "discrete uniform needs a finite whole number n, got nan"),
+    # from_pmf checks the activity before taking its log
+    "from_pmf_omega_zero": (
+        lambda: gs.from_pmf([1.0, 2.0], omega=0), "activity omega must be a positive finite real, got 0.0"),
+    "from_pmf_omega_negative": (
+        lambda: gs.from_pmf([1.0, 2.0], omega=-1), "activity omega must be a positive finite real, got -1.0"),
+    # size_bias
+    "size_bias_empty": (lambda: gs.size_bias([]), "base law must be a non-empty 1-d table"),
+    "size_bias_2d": (lambda: gs.size_bias([[1.0]]), "base law must be a non-empty 1-d table"),
+    "bernoulli_means_empty": (
+        lambda: gs.CouplingSpec.independent_bernoulli([]), "p must be a non-empty vector of Bernoulli means"),
+    "conditional_sums_shape": (
+        lambda: gs.CouplingSpec([0.5, 0.5], conditional_sums=[[1.0]], independent=False),
+        "conditional sums must be an 2x2 table (rows on 0..n-1)"),
+    "configurations_empty": (lambda: gs.CouplingSpec.from_configurations([]), "empty configuration list"),
+    "configurations_ragged": (
+        lambda: gs.CouplingSpec.from_configurations([((0, 1), 0.5), ((1,), 0.5)]),
+        "configurations must share one length"),
+    "coupling_index_out_of_range": (lambda: DEPENDENT.coupling_given_index(2), "index out of range"),
+    "sum_size_bias_mismatch": (
+        lambda: gs.sum_size_bias(gs.CouplingSpec(
+            [0.5, 0.5], conditional_sums=[[0.5, 0.5], [0.5, 0.5]], independent=False, sum_law=[0.5, 0.0, 0.5])),
+        "mixture law differs from the size-biased sum law by 5.000e-01; the conditional tables are inconsistent"),
+    "size_bias_residual_W_too_long": (
+        lambda: gs.stein_residual_via_size_bias(M, np.full(6, 1 / 6), np.array([1.0]), np.zeros(5)),
+        "W must live inside the measure's support"),
+    "size_bias_residual_Wstar_too_long": (
+        lambda: gs.stein_residual_via_size_bias(M, np.array([1.0]), np.full(7, 1 / 7), np.zeros(5)),
+        "W* must live inside 0..N+1"),
+    # compare, factors, lattice
+    "tv_distance_2d": (
+        lambda: gs.tv_distance(np.array([[1.0]]), np.array([1.0])), "tv_distance expects 1-d probability tables"),
+    "comparison_unknown_source": (
+        lambda: gs.generator_comparison(M, M, "bogus"),
+        "g_norm_source must be one of ('exact', 'rate_spread', 'user')"),
+    "solution_norm_unknown_source": (
+        lambda: compare.solution_norm(M, "user"), "g_norm_source must be 'exact' or 'rate_spread'"),
+    "comparison_user_without_values": (
+        lambda: gs.generator_comparison(M, M, "user"), "user-supplied norms require g_norm_values"),
+    "condition_unknown_name": (lambda: factors.condition(M, "bogus"), "unknown condition 'bogus'"),
+    "grid_points_unknown_rule": (lambda: gs.grid_points(3, "bogus"), "unknown point rule 'bogus'"),
+    "lattice_no_cells": (lambda: gs.lattice_measure(gs.ideal_gas_model(1.0), 0), "need at least one cell"),
+    "lattice_weights_vanish": (
+        lambda: gs.lattice_measure(gs.custom_model(lambda points: 0.0, 1.0), 3),
+        "lattice weights vanish inside {0..n}; support must be contiguous"),
+}
+
+
+@pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())
+def test_input_check_raises_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

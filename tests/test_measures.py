@@ -220,6 +220,36 @@ def test_overwide_truncation_rejected_at_construction():
         gs.poisson(0.5, truncation=400)
 
 
+def _truncated_laws():
+    for t in (None, 0, 3, 60):
+        yield gs.poisson(0.5, truncation=t)
+        yield gs.poisson(100.0, truncation=t)
+        yield gs.geometric(0.3, truncation=t)
+        yield gs.negative_binomial(2.5, 0.4, truncation=t)
+        for model in (gs.ideal_gas_model(1.5), gs.repelling_model(1.0), gs.product_model(2.0),
+                      gs.custom_model(lambda points: 1.0, 0.7, log_W_fn=lambda k: 0.0)):
+            yield gs.limit_measure(model, truncation=t)
+    yield gs.poisson(3.0, tail_tol=1e-6)
+    yield gs.geometric(0.9, tail_tol=0.5)
+    yield gs.poisson(2.0, truncation=25).reparametrized(3.0)
+
+
+def test_library_built_truncation_records_fit_their_tables_and_reload():
+    for m in _truncated_laws():
+        record = m.truncation
+        assert record.bound == m.support_max, m.label()
+        assert 0.0 <= record.tail_mass <= record.tolerance < math.inf, m.label()
+        assert list(record.to_dict().items()) == [
+            ("bound", record.bound), ("tail_mass", record.tail_mass), ("tolerance", record.tolerance)]
+        if m.kind in ("repelling_limit", "product_limit"):  # their params cannot rebuild them
+            again = gs.GibbsMeasure(m.omega, m.V, m.kind, m.params, record)
+        else:
+            again = gs.GibbsMeasure.from_json(m.to_json())
+        assert again.truncation == record and np.array_equal(again.V, m.V), m.label()
+    # a declared tail is not capped at 1: poisson(100) truncated at 0, which reloads above, declares more
+    assert gs.poisson(100.0, truncation=0).truncation.tail_mass > 1.0
+
+
 def test_from_dict_rebuilds_registered_kinds_from_params():
     for m in (gs.poisson(2.0, truncation=25).reparametrized(3.0), gs.binomial(10, 0.3),
               gs.negative_binomial(2.5, 0.3), gs.hypergeometric(20, 5, 6)):
