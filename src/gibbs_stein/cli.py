@@ -300,7 +300,7 @@ def cmd_poisson_sum(args) -> int:
         rep = lattice.poisson_sum_bounds(spec, truncation=args.truncation, tail_tol=args.tail_tol)
     header = [
         "lam", "exact_tv", "harmonic_coupling_bound", "linear_coupling_bound",
-        "independent_bound", "improved_bound",
+        "independent_bound", "improved_bound", "pointwise_bound",
     ]
     _emit([rep.to_dict()], header, args)
     return 0

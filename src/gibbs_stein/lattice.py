@@ -37,7 +37,9 @@ norm, plus the mass of the law on the larger support above the smaller one
 `limit_measure`'s own truncation unless the caller hands the report a limit
 law built at another.  For Bernoulli sums a size-bias coupling bound charges
 its increments to harmonic sums or to reciprocal birth rates, with the
-target's exact solution norm.
+target's exact solution norm, and a second certificate telescopes the
+size-bias identity through the target's pointwise Stein factors; on
+dependent specs both take the monotone coupling and cost O(n^2).
 
 A caution on the repelling family: the lattice/continuum weight ratios
 match only from k = 3 on; at k = 2 they differ by the factor (n^2-1)/n^2,
@@ -58,10 +60,10 @@ import numpy as np
 from .compare import generator_comparison, tv_distance
 from .factors import condition, uniform_increment
 from .measures import (
-    DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _fsum_arrays, _log_weights, _logsumexp, _truncated, poisson,
+    DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _fsum, _log_weights, _logsumexp, _poisson, _truncated, poisson,
 )
 from .size_bias import CouplingSpec
-from .stein import sup_solution_norm
+from .stein import sup_increment_table, sup_solution_table
 
 __all__ = [
     "InteractionModel",
@@ -459,7 +461,10 @@ def _pair_terms(b: np.ndarray, family_cap: float | None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CouplingBound:
-    """Distance certificate for a Bernoulli-sum law against a Gibbs target."""
+    """Distance certificates for a Bernoulli-sum law against a Gibbs target.
+
+    value is certified when `licensed`; pointwise_bound needs no licence.
+    """
 
     value: float
     increment_part: float
@@ -467,31 +472,55 @@ class CouplingBound:
     licensed: bool
     conditions: tuple
     g_norm: float
+    pointwise_bound: float
+
+    @property
+    def certified_bound(self) -> float:
+        """The smallest certified value: pointwise_bound, or value if licensed and smaller."""
+        return min(self.value, self.pointwise_bound) if self.licensed else self.pointwise_bound
+
+
+def _pointwise_bound(m: GibbsMeasure, spec: CouplingSpec, G: np.ndarray) -> float:
+    """A bound on d_TV(law of S, m) from pointwise Stein factors, in O(n^2).
+
+    With g solving the Stein equation for f and lam = sum p_i, the size-bias
+    identity gives E f(S) - mu(f) = sum_i p_i (E g(S+1) - E g(Shat_i+1)) +
+    E[(b(S) - lam) g(S+1)].  Telescoping the first sum bounds it by
+    sum_i p_i sum_j w_j |F_S(j-1) - F_Shat_i(j-1)|, w = sup_increment_table;
+    the second is at most sum_s P(S = s) |b(s) - lam| G_{s+1}, G =
+    sup_solution_table.  At n = N, b(N) = 0 frees g(N+1) := g(N), so w_N = 0
+    and G_{N+1} = G_N.  Only indices with p_i > 0 enter.
+    """
+    n, top = spec.n, m.support_max
+    live, F, F_hat = spec._cdfs()
+    w = sup_increment_table(m)[:n].copy()
+    if n == top:
+        w[-1] = 0.0
+    G_next = G[np.minimum(np.arange(n + 1), top - 1)]
+    shifts = np.abs(F[:n] - F_hat) @ w
+    rate_gaps = np.abs(m.birth_rates[: n + 1] - spec.lam)
+    return _fsum(spec.p[live] * shifts) + _fsum(spec.sum_law() * rate_gaps * G_next)
 
 
 def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
-    """Size-bias coupling bound on d_TV(law of the Bernoulli sum, m).
+    """Size-bias coupling bounds on d_TV(law of the Bernoulli sum, m), in O(n^2).
 
-    The increment part charges each coupled pair (S, Shat_i), weighted by
-    the index mixture and the local rate factor, with the smaller of the
-    harmonic sum between the two states and the state gap times a uniform
-    increment bound on the traversed stretch (the reciprocal rate at the
-    lower state; sharpened by the family closed form where one exists).
-    The norm part is the mean absolute deviation of the birth rate over the
-    sum's law times the exact solution norm.  Licensed by nonincreasing rates.
+    Both rest on the size-bias identity E[S g(S)] = sum_i p_i E g(Shat_i +
+    1), in which only the marginal laws of S and Shat_i enter, so each index
+    may take its own coupling: the perfect one for independent coordinates,
+    the monotone one of CouplingSpec.monotone_pairs otherwise.
 
-    The increment part is evaluated in whole-array blocks: the charge and
-    the rate weight b[s]/omega of each pair (s, t) are tabulated once on
-    0..n; one array holds every index's X_i = 1 pairs (t + 1, t), and for
-    dependent specs the X_i = 0 pairs of the indices with p_i < 1 come as
-    stacked (rows, n+1, n) blocks of about measures._CHUNK entries, one
-    index at a time once its slab is larger
-    (CouplingSpec.zero_slab_blocks, the one implementation of those
-    pairs).  Every piece is the product ((p_i/lam) * pr) * rate weight *
-    charge of one pair that CouplingSpec.coupling_given_index lists, and the
-    one exact-sum kernel (measures._fsum_arrays, the same float math.fsum
-    returns) adds them all, so the value equals math.fsum over that tuple
-    loop's pairs, bit for bit, in O(n^2) memory.
+    The paper's display `value` charges each coupled pair (S, Shat_i),
+    weighted by the index mixture and the local rate factor, with the
+    smaller of the harmonic sum between the two states and the state gap
+    times a uniform increment bound on the traversed stretch (the reciprocal
+    rate at the lower state; sharpened by the family closed form where one
+    exists), and adds the mean absolute deviation of the birth rate over
+    the sum's law times the exact solution norm.  Licensed by nonincreasing
+    rates.  Each piece is the product ((p_i/lam) * pr) * (b[s]/omega) *
+    charge of one pair that CouplingSpec.coupling_given_index lists, and
+    the increment part is their correctly rounded sum, math.fsum over that
+    tuple loop, bit for bit.  pointwise_bound is _pointwise_bound's.
     """
     n_max = m.support_max
     if spec.n > n_max:
@@ -504,31 +533,28 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     b = m.birth_rates[: spec.n + 1]
     rate_weight = b / m.omega
     term = _pair_terms(b, uniform_increment(m.kind, m.params))
-    step_term = np.diagonal(term, offset=-1)  # term[t + 1, t]
-
     weight = spec.p / lam
+    live = spec.p > 0.0
 
-    def slabs():
-        for rows, zero in spec.zero_slab_blocks():
-            zero *= weight[rows, None, None]
-            zero *= rate_weight[:, None]
-            zero *= term[:, :-1]
-            yield zero
-        live = spec.p > 0.0
-        one = spec.conditional_sums[live] * spec.p[live, None]
-        yield ((weight[live, None] * one) * rate_weight[1:]) * step_term
-
-    increment_part = m.omega * _fsum_arrays(slabs)
+    if spec.independent:
+        # the perfect coupling's pairs (t + 1, t) on X_i = 1; its pairs (t, t) are charged 0
+        t = np.arange(spec.n)
+        s, mass = t + 1, spec.conditional_sums[live] * spec.p[live, None]
+    else:
+        s, t, mass = spec.monotone_pairs()
+    pieces = ((weight[live, None] * mass) * rate_weight[s]) * term[s, t]
+    increment_part = m.omega * _fsum(pieces.ravel())
 
     law = spec.sum_law()
     rates = m.birth_rates[: law.size]
     # the convolved law can add to just under 1, which would put the mean of a
     # constant rate below it; the mean lies between the rates the law reaches
-    live = rates[law > 0]
-    mean_rate = min(max(math.fsum((law * rates).tolist()), live.min()), live.max())
+    reached = rates[law > 0]
+    mean_rate = min(max(math.fsum((law * rates).tolist()), reached.min()), reached.max())
     mad = math.fsum((law * np.abs(rates - mean_rate)).tolist())
 
-    g_norm = sup_solution_norm(m)
+    G = sup_solution_table(m)
+    g_norm = float(G.max())
     norm_part = g_norm * mad
 
     return CouplingBound(
@@ -538,6 +564,7 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
         licensed=all(c.holds for c in cond),
         conditions=cond,
         g_norm=g_norm,
+        pointwise_bound=_pointwise_bound(m, spec, G),
     )
 
 
@@ -552,7 +579,9 @@ class PoissonSumReport:
     harmonic_coupling_bound uses the per-pair minimum of harmonic sums and
     scaled gaps; linear_coupling_bound is the plain first-moment form;
     independent_bound and improved_bound are the independence-only closed
-    forms (None for dependent specifications).
+    forms (None for dependent specifications); pointwise_bound is
+    sum_coupling_bound's.  All are certified, the target's rates being
+    nonincreasing.
     """
 
     lam: float
@@ -561,6 +590,14 @@ class PoissonSumReport:
     linear_coupling_bound: float
     independent_bound: float | None
     improved_bound: float | None
+    pointwise_bound: float
+
+    @property
+    def certified_bound(self) -> float:
+        """The smallest of the bounds the report holds."""
+        bounds = (self.harmonic_coupling_bound, self.linear_coupling_bound, self.independent_bound,
+                  self.improved_bound, self.pointwise_bound)
+        return min(value for value in bounds if value is not None)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -572,15 +609,17 @@ def poisson_sum_bounds(
     """Certified Poisson approximation for a Bernoulli-sum coupling spec.
 
     The target is Poisson(sum p_i) truncated at the explicit truncation, or,
-    when none is given, at max(n, N_auto): N_auto is the smallest bound whose
-    discarded tail is below tail_tol, and the coupling bound needs the sum's
-    states 0..n inside the support.  An explicit truncation below n is an
-    error.
+    when none is given, at max(n, N_auto), in one truncation search: N_auto
+    is the smallest bound whose discarded tail is below tail_tol, and the
+    coupling bounds need the sum's states 0..n inside the support.  An
+    explicit truncation below n is an error.  The coupling bounds rest on
+    the size-bias identity E[S g(S)] = sum_i p_i E g(Shat_i + 1), with the
+    perfect coupling for independent coordinates and the monotone one
+    otherwise, under which linear_coupling_bound's E_i |S - Shat_i| is a
+    Wasserstein-1 distance.  For a dependent spec every bound costs O(n^2).
     """
     lam = spec.lam
-    target = poisson(lam, truncation=truncation, tail_tol=tail_tol)
-    if truncation is None and target.support_max < spec.n:
-        target = poisson(lam, truncation=spec.n, tail_tol=tail_tol)
+    target = _poisson(lam, truncation, tail_tol, least=spec.n)
     factor = uniform_increment(target.kind, target.params)
 
     coupling = sum_coupling_bound(target, spec)
@@ -606,4 +645,5 @@ def poisson_sum_bounds(
         linear_coupling_bound=linear,
         independent_bound=independent_bound,
         improved_bound=improved,
+        pointwise_bound=coupling.pointwise_bound,
     )

@@ -15,8 +15,8 @@ log Gamma(s + k) - log Gamma(s) over a run k = 0, 1, ... as a compensated
 running sum of log(s + i) (so log k! is the run from s = 1), `_logsumexp` is
 the max-shifted log-sum-exp behind every normalisation, and `_truncated`
 picks truncation points.  The library's correctly rounded sums of long
-tables share one exact kernel kept here, `_fsum_arrays` (`_fsum` for one
-array), which returns the float math.fsum returns.
+tables share one exact kernel kept here, `_fsum` (`_fsum_rows` for each
+row of a table), which returns the float math.fsum returns.
 
 The distinguished birth-death dynamics attached to a measure uses unit per
 capita death rates d_k = k and birth rates
@@ -37,7 +37,6 @@ certificates can surface it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -113,25 +112,27 @@ _U = 2.0**-53  # unit roundoff
 
 
 def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
-    """Running sums of x with Neumaier's compensation.
+    """Running sums of x along its last axis with Neumaier's compensation.
 
     Each step's rounding error is recovered exactly (TwoSum) from the plain
     running sum and accumulated alongside it, as Neumaier's loop does, so
-    entry k equals that loop's compensated sum of x[0..k].
+    entry k equals that loop's compensated sum of x[..., 0..k].
     """
-    s = np.cumsum(x)
-    prev = np.concatenate(([0.0], s[:-1]))
+    s = np.cumsum(x, axis=-1)
+    prev = np.empty_like(s)
+    prev[..., :1] = 0.0
+    prev[..., 1:] = s[..., :-1]
     added = s - prev
     errors = (prev - (s - added)) + (x - added)
-    return s + np.cumsum(errors)
+    return s + np.cumsum(errors, axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Exact sums
 # ---------------------------------------------------------------------------
 
-# _fsum_arrays: pieces per whole-array pass (bounds its temporaries), pieces
-# per run of float sums that stay exact, and the weights of its shortcut: on
+# _fsum: entries per whole-array pass (bounds its temporaries), entries per
+# run of float sums that stay exact, and the weights of its shortcut: on
 # a table whose entries rise `span` binades from its first nonzero one to its
 # largest, math.fsum costs about (_FSUM_SPAN + span) units per entry, the
 # exact pass about _FIXED_COST units per call and, in _fsum_rows, about
@@ -152,55 +153,49 @@ _TO_HIGH_UNITS = _TO_UNITS[1] * 2.0**-26
 _WORD = np.int64(1) << np.arange(8, dtype=np.int64)
 
 
-def _fsum_arrays(pieces) -> float:
-    """math.fsum over every entry of the float64 arrays that pieces() yields.
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum over one float64 array, bit for bit, by the cheaper of two ways.
 
-    Returns the same float as math.fsum, the correctly rounded exact sum,
-    in whole-array passes over chunks of _CHUNK pieces.  Each piece is cut
-    at bit 26 of its 53-bit significand into a high and a low part, and
-    np.bincount adds each part per biased exponent E.  Within one exponent
-    the parts are integers below 2^27 and 2^26 of one unit, so these float
-    sums are exact over runs of fewer than 2^26 pieces.  Each run's sums,
-    over the exponents it holds, join as one Python int of units 2^-1074
-    (_units with one row), and a single int division rounds the total
-    correctly.  A non-finite piece, or pieces so large that math.fsum could
-    overflow midway, send the whole sum to math.fsum itself, which is why
-    pieces is a function: it is called again.  An input of one chunk that
-    the shortcut weights above price below the exact pass goes to math.fsum
-    too.
+    An input that the shortcut weights above price below the exact pass goes
+    to math.fsum itself.  The exact pass runs over chunks of _CHUNK entries.
+    Each entry is cut at bit 26 of its 53-bit significand into a high and a
+    low part, and np.bincount adds each part per biased exponent E.  Within
+    one exponent the parts are integers below 2^27 and 2^26 of one unit, so
+    these float sums are exact over runs of fewer than 2^26 entries.  Each
+    run's sums, over the exponents it holds, join as one Python int of
+    units 2^-1074 (_units with one row), and a single int division rounds
+    the total correctly.  A non-finite entry, or entries so large that
+    math.fsum could overflow midway, send the whole sum to math.fsum.
     """
+    if _prefers_fsum(x):
+        return math.fsum(x.tolist())
     hi, lo = np.zeros(2048), np.zeros(2048)
-    units = count = run = top = 0
-    for block in _blocks(pieces()):
-        for start in range(0, block.size, _CHUNK):
-            chunk = block[start : start + _CHUNK]
-            count += chunk.size
-            # a short first chunk is the whole input, since only the last block is short
-            if count < _CHUNK and _prefers_fsum(chunk):
-                return math.fsum(chunk.tolist())
-            exponent = _exponents(chunk)
-            high = int(exponent.max())
-            top = max(top, high)
-            # inf or nan (exponent 0x7FF), or a sum of |piece| < count 2^(top - 1022)
-            # above 2^1020, which no longer keeps every partial sum finite
-            if top == 0x7FF or top - 1022 + count.bit_length() > 1020:
-                return _fsum_fallback(pieces)
-            high_sums, low_sums = _binned_parts(chunk, exponent, high + 1)
-            hi[: high + 1] += high_sums
-            lo[: high + 1] += low_sums
-            run += chunk.size
-            if run > _EXACT_RUN - _CHUNK:
-                units += _units(hi, lo)[0]
-                hi, lo = np.zeros(2048), np.zeros(2048)
-                run = 0
+    units = run = top = 0
+    for start in range(0, x.size, _CHUNK):
+        chunk = x[start : start + _CHUNK]
+        exponent = _exponents(chunk)
+        high = int(exponent.max())
+        top = max(top, high)
+        # inf or nan (exponent 0x7FF), or a sum of |x| < count 2^(top - 1022)
+        # above 2^1020, which no longer keeps every partial sum finite
+        if top == 0x7FF or top - 1022 + (start + chunk.size).bit_length() > 1020:
+            return math.fsum(x.tolist())
+        high_sums, low_sums = _binned_parts(chunk, exponent, high + 1)
+        hi[: high + 1] += high_sums
+        lo[: high + 1] += low_sums
+        run += chunk.size
+        if run > _EXACT_RUN - _CHUNK:
+            units += _units(hi, lo)[0]
+            hi, lo = np.zeros(2048), np.zeros(2048)
+            run = 0
     return (units + _units(hi, lo)[0]) / (1 << 1074)
 
 
 def _fsum_rows(table: np.ndarray) -> np.ndarray:
     """math.fsum of each row of a 2-d float64 table, bit for bit.
 
-    The same exact sum as _fsum_arrays, for many rows at once.  A row wider
-    than _CHUNK is one _fsum_arrays call, which splits it into chunks.  A
+    The same exact sum as _fsum, for many rows at once.  A row wider than
+    _CHUNK is one _fsum call, which splits it into chunks.  A
     row holding inf or nan, or large enough that math.fsum could overflow
     midway, and a row that the shortcut weights price below _ROW_COST go to
     math.fsum itself, in row order, so a row that makes math.fsum raise
@@ -214,14 +209,14 @@ def _fsum_rows(table: np.ndarray) -> np.ndarray:
     if width * (_FSUM_SPAN + 2046) < _ROW_COST:  # every row is cheap, at any span
         return np.array([math.fsum(row) for row in table.tolist()], dtype=np.float64)
     if width > _CHUNK:
-        return np.array([_fsum_arrays(lambda row=row: (row,)) for row in table], dtype=np.float64)
+        return np.array([_fsum(row) for row in table], dtype=np.float64)
     bits = table.view(np.uint64)
     greatest = bits.max(axis=1)
     signed = greatest >> 63 != 0
     top = (greatest >> 52).astype(np.int64)  # the largest exponent, in a row without a sign bit
     if signed.any():
         top[signed] = ((bits[signed] << 1) >> 53).max(axis=1)
-    # as in _fsum_arrays: inf or nan, or partial sums that may overflow
+    # as in _fsum: inf or nan, or partial sums that may overflow
     slow = top - 1022 + width.bit_length() > 1020
     if width * _FSUM_SPAN < _ROW_COST:
         slow |= width * (_FSUM_SPAN + _head_spans(bits, greatest)) < _ROW_COST
@@ -325,31 +320,6 @@ def _units(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     words = (counts.reshape(counts.shape[:-1] + (-1, 8)) @ _WORD).reshape(-1, counts.shape[-1] // 8)
     shifts = range(0, counts.shape[-1], 8)
     return [sum(w << s for w, s in zip(row, shifts) if w) << (low - 1) for row in words.tolist()]
-
-
-def _blocks(arrays):
-    """The arrays' entries, flattened, in runs of at least _CHUNK (the last may be shorter)."""
-    buffer: list[np.ndarray] = []
-    buffered = 0
-    for arr in arrays:
-        buffer.append(np.ravel(np.asarray(arr, dtype=np.float64)))
-        buffered += buffer[-1].size
-        if buffered >= _CHUNK:
-            yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
-            buffer, buffered = [], 0
-    if buffer:
-        yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
-
-
-def _fsum_fallback(pieces) -> float:
-    return math.fsum(itertools.chain.from_iterable(np.ravel(a).tolist() for a in pieces()))
-
-
-def _fsum(x: np.ndarray) -> float:
-    """math.fsum over one float64 array, by the cheaper of the two ways."""
-    if _prefers_fsum(x):
-        return math.fsum(x.tolist())
-    return _fsum_arrays(lambda: (x,))
 
 
 def _sums_to_one(values: np.ndarray, tol: float) -> bool:
@@ -568,7 +538,7 @@ class GibbsMeasure:
                 if key not in trunc:
                     raise ValueError(f"truncation lacks {key!r}")
             policy = TailPolicy(
-                _typed("truncation.bound", int, trunc["bound"]),
+                _typed("truncation.bound", lambda v: _whole("truncation", "bound", v), trunc["bound"]),
                 _typed("truncation.tail_mass", float, trunc["tail_mass"]),
                 _typed("truncation.tolerance", float, trunc["tolerance"]),
             )
@@ -677,6 +647,7 @@ def _truncated(
     tail_tol: float,
     ratio: Callable[[int], float] | None = None,
     max_size: int = 1 << 20,
+    least: int = 0,
 ) -> GibbsMeasure:
     """The law of activity omega and potential table `potential(size)`, truncated.
 
@@ -695,7 +666,9 @@ def _truncated(
     N is the explicit truncation or the smallest whose rounded share is at
     most tail_tol.  The table doubles until ratio(m) < 1 and either m >=
     2N + 1 or the last term of R is below u R, where a longer table would
-    barely tighten the bound.
+    barely tighten the bound.  An automatic N below `least` is raised to
+    it: the search starts again as for the explicit truncation `least`, so
+    the result is the one that truncation gives.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail tolerance must lie strictly between 0 and 1, got {tail_tol!r}")
@@ -731,6 +704,9 @@ def _truncated(
             if 2 * n + 1 > m and rest > _U * beyond[n]:
                 size = 2 * n + 3
                 continue
+            if n < least:
+                truncation, size = least, 2 * least + 3
+                continue
         tail = float(bound[n])
         return GibbsMeasure(
             omega, V[: n + 1], kind=kind, params=params,
@@ -750,15 +726,29 @@ def _check_p(family: str, p: float):
 
 def poisson(lam: float, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> GibbsMeasure:
     """Poisson(lambda), stored with omega = lambda and constant potential."""
+    return _poisson(lam, truncation, tail_tol)
+
+
+def _poisson(lam: float, truncation: int | None, tail_tol: float, least: int = 0) -> GibbsMeasure:
+    """poisson(lam, truncation, tail_tol), with an automatic truncation of at least `least`."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"poisson rate must be positive and finite, got {lam!r}")
-    return _truncated("poisson", lam, lambda size: np.full(size, -lam), {"lam": lam}, truncation, tail_tol)
+    return _truncated(
+        "poisson", lam, lambda size: np.full(size, -lam), {"lam": lam}, truncation, tail_tol, least=least
+    )
 
 
 def _check_count(family: str, name: str, value) -> None:
     """A count parameter must be a finite whole number (10.0 is one; 10.5, nan and inf are not)."""
     if not float(value).is_integer():
         raise ValueError(f"{family} needs a finite whole number {name}, got {value!r}")
+
+
+def _whole(owner: str, name: str, value) -> int:
+    """int(value) for a whole number: int's own errors first, then _check_count's for a fraction."""
+    whole = int(value)
+    _check_count(owner, name, value)
+    return whole
 
 
 def binomial(n: int, p: float) -> GibbsMeasure:
@@ -860,12 +850,16 @@ class Family:
     def values(self, params: dict) -> dict:
         """The family's params from `params`, converted to their declared types.
 
-        A missing parameter, or one its type rejects, raises ValueError naming it.
+        A missing parameter, one its type rejects, or a count that is not a
+        whole number raises ValueError naming it.
         """
         missing = [name for name, _ in self.args if name not in params]
         if missing:
             raise ValueError(f"{self.kind} measure lacks parameter {missing[0]!r}")
-        return {name: _typed("params", typ, params[name]) for name, typ in self.args}
+        return {
+            name: _typed("params", (lambda v: _whole(self.kind, name, v)) if typ is int else typ, params[name])
+            for name, typ in self.args
+        }
 
 
 def _poisson_increment(lam: float) -> float:

@@ -16,34 +16,35 @@ The identity s P(S = s) = sum_i p_i P(Shat_i = s - 1) pins the law of S to
 the conditional tables, which is both how the mixture is checked for
 consistency and how the law of S is recovered for dependent specifications.
 
-A joint coupling of (S, Shat_i) given I = i is needed for the distance
-bounds: on the event X_i = 1 the redraw can be taken to be the identity
-(S = Shat_i + 1 exactly); on X_i = 0 the leftover sum is redrawn
-independently.  For independent coordinates that choice degenerates to the
-classical perfect coupling with S - Shat_i = X_i.
+Only the marginal laws of S and of each Shat_i enter the size-bias identity
+E[S g(S)] = sum_i p_i E g(Shat_i + 1), so each index may couple Shat_i
+with S as it likes.  Independent coordinates take the perfect coupling
+Shat_i = S - X_i.  A dependent spec takes the monotone (quantile)
+coupling, which reads both off one uniform through their CDFs: at most
+2n + 1 pairs per index along the merged CDF breakpoints (monotone_pairs),
+under which E_i |S - Shat_i| is the Wasserstein-1 distance of the two
+laws.  For independent coordinates the two couplings are one joint law:
+P(S = t + 1, Shat_i = t) = p_i P(Shat_i = t) in both.
 
-The layer works in whole-array passes with the bits of the per-element
-forms it replaced: independent specs build all n leave-one-out laws, and
-the law of S, in one lockstep pass over the coordinates.  A dependent spec
-checks its n conditional tables in one pass and forms all n laws given
-X_i = 0 as one (n, n+1) table, once; its X_i = 0 slabs (zero_slab_blocks)
-and mean absolute gaps (mean_abs_gaps) are built in blocks of indices
-holding about measures._CHUNK entries, one index at a time once a slab is
-larger, so memory stays O(n^2).  Every correctly rounded sum goes through
-one exact kernel, measures._fsum_rows, which adds each row of a table and
-returns what math.fsum returns over the same entries.  The tuple loop
-coupling_given_index lists the same joint law one pair at a time and is
-the reference the blocks are tested against.
+Independent specs build all n leave-one-out laws, and the law of S, in one
+lockstep pass.  The CDFs of S and of every Shat_i are one compensated
+running sum over an (n+1) x (n+1) table and the pairs one stable sort per
+index of two sorted runs (a linear merge), so a spec costs O(n^2) time and
+memory.  Correctly rounded sums go through measures._fsum_rows, which
+returns what math.fsum returns over each row.  The tuple loop
+coupling_given_index lists the same pairs by a two-pointer merge; it is
+the reference the tables are tested against.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _CHUNK, GibbsMeasure, _fsum_rows, _sums_to_one
+from .measures import GibbsMeasure, _compensated_cumsum, _fsum_rows, _sums_to_one
 from .stein import solve
 
 __all__ = [
@@ -87,6 +88,15 @@ def _check_pmf_rows(table: np.ndarray, rows: np.ndarray, what: str, tol: float) 
         first = int(np.argmax(bad))
         problem = "has negative entries" if negative[first] else "is not a probability vector"
         raise ValueError(f"{what} {rows[first]} {problem}")
+
+
+@contextmanager
+def _naming(field: str):
+    """Turn a TypeError met while reading a spec field into a ValueError naming it."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"coupling specification field {field!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,11 @@ class CouplingSpec:
     independent=True the conditional tables are the leave-one-out
     convolutions and are generated (or verified) automatically, in one
     lockstep pass that ends with the law of S, which the spec keeps.  Their
-    column 0 is the product of 1 - p_j over j != i.  Dependent specs form
-    the laws of S given X_i = 0, for every index, as one table on first use.
+    column 0 is the product of 1 - p_j over j != i.  The CDFs of S and of
+    the Shat_i, and the monotone pairs, are formed once on first use.
     """
 
-    __slots__ = ("p", "conditional_sums", "independent", "_sum_law", "_given_zero_table")
+    __slots__ = ("p", "conditional_sums", "independent", "_sum_law", "_cdf_tables", "_pairs")
 
     def __init__(
         self,
@@ -200,7 +210,8 @@ class CouplingSpec:
         self.conditional_sums.setflags(write=False)
         self.independent = independent
         self._sum_law = None if sum_law is None else np.asarray(sum_law, dtype=float)
-        self._given_zero_table: np.ndarray | None = None
+        self._cdf_tables: tuple | None = None
+        self._pairs: tuple | None = None
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -223,6 +234,8 @@ class CouplingSpec:
         for bits, pr in items:
             if not pr >= 0.0:
                 raise ValueError(f"configuration {list(bits)} has probability {pr}, not a non-negative number")
+            if not set(bits) <= {0, 1}:
+                raise ValueError(f"configuration {list(bits)} has bits other than 0 and 1")
         if not _sums_to_one(np.array([pr for _, pr in items]), 1e-9):
             raise ValueError("configuration probabilities must sum to 1")
         p = np.zeros(n)
@@ -238,19 +251,35 @@ class CouplingSpec:
         for i in range(n):
             if p[i] > 0.0:
                 cond[i] /= p[i]
+        # probabilities that add to just over 1 can put a mean there too
+        np.minimum(p, 1.0, out=p)
         return CouplingSpec(p, conditional_sums=cond, independent=False, sum_law=sum_law)
 
     @staticmethod
-    def from_dict(payload: dict) -> "CouplingSpec":
+    def from_dict(payload) -> "CouplingSpec":
+        """The spec a parsed JSON payload describes; a bad or missing field raises ValueError naming it."""
+        if not isinstance(payload, dict):
+            raise ValueError("coupling specification must be a JSON object")
         if "configurations" in payload:
-            return CouplingSpec.from_configurations(
-                (entry["bits"], entry["prob"]) for entry in payload["configurations"]
-            )
-        p = np.asarray(payload["p"], dtype=float)
-        if payload.get("independent", False):
-            # tables given alongside the flag are checked against the convolutions
-            return CouplingSpec(p, payload.get("conditional_sums"), independent=True)
-        return CouplingSpec(p, conditional_sums=np.asarray(payload["conditional_sums"], dtype=float))
+            entries = payload["configurations"]
+            for k, entry in enumerate(entries if isinstance(entries, list) else [None]):
+                if not isinstance(entry, dict):
+                    raise ValueError("coupling specification field 'configurations' must be a list of JSON objects")
+                for key in ("bits", "prob"):
+                    if key not in entry:
+                        raise ValueError(f"configuration {k} lacks field {key!r}")
+            with _naming("configurations"):
+                return CouplingSpec.from_configurations((entry["bits"], entry["prob"]) for entry in entries)
+        if "p" not in payload:
+            raise ValueError("coupling specification lacks field 'p'")
+        independent = payload.get("independent", False)
+        if not isinstance(independent, bool):
+            raise ValueError(f"coupling specification field 'independent' must be a JSON boolean, got {independent!r}")
+        with _naming("p"):
+            p = np.asarray(payload["p"], dtype=float)
+        with _naming("conditional_sums"):
+            # tables given alongside the independent flag are checked against the convolutions
+            return CouplingSpec(p, payload.get("conditional_sums"), independent=independent)
 
     # -- derived laws -----------------------------------------------------------
     @property
@@ -295,43 +324,42 @@ class CouplingSpec:
         self._sum_law = law
         return law
 
-    def _given_zero_laws(self) -> np.ndarray:
-        """Row i: the law of S given X_i = 0, peeled off the law of S (dependent specs).
+    def _cdfs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(live, F, F_hat): the indices with p_i > 0, the CDF of S and, row by row, those of their Shat_i.
 
-        All rows are formed in one pass on first use and kept, read-only, on
-        the spec; a negative entry below -1e-9 in the row of an index with
-        p_i > 0 flags the tables as inconsistent, and each such row with
-        p_i < 1 is normalised by its correctly rounded sum.  Rows of indices
-        with p_i = 0 are never read.
+        Each CDF is a compensated running sum clipped to [0, 1], made
+        nondecreasing and ending at exactly 1; all are formed in one pass,
+        once.  A dependent spec first checks that no P(S = s, X_i = 0) =
+        P(S = s) - p_i P(Shat_i = s - 1) with p_i > 0 falls below -1e-9.
         """
-        if self._given_zero_table is not None:
-            return self._given_zero_table
-        table = np.repeat(self.sum_law()[None, :], self.n, axis=0)
-        with np.errstate(invalid="ignore"):  # 0 * inf in a row with p_i = 0
-            table[:, 1:] -= self.p[:, None] * self.conditional_sums
-        live = self.p > 0.0
-        if not np.all(table[live] >= -1e-9):
+        if self._cdf_tables is not None:
+            return self._cdf_tables
+        n = self.n
+        live = np.flatnonzero(self.p > 0.0)
+        law = self.sum_law()
+        if not self.independent and not np.all(law[1:] - self.p[live, None] * self.conditional_sums[live] >= -1e-9):
             raise ValueError("conditional sums are inconsistent with the law of the sum")
-        np.clip(table, 0.0, None, out=table)
-        scaled = live & (self.p < 1.0)
-        table[scaled] /= _fsum_rows(table[scaled])[:, None]
-        table.setflags(write=False)
-        self._given_zero_table = table
-        return table
+        table = np.zeros((live.size + 1, n + 1))
+        table[0] = law
+        table[1:, :n] = self.conditional_sums[live]
+        cdf = np.maximum.accumulate(np.clip(_compensated_cumsum(table), 0.0, 1.0), axis=1)
+        cdf[0, n] = 1.0
+        cdf[1:, n - 1] = 1.0
+        cdf.setflags(write=False)
+        self._cdf_tables = (live, cdf[0], cdf[1:, :n])
+        return self._cdf_tables
 
-    def _check_index(self, i: int) -> None:
+    def coupling_given_index(self, i: int) -> list[tuple[float, int, int]]:
+        """Joint law of (S, Shat_i) given I = i as (prob, s, s_hat) triples of positive prob.
+
+        The perfect coupling Shat_i = S - X_i for independent coordinates;
+        otherwise the monotone one, by a two-pointer merge of the CDFs of
+        _cdfs that takes the CDF of S first on a tie.
+        """
         if not 0 <= i < self.n:
             raise ValueError("index out of range")
         if self.p[i] <= 0.0:
             raise ValueError("coupling undefined for an index with zero mean")
-
-    def coupling_given_index(self, i: int) -> list[tuple[float, int, int]]:
-        """Joint law of (S, Shat_i) given I = i as (prob, s, s_hat) triples.
-
-        On X_i = 1 the redraw is the identity, so S = Shat_i + 1; on X_i = 0
-        the leftover sum is redrawn independently of S.
-        """
-        self._check_index(i)
         cond = self.conditional_sums[i]
         out: list[tuple[float, int, int]] = []
         if self.independent:
@@ -342,66 +370,58 @@ class CouplingSpec:
                 out.append((pr * self.p[i], s_hat + 1, s_hat))
                 out.append((pr * (1.0 - self.p[i]), s_hat, s_hat))
             return out
-        given_zero = self._given_zero_laws()[i]
-        for s_hat, pr_hat in enumerate(cond):
-            if pr_hat == 0.0:
-                continue
-            out.append((pr_hat * self.p[i], s_hat + 1, s_hat))
-            if self.p[i] < 1.0:
-                for s, pr_s in enumerate(given_zero):
-                    if pr_s == 0.0:
-                        continue
-                    out.append(((1.0 - self.p[i]) * pr_hat * pr_s, s, s_hat))
+        live, F, F_hat = self._cdfs()
+        ends, hat = F.tolist(), F_hat[np.searchsorted(live, i)].tolist()
+        n = self.n
+        a = b = 0
+        last = 0.0
+        while a <= n or b < n:
+            s, t = min(a, n), b
+            if b == n or (a <= n and ends[a] <= hat[b]):
+                end, a = ends[a], a + 1
+            else:
+                end, b = hat[b], b + 1
+            if end != last:
+                out.append((end - last, s, t))
+            last = end
         return out
 
-    def _gap_table(self) -> np.ndarray:
-        """|s - t| for the pairs (s, t) of the X_i = 0 slabs, on 0..n by 0..n-1."""
-        states = np.arange(self.n + 1, dtype=float)
-        return np.abs(np.subtract.outer(states, states[:-1]))
+    def monotone_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The monotone (quantile) coupling of S with each Shat_i, as tables (s, t, mass).
 
-    def zero_slab_blocks(self):
-        """The X_i = 0 parts of coupling_given_index, stacked over blocks of indices.
-
-        Yields (rows, zero) where zero[k, s, t] is the probability of the pair
-        (S, Shat_i) = (s, t) on X_i = 0 for i = rows[k], on 0..n by 0..n-1:
-        the product coupling_given_index forms, with zeros for the pairs it
-        leaves out.  The rows are every index with 0 < p_i < 1 in order (none
-        for independent specs, where S = Shat_i on X_i = 0), in blocks of the
-        fewest indices whose slabs reach _CHUNK entries: one index at a time
-        once its (n+1) x n slab is that large.  Each zero is a fresh array,
-        which the caller may overwrite.
+        Row k holds the 2n + 1 stretches between the sorted CDF breakpoints
+        of S and Shat_i, i the k-th index with p_i > 0, those of S first on a
+        tie: a stretch's mass is its length and (s, t) are the two quantiles
+        on it, each CDF's breakpoints sorted before its right end.  Stretches
+        of positive mass are the pairs of coupling_given_index, bit for bit.
+        Built once.
         """
-        if self.independent:
-            return
-        mixed = np.flatnonzero((self.p > 0.0) & (self.p < 1.0))
-        step = -(-_CHUNK // ((self.n + 1) * self.n))
-        for start in range(0, mixed.size, step):
-            rows = mixed[start : start + step]
-            cond = (1.0 - self.p[rows])[:, None] * self.conditional_sums[rows]
-            yield rows, self._given_zero_laws()[rows][:, :, None] * cond[:, None, :]
+        if self._pairs is None:
+            n = self.n
+            _, F, F_hat = self._cdfs()
+            ends = np.concatenate([np.broadcast_to(F, (F_hat.shape[0], n + 1)), F_hat], axis=1)
+            order = np.argsort(ends, axis=1, kind="stable")
+            ends = np.take_along_axis(ends, order, axis=1)
+            from_s = order <= n
+            s = np.cumsum(from_s, axis=1) - from_s
+            t = np.arange(2 * n + 1) - s
+            # past the last breakpoint of S only stretches of mass 0 remain
+            self._pairs = (np.minimum(s, n), t, np.diff(ends, axis=1, prepend=0.0))
+            for arr in self._pairs:
+                arr.setflags(write=False)
+        return self._pairs
 
     def mean_abs_gaps(self) -> np.ndarray:
-        """E_i |S - Shat_i| under the canonical coupling for every index, and 0 where p_i = 0.
+        """E_i |S - Shat_i| for every index, and 0 where p_i = 0.
 
-        Independent specs give p_i.  Otherwise each index's terms, its
-        X_i = 1 pairs and its X_i = 0 slab times the state gap, lie along one
-        row of a table built per block of zero_slab_blocks, and
-        measures._fsum_rows adds every row at once, correctly rounded.
-        Indices with p_i = 1 add their X_i = 1 pairs alone.
+        p_i for independent specs; otherwise the correctly rounded sum of
+        mass |s - t| over each row of monotone_pairs, a Wasserstein-1 distance.
         """
         if self.independent:
             return self.p.copy()
-        n = self.n
-        gaps = np.zeros(n)
-        sure = np.flatnonzero(self.p == 1.0)
-        if sure.size:
-            gaps[sure] = _fsum_rows(self.conditional_sums[sure] * self.p[sure, None])
-        gap = self._gap_table()
-        for rows, zero in self.zero_slab_blocks():
-            terms = np.empty((rows.size, n + 2, n))
-            terms[:, 0] = self.conditional_sums[rows] * self.p[rows, None]
-            np.multiply(zero, gap, out=terms[:, 1:])
-            gaps[rows] = _fsum_rows(terms.reshape(rows.size, -1))
+        s, t, mass = self.monotone_pairs()
+        gaps = np.zeros(self.n)
+        gaps[self.p > 0.0] = _fsum_rows(mass * np.abs(s - t))
         return gaps
 
     def to_dict(self) -> dict:

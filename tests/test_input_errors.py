@@ -5,9 +5,12 @@ firing, or whose message drifts, fails here by name.  Two branches cannot
 be reached from any input and are not listed: the normalisation check after
 log-sum-exp in `GibbsMeasure` and the range check of
 `measures._binomial_increment_at`, whose callers keep j within 1..n.  The
-command-line and JSON-measure checks are pinned in test_cli.py.
+command-line and JSON-measure checks are pinned in test_cli.py, but for
+the `poisson-sum --spec` payloads, which run here through the library and
+the command line.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,10 +18,35 @@ import pytest
 
 import gibbs_stein as gs
 from gibbs_stein import compare, factors
+from gibbs_stein.cli import main
 
 M = gs.poisson(1.0, truncation=4)
 SOLUTION = gs.solve(M, gs.TestFunction.indicator([0], 5))
 DEPENDENT = gs.CouplingSpec([0.5, 0.5], conditional_sums=[[0.5, 0.5], [0.5, 0.5]], independent=False)
+
+
+# poisson-sum --spec payloads that fail by field name (run through the CLI below too)
+SPEC_PAYLOADS = {
+    "lacks_p": ({"q": [0.1]}, "coupling specification lacks field 'p'"),
+    "configuration_lacks_bits": (
+        {"configurations": [{"prob": 1.0}]}, "configuration 0 lacks field 'bits'"),
+    "configuration_lacks_prob": (
+        {"configurations": [{"bits": [0], "prob": 0.5}, {"bits": [1]}]}, "configuration 1 lacks field 'prob'"),
+    "top_level_list": ([0.5, 0.5], "coupling specification must be a JSON object"),
+    # a bit of 2 would count twice in the sum, and one past n would index outside the tables
+    "configuration_bits_not_binary": (
+        {"configurations": [{"bits": [0, 2], "prob": 0.5}, {"bits": [0, 0], "prob": 0.5}]},
+        "configuration [0, 2] has bits other than 0 and 1"),
+    "configuration_bit_past_n": (
+        {"configurations": [{"bits": [0, 5], "prob": 0.5}, {"bits": [1, 1], "prob": 0.5}]},
+        "configuration [0, 5] has bits other than 0 and 1"),
+    "independent_not_boolean": (
+        {"p": [0.5, 0.5], "independent": "no"},
+        "coupling specification field 'independent' must be a JSON boolean, got 'no'"),
+}
+# whole-number fields of a measure payload
+FRACTIONAL_BOUND = {**gs.poisson(1.0).to_dict(), "truncation": {"bound": 16.9, "tail_mass": 1e-15, "tolerance": 1e-14}}
+FRACTIONAL_N = {**gs.binomial(10, 0.3).to_dict(), "params": {"n": 10.5, "p": 0.3}}
 
 
 CASES = {
@@ -63,6 +91,12 @@ CASES = {
         lambda: gs.discrete_uniform(2.5), "discrete uniform needs a finite whole number n, got 2.5"),
     "discrete_uniform_nan": (
         lambda: gs.discrete_uniform(math.nan), "discrete uniform needs a finite whole number n, got nan"),
+    "measure_truncation_bound_fractional": (
+        lambda: gs.GibbsMeasure.from_dict(FRACTIONAL_BOUND),
+        "measure field 'truncation.bound': truncation needs a finite whole number bound, got 16.9"),
+    "measure_binomial_n_fractional": (
+        lambda: gs.GibbsMeasure.from_dict(FRACTIONAL_N),
+        "measure field 'params': binomial needs a finite whole number n, got 10.5"),
     # from_pmf checks the activity before taking its log
     "from_pmf_omega_zero": (
         lambda: gs.from_pmf([1.0, 2.0], omega=0), "activity omega must be a positive finite real, got 0.0"),
@@ -81,6 +115,9 @@ CASES = {
         lambda: gs.CouplingSpec.from_configurations([((0, 1), 0.5), ((1,), 0.5)]),
         "configurations must share one length"),
     "coupling_index_out_of_range": (lambda: DEPENDENT.coupling_given_index(2), "index out of range"),
+    # coupling specs read from JSON
+    **{f"spec_{name}": (lambda payload=payload: gs.CouplingSpec.from_dict(payload), message)
+       for name, (payload, message) in SPEC_PAYLOADS.items()},
     "sum_size_bias_mismatch": (
         lambda: gs.sum_size_bias(gs.CouplingSpec(
             [0.5, 0.5], conditional_sums=[[0.5, 0.5], [0.5, 0.5]], independent=False, sum_law=[0.5, 0.0, 0.5])),
@@ -115,3 +152,12 @@ def test_input_check_raises_its_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("payload, message", SPEC_PAYLOADS.values(), ids=SPEC_PAYLOADS.keys())
+def test_poisson_sum_spec_payload_exits_two_naming_the_field(payload, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    code = main(["poisson-sum", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: argument --spec: {message}\n")

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 import gibbs_stein as gs
+from gibbs_stein import measures
 from gibbs_stein.factors import uniform_increment
 from gibbs_stein.compare import mismatch_terms, solution_norm
 from gibbs_stein.lattice import grid_points, lattice_weight_brute
@@ -621,6 +622,28 @@ def test_poisson_sum_target_reaches_past_the_sum(spec):
         gs.poisson_sum_bounds(spec, truncation=spec.n - 1)
 
 
+@pytest.mark.parametrize("lam, n", [(0.5, 4), (0.5, 30), (3.0, 10), (1.9, 60), (20.0, 40), (40.0, 300)])
+def test_poisson_target_with_a_floor_equals_the_two_step_build(lam, n):
+    # the automatic truncation raised to n is the explicit truncation n, bit for bit
+    expected = gs.poisson(lam)
+    if expected.support_max < n:
+        expected = gs.poisson(lam, truncation=n)
+    got = measures._poisson(lam, None, measures.DEFAULT_TAIL_TOL, least=n)
+    assert got.support_max == max(n, gs.poisson(lam).support_max)
+    assert got.V.tobytes() == expected.V.tobytes() and got.omega == expected.omega
+    assert got.truncation == expected.truncation and got.params == expected.params
+
+
+def test_poisson_sum_bounds_build_the_target_once(monkeypatch):
+    searches = []
+    truncated = measures._truncated
+    monkeypatch.setattr(measures, "_truncated", lambda *a, **k: searches.append(1) or truncated(*a, **k))
+    for p in ([0.05] * 60, [0.3, 0.2]):
+        searches.clear()
+        gs.poisson_sum_bounds(gs.CouplingSpec.independent_bernoulli(p))
+        assert len(searches) == 1
+
+
 def test_poisson_sum_dependent_spec_has_no_independent_forms():
     spec = gs.CouplingSpec.from_configurations([((0, 0), 0.6), ((1, 1), 0.4)])
     rep = gs.poisson_sum_bounds(spec)
@@ -697,24 +720,29 @@ def pinned_mixture_spec(n):
 
 
 # hex values at n = 120, as the fsum-per-piece implementation computes them on targets
-# built by the numpy log-Gamma and log-sum-exp of `measures`
+# built by the numpy log-Gamma and log-sum-exp of `measures`; the dependent spec takes
+# the monotone coupling, the independent one the perfect coupling
 PINNED_120 = {
     "dependent": {
-        "coupling": {"value": "0x1.8c30dbc04f5ecp+2", "increment_part": "0x1.854851b087429p+2",
-                     "norm_part": "0x1.ba2283f2070d2p-4", "g_norm": "0x1.5a4875670716fp-3"},
+        "coupling": {"value": "0x1.30fa26c3b80dfp+1", "increment_part": "0x1.232912a427d58p+1",
+                     "norm_part": "0x1.ba2283f2070d2p-4", "g_norm": "0x1.5a4875670716fp-3",
+                     "pointwise_bound": "0x1.192e7f63c484ep+1"},
         "poisson_sum": {"lam": "0x1.8994d7b127518p+3", "exact_tv": "0x1.b745d8f0b83a8p-2",
-                        "harmonic_coupling_bound": "0x1.8cc162cc2f8e1p+2",
-                        "linear_coupling_bound": "0x1.becd9257cb565p+2",
-                        "independent_bound": None, "improved_bound": None},
+                        "harmonic_coupling_bound": "0x1.24b55594c846cp+1",
+                        "linear_coupling_bound": "0x1.539cd664e9256p+1",
+                        "independent_bound": None, "improved_bound": None,
+                        "pointwise_bound": "0x1.138dec3e24f8dp+1"},
     },
     "independent": {
         "coupling": {"value": "0x1.57119c1e0f0dap-3", "increment_part": "0x1.ddee2da380d5bp-4",
-                     "norm_part": "0x1.a06a15313a8b0p-5", "g_norm": "0x1.58ec235704d1dp-3"},
+                     "norm_part": "0x1.a06a15313a8b0p-5", "g_norm": "0x1.58ec235704d1dp-3",
+                     "pointwise_bound": "0x1.39570762f26bfp-3"},
         "poisson_sum": {"lam": "0x1.8c10ba72a65a5p+3", "exact_tv": "0x1.1d4ad0e7b6ff8p-5",
                         "harmonic_coupling_bound": "0x1.e69e7fc72d788p-4",
                         "linear_coupling_bound": "0x1.0ffdbc38642eep-3",
                         "independent_bound": "0x1.0ffdbc38642eep-3",
-                        "improved_bound": "0x1.0ffdbc38642eep-3"},
+                        "improved_bound": "0x1.0ffdbc38642eep-3",
+                        "pointwise_bound": "0x1.cc5ff29844d22p-4"},
     },
 }
 

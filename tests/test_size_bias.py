@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import gibbs_stein as gs
 from gibbs_stein import measures
 from gibbs_stein.measures import (
-    _CHUNK, _FIXED_COST, _FSUM_SPAN, _fsum, _fsum_arrays, _fsum_rows, _head_span, _head_spans, _prefers_fsum,
+    _CHUNK, _FIXED_COST, _FSUM_SPAN, _fsum, _fsum_rows, _head_span, _head_spans, _prefers_fsum,
 )
 from gibbs_stein.size_bias import _check_pmf, bernoulli_convolution
 
@@ -112,6 +112,15 @@ def test_dependent_configurations_roundtrip():
     assert np.allclose(spec.sum_law(), [0.6, 0.0, 0.4])
     star = gs.sum_size_bias(spec)
     assert np.allclose(star, gs.size_bias(np.array([0.6, 0.0, 0.4])).biased, atol=1e-14)
+
+
+def test_configurations_adding_to_just_over_one_keep_means_in_range():
+    probs = [0.33447075301917856, 0.001122687042822074, 0.35150506188686553, 0.013768883651057343,
+             0.2991326144000766]
+    assert math.fsum(probs) == 1.0 and sum(probs) > 1.0
+    spec = gs.CouplingSpec.from_configurations([((1, k % 2), pr) for k, pr in enumerate(probs)])
+    assert spec.p[0] == 1.0
+    assert gs.poisson_sum_bounds(spec).exact_tv > 0.0
 
 
 def test_inconsistent_conditionals_flagged():
@@ -225,47 +234,50 @@ def _assert_gaps_equal_the_tuple_loop(spec, indices=None):
         assert gaps[i].hex() == reference.hex(), i
 
 
-def _assert_slabs_hold_the_tuple_probabilities(spec):
-    """The X_i = 1 pairs and the nonzero off-diagonal entries of each zero block
-    are the off-diagonal pairs coupling_given_index(i) lists, probabilities bit for bit."""
-    zero_of = {int(i): zero[k] for rows, zero in spec.zero_slab_blocks() for k, i in enumerate(rows)}
-    for i in np.flatnonzero(spec.p > 0.0):
-        expected = sorted((s, t, pr) for pr, s, t in spec.coupling_given_index(i) if s != t and pr != 0.0)
-        one = spec.conditional_sums[i] * spec.p[i]
-        got = [(t + 1, t, pr) for t, pr in enumerate(one.tolist()) if pr != 0.0]
-        if i in zero_of:
-            got += [(s, t, pr) for (s, t), pr in np.ndenumerate(zero_of[i]) if s != t and pr != 0.0]
-        assert sorted(got) == expected, i
+def _assert_pairs_hold_the_tuple_probabilities(spec):
+    """Row k of monotone_pairs, for the k-th index with p_i > 0, against coupling_given_index(i).
+
+    A dependent spec's pairs of positive mass are the tuple loop's, in its
+    order and bit for bit.  An independent spec's monotone pairs are its
+    perfect coupling up to rounding: the same pairs (t + 1, t) and (t, t).
+    """
+    s, t, mass = spec.monotone_pairs()
+    assert s.shape == t.shape == mass.shape == (np.count_nonzero(spec.p), 2 * spec.n + 1)
+    for k, i in enumerate(np.flatnonzero(spec.p > 0.0)):
+        got = [(pr, a, b) for pr, a, b in zip(mass[k].tolist(), s[k].tolist(), t[k].tolist()) if pr != 0.0]
+        expected = spec.coupling_given_index(i)
+        if not spec.independent:
+            assert got == expected, i
+            continue
+        joint = np.zeros((spec.n + 1, spec.n))
+        np.add.at(joint, (s[k], t[k]), mass[k])
+        for pr, a, b in expected:
+            joint[a, b] -= pr
+        assert np.max(np.abs(joint)) <= 1e-15, i
 
 
-def test_mean_abs_gaps_and_zero_slabs_in_blocks_equal_the_tuple_loop():
+def test_mean_abs_gaps_and_monotone_pairs_equal_the_tuple_loop():
     rng = np.random.default_rng(4242)
     specs = [
-        gs.CouplingSpec(*mixture_tables(rng, 40)),  # several blocks of indices
+        gs.CouplingSpec(*mixture_tables(rng, 40)),
         gs.CouplingSpec(*mixture_tables(rng, 12, zero_at=(0, 5))),
         gs.CouplingSpec.from_configurations([((1, 0, 0), 0.5), ((1, 1, 0), 0.25), ((1, 1, 1), 0.25)]),
         gs.CouplingSpec.from_configurations(random_configurations(rng, 9, 40)),
         gs.CouplingSpec.independent_bernoulli([1.0, 0.0, 0.4, 0.7]),
     ]
     assert specs[2].p[0] == 1.0 and specs[1].p[5] == 0.0
-    slab = 41 * 40
-    sizes = [zero.size for _, zero in specs[0].zero_slab_blocks()]
-    assert len(sizes) > 1 and all(_CHUNK <= size < _CHUNK + slab for size in sizes[:-1])
     for spec in specs:
         mix = np.zeros(spec.n + 1)  # the index mixture, added index by index
         for i in np.flatnonzero(spec.p > 0.0):
             mix[1:] += (spec.p[i] / spec.lam) * spec.conditional_sums[i]
         assert spec.mixture_law().tobytes() == mix.tobytes()
         _assert_gaps_equal_the_tuple_loop(spec)
-        _assert_slabs_hold_the_tuple_probabilities(spec)
+        _assert_pairs_hold_the_tuple_probabilities(spec)
 
 
-def test_mean_abs_gaps_split_rows_wider_than_a_chunk():
-    n = 190  # each index's X_i = 0 slab alone holds more than _CHUNK entries
-    assert (n + 1) * n > _CHUNK
+def test_mean_abs_gaps_at_n_190_equal_the_tuple_loop():
+    n = 190
     spec = gs.CouplingSpec(*mixture_tables(np.random.default_rng(190), n))
-    blocks = list(spec.zero_slab_blocks())
-    assert len(blocks) == n and all(rows.size == 1 for rows, _ in blocks)
     _assert_gaps_equal_the_tuple_loop(spec, indices=(0, 1, n // 2, n - 1))
 
 
@@ -328,7 +340,7 @@ def test_given_zero_laws_flag_tables_inconsistent_with_the_sum_law():
         spec.mean_abs_gaps()
 
 
-def test_zero_slab_blocks_hold_the_tuple_probabilities():
+def test_monotone_pairs_hold_the_tuple_probabilities():
     rng = np.random.default_rng(1618)
     specs = [
         gs.CouplingSpec.independent_bernoulli([1.0, 0.0, 0.4, 0.7]),
@@ -337,7 +349,7 @@ def test_zero_slab_blocks_hold_the_tuple_probabilities():
         gs.CouplingSpec.from_configurations([((1, 0, 0), 0.5), ((1, 1, 0), 0.25), ((1, 1, 1), 0.25)]),
     ]
     for spec in specs:
-        _assert_slabs_hold_the_tuple_probabilities(spec)
+        _assert_pairs_hold_the_tuple_probabilities(spec)
 
 
 @pytest.mark.parametrize("p", [
@@ -381,21 +393,20 @@ SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
     values=st.lists(st.one_of(st.floats(), st.floats(-1e300, 1e300), st.sampled_from(SPECIAL_FLOATS)),
                     max_size=30),
     length=st.sampled_from([0, 1, 2, _SMALL - 1, _SMALL, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
-    parts=st.integers(1, 4),
     cancel=st.booleans(),
     tame=st.booleans(),
 )
-@example(values=[], length=0, parts=1, cancel=False, tame=False)
-@example(values=[-0.0], length=_CHUNK, parts=2, cancel=False, tame=False)
-@example(values=[5e-324, 1e-310, -3e-320], length=_CHUNK + 1, parts=3, cancel=False, tame=False)
-@example(values=[1.0, 1e-300, 1e300, 2.0**-1074], length=_CHUNK + 1, parts=1, cancel=True, tame=False)
-@example(values=[2.0**-1074, 1.0, 2.0**1020], length=2 * _CHUNK + 3, parts=4, cancel=False, tame=False)
-@example(values=[1e308, 1e308, -1e308], length=3, parts=1, cancel=False, tame=False)
-@example(values=[1e308], length=_CHUNK, parts=2, cancel=False, tame=False)
-@example(values=[0.1, math.inf], length=_CHUNK, parts=2, cancel=False, tame=False)
-@example(values=[0.1, math.inf, -math.inf], length=_SMALL, parts=1, cancel=False, tame=False)
-@example(values=[0.1, math.nan], length=_CHUNK + 1, parts=3, cancel=False, tame=False)
-def test_exact_sum_kernel_equals_fsum(values, length, parts, cancel, tame):
+@example(values=[], length=0, cancel=False, tame=False)
+@example(values=[-0.0], length=_CHUNK, cancel=False, tame=False)
+@example(values=[5e-324, 1e-310, -3e-320], length=_CHUNK + 1, cancel=False, tame=False)
+@example(values=[1.0, 1e-300, 1e300, 2.0**-1074], length=_CHUNK + 1, cancel=True, tame=False)
+@example(values=[2.0**-1074, 1.0, 2.0**1020], length=2 * _CHUNK + 3, cancel=False, tame=False)
+@example(values=[1e308, 1e308, -1e308], length=3, cancel=False, tame=False)
+@example(values=[1e308], length=_CHUNK, cancel=False, tame=False)
+@example(values=[0.1, math.inf], length=_CHUNK, cancel=False, tame=False)
+@example(values=[0.1, math.inf, -math.inf], length=_SMALL, cancel=False, tame=False)
+@example(values=[0.1, math.nan], length=_CHUNK + 1, cancel=False, tame=False)
+def test_exact_sum_kernel_equals_fsum(values, length, cancel, tame):
     base = np.resize(np.array(values, dtype=float), length) if values else np.zeros(length)
     if tame:  # finite and below 1e300, so that long inputs take the exact path
         base[~(np.abs(base) < 1e300)] = 1.0
@@ -403,15 +414,12 @@ def test_exact_sum_kernel_equals_fsum(values, length, parts, cancel, tame):
     base = base * np.ldexp(1.0, -(np.arange(length) % 7))
     if cancel:
         base = np.concatenate([base, -base[::-1]])
-    pieces = np.array_split(base, parts)
-    kernel = _fsum_outcome(lambda: _fsum_arrays(lambda: iter(pieces)))
-    assert kernel == _fsum_outcome(lambda: math.fsum(base.tolist()))
+    assert _fsum_outcome(lambda: _fsum(base)) == _fsum_outcome(lambda: math.fsum(base.tolist()))
 
 
 def _assert_sums_agree(x):
     expected = _fsum_outcome(lambda: math.fsum(x.tolist()))
     assert _fsum_outcome(lambda: _fsum(x)) == expected
-    assert _fsum_outcome(lambda: _fsum_arrays(lambda: (x,))) == expected
 
 
 def test_exact_sum_kernel_returns_fsum_on_wide_pmf_tables():
@@ -449,7 +457,7 @@ def test_exact_sum_kernel_falls_back_on_inf_nan_and_overflow(tail):
 
 
 def test_exact_sum_kernel_joins_runs_as_they_fill(monkeypatch):
-    # a run holds 2^26 pieces, too many for a test: shorten it to two chunks
+    # a run holds 2^26 entries, too many for a test: shorten it to two chunks
     monkeypatch.setattr(measures, "_EXACT_RUN", 2 * _CHUNK)
     joins = []
     units = measures._units
@@ -466,9 +474,8 @@ def test_exact_sum_kernel_joins_runs_as_they_fill(monkeypatch):
             x = rng.permutation(np.concatenate([pairs, -pairs, tiny]))
         if case == 20:  # an inf met after runs have been joined: the sum goes to math.fsum
             x[4 * _CHUNK + 17] = math.inf
-        pieces = np.split(x, np.sort(rng.integers(0, size, int(rng.integers(2, 9)))))
         joins.clear()
-        kernel = _fsum_outcome(lambda: _fsum_arrays(lambda: iter(pieces)))
+        kernel = _fsum_outcome(lambda: _fsum(x))
         assert kernel == _fsum_outcome(lambda: math.fsum(x.tolist())), case
         assert len(joins) >= (2 if case < 20 else 1), case
 
@@ -506,10 +513,10 @@ def test_row_kernel_equals_fsum_of_each_row(values, rows, width, spread, zero_ro
     if zero_row:
         base[0] = 0.0
     assert _row_sums(base) == _fsum_hex(base)
-    # a row is the same sum alone, as a column slice, and as a one-row _fsum_arrays
+    # a row is the same sum alone, as a column slice, and as one _fsum
     assert _row_sums(base[-1:]) == _fsum_hex(base[-1:])
     assert _fsum_rows(base[:, ::-1])[-1].hex() == math.fsum(base[-1, ::-1].tolist()).hex()
-    assert _fsum_outcome(lambda: _fsum_arrays(lambda: (base[-1],))) == _fsum_hex(base[-1:])[0]
+    assert _fsum_outcome(lambda: _fsum(base[-1])) == _fsum_hex(base[-1:])[0]
 
 
 @pytest.mark.parametrize("width", [61, 1000, _CHUNK + 1])
@@ -633,7 +640,7 @@ def _finite_outputs(call):
 def _spec_outputs(spec):
     rep = gs.poisson_sum_bounds(spec)
     return [*spec.sum_law(), *spec.mean_abs_gaps(), rep.lam, rep.exact_tv,
-            rep.harmonic_coupling_bound, rep.linear_coupling_bound]
+            rep.harmonic_coupling_bound, rep.linear_coupling_bound, rep.pointwise_bound]
 
 
 _RESIDUAL_TARGET = gs.poisson(1.0, truncation=6)
