@@ -72,7 +72,6 @@ from .lattice import (
     LatticeBoundReport,
     PoissonSumReport,
     closed_form_bound,
-    custom_model,
     grid_points,
     harmonic_between,
     ideal_gas_model,

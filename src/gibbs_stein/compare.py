@@ -61,20 +61,20 @@ G_NORM_SOURCES = ("exact", "rate_spread", "user")
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Total variation distance (1/2) sum_k |p(k) - q(k)|.
 
-    Supports are padded with zeros to a common length; both inputs must be
+    The shorter table counts as zero beyond its end; both inputs must be
     normalized to 1 within 1e-12.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.ndim != 1 or q.ndim != 1:
         raise ValueError("tv_distance expects 1-d probability tables")
-    size = max(p.size, q.size)
-    p = np.pad(p, (0, size - p.size))
-    q = np.pad(q, (0, size - q.size))
     for name, arr in (("first", p), ("second", q)):
         if np.any(arr < -1e-15) or not _sums_to_one(arr, 1e-12):
             raise ValueError(f"{name} argument is not a normalized pmf")
-    return 0.5 * _fsum(np.abs(p - q))
+    diff = np.zeros(max(p.size, q.size))
+    diff[: p.size] = p
+    diff[: q.size] -= q
+    return 0.5 * _fsum(np.abs(diff))
 
 
 @dataclass(frozen=True)

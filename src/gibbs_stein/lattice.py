@@ -18,16 +18,16 @@ k-cube.  Three families are built in:
   product      f_k = prod_{i<j} x_i x_j = prod_i x_i^(k-1), left endpoints:
                W(k) = k^-k and W_n(k) = n^(-k^2) (sum_{i<n} i^(k-1))^k.
 
-Custom families evaluate W_n by explicit k-fold grid summation (guarded,
-deterministic order) and W by one-dimensional quadrature when the family
-declares a separable integrand.
+Each family gives W_n and W by the formulas above; `lattice_weight_brute`
+sums f_k over the k-fold grid (guarded, deterministic order) as the oracle
+they are checked against.
 
 The limit laws live on {0, 1, ...} and are truncated by the one rule of
 `measures`: a declared tail that bounds the mass beyond N through a bound
-on the pmf ratios.  The repelling and product limits state theirs in
-`measures.FAMILIES` (3 lambda/(n+2) and z/(n+2), from their rate suprema),
-so their declared tails are proved; a custom model's ratio bound 1/2 is
-read off its next observed ratios, so its tail is an estimate.
+on the pmf ratios.  The ideal gas's limit is Poisson(z); the repelling and
+product limits state theirs in `measures.FAMILIES` (3 lambda/(n+2) and
+z/(n+2), from their rate suprema), so every limit law's tail is proved.  A
+model with neither a limit constructor nor such a record has no limit law.
 
 The distance from S_n to the limit law truncated at N is certified by
 `compare.generator_comparison`, as in the `compare` command: activity plus
@@ -60,7 +60,7 @@ import numpy as np
 from .compare import generator_comparison, tv_distance
 from .factors import condition, uniform_increment
 from .measures import (
-    DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _fsum, _log_weights, _logsumexp, _poisson, _truncated, poisson,
+    DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _fsum, _logsumexp, _poisson, _truncated, poisson,
 )
 from .size_bias import CouplingSpec
 from .stein import sup_increment_table, sup_solution_table
@@ -70,7 +70,6 @@ __all__ = [
     "ideal_gas_model",
     "repelling_model",
     "product_model",
-    "custom_model",
     "grid_points",
     "lattice_weight_brute",
     "lattice_measure",
@@ -108,9 +107,8 @@ class InteractionModel:
     z: float
     point_rule: str
     fk: Callable[[tuple[float, ...]], float]
-    log_Wn_fn: Callable[[int, int], float] | None = None
-    log_W_fn: Callable[[int], float] | None = None
-    separable_integrand: Callable[[int], Callable[[float], float]] | None = None
+    log_Wn_fn: Callable[[int, int], float]
+    log_W_fn: Callable[[int], float]
     min_cells: int = 1
     closed_form: Callable[[int], float] | None = None
     limit: Callable[..., GibbsMeasure] | None = None
@@ -120,29 +118,10 @@ class InteractionModel:
             raise ValueError("activity must be positive")
 
     def log_Wn(self, n: int, k: int) -> float:
-        if k <= 1:
-            return 0.0
-        if self.log_Wn_fn is not None:
-            return self.log_Wn_fn(n, k)
-        value = lattice_weight_brute(self, n, k)
-        return math.log(value) if value > 0.0 else -math.inf
+        return 0.0 if k <= 1 else self.log_Wn_fn(n, k)
 
     def log_W(self, k: int) -> float:
-        if k <= 1:
-            return 0.0
-        if self.log_W_fn is not None:
-            return self.log_W_fn(k)
-        if self.separable_integrand is not None:
-            # imported here, not at the top: only custom models integrate, and
-            # scipy.integrate is slow to import
-            from scipy.integrate import quad
-
-            integrand = self.separable_integrand(k)
-            value, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
-            return k * math.log(value) if value > 0.0 else -math.inf
-        raise ValueError(
-            "custom model has no continuum weights; supply W directly or a separable integrand"
-        )
+        return 0.0 if k <= 1 else self.log_W_fn(k)
 
     def Wn(self, n: int, k: int) -> float:
         return math.exp(self.log_Wn(n, k))
@@ -226,21 +205,6 @@ def product_model(z: float = 1.0) -> InteractionModel:
     )
 
 
-def custom_model(
-    fk: Callable[[tuple[float, ...]], float],
-    z: float,
-    point_rule: str = "midpoint",
-    log_W_fn: Callable[[int], float] | None = None,
-    separable_integrand: Callable[[int], Callable[[float], float]] | None = None,
-) -> InteractionModel:
-    if point_rule not in ("midpoint", "left_endpoint"):
-        raise ValueError("point_rule must be 'midpoint' or 'left_endpoint'")
-    return InteractionModel(
-        kind="custom", z=z, point_rule=point_rule, fk=fk,
-        log_W_fn=log_W_fn, separable_integrand=separable_integrand,
-    )
-
-
 def grid_points(n: int, rule: str) -> list[float]:
     if rule == "midpoint":
         return [(2 * i - 1) / (2.0 * n) for i in range(1, n + 1)]
@@ -284,34 +248,28 @@ def limit_measure(
     truncation: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> GibbsMeasure:
-    """The continuum limit law, truncated with a declared tail bound.
+    """The continuum limit law, truncated with a proved tail bound.
 
-    A limit family in `measures.FAMILIES` states a proved bound on its pmf
-    ratios; a custom model's ratios beyond n are taken to stay below 1/2
-    once the next three observed ratios do, a rule that is observed, not
-    proved.  Custom weights are evaluated one by one, so their table stops
-    at 2^17 terms.
+    The model's own limit constructor builds it if it has one; otherwise
+    the limit family `measures.FAMILIES["<kind>_limit"]` states the bound
+    on its pmf ratios that the truncation rests on.  A model with neither
+    has no limit law, and asking for one is an error.
     """
     z = model.z
     if model.limit is not None:
         return model.limit(z, truncation=truncation, tail_tol=tail_tol)
+    kind = f"{model.kind}_limit"
+    if kind not in FAMILIES:
+        raise ValueError(f"model kind {model.kind!r} has no limit law with a proved tail")
     log_W: list[float] = []
 
     def potential(size: int) -> np.ndarray:
         log_W.extend(model.log_W(k) for k in range(len(log_W), size))
         return np.array(log_W[:size])
 
-    kind = f"{model.kind}_limit"
-    if kind in FAMILIES:
-        # the activity goes under the name the limit family's record gives it
-        params = {FAMILIES[kind].args[0][0]: z}
-        return _truncated(kind, z, potential, params, truncation, tail_tol)
-
-    def observed_ratio(n: int) -> float:
-        ahead = _log_weights(z, potential(n + 5))[n + 1 :]
-        return 0.5 if np.all(np.diff(ahead) < math.log(0.5)) else 1.0
-
-    return _truncated(kind, z, potential, {"z": z}, truncation, tail_tol, observed_ratio, 1 << 17)
+    # the activity goes under the name the limit family's record gives it
+    params = {FAMILIES[kind].args[0][0]: z}
+    return _truncated(kind, z, potential, params, truncation, tail_tol)
 
 
 def repelling_limit_partition(lam: float) -> float:

@@ -638,6 +638,9 @@ def from_pmf(
 # Built-in families
 # ---------------------------------------------------------------------------
 
+_MAX_TERMS = 1 << 20  # the longest weight table a truncation search builds
+
+
 def _truncated(
     kind: str,
     omega: float,
@@ -645,40 +648,39 @@ def _truncated(
     params: dict,
     truncation: int | None,
     tail_tol: float,
-    ratio: Callable[[int], float] | None = None,
-    max_size: int = 1 << 20,
     least: int = 0,
 ) -> GibbsMeasure:
     """The law of activity omega and potential table `potential(size)`, truncated.
 
-    ratio(n), by default the family's `tail_ratio`, bounds pmf(k+1)/pmf(k)
-    for all k > n.  On weights w(0..m+1), scaled to a largest of 1, the
-    terms beyond N sum to at most R = w(N+1) + ... + w(m) + w(m+1)/(1 -
-    ratio(m)), so at most the share R/(S_N + R) of the mass lies beyond N,
-    S_N = w(0) + ... + w(N).  That share is rounded up for the rounding of
-    the weights: log k! is within 4u log k! (u the unit roundoff; numpy's log
-    and exp are within one ulp), so a log weight is within u(|V| +
-    4k|log omega| + 4 log k! + |log w|), and shift and exp add u|log w -
-    max log w| + 2u.  The share moves by at most twice the largest of these,
+    ratio(n), the family's proved `tail_ratio` in `FAMILIES[kind]`, bounds
+    pmf(k+1)/pmf(k) for all k > n.  On weights w(0..m+1), scaled to a
+    largest of 1, the terms beyond N sum to at most R = w(N+1) + ... + w(m)
+    + w(m+1)/(1 - ratio(m)), so at most the share R/(S_N + R) of the mass
+    lies beyond N, S_N = w(0) + ... + w(N).  That share is rounded up for
+    the rounding of the weights: log k! is within 4u log k! (u the unit
+    roundoff; numpy's log and exp are within one ulp), so a log weight is
+    within u(|V| + 4k|log omega| + 4 log k! + |log w|), and shift and exp
+    add u|log w - max log w| + 2u.  The share moves by at most twice the largest of these,
     and by 16u in the compensated sums and divisions.  Weights that
     underflow add at most their count in least subnormals to R.
 
     N is the explicit truncation or the smallest whose rounded share is at
-    most tail_tol.  The table doubles until ratio(m) < 1 and either m >=
-    2N + 1 or the last term of R is below u R, where a longer table would
-    barely tighten the bound.  An automatic N below `least` is raised to
-    it: the search starts again as for the explicit truncation `least`, so
-    the result is the one that truncation gives.
+    most tail_tol.  The table doubles, up to _MAX_TERMS terms, until
+    ratio(m) < 1 and either m >= 2N + 1 or the last term of R is below u R,
+    where a longer table would barely tighten the bound.  An automatic N
+    below `least` is raised to it: the search starts again as for the
+    explicit truncation `least`, so the result is the one that truncation
+    gives.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail tolerance must lie strictly between 0 and 1, got {tail_tol!r}")
-    if truncation is not None and not 0 <= int(truncation) <= (max_size - 3) // 2:
-        raise ValueError(f"truncation bound must lie in 0..{(max_size - 3) // 2}, got {truncation}")
-    ratio = ratio or (lambda n: FAMILIES[kind].tail_ratio(n, **params))
+    if truncation is not None and not 0 <= int(truncation) <= (_MAX_TERMS - 3) // 2:
+        raise ValueError(f"truncation bound must lie in 0..{(_MAX_TERMS - 3) // 2}, got {truncation}")
+    ratio = FAMILIES[kind].tail_ratio
     size = 64 if truncation is None else 2 * int(truncation) + 3
-    while size <= max_size:
+    while size <= _MAX_TERMS:
         m = size - 2
-        rho = ratio(m) * (1.0 + 4 * _U)
+        rho = ratio(m, **params) * (1.0 + 4 * _U)
         if not rho < 1.0:
             size *= 2
             continue
@@ -713,7 +715,7 @@ def _truncated(
             truncation=TailPolicy(n, tail, max(tail_tol, tail)),
         )
     raise ValueError(
-        f"no truncation within {max_size} terms has a tail bound below {tail_tol!r}: the "
+        f"no truncation within {_MAX_TERMS} terms has a tail bound below {tail_tol!r}: the "
         "weights decay too slowly, or their series is divergent"
     )
 

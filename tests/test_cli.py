@@ -1,9 +1,12 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,8 +244,8 @@ def test_console_entry_point():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # no scipy module at all: the measures' log-space numerics are numpy, and quad is
-    # imported only where a custom model integrates its continuum weights
+    # no scipy module at all: the measures' log-space numerics are numpy, and scipy is
+    # no runtime dependency (test_runtime_imports_are_declared_dependencies)
     src = os.path.dirname(os.path.dirname(gibbs_stein.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -252,6 +255,29 @@ def test_import_leaves_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
+
+
+def test_runtime_imports_are_declared_dependencies():
+    # every module the package imports, lazily or not, is the standard library's, its own
+    # or a [project].dependencies entry; the test extra's scipy serves only as an oracle
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    allowed = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_") for dep in dependencies}
+    allowed |= set(sys.stdlib_module_names) | {"gibbs_stein"}
+    undeclared = []
+    for path in sorted((root / "src" / "gibbs_stein").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            undeclared += [f"{path.name}:{node.lineno} {module}" for module in modules
+                           if module.split(".")[0] not in allowed]
+    assert undeclared == []
 
 
 def test_package_runs_as_module():

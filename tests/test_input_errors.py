@@ -25,6 +25,11 @@ SOLUTION = gs.solve(M, gs.TestFunction.indicator([0], 5))
 DEPENDENT = gs.CouplingSpec([0.5, 0.5], conditional_sums=[[0.5, 0.5], [0.5, 0.5]], independent=False)
 
 
+def _model(kind, log_Wn_fn=lambda n, k: 0.0):
+    """An interaction model built directly, of a kind no limit family is registered for."""
+    return gs.InteractionModel(kind, 1.0, "midpoint", lambda points: 1.0, log_Wn_fn, lambda k: 0.0)
+
+
 # poisson-sum --spec payloads that fail by field name (run through the CLI below too)
 SPEC_PAYLOADS = {
     "lacks_p": ({"q": [0.1]}, "coupling specification lacks field 'p'"),
@@ -142,8 +147,11 @@ CASES = {
     "grid_points_unknown_rule": (lambda: gs.grid_points(3, "bogus"), "unknown point rule 'bogus'"),
     "lattice_no_cells": (lambda: gs.lattice_measure(gs.ideal_gas_model(1.0), 0), "need at least one cell"),
     "lattice_weights_vanish": (
-        lambda: gs.lattice_measure(gs.custom_model(lambda points: 0.0, 1.0), 3),
+        lambda: gs.lattice_measure(_model("vanishing", log_Wn_fn=lambda n, k: -math.inf), 3),
         "lattice weights vanish inside {0..n}; support must be contiguous"),
+    "limit_of_unregistered_kind": (
+        lambda: gs.limit_measure(_model("attracting")),
+        "model kind 'attracting' has no limit law with a proved tail"),
 }
 
 

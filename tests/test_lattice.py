@@ -50,9 +50,9 @@ def test_closed_form_weights_match_brute_force():
                 assert closed == pytest.approx(brute, rel=1e-10)
 
 
-def test_custom_model_brute_force_and_guard():
-    model = gs.custom_model(lambda pts: 1.0, z=1.0)
-    assert model.Wn(4, 3) == pytest.approx(1.0)
+def test_brute_force_weight_and_guard():
+    model = gs.ideal_gas_model(1.0)
+    assert lattice_weight_brute(model, 4, 3) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="guard"):
         lattice_weight_brute(model, 40, 5)
 
@@ -155,41 +155,15 @@ def test_limit_measure_truncation_policy():
     assert mu60.support_max == 60
 
 
-def test_divergent_custom_series_rejected():
-    grower = gs.custom_model(
-        lambda pts: 1.0, z=1.0, log_W_fn=lambda k: float(k * k)
-    )
-    with pytest.raises(ValueError, match="geometric|divergent"):
-        gs.limit_measure(grower)
+def test_series_too_slow_for_the_term_ceiling_rejected():
+    # ratio 1 - 1e-7: a tail below the default tolerance needs far more than 2^20 terms
+    with pytest.raises(ValueError, match="^no truncation within 1048576 terms .* divergent$"):
+        gs.geometric(1e-7)
 
 
 def test_product_lattice_needs_three_cells():
     with pytest.raises(ValueError, match="n >= 3"):
         gs.lattice_measure(gs.product_model(1.0), 2)
-
-
-def test_custom_without_continuum_weights_rejected():
-    model = gs.custom_model(lambda pts: 1.0, z=1.0)
-    with pytest.raises(ValueError, match="continuum"):
-        gs.limit_measure(model)
-
-
-def test_custom_separable_quadrature():
-    # same integrand family as the product model, so the weights must agree
-    model = gs.custom_model(
-        _product_fk, z=1.0, point_rule="left_endpoint",
-        separable_integrand=lambda k: (lambda x: x ** (k - 1)),
-    )
-    ref = gs.product_model(1.0)
-    for k in (2, 3, 4):
-        assert model.W(k) == pytest.approx(ref.W(k), rel=1e-9)
-
-
-def _product_fk(points):
-    k = len(points)
-    if k <= 1:
-        return 1.0
-    return math.prod(x ** (k - 1) for x in points)
 
 
 def test_lattice_measure_normalizer_independent():
@@ -241,12 +215,9 @@ def test_report_without_a_limit_law_builds_the_default_one(model):
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
 def test_every_model_rejects_an_activity_that_is_not_positive(bad):
-    for make in (gs.ideal_gas_model, gs.repelling_model, gs.product_model,
-                 lambda z: gs.custom_model(lambda pts: 1.0, z)):
+    for make in (gs.ideal_gas_model, gs.repelling_model, gs.product_model):
         with pytest.raises(ValueError, match="^activity must be positive$"):
             make(bad)
-    with pytest.raises(ValueError, match="^point_rule must be 'midpoint' or 'left_endpoint'$"):
-        gs.custom_model(lambda pts: 1.0, bad, point_rule="right_endpoint")
 
 
 def _former_branches(model, n, source):
@@ -654,8 +625,8 @@ def test_poisson_sum_dependent_spec_has_no_independent_forms():
 
 
 def test_custom_model_full_lattice_pipeline():
-    # a bounded pairwise attraction with no closed form: exercised through
-    # the brute-force weight path end to end
+    # a bounded pairwise attraction with no closed form, built directly as an
+    # InteractionModel whose lattice weights are explicit grid sums
     def attract(points):
         k = len(points)
         if k <= 1:
@@ -666,17 +637,28 @@ def test_custom_model_full_lattice_pipeline():
             for b in range(a + 1, k)
         )
 
-    model = gs.custom_model(attract, z=1.0, point_rule="midpoint")
+    def direct(n, k):
+        grid = grid_points(n, "midpoint")
+        return math.fsum(attract(points) for points in itertools.product(grid, repeat=k)) / float(n) ** k
+
+    def no_continuum_weights(k):
+        raise AssertionError("the lattice law must not ask for continuum weights")
+
+    z = 1.5
+    model = gs.InteractionModel(
+        "attract", z, "midpoint", attract,
+        lambda n, k: math.log(direct(n, k)), no_continuum_weights,
+    )
     mu_n = gs.lattice_measure(model, 5)
-    assert mu_n.support_max == 5
+    assert mu_n.kind == "attract_lattice" and mu_n.support_max == 5
     assert mu_n.pmf.sum() == pytest.approx(1.0, abs=1e-12)
-    # weights agree with an independent recomputation over the same grid
-    grid = grid_points(5, "midpoint")
+    weights = np.array([z**k / math.factorial(k) * direct(5, k) for k in range(6)])
+    np.testing.assert_allclose(mu_n.pmf, weights / weights.sum(), rtol=1e-12, atol=0.0)
+    # the brute-force oracle sums the model's own interaction over the same grid
     for k in (2, 3):
-        direct = math.fsum(
-            attract(points) for points in itertools.product(grid, repeat=k)
-        ) / 5.0**k
-        assert model.Wn(5, k) == pytest.approx(direct, rel=1e-12)
+        assert lattice_weight_brute(model, 5, k) == pytest.approx(direct(5, k), rel=1e-12)
+    with pytest.raises(ValueError, match="'attract' has no limit law"):
+        gs.limit_measure(model)
 
 
 @pytest.mark.parametrize("p, truncation", [

@@ -226,8 +226,7 @@ def _truncated_laws():
         yield gs.poisson(100.0, truncation=t)
         yield gs.geometric(0.3, truncation=t)
         yield gs.negative_binomial(2.5, 0.4, truncation=t)
-        for model in (gs.ideal_gas_model(1.5), gs.repelling_model(1.0), gs.product_model(2.0),
-                      gs.custom_model(lambda points: 1.0, 0.7, log_W_fn=lambda k: 0.0)):
+        for model in (gs.ideal_gas_model(1.5), gs.repelling_model(1.0), gs.product_model(2.0)):
             yield gs.limit_measure(model, truncation=t)
     yield gs.poisson(3.0, tail_tol=1e-6)
     yield gs.geometric(0.9, tail_tol=0.5)
