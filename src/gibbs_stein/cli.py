@@ -15,8 +15,12 @@ families (listed by --help, e.g. poisson:1.0 or binomial:10,0.3), a path to a
 JSON measure file, or inline JSON.  Test functions are
 `indicator:0,1,2`, `constant:0.5`, a JSON array, or a path to one.
 
-Floats are rendered with 17 significant digits so that emitted values
-round-trip exactly; every report records the seed it was produced with.
+Every report records the seed it was produced with, and every emitted
+float round-trips exactly.  CSV writes floats with 17 significant digits
+and non-finite ones as inf/-inf.  JSON has the layout of
+`json.dumps(report, indent=2)`, with keys in emission order: floats in
+Python's shortest round-trip repr, non-finite ones as Infinity, -Infinity
+and NaN, and `solve`'s `mu_f` as a 17-digit string.
 A JSON config file given via --config overrides same-named flags.
 """
 
@@ -57,6 +61,33 @@ def _render(value) -> str:
             return "inf" if value > 0 else "-inf"
         return _FMT.format(value)
     return str(value)
+
+
+# Flat reports go through the C encoder, which writes no raw newline inside a
+# string: with this item separator every newline it writes lies between items.
+_FLAT_ENCODER = json.JSONEncoder(separators=(",\n", ": "), default=_render)
+
+
+def _indented_json(payload: dict) -> str:
+    """`json.dumps(payload, indent=2, default=_render)`, through the C encoder where it can.
+
+    A report whose last entry, "rows", is a nonempty list of nonempty dicts
+    is encoded once without indent.  If its text then holds no bracket but
+    the payload's brace, the rows' "[" and one brace per row, every row and
+    meta value is a scalar and no string holds a bracket, so a few replaces
+    lay out the indented text.  Anything else goes to the stdlib's
+    pure-Python indenting encoder.
+    """
+    rows = payload.get("rows")
+    if (type(rows) is list and rows and next(reversed(payload)) == "rows"
+            and all(type(row) is dict and row for row in rows)):
+        text = _FLAT_ENCODER.encode(payload)
+        if text.count("{") + text.count("[") == 2 + len(rows):
+            head, _, body = text.partition("[")
+            # body is '{row},\n{row}...}]}'; its only braces are the rows' own
+            inner = body[1:-3].replace("\n", "\n      ").replace("},\n      {", "\n    },\n    {\n      ")
+            return "{\n  " + head[1:].replace("\n", "\n  ") + "[\n    {\n      " + inner + "\n    }\n  ]\n}"
+    return json.dumps(payload, indent=2, default=_render)
 
 
 class CliError(Exception):
@@ -126,8 +157,12 @@ def parse_range(text: str) -> list[int]:
     """Integers given as 3,5,8 or as the inclusive range 2..6, at least one."""
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, text.split(".."))
+            if hi - lo >= measures._MAX_TERMS:
+                raise argparse.ArgumentTypeError(
+                    f"a range holds at most {measures._MAX_TERMS} integers, got {text!r}"
+                )
+            values = list(range(lo, hi + 1))
         else:
             values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
@@ -180,7 +215,7 @@ def _emit(rows: list[dict], header: list[str], args, extra_meta: dict | None = N
     meta.update(extra_meta or {})
     if args.format == "json":
         payload = {**meta, "rows": rows}
-        text = json.dumps(payload, indent=2, default=_render)
+        text = _indented_json(payload)
     else:
         buf = io.StringIO()
         for key, value in meta.items():
@@ -201,10 +236,6 @@ def _emit(rows: list[dict], header: list[str], args, extra_meta: dict | None = N
         sys.stdout.write(text)
 
 
-def _conditions_text(cert: factors.BoundCertificate) -> str:
-    return ";".join(f"{c.name}={'T' if c.holds else 'F'}" for c in cert.conditions)
-
-
 def _measure(args, flag: str):
     with _blame(f"--{flag}"):
         return parse_measure(getattr(args, flag), args.truncation, args.tail_tol)
@@ -219,11 +250,8 @@ def cmd_solve(args) -> int:
     with _blame("--f"):
         f = parse_test_function(args.f, m.support_max + 1)
         sol = stein.solve(m, f)
-    delta = sol.delta()
-    rows = [
-        {"j": j, "g": float(sol.g[j]), "dg": float(delta[j]) if j < delta.size else None}
-        for j in range(m.support_max + 2)
-    ]
+    g, dg = sol.g.tolist(), sol.delta().tolist() + [None]  # g(N+1) has no increment
+    rows = [{"j": j, "g": g_j, "dg": dg_j} for j, (g_j, dg_j) in enumerate(zip(g, dg))]
     _emit(rows, ["j", "g", "dg"], args, {"measure": m.label(), "mu_f": _render(sol.mu_f)})
     return 0
 
@@ -233,7 +261,7 @@ def cmd_bounds(args) -> int:
     ladder = args.j or [j for j in (1, 2, 3, 5) if j <= m.support_max]
     with _blame("--j"):
         certs = factors.bound_certificates(m, ladder)
-    rows = [{**cert.to_dict(), "conditions": _conditions_text(cert)} for cert in certs]
+    rows = [cert.to_row() for cert in certs]
     header = ["quantity", "j", "value", "formula", "exactness", "licensed", "conditions", "notes"]
     _emit(rows, header, args, {"measure": m.label()})
     return 0

@@ -109,12 +109,19 @@ class BoundCertificate:
         return self.applicable and all(c.holds for c in self.conditions)
 
     def to_dict(self) -> dict:
+        return self._fields([c.to_dict() for c in self.conditions])
+
+    def to_row(self) -> dict:
+        """`to_dict` with the conditions as `name=T;name=F` text: a `bounds` report row."""
+        return self._fields(";".join(f"{c.name}={'T' if c.holds else 'F'}" for c in self.conditions))
+
+    def _fields(self, conditions) -> dict:
         return {
             "quantity": self.quantity,
             "j": self.j,
             "value": self.value,
             "formula": self.formula,
-            "conditions": [c.to_dict() for c in self.conditions],
+            "conditions": conditions,
             "exactness": self.exactness,
             "applicable": self.applicable,
             "licensed": self.licensed,

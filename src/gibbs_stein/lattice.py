@@ -60,7 +60,8 @@ import numpy as np
 from .compare import generator_comparison, tv_distance
 from .factors import condition, uniform_increment
 from .measures import (
-    DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _fsum, _logsumexp, _poisson, _truncated, poisson,
+    DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _MAX_TERMS, _fsum, _logsumexp, _poisson, _truncated,
+    poisson,
 )
 from .size_bias import CouplingSpec
 from .stein import sup_increment_table, sup_solution_table
@@ -232,6 +233,8 @@ def lattice_measure(model: InteractionModel, n: int) -> GibbsMeasure:
     """The particle-count law of the n-cell lattice gas, on {0..n}."""
     if n < 1:
         raise ValueError("need at least one cell")
+    if n >= _MAX_TERMS:
+        raise ValueError(f"need at most {_MAX_TERMS - 1} cells, got {n}")
     if n < model.min_cells:
         raise ValueError(f"the {model.kind} model needs n >= {model.min_cells}")
     z = model.z

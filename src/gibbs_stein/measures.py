@@ -753,11 +753,18 @@ def _whole(owner: str, name: str, value) -> int:
     return whole
 
 
+def _check_table(family: str, name: str, top) -> None:
+    """A finite law's table on 0..top may hold at most _MAX_TERMS entries, like a truncated one's."""
+    if top >= _MAX_TERMS:
+        raise ValueError(f"{family} needs {name} <= {_MAX_TERMS - 1}, got {top!r}")
+
+
 def binomial(n: int, p: float) -> GibbsMeasure:
     """Binomial(n, p) via omega = p/(1-p), V(k) = -log((n-k)!)."""
     _check_count("binomial", "n", n)
     if n < 1:
         raise ValueError("binomial needs n >= 1")
+    _check_table("binomial", "n", n)
     if not 0.0 < p < 1.0:
         raise ValueError("binomial needs 0 < p < 1")
     V = -_log_gamma_run(1.0, n + 1)[::-1]
@@ -797,6 +804,7 @@ def hypergeometric(population: int, successes: int, draws: int) -> GibbsMeasure:
             "so that zero successes is attainable"
         )
     top = min(draws, successes)
+    _check_table("hypergeometric", "min(successes, draws)", top)
     # -log(k! (successes - k)! (draws - k)! (population - successes - draws + k)!),
     # each factorial a run over k = 0..top less its constant log Gamma(start)
     count = top + 1
@@ -818,6 +826,7 @@ def discrete_uniform(n: int) -> GibbsMeasure:
     _check_count("discrete uniform", "n", n)
     if n < 0:
         raise ValueError("discrete uniform needs n >= 0")
+    _check_table("discrete uniform", "n", n)
     return from_pmf(np.ones(n + 1), omega=1.0, kind="discrete_uniform", params={"n": n})
 
 

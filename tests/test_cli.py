@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gibbs_stein
-from gibbs_stein.cli import main, parse_measure, parse_range, parse_test_function
+from gibbs_stein.cli import _indented_json, _render, main, parse_measure, parse_range, parse_test_function
 
 
 def run_cli(args, capsys):
@@ -37,6 +40,9 @@ def test_parse_measure_descriptors(tmp_path):
 def test_parse_helpers():
     assert parse_range("2..5") == [2, 3, 4, 5]
     assert parse_range("1,4,9") == [1, 4, 9]
+    assert len(parse_range("1..1048576")) == 2**20
+    with pytest.raises(argparse.ArgumentTypeError, match="at most 1048576 integers"):
+        parse_range("0..1048576")  # refused before the list is built
     f = parse_test_function("indicator:0,2", 4)
     assert f.tolist() == [1.0, 0.0, 1.0, 0.0]
     f = parse_test_function("constant:0.5", 3)
@@ -590,16 +596,32 @@ PINNED_BOUNDS = os.path.join(os.path.dirname(__file__), "data", "bounds_outputs.
 
 
 def test_bounds_output_matches_the_pinned_text(capsys):
-    # keys are "<measure>|<ladder>": the default ladder or --j 1..5, which some supports
-    # do not reach, so those calls pin exit 2 and the error text
+    # keys are "<measure>|<ladder>" for CSV and "<measure>|<ladder>|json" for JSON: the
+    # default ladder or --j 1..5, which some supports do not reach, so those calls pin
+    # exit 2 and the error text; poisson:500 with --j 1..300 pins 1,204 JSON rows
     with open(PINNED_BOUNDS) as handle:
         pinned = json.load(handle)
-    assert len(pinned) == 18
+    assert len(pinned) == 37
     for key, expected in pinned.items():
-        desc, ladder = key.split("|")
+        desc, ladder, *fmt = key.split("|")
         argv = ["bounds", "--measure", desc] + ([] if ladder == "default" else ["--j", ladder])
-        code, out, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv + ["--format", *fmt] if fmt else argv, capsys)
         assert (code, out, err) == (expected["exit"], expected["stdout"], expected["stderr"]), key
+
+
+PINNED_SOLVE = os.path.join(os.path.dirname(__file__), "data", "solve_outputs.json")
+
+
+def test_solve_output_matches_the_pinned_text(capsys):
+    # keys are "<measure>|<f>|<format>": every built-in family with an indicator and a
+    # constant test function, and Poisson(500) (N = 681) with the indicator
+    with open(PINNED_SOLVE) as handle:
+        pinned = json.load(handle)
+    assert len(pinned) == 26
+    for key, text in pinned.items():
+        desc, f, fmt = key.split("|")
+        code, out, err = run_cli(["solve", "--measure", desc, "--f", f, "--format", fmt], capsys)
+        assert (code, out, err) == (0, text, ""), key
 
 
 def test_bounds_checks_each_condition_once_per_measure(monkeypatch, capsys):
@@ -725,11 +747,15 @@ def test_bounds_json_rows_share_one_schema(capsys):
          "argument --tail-tol: tail tolerance must lie strictly between 0 and 1, got '0'"),
         (["bounds", "--measure", "poisson:3", "--j", "5..2"], None, "argument --j: empty range '5..2'"),
         (["lattice", "--model", "product", "--n", "9..4"], None, "argument --n: empty range '9..4'"),
+        (["bounds", "--measure", "poisson:3", "--j", "1..99999999999"], None,
+         "argument --j: a range holds at most 1048576 integers, got '1..99999999999'"),
+        (["lattice", "--model", "ideal_gas", "--n", "1..99999999999"], None,
+         "argument --n: a range holds at most 1048576 integers, got '1..99999999999'"),
     ],
     ids=["bounds_j_not_integer", "lattice_n_not_integer", "lattice_n_json_list_in_config",
          "lattice_n_zero", "lattice_lambda_negative", "solve_truncation_negative",
          "tail_tol_negative", "tail_tol_nan", "tail_tol_zero_in_config", "bounds_j_empty",
-         "lattice_n_empty"],
+         "lattice_n_empty", "bounds_j_huge", "lattice_n_huge"],
 )
 def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_path, capsys):
     if config is not None:
@@ -777,12 +803,25 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
         (["solve", "--measure", "poisson:1", "--truncation", "0", "--f", '[{"a": 1}]'],
          "argument --f: test function '[{\"a\": 1}]': float() argument must be a string or a real number"),
         (["solve", "--measure", "poisson:1", "--f", "foo:1"], "argument --f: cannot parse test function 'foo:1'\n"),
+        # counts whose tables would pass 2**20 entries, refused before any is allocated
+        (["bounds", "--measure", "binomial:1e12,0.5"],
+         "argument --measure: measure descriptor 'binomial:1e12,0.5': binomial needs n <= 1048575, "
+         "got 1000000000000\n"),
+        (["bounds", "--measure", "discrete_uniform:1e12"],
+         "argument --measure: measure descriptor 'discrete_uniform:1e12': discrete uniform needs "
+         "n <= 1048575, got 1000000000000\n"),
+        (["solve", "--measure", "hypergeometric:1e13,1e12,1e12", "--f", "constant:0.5"],
+         "argument --measure: measure descriptor 'hypergeometric:1e13,1e12,1e12': hypergeometric "
+         "needs min(successes, draws) <= 1048575, got 1000000000000\n"),
+        (["lattice", "--model", "ideal_gas", "--n", "100000000000"],
+         "argument --n: 100000000000 cells: need at most 1048575 cells, got 100000000000\n"),
     ],
     ids=["poisson_inf", "geometric_p_vanishing", "negative_binomial_p_vanishing", "g_norm_not_a_float",
          "g_norm_negative", "j_beyond_support", "pmf_weight_inf", "pmf_weight_nan", "poisson_sum_nan_mean",
          "poisson_sum_truncation_below_n", "lattice_n_below_minimum",
          "lattice_truncation_underflows", "out_directory_missing", "f_constant_nan", "f_table_entry_not_a_number",
-         "f_unknown_kind"],
+         "f_unknown_kind", "binomial_n_huge", "discrete_uniform_n_huge", "hypergeometric_huge",
+         "lattice_cells_huge"],
 )
 def test_bad_values_met_at_run_time_exit_two_naming_the_flag(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -806,3 +845,75 @@ def test_coupling_reduction_check_passes_on_every_seed(capsys):
         assert ok and detail.startswith("norm part 0.0e+00"), (seed, detail)
     code, out, _ = run_cli(["verify", "--seed", "7"], capsys)
     assert code == 0 and "FAIL coupling_bound_poisson_reduction" not in out
+
+
+# strings rich in what the C-encoder fast path must see through: quotes, escapes, NUL,
+# line separators and non-ASCII, and in the rich ones brackets and a row boundary
+_PLAIN_TEXT = st.lists(st.sampled_from(
+    ["a", " ", '"', "\\", ",", ":", "\n", "\x00", "},\n", "\u2028", "\xe9", "\U0001f600"]
+), max_size=5).map("".join)
+_RICH_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.lists(st.sampled_from(["a", "{", "}", "[", "]", "},\n{", "\n"]), max_size=5).map("".join),
+)
+
+
+def _json_scalars(text):
+    return st.one_of(
+        st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(),
+        st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.0**-1060, 2**70]),
+        text,
+        # numpy scalars: float64 is a float, the rest reach the emitter through default=_render
+        st.floats().map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_), st.floats(width=32).map(np.float32),
+    )
+
+
+def _payloads():
+    """Report-shaped payloads, flat ones with "rows" last and anything else."""
+    keys = st.one_of(st.sampled_from(["seed", "measure", "j", "g"]), _PLAIN_TEXT)
+    scalars = _json_scalars(_PLAIN_TEXT)
+    flat = st.tuples(
+        st.dictionaries(keys, scalars, max_size=4),
+        st.lists(st.dictionaries(keys, scalars, min_size=1, max_size=5), min_size=1, max_size=4),
+    ).map(lambda parts: {**parts[0], "rows": parts[1]})
+    keys = st.one_of(st.sampled_from(["seed", "rows", "j"]), _RICH_TEXT)
+    scalars = _json_scalars(_RICH_TEXT)
+    values = st.one_of(scalars, st.lists(scalars, max_size=2), st.dictionaries(keys, scalars, max_size=2))
+    rows = st.one_of(
+        st.lists(st.dictionaries(keys, values, min_size=1, max_size=4), min_size=1, max_size=4),
+        st.lists(st.one_of(st.dictionaries(keys, values, max_size=4), values), max_size=4),
+    )
+    anything = st.tuples(st.dictionaries(keys, values, max_size=4), rows, st.booleans()).map(
+        lambda parts: {**parts[0], "rows": parts[1]} if parts[2] else {"rows": parts[1], **parts[0]}
+    )
+    return st.one_of(flat, anything)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(payload=_payloads())
+def test_indented_json_is_the_stdlib_indent_2_text(payload):
+    assert _indented_json(payload) == json.dumps(payload, indent=2, default=_render)
+
+
+def test_flat_reports_skip_the_pure_python_encoder(monkeypatch, capsys):
+    # json.dumps(indent=2) lays its text out in json.encoder._make_iterencode, in pure
+    # Python; every report whose rows hold scalars alone must be encoded without it
+    import json.encoder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for argv in (
+        ["bounds", "--measure", "binomial:30,0.4", "--j", "1..12"],
+        ["solve", "--measure", "poisson:3", "--f", "indicator:0,2"],
+        ["solve", "--measure", "geometric:0.5", "--f", "constant:0.25"],
+        ["lattice", "--model", "repelling", "--n", "3..6"],
+        ["poisson-sum", "--p", "0.3,0.2,0.25"],
+    ):
+        code, out, err = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0 and err == "" and json.loads(out)["rows"], argv
+    # compare's row holds the g_norms list, so it alone takes the stdlib encoder
+    with pytest.raises(AssertionError, match="pure-Python"):
+        main(["compare", "--m1", "poisson:1", "--m2", "poisson:1.1", "--format", "json"])

@@ -96,6 +96,14 @@ CASES = {
         lambda: gs.discrete_uniform(2.5), "discrete uniform needs a finite whole number n, got 2.5"),
     "discrete_uniform_nan": (
         lambda: gs.discrete_uniform(math.nan), "discrete uniform needs a finite whole number n, got nan"),
+    # a finite law's table holds at most measures._MAX_TERMS = 2**20 entries, as a truncated one does
+    "binomial_n_above_the_table_ceiling": (
+        lambda: gs.binomial(2**20, 0.5), "binomial needs n <= 1048575, got 1048576"),
+    "discrete_uniform_above_the_table_ceiling": (
+        lambda: gs.discrete_uniform(10**12), "discrete uniform needs n <= 1048575, got 1000000000000"),
+    "hypergeometric_above_the_table_ceiling": (
+        lambda: gs.hypergeometric(2**22, 2**20, 2**21),
+        "hypergeometric needs min(successes, draws) <= 1048575, got 1048576"),
     "measure_truncation_bound_fractional": (
         lambda: gs.GibbsMeasure.from_dict(FRACTIONAL_BOUND),
         "measure field 'truncation.bound': truncation needs a finite whole number bound, got 16.9"),
@@ -146,6 +154,8 @@ CASES = {
     "condition_unknown_name": (lambda: factors.condition(M, "bogus"), "unknown condition 'bogus'"),
     "grid_points_unknown_rule": (lambda: gs.grid_points(3, "bogus"), "unknown point rule 'bogus'"),
     "lattice_no_cells": (lambda: gs.lattice_measure(gs.ideal_gas_model(1.0), 0), "need at least one cell"),
+    "lattice_cells_above_the_table_ceiling": (
+        lambda: gs.lattice_measure(gs.ideal_gas_model(1.0), 10**11), "need at most 1048575 cells, got 100000000000"),
     "lattice_weights_vanish": (
         lambda: gs.lattice_measure(_model("vanishing", log_Wn_fn=lambda n, k: -math.inf), 3),
         "lattice weights vanish inside {0..n}; support must be contiguous"),
