@@ -10,13 +10,15 @@ representation is unique only up to (omega, V) -> (a*omega, V - k*log a) and
 an additive constant on V, which this module fixes by absorbing log Z into V
 when converting from an explicit pmf.  All mass arithmetic happens in log
 space because the interesting weights, such as k^-k or lambda^k/k!,
-underflow quickly.  Three numpy helpers carry it: `_log_gamma_run` gives
+underflow quickly.  Four numpy helpers carry it: `_log_gamma_run` gives
 log Gamma(s + k) - log Gamma(s) over a run k = 0, 1, ... as a compensated
-running sum of log(s + i) (so log k! is the run from s = 1), `_logsumexp` is
-the max-shifted log-sum-exp behind every normalisation, and `_truncated`
-picks truncation points.  The library's correctly rounded sums of long
-tables share one exact kernel kept here, `_fsum` (`_fsum_rows` for each
-row of a table), which returns the float math.fsum returns.
+running sum of log(s + i), `_log_factorials` hands out prefixes of one
+read-only table of the run from s = 1, log k!, shared by the whole process,
+`_logsumexp` is the max-shifted log-sum-exp behind every normalisation, and
+`_truncated` picks truncation points.  The library's correctly rounded
+sums of long tables share one exact kernel kept here, `_fsum`
+(`_fsum_rows` for each row of a table), which returns the float math.fsum
+returns.
 
 The distinguished birth-death dynamics attached to a measure uses unit per
 capita death rates d_k = k and birth rates
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -334,28 +337,51 @@ def _log_gamma_run(start: float, count: int) -> np.ndarray:
     """log Gamma(start + k) - log Gamma(start) for k = 0..count-1.
 
     The compensated running sum of log(start + i) over i < k, so log k! is
-    `_log_gamma_run(1.0, count)[k]`; add math.lgamma(start) for log Gamma
-    itself.  Each entry carries the rounding of its logs, not of the sum.
+    `_log_gamma_run(1.0, count)[k]`, which `_log_factorials` keeps; add
+    math.lgamma(start) for log Gamma itself.  Each entry carries the
+    rounding of its logs, not of the sum.
     """
     logs = np.log(start + np.arange(count - 1, dtype=float))
     return np.concatenate(([0.0], _compensated_cumsum(logs)))
 
 
+_LOG_FACTORIALS = _readonly(np.zeros(1))  # log k! for k = 0, 1, ...; replaced, never written
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    """log k! for k = 0..count-1, bit for bit `_log_gamma_run(1.0, count)`, read-only.
+
+    A prefix of one table shared by the whole process.  The running sum is
+    sequential, so a longer run starts with the shorter one's bits, and the
+    table grows by replacement to the larger of count and twice its size,
+    up to _MAX_TERMS entries; a longer count is computed and not kept.  The
+    global is read once, so a caller that another thread's growth races
+    still slices the table it checked.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if table.size < count:
+        table = _readonly(_log_gamma_run(1.0, max(count, min(2 * table.size, _MAX_TERMS))))
+        if count <= _MAX_TERMS:
+            _LOG_FACTORIALS = table
+    return table[:count]
+
+
 def _logsumexp(x: np.ndarray) -> float:
     """log sum exp(x), shifted by the maximum; the largest term enters through log1p."""
     x = np.asarray(x, dtype=float)
-    top = int(np.argmax(x))
+    top = int(x.argmax())
     if not math.isfinite(x[top]):
         return float(x[top])
     rest = np.exp(x - x[top])
     rest[top] = 0.0
-    return float(x[top] + math.log1p(np.sum(rest)))
+    return float(x[top] + math.log1p(rest.sum()))
 
 
 def _log_weights(omega: float, V: np.ndarray) -> np.ndarray:
     """Unnormalised log weights V(k) + k log omega - log k!."""
     k = np.arange(V.size, dtype=float)
-    return V + k * math.log(omega) - _log_gamma_run(1.0, V.size)
+    return V + k * math.log(omega) - _log_factorials(V.size)
 
 
 class GibbsMeasure:
@@ -390,7 +416,7 @@ class GibbsMeasure:
         V = np.asarray(V, dtype=float)
         if V.ndim != 1 or V.size < 1:
             raise ValueError("potential table must be one-dimensional and non-empty")
-        if not np.all(np.isfinite(V)):
+        if not np.isfinite(V).all():
             raise ValueError("potential must be finite on the whole support")
         if truncation is not None:
             truncation.check(V.size - 1)
@@ -398,20 +424,21 @@ class GibbsMeasure:
         log_weights = _log_weights(omega, V)
         log_pmf = log_weights - _logsumexp(log_weights)
         pmf = np.exp(log_pmf)
-        if np.any(pmf == 0.0):
+        if not pmf.all():
             k = int(np.argmax(pmf == 0.0))
             raise ValueError(
                 f"support weight underflows double precision: pmf({k}) = exp({log_pmf[k]:.6g})"
             )
-        total = float(np.sum(pmf))
+        total = float(pmf.sum())
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"pmf failed to normalize (sum = {total!r})")
 
         # b_k = omega * exp(V(k+1) - V(k)) for k < N; the support boundary
         # forces b_N = 0 (V(N+1) = -inf).
-        log_birth = math.log(omega) + np.diff(V)
+        log_birth = math.log(omega) + (V[1:] - V[:-1])
+        birth = np.zeros(V.size)
         with np.errstate(over="ignore"):
-            birth = np.append(np.exp(log_birth), 0.0)
+            np.exp(log_birth, out=birth[:-1])
         overflow = np.isinf(birth)
         if overflow.any():
             k = int(np.argmax(overflow))
@@ -419,9 +446,10 @@ class GibbsMeasure:
                 f"birth rate b_{k} = exp({log_birth[k]:.6g}) overflows double precision"
             )
 
-        tables = CumulativeTables(
-            F=_readonly(np.cumsum(pmf)), Fbar=_readonly(np.cumsum(pmf[::-1])[::-1].copy())
-        )
+        # F and the reversed Fbar in one running sum over the rows pmf and pmf
+        # reversed; Fbar is copied forward, as contiguous tables are faster to read
+        sums = np.concatenate((pmf, pmf[::-1])).reshape(2, -1).cumsum(axis=1)
+        tables = CumulativeTables(F=_readonly(sums[0]), Fbar=_readonly(sums[1, ::-1].copy()))
 
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "V", _readonly(V))
@@ -630,7 +658,7 @@ def from_pmf(
         raise ValueError("non-contiguous or degenerate support: weights must be strictly positive")
     log_w = np.log(weights)
     k = np.arange(weights.size, dtype=float)
-    V = (log_w - _logsumexp(log_w)) + _log_gamma_run(1.0, weights.size) - k * math.log(omega)
+    V = (log_w - _logsumexp(log_w)) + _log_factorials(weights.size) - k * math.log(omega)
     return GibbsMeasure(omega, V, kind=kind, params=params, truncation=truncation)
 
 
@@ -671,13 +699,34 @@ def _truncated(
     below `least` is raised to it: the search starts again as for the
     explicit truncation `least`, so the result is the one that truncation
     gives.
+
+    A screen, `_finds_no_truncation`, skips an automatic pass that cannot
+    find N.  The scaled weights are at most 1, so S_N <= m + 1, and R is at
+    least its last term rest = w(m+1)/(1 - ratio(m)), so every share is at
+    least rest/(m + 1 + rest).  Where
+
+        rest > 2 tail_tol (m + 1 + rest)
+
+    no share, even rounded up, is within tail_tol, and the table doubles
+    without the pass (`_tail_bounds`); the factor 2 covers the rounding of
+    the screen's own rest and of the compensated sums.  The screen only
+    skips passes that would find no N, so every result is the one the full
+    passes give; it never runs for an explicit truncation, nor after the
+    restart at `least`.
     """
+    if not isinstance(tail_tol, numbers.Real):
+        raise ValueError(f"tail_tol must be a real number, got {tail_tol!r}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail tolerance must lie strictly between 0 and 1, got {tail_tol!r}")
-    if truncation is not None and not 0 <= int(truncation) <= (_MAX_TERMS - 3) // 2:
-        raise ValueError(f"truncation bound must lie in 0..{(_MAX_TERMS - 3) // 2}, got {truncation}")
+    if truncation is not None:
+        try:
+            truncation = _whole("truncation", "bound", truncation)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"truncation bound must be a finite whole number, got {truncation!r}") from exc
+        if not 0 <= truncation <= (_MAX_TERMS - 3) // 2:
+            raise ValueError(f"truncation bound must lie in 0..{(_MAX_TERMS - 3) // 2}, got {truncation}")
     ratio = FAMILIES[kind].tail_ratio
-    size = 64 if truncation is None else 2 * int(truncation) + 3
+    size = 64 if truncation is None else 2 * truncation + 3
     while size <= _MAX_TERMS:
         m = size - 2
         rho = ratio(m, **params) * (1.0 + 4 * _U)
@@ -685,20 +734,17 @@ def _truncated(
             size *= 2
             continue
         V = potential(size)
-        log_w = _log_weights(omega, V)
-        shifted = log_w - log_w.max()
         drift = np.arange(size) * math.log(omega)
-        log_fact = V + drift - log_w
-        worst = _U * float(np.max(np.abs(V) + 4 * np.abs(drift) + 4 * log_fact + np.abs(log_w) - shifted))
-        w = np.exp(shifted)
-        rest = w[-1] / (1.0 - rho) + (size + 1.0 / (1.0 - rho)) * 2.0**-1074
-        beyond = _compensated_cumsum(np.append(rest, w[m:0:-1]))[::-1]  # R for N = 0..m
-        share = beyond / (_compensated_cumsum(w[:-1]) + beyond)
-        bound = np.nextafter(share * (1.0 + 2.5 * worst + 21 * _U), math.inf)
+        log_w = V + drift - _log_factorials(size)
+        top = log_w.max()
+        if truncation is None and _finds_no_truncation(log_w, top, rho, tail_tol):
+            size *= 2
+            continue
+        bound, beyond, rest = _tail_bounds(V, drift, log_w, top, rho)
         if truncation is not None:
-            n = int(truncation)
+            n = truncation
         else:
-            hits = np.flatnonzero(bound <= tail_tol)
+            hits = (bound <= tail_tol).nonzero()[0]
             if not hits.size:
                 size *= 2
                 continue
@@ -707,7 +753,7 @@ def _truncated(
                 size = 2 * n + 3
                 continue
             if n < least:
-                truncation, size = least, 2 * least + 3
+                truncation, size = int(least), 2 * least + 3
                 continue
         tail = float(bound[n])
         return GibbsMeasure(
@@ -718,6 +764,39 @@ def _truncated(
         f"no truncation within {_MAX_TERMS} terms has a tail bound below {tail_tol!r}: the "
         "weights decay too slowly, or their series is divergent"
     )
+
+
+def _finds_no_truncation(log_w: np.ndarray, top: float, rho: float, tail_tol: float) -> bool:
+    """The screen of `_truncated`: whether its pass over log_w surely finds no N within tail_tol."""
+    rest = math.exp(log_w[-1] - top) / (1.0 - rho)
+    return rest > 2.0 * tail_tol * (log_w.size - 1 + rest)
+
+
+def _tail_bounds(
+    V: np.ndarray, drift: np.ndarray, log_w: np.ndarray, top: float, rho: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One pass of `_truncated`'s search over weights w(0..m+1), m + 2 = V.size.
+
+    Takes the potential V, the drift k log omega, the log weights log_w and
+    their largest value top.  Returns the rounded-up tail share for each
+    N = 0..m, the tail sums R for N = 0..m, and rest, the last term of R:
+    the bound on the scaled weights from m + 1 on.  R and S_N come out of
+    one compensated running sum over a two-row table.
+    """
+    size = V.size
+    shifted = log_w - top
+    log_fact = V + drift - log_w
+    worst = _U * float((np.abs(V) + 4 * np.abs(drift) + 4 * log_fact + np.abs(log_w) - shifted).max())
+    w = np.exp(shifted)
+    rest = w[-1] / (1.0 - rho) + (size + 1.0 / (1.0 - rho)) * 2.0**-1074
+    sums = np.empty((2, size - 1))
+    sums[0, 0] = rest
+    sums[0, 1:] = w[-2:0:-1]
+    sums[1] = w[:-1]
+    sums = _compensated_cumsum(sums)
+    beyond = sums[0, ::-1]  # R for N = 0..m
+    share = beyond / (sums[1] + beyond)
+    return np.nextafter(share * (1.0 + 2.5 * worst + 21 * _U), math.inf), beyond, rest
 
 
 def _check_p(family: str, p: float):
@@ -767,16 +846,14 @@ def binomial(n: int, p: float) -> GibbsMeasure:
     _check_table("binomial", "n", n)
     if not 0.0 < p < 1.0:
         raise ValueError("binomial needs 0 < p < 1")
-    V = -_log_gamma_run(1.0, n + 1)[::-1]
+    V = -_log_factorials(n + 1)[::-1]
     return GibbsMeasure(p / (1.0 - p), V, kind="binomial", params={"n": n, "p": p})
 
 
 def geometric(p: float, truncation: int | None = None, tail_tol: float = DEFAULT_TAIL_TOL) -> GibbsMeasure:
     """Geometric with pmf p(1-p)^k on {0, 1, ...}; omega = 1-p, V(k) = log k!."""
     _check_p("geometric", p)
-    return _truncated(
-        "geometric", 1.0 - p, lambda size: _log_gamma_run(1.0, size), {"p": p}, truncation, tail_tol
-    )
+    return _truncated("geometric", 1.0 - p, _log_factorials, {"p": p}, truncation, tail_tol)
 
 
 def negative_binomial(
@@ -809,7 +886,7 @@ def hypergeometric(population: int, successes: int, draws: int) -> GibbsMeasure:
     # each factorial a run over k = 0..top less its constant log Gamma(start)
     count = top + 1
     log_w = -(
-        _log_gamma_run(1.0, count)
+        _log_factorials(count)
         + _log_gamma_run(successes - top + 1.0, count)[::-1]
         + _log_gamma_run(draws - top + 1.0, count)[::-1]
         + _log_gamma_run(population - successes - draws + 1.0, count)

@@ -110,6 +110,35 @@ CASES = {
     "measure_binomial_n_fractional": (
         lambda: gs.GibbsMeasure.from_dict(FRACTIONAL_N),
         "measure field 'params': binomial needs a finite whole number n, got 10.5"),
+    # an explicit truncation is a whole number in range and tail_tol a real number in (0, 1), on every path
+    "truncation_fractional": (
+        lambda: gs.poisson(3.0, truncation=16.9), "truncation bound must be a finite whole number, got 16.9"),
+    "truncation_negative_fraction": (
+        lambda: gs.poisson(3.0, truncation=-0.5), "truncation bound must be a finite whole number, got -0.5"),
+    "truncation_nan": (
+        lambda: gs.geometric(0.5, truncation=math.nan), "truncation bound must be a finite whole number, got nan"),
+    "truncation_inf": (
+        lambda: gs.negative_binomial(2.0, 0.5, truncation=math.inf),
+        "truncation bound must be a finite whole number, got inf"),
+    "truncation_text": (
+        lambda: gs.poisson(3.0, truncation="eight"), "truncation bound must be a finite whole number, got 'eight'"),
+    "limit_truncation_fractional": (
+        lambda: gs.limit_measure(gs.repelling_model(1.0), truncation=9.5),
+        "truncation bound must be a finite whole number, got 9.5"),
+    "poisson_sum_truncation_fractional": (
+        lambda: gs.poisson_sum_bounds(gs.CouplingSpec.independent_bernoulli([0.1, 0.2]), truncation=7.5),
+        "truncation bound must be a finite whole number, got 7.5"),
+    "truncation_negative": (lambda: gs.poisson(3.0, truncation=-3), "truncation bound must lie in 0..524286, got -3"),
+    "truncation_above_the_table_ceiling": (
+        lambda: gs.geometric(0.5, truncation=524287), "truncation bound must lie in 0..524286, got 524287"),
+    "tail_tol_none": (lambda: gs.poisson(3.0, tail_tol=None), "tail_tol must be a real number, got None"),
+    "tail_tol_text": (lambda: gs.poisson(3.0, tail_tol="0.1"), "tail_tol must be a real number, got '0.1'"),
+    "limit_tail_tol_text": (
+        lambda: gs.limit_measure(gs.product_model(1.0), tail_tol="0.1"), "tail_tol must be a real number, got '0.1'"),
+    "tail_tol_zero": (
+        lambda: gs.poisson(3.0, tail_tol=0.0), "tail tolerance must lie strictly between 0 and 1, got 0.0"),
+    "tail_tol_one": (
+        lambda: gs.geometric(0.5, tail_tol=1), "tail tolerance must lie strictly between 0 and 1, got 1"),
     # from_pmf checks the activity before taking its log
     "from_pmf_omega_zero": (
         lambda: gs.from_pmf([1.0, 2.0], omega=0), "activity omega must be a positive finite real, got 0.0"),
