@@ -356,7 +356,7 @@ def lattice_comparison_report(
         branch_used="lattice_averaged" if solved_limit else "limit_averaged",
         norm_factor=rep.g_norms[first],
         g_norm_source=g_norm_source,
-        notes="rate-spread norm bound inapplicable; no finite certificate" if rep.notes else "",
+        notes=rep.notes,
     )
 
 
@@ -511,8 +511,8 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     # the convolved law can add to just under 1, which would put the mean of a
     # constant rate below it; the mean lies between the rates the law reaches
     reached = rates[law > 0]
-    mean_rate = min(max(math.fsum((law * rates).tolist()), reached.min()), reached.max())
-    mad = math.fsum((law * np.abs(rates - mean_rate)).tolist())
+    mean_rate = min(max(_fsum(law * rates), reached.min()), reached.max())
+    mad = _fsum(law * np.abs(rates - mean_rate))
 
     G = sup_solution_table(m)
     g_norm = float(G.max())
@@ -585,12 +585,12 @@ def poisson_sum_bounds(
 
     coupling = sum_coupling_bound(target, spec)
     live = spec.p > 0.0
-    linear = factor * math.fsum((spec.p[live] * spec.mean_abs_gaps()[live]).tolist())
+    linear = factor * _fsum(spec.p[live] * spec.mean_abs_gaps()[live])
 
     independent_bound = None
     improved = None
     if spec.independent:
-        independent_bound = factor * math.fsum((spec.p**2).tolist())
+        independent_bound = factor * _fsum(spec.p**2)
         # column 0 of the leave-one-out laws: the product of 1 - p_j over j != i
         none_else = spec.conditional_sums[:, 0]
         improved = math.fsum(

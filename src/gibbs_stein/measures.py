@@ -16,9 +16,9 @@ running sum of log(s + i), `_log_factorials` hands out prefixes of one
 read-only table of the run from s = 1, log k!, shared by the whole process,
 `_logsumexp` is the max-shifted log-sum-exp behind every normalisation, and
 `_truncated` picks truncation points.  The library's correctly rounded
-sums of long tables share one exact kernel kept here, `_fsum`
-(`_fsum_rows` for each row of a table), which returns the float math.fsum
-returns.
+sums all go through `_fsum` (`_fsum_rows` for each row of a table): the
+float math.fsum returns, from a long nonnegative table sorted in
+descending order, which makes math.fsum cheaper and cannot change it.
 
 The distinguished birth-death dynamics attached to a measure uses unit per
 capita death rates d_k = k and birth rates
@@ -134,195 +134,38 @@ def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
 # Exact sums
 # ---------------------------------------------------------------------------
 
-# _fsum: entries per whole-array pass (bounds its temporaries), entries per
-# run of float sums that stay exact, and the weights of its shortcut: on
-# a table whose entries rise `span` binades from its first nonzero one to its
-# largest, math.fsum costs about (_FSUM_SPAN + span) units per entry, the
-# exact pass about _FIXED_COST units per call and, in _fsum_rows, about
-# _ROW_COST units per row, so an input priced under that cost goes to
-# math.fsum itself
-_CHUNK = 1 << 15
-_EXACT_RUN = 1 << 26
-_FSUM_SPAN = 48
-_FIXED_COST = 1 << 16
-_ROW_COST = 1 << 14
-_LOW_MANTISSA = (1 << 26) - 1
-# 2^(1075 - E) for biased exponents E = 1 .. 2047 as two factors, each a
-# double: it turns a float sum of low parts at E into an integer count of
-# that bin's unit 2^(E - 1075); high parts count in units 2^26 times larger
-_SHIFT = 1075 - np.arange(1, 2048)
-_TO_UNITS = (np.ldexp(1.0, _SHIFT // 2), np.ldexp(1.0, _SHIFT - _SHIFT // 2))
-_TO_HIGH_UNITS = _TO_UNITS[1] * 2.0**-26
-_WORD = np.int64(1) << np.arange(8, dtype=np.int64)
+# the fewest entries of a table or row that _fsum and _fsum_rows sort before math.fsum (see _sortable)
+_SORTED_FROM = 128
+
+
+def _sortable(table: np.ndarray) -> np.ndarray:
+    """Whether math.fsum gives each row of table (a 1-d table is one row) the same float in any order.
+
+    math.fsum (Shewchuk's algorithm) rounds the exact sum correctly in any
+    order unless a partial sum overflows, and keeps few partials when no
+    entry is larger than the ones before it.  A row of nonnegative entries
+    whose total is below 2^1020 keeps every partial sum finite in any order,
+    so _fsum and _fsum_rows sort such a row of at least _SORTED_FROM entries
+    in descending order.  Any other row (shorter, signed, NaN, inf or near
+    overflow) keeps its order, so math.fsum raises the same error on it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (table.min(axis=-1) >= 0.0) & (table.sum(axis=-1) < 2.0**1020)
 
 
 def _fsum(x: np.ndarray) -> float:
-    """math.fsum over one float64 array, bit for bit, by the cheaper of two ways.
-
-    An input that the shortcut weights above price below the exact pass goes
-    to math.fsum itself.  The exact pass runs over chunks of _CHUNK entries.
-    Each entry is cut at bit 26 of its 53-bit significand into a high and a
-    low part, and np.bincount adds each part per biased exponent E.  Within
-    one exponent the parts are integers below 2^27 and 2^26 of one unit, so
-    these float sums are exact over runs of fewer than 2^26 entries.  Each
-    run's sums, over the exponents it holds, join as one Python int of
-    units 2^-1074 (_units with one row), and a single int division rounds
-    the total correctly.  A non-finite entry, or entries so large that
-    math.fsum could overflow midway, send the whole sum to math.fsum.
-    """
-    if _prefers_fsum(x):
-        return math.fsum(x.tolist())
-    hi, lo = np.zeros(2048), np.zeros(2048)
-    units = run = top = 0
-    for start in range(0, x.size, _CHUNK):
-        chunk = x[start : start + _CHUNK]
-        exponent = _exponents(chunk)
-        high = int(exponent.max())
-        top = max(top, high)
-        # inf or nan (exponent 0x7FF), or a sum of |x| < count 2^(top - 1022)
-        # above 2^1020, which no longer keeps every partial sum finite
-        if top == 0x7FF or top - 1022 + (start + chunk.size).bit_length() > 1020:
-            return math.fsum(x.tolist())
-        high_sums, low_sums = _binned_parts(chunk, exponent, high + 1)
-        hi[: high + 1] += high_sums
-        lo[: high + 1] += low_sums
-        run += chunk.size
-        if run > _EXACT_RUN - _CHUNK:
-            units += _units(hi, lo)[0]
-            hi, lo = np.zeros(2048), np.zeros(2048)
-            run = 0
-    return (units + _units(hi, lo)[0]) / (1 << 1074)
+    """math.fsum over one float64 array: its float, or its error."""
+    if x.size >= _SORTED_FROM and _sortable(x):
+        x = np.sort(x)[::-1]
+    return math.fsum(x.tolist())
 
 
 def _fsum_rows(table: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-d float64 table, bit for bit.
-
-    The same exact sum as _fsum, for many rows at once.  A row wider than
-    _CHUNK is one _fsum call, which splits it into chunks.  A
-    row holding inf or nan, or large enough that math.fsum could overflow
-    midway, and a row that the shortcut weights price below _ROW_COST go to
-    math.fsum itself, in row order, so a row that makes math.fsum raise
-    raises here too.  The other rows go in blocks of about _CHUNK entries
-    and bins: one np.bincount per part bins every row's high and low parts
-    by (row, exponent), and one _units call turns the block's bins into
-    each row's exact sum.
-    """
+    """math.fsum of each row of a 2-d float64 table, bit for bit; a row that makes math.fsum raise raises here."""
     table = np.asarray(table, dtype=np.float64)
-    rows, width = table.shape
-    if width * (_FSUM_SPAN + 2046) < _ROW_COST:  # every row is cheap, at any span
-        return np.array([math.fsum(row) for row in table.tolist()], dtype=np.float64)
-    if width > _CHUNK:
-        return np.array([_fsum(row) for row in table], dtype=np.float64)
-    bits = table.view(np.uint64)
-    greatest = bits.max(axis=1)
-    signed = greatest >> 63 != 0
-    top = (greatest >> 52).astype(np.int64)  # the largest exponent, in a row without a sign bit
-    if signed.any():
-        top[signed] = ((bits[signed] << 1) >> 53).max(axis=1)
-    # as in _fsum: inf or nan, or partial sums that may overflow
-    slow = top - 1022 + width.bit_length() > 1020
-    if width * _FSUM_SPAN < _ROW_COST:
-        slow |= width * (_FSUM_SPAN + _head_spans(bits, greatest)) < _ROW_COST
-    out = np.empty(rows)
-    if slow.any():
-        out[slow] = [math.fsum(row) for row in table[slow].tolist()]
-    fast = np.flatnonzero(~slow)
-    if fast.size == 0:
-        return out
-    # each row bins exponents 0..stride-1; a block holds the fewest rows whose entries or bins reach _CHUNK
-    stride = max(int(top[fast].max()) + 1, 2)
-    step = -(-_CHUNK // max(width, stride))
-    for start in range(0, fast.size, step):
-        block = fast[start : start + step]
-        if block[-1] - block[0] == block.size - 1:  # a run of rows: views, not copies
-            block = slice(int(block[0]), int(block[-1]) + 1)
-        values = table[block]
-        count = values.shape[0]
-        keys = _exponents(values)
-        keys += np.arange(0, count * stride, stride)[:, None]
-        hi, lo = _binned_parts(values, keys, count * stride)
-        out[block] = [units / (1 << 1074) for units in _units(hi.reshape(count, -1), lo.reshape(count, -1))]
-    return out
-
-
-def _exponents(x: np.ndarray) -> np.ndarray:
-    """Biased exponent of each entry of a float64 array: 0 for zeros and subnormals, 0x7FF for inf and nan."""
-    exponent = x.view(np.int64) >> 52
-    exponent &= 0x7FF
-    return exponent
-
-
-def _binned_parts(x: np.ndarray, keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums per key of the high and low parts of x's entries, cut at bit 26 of the significand."""
-    part = (x.view(np.int64) & ~_LOW_MANTISSA).view(np.float64)
-    high_sums = np.bincount(keys.ravel(), part.ravel(), size)
-    return high_sums, np.bincount(keys.ravel(), np.subtract(x, part, out=part).ravel(), size)
-
-
-def _head_span(chunk: np.ndarray) -> int:
-    """Biased exponent of chunk's largest entry minus that of its first nonzero one.
-
-    math.fsum keeps about one partial per 53 binades between the entries it
-    has added and its running sum, so a table that rises from a tiny head,
-    as a Poisson pmf does, makes every later entry pay for that span, and
-    one that falls from its head does not.  Mixed signs take the full span
-    of 2046 binades.  Without a sign bit the bits order as the values do.
-    """
-    bits = chunk.view(np.uint64)
-    greatest = int(bits.max())
-    if greatest >> 63:
-        return 2046
-    head = int(bits[0]) or int(bits[int(np.argmax(bits != 0))])
-    return (greatest >> 52) - (head >> 52)
-
-
-def _head_spans(bits: np.ndarray, greatest: np.ndarray) -> np.ndarray:
-    """_head_span of each row of a 2-d table, given its bits as uint64 and their row maxima."""
-    head = bits[:, 0]
-    later = np.flatnonzero(head == 0)  # rows whose first nonzero entry comes later
-    if later.size:
-        head = head.copy()
-        head[later] = bits[later, np.argmax(bits[later] != 0, axis=1)]
-    return np.where(greatest >> 63 != 0, 2046, (greatest >> 52).astype(np.int64) - (head >> 52).astype(np.int64))
-
-
-def _prefers_fsum(x: np.ndarray) -> bool:
-    """Whether math.fsum over the single array x is cheaper than the exact pass."""
-    # below 32 entries the price stays under _FIXED_COST at any span
-    return x.size * (_FSUM_SPAN + 2046) < _FIXED_COST or (
-        x.size < _CHUNK and x.size * (_FSUM_SPAN + _head_span(x)) < _FIXED_COST
-    )
-
-
-def _units(hi: np.ndarray, lo: np.ndarray) -> list[int]:
-    """Exact sums, in units 2^-1074, of per-exponent sums of high and low parts.
-
-    hi and lo hold the bins of biased exponents 0, 1, ... along their last
-    axis, one sum per row: one int is returned per row of 2-d bins, or a
-    single one for 1-d bins.  Bins 0 (subnormal) and 1 share the unit
-    2^-1074.  Bin E >= 1 counts low parts in units 2^(E - 1) and high parts
-    in units 2^(E + 25), which is bin E + 26's low unit; the counts stay
-    below 2^54.  Only the bins from the least to the greatest one used in
-    any row are converted, and eight of them at a time join into one int64
-    below 2^62 per row before the Python ints take over.
-    """
-    hi[..., 1] += hi[..., 0]
-    lo[..., 1] += lo[..., 0]
-    used = (hi[..., 1:] != 0.0) | (lo[..., 1:] != 0.0)
-    used = np.flatnonzero(used if used.ndim == 1 else used.any(axis=0))
-    if used.size == 0:
-        return [0] * (hi.size // hi.shape[-1])
-    low, high = int(used[0]) + 1, int(used[-1]) + 1
-    span = high - low + 1
-    counts = np.zeros(hi.shape[:-1] + (-(-(span + 26) // 8) * 8,), dtype=np.int64)
-    first = _TO_UNITS[0][low - 1 : high]
-    counts[..., :span] += ((lo[..., low : high + 1] * first) * _TO_UNITS[1][low - 1 : high]).astype(np.int64)
-    counts[..., 26 : span + 26] += (
-        (hi[..., low : high + 1] * first) * _TO_HIGH_UNITS[low - 1 : high]
-    ).astype(np.int64)
-    words = (counts.reshape(counts.shape[:-1] + (-1, 8)) @ _WORD).reshape(-1, counts.shape[-1] // 8)
-    shifts = range(0, counts.shape[-1], 8)
-    return [sum(w << s for w, s in zip(row, shifts) if w) << (low - 1) for row in words.tolist()]
+    if table.shape[1] >= _SORTED_FROM:
+        table = np.where(_sortable(table)[:, None], np.sort(table, axis=1)[:, ::-1], table)
+    return np.array([math.fsum(row) for row in table.tolist()], dtype=np.float64)
 
 
 def _sums_to_one(values: np.ndarray, tol: float) -> bool:
@@ -493,13 +336,13 @@ class GibbsMeasure:
 
     def mean_via_rates(self) -> float:
         """E X = omega * E exp(V(X+1) - V(X)), i.e. the pmf-weighted birth rate."""
-        return math.fsum((self._pmf * self._birth).tolist())
+        return _fsum(self._pmf * self._birth)
 
     def expectation(self, f: np.ndarray) -> float:
         f = np.asarray(f, dtype=float)
         if f.shape != self._pmf.shape:
             raise ValueError(f"test table must have length {self.V.size}, got {f.size}")
-        return math.fsum((f * self._pmf).tolist())
+        return _fsum(f * self._pmf)
 
     def cumulatives(self) -> CumulativeTables:
         return self._tables

@@ -30,21 +30,20 @@ Independent specs build all n leave-one-out laws, and the law of S, in one
 lockstep pass.  The CDFs of S and of every Shat_i are one compensated
 running sum over an (n+1) x (n+1) table and the pairs one stable sort per
 index of two sorted runs (a linear merge), so a spec costs O(n^2) time and
-memory.  Correctly rounded sums go through measures._fsum_rows, which
-returns what math.fsum returns over each row.  The tuple loop
+memory.  Correctly rounded sums are math.fsum's, through measures._fsum
+(_fsum_rows for each row of a table).  The tuple loop
 coupling_given_index lists the same pairs by a two-pointer merge; it is
 the reference the tables are tested against.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GibbsMeasure, _compensated_cumsum, _fsum_rows, _sums_to_one
+from .measures import GibbsMeasure, _compensated_cumsum, _fsum, _fsum_rows, _sums_to_one
 from .stein import solve
 
 __all__ = [
@@ -112,7 +111,7 @@ def size_bias(base: np.ndarray) -> SizeBiasLaw:
     """Size-bias a pmf on {0, ..., K}: biased(x) = x base(x) / mean."""
     base = _check_pmf(base, "base law")
     k = np.arange(base.size, dtype=float)
-    mean = math.fsum((k * base).tolist())
+    mean = _fsum(k * base)
     if not mean > 0.0:
         raise ValueError("size biasing needs a law with positive mean")
     biased = k * base / mean
@@ -179,7 +178,7 @@ class CouplingSpec:
             raise ValueError("p must be a non-empty vector of Bernoulli means")
         if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN means fail here too
             raise ValueError("Bernoulli means must lie in [0, 1]")
-        if not math.fsum(p.tolist()) > 0.0:
+        if not _fsum(p) > 0.0:
             raise ValueError("at least one Bernoulli mean must be positive")
         n = p.size
 
@@ -288,7 +287,7 @@ class CouplingSpec:
 
     @property
     def lam(self) -> float:
-        return math.fsum(self.p.tolist())
+        return _fsum(self.p)
 
     def mixture_law(self) -> np.ndarray:
         """Law of S* = Shat_I + 1 on {0, ..., n}; the index mixture of shifts."""
@@ -314,7 +313,7 @@ class CouplingSpec:
         mix = self.mixture_law()
         s = np.arange(1, self.n + 1, dtype=float)
         law[1:] = self.lam * mix[1:] / s
-        head = 1.0 - math.fsum(law[1:].tolist())
+        head = 1.0 - _fsum(law[1:])
         if not head >= -1e-9:
             raise ValueError(
                 "conditional sums are inconsistent: no law of the sum matches the mixture"
@@ -464,7 +463,7 @@ def stein_residual_via_size_bias(
         raise ValueError("W* must live inside 0..N+1")
     g = solve(m, f).g
     b = m.birth_rates[: W.size]
-    lhs = math.fsum((W * b * g[1 : W.size + 1]).tolist())
-    rate_mean = math.fsum((W * b).tolist())
-    mean_g_star = math.fsum((Wstar * g[: Wstar.size]).tolist())
+    lhs = _fsum(W * b * g[1 : W.size + 1])
+    rate_mean = _fsum(W * b)
+    mean_g_star = _fsum(Wstar * g[: Wstar.size])
     return lhs - rate_mean * mean_g_star

@@ -217,7 +217,7 @@ def stationarity_defect(m: GibbsMeasure, g) -> float:
         raise ValueError("g must be defined on 0..N+1")
     k = np.arange(n + 1, dtype=float)
     contrib = m.pmf * (m.birth_rates * g[1 : n + 2] - k * g[: n + 1])
-    return math.fsum(contrib.tolist())
+    return _fsum(contrib)
 
 
 # ---------------------------------------------------------------------------

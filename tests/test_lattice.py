@@ -197,6 +197,20 @@ def test_generator_bound_dominates_exact_tv_for_all_models():
             assert rep.generator_bound >= rep.exact_tv - 1e-10
 
 
+@pytest.mark.parametrize("make", [gs.product_model, gs.repelling_model, gs.ideal_gas_model],
+                         ids=["product", "repelling", "ideal_gas"])
+@pytest.mark.parametrize("z", [0.5, 1.0, 2.0])
+def test_rate_spread_report_keeps_the_comparisons_note(make, z):
+    model = make(z)
+    limit = gs.limit_measure(model)
+    for n in range(max(model.min_cells, 3), 40, 6):
+        rep = gs.lattice_comparison_report(model, n, g_norm_source="rate_spread", limit=limit)
+        note = gs.generator_comparison(limit, gs.lattice_measure(model, n), "rate_spread").notes
+        assert rep.notes == note, n
+        if math.isfinite(rep.generator_bound):
+            assert "no finite certificate" not in rep.notes, n
+
+
 def _hex_fields(rep):
     return {key: value.hex() if isinstance(value, float) else value for key, value in vars(rep).items()}
 

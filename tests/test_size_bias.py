@@ -8,15 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gibbs_stein as gs
-from gibbs_stein import measures
-from gibbs_stein.measures import (
-    _CHUNK, _FIXED_COST, _FSUM_SPAN, _fsum, _fsum_rows, _head_span, _head_spans, _prefers_fsum,
-)
+from gibbs_stein.measures import _SORTED_FROM, _fsum, _fsum_rows, _sortable
 from gibbs_stein.size_bias import _check_pmf, bernoulli_convolution
 
 RNG = np.random.default_rng(31415)
-# the shortest input of one exponent that the exact-sum kernel does not hand to math.fsum
-_SMALL = -(-_FIXED_COST // _FSUM_SPAN)
+# a long table: far past _SORTED_FROM
+_LONG = 1 << 15
 
 
 def enumerate_sum_law(p):
@@ -392,24 +389,29 @@ SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
 @given(
     values=st.lists(st.one_of(st.floats(), st.floats(-1e300, 1e300), st.sampled_from(SPECIAL_FLOATS)),
                     max_size=30),
-    length=st.sampled_from([0, 1, 2, _SMALL - 1, _SMALL, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+    length=st.sampled_from([0, 1, 2, _SORTED_FROM - 1, _SORTED_FROM, _SORTED_FROM + 1, 1000, _LONG, _LONG + 3]),
     cancel=st.booleans(),
     tame=st.booleans(),
+    nonnegative=st.booleans(),
 )
-@example(values=[], length=0, cancel=False, tame=False)
-@example(values=[-0.0], length=_CHUNK, cancel=False, tame=False)
-@example(values=[5e-324, 1e-310, -3e-320], length=_CHUNK + 1, cancel=False, tame=False)
-@example(values=[1.0, 1e-300, 1e300, 2.0**-1074], length=_CHUNK + 1, cancel=True, tame=False)
-@example(values=[2.0**-1074, 1.0, 2.0**1020], length=2 * _CHUNK + 3, cancel=False, tame=False)
-@example(values=[1e308, 1e308, -1e308], length=3, cancel=False, tame=False)
-@example(values=[1e308], length=_CHUNK, cancel=False, tame=False)
-@example(values=[0.1, math.inf], length=_CHUNK, cancel=False, tame=False)
-@example(values=[0.1, math.inf, -math.inf], length=_SMALL, cancel=False, tame=False)
-@example(values=[0.1, math.nan], length=_CHUNK + 1, cancel=False, tame=False)
-def test_exact_sum_kernel_equals_fsum(values, length, cancel, tame):
+@example(values=[], length=0, cancel=False, tame=False, nonnegative=False)
+@example(values=[-0.0], length=_LONG, cancel=False, tame=False, nonnegative=False)
+@example(values=[5e-324, 1e-310, -3e-320], length=_LONG + 3, cancel=False, tame=False, nonnegative=False)
+@example(values=[5e-324, 1e-310, -3e-320], length=_SORTED_FROM, cancel=False, tame=False, nonnegative=True)
+@example(values=[1.0, 1e-300, 1e300, 2.0**-1074], length=_LONG + 3, cancel=True, tame=False, nonnegative=False)
+@example(values=[2.0**-1074, 1.0, 2.0**1010], length=_LONG + 3, cancel=False, tame=False, nonnegative=False)
+@example(values=[2.0**-1074, 1.0, 2.0**1020], length=_LONG + 3, cancel=False, tame=False, nonnegative=True)
+@example(values=[1e308, 1e308, -1e308], length=3, cancel=False, tame=False, nonnegative=False)
+@example(values=[1e308], length=_LONG, cancel=False, tame=False, nonnegative=False)
+@example(values=[0.1, math.inf], length=_LONG, cancel=False, tame=False, nonnegative=False)
+@example(values=[0.1, math.inf, -math.inf], length=_SORTED_FROM, cancel=False, tame=False, nonnegative=False)
+@example(values=[0.1, math.nan], length=_SORTED_FROM + 1, cancel=False, tame=False, nonnegative=True)
+def test_exact_sum_kernel_equals_fsum(values, length, cancel, tame, nonnegative):
     base = np.resize(np.array(values, dtype=float), length) if values else np.zeros(length)
-    if tame:  # finite and below 1e300, so that long inputs take the exact path
+    if tame:  # finite and below 1e300, so that no partial sum overflows
         base[~(np.abs(base) < 1e300)] = 1.0
+    if nonnegative:  # so that long tables can take the sorted path
+        base = np.abs(base)
     # vary the pieces along the array so that repeats do not just scale one value
     base = base * np.ldexp(1.0, -(np.arange(length) % 7))
     if cancel:
@@ -420,29 +422,33 @@ def test_exact_sum_kernel_equals_fsum(values, length, cancel, tame):
 def _assert_sums_agree(x):
     expected = _fsum_outcome(lambda: math.fsum(x.tolist()))
     assert _fsum_outcome(lambda: _fsum(x)) == expected
+    assert _fsum_outcome(lambda: _fsum_rows(x[None])[0]) == expected
+
+
+def _sorted_path(x):
+    return bool(x.size >= _SORTED_FROM and _sortable(x))
 
 
 def test_exact_sum_kernel_returns_fsum_on_wide_pmf_tables():
     wide = [gs.poisson(500.0).pmf, gs.poisson(740.0).pmf, np.arange(681) * gs.poisson(500.0).pmf]
     assert wide[1].min() < np.finfo(float).tiny  # subnormal entries
     for x in wide:
-        assert not _prefers_fsum(x)  # rising from a tiny head: the exact pass
+        assert _sorted_path(x)
         _assert_sums_agree(x)
     _assert_sums_agree(np.abs(wide[0] - gs.poisson(505.0).pmf[: wide[0].size]))
 
 
 def test_exact_sum_kernel_on_both_sides_of_the_shortcut():
-    # a flat table is priced _FSUM_SPAN per entry, a rising one more per entry
     rising = np.ldexp(1.0, np.arange(-1000, 0, 10))
     sides = [
-        (np.full(_SMALL - 1, 0.1), True),
-        (np.full(_SMALL, 0.1), False),
-        (rising[::-1].copy(), True),  # falling from its largest entry
-        (rising, False),
-        (np.concatenate([np.zeros(40), rising]), False),  # zeros do not start the rise
+        (np.full(_SORTED_FROM - 1, 0.1), False),
+        (np.full(_SORTED_FROM, 0.1), True),
+        (np.concatenate([rising, rising]), True),
+        (np.concatenate([rising, -rising]), False),  # signed: table order
+        (np.concatenate([np.zeros(40), rising]), True),
     ]
-    for x, cheap in sides:
-        assert _prefers_fsum(x) == cheap
+    for x, sorted_ in sides:
+        assert _sorted_path(x) == sorted_
         _assert_sums_agree(x)
     for x in (np.array([0.3]), np.zeros(1), np.zeros(5000), np.array([-0.0] * 40000), np.zeros(0),
               np.array([5e-324, -1e-310, 2.5e-320] * 2000)):
@@ -452,19 +458,42 @@ def test_exact_sum_kernel_on_both_sides_of_the_shortcut():
 @pytest.mark.parametrize("tail", [[math.inf], [math.nan], [math.inf, -math.inf], [-math.inf], [1e308, 1e308]])
 def test_exact_sum_kernel_falls_back_on_inf_nan_and_overflow(tail):
     x = np.concatenate([gs.poisson(500.0).pmf, tail])
-    assert not _prefers_fsum(x)
+    assert not _sortable(x)
     _assert_sums_agree(x)
 
 
-def test_exact_sum_kernel_joins_runs_as_they_fill(monkeypatch):
-    # a run holds 2^26 entries, too many for a test: shorten it to two chunks
-    monkeypatch.setattr(measures, "_EXACT_RUN", 2 * _CHUNK)
-    joins = []
-    units = measures._units
-    monkeypatch.setattr(measures, "_units", lambda hi, lo: joins.append(1) or units(hi, lo))
+ORDER_MATTERS = {
+    # in table order the partial sum 2e308 overflows, so math.fsum raises
+    "signed_overflows_in_table_order": np.concatenate([[1e308, 1e308, -1e308, -1e308], np.full(200, 0.5)]),
+    # finite in table order; descending order would add every 1e308 first and overflow
+    "signed_finite_in_table_order": np.concatenate([np.tile([1e308, -1e308], 100), np.full(200, 0.5)]),
+    "nonnegative_total_overflows": np.full(200, 1e308),
+    "nonnegative_total_near_overflow": np.full(200, 2.0**1013),
+    "nan": np.concatenate([np.full(200, 0.1), [math.nan], np.full(20, 0.2)]),
+    "inf_minus_inf": np.concatenate([[math.inf], np.full(200, 0.1), [-math.inf]]),
+    "negative_zeros": np.full(200, -0.0),
+    "signed_zeros": np.tile([-0.0, 0.0], 100),
+    "negative_zero_head": np.concatenate([[-0.0], np.full(200, 1e-300)]),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_MATTERS)
+def test_exact_sum_kernel_keeps_fsums_outcome_where_order_matters(name):
+    x = ORDER_MATTERS[name]
+    assert x.size >= _SORTED_FROM
+    _assert_sums_agree(x)
+    table = np.stack([np.full(x.size, 0.25), x, np.arange(x.size, dtype=float)])
+    if isinstance(_fsum_outcome(lambda: math.fsum(x.tolist())), str):
+        assert _row_sums(table) == _fsum_hex(table)
+    else:  # a row that makes math.fsum raise raises here too
+        with pytest.raises((OverflowError, ValueError)):
+            _fsum_rows(table)
+
+
+def test_exact_sum_kernel_on_signed_whole_range_and_cancelling_pairs():
     rng = np.random.default_rng(2026)
-    for case in range(21):
-        size = int(rng.integers(3 * _CHUNK, 7 * _CHUNK + 1)) if case < 20 else 5 * _CHUNK
+    for case in range(6):
+        size = int(rng.integers(_LONG, 3 * _LONG))
         # signed, with exponents over the whole range up to 2^1000, where no partial sum overflows
         x = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 1001, size))
         if case % 2:  # the entries cancel in pairs but for a few tiny ones, which make the sum
@@ -472,12 +501,8 @@ def test_exact_sum_kernel_joins_runs_as_they_fill(monkeypatch):
             rest = size - 2 * pairs.size
             tiny = np.ldexp(rng.uniform(-1.0, 1.0, rest), rng.integers(-1074, -1000, rest))
             x = rng.permutation(np.concatenate([pairs, -pairs, tiny]))
-        if case == 20:  # an inf met after runs have been joined: the sum goes to math.fsum
-            x[4 * _CHUNK + 17] = math.inf
-        joins.clear()
-        kernel = _fsum_outcome(lambda: _fsum(x))
-        assert kernel == _fsum_outcome(lambda: math.fsum(x.tolist())), case
-        assert len(joins) >= (2 if case < 20 else 1), case
+        _assert_sums_agree(x)
+        _assert_sums_agree(np.abs(x))
 
 
 def _row_sums(table):
@@ -488,7 +513,7 @@ def _fsum_hex(table):
     return [math.fsum(row).hex() for row in np.asarray(table).tolist()]
 
 
-ROW_WIDTHS = [1, 2, 7, 8, 31, 61, 200, 342, 1000, _CHUNK - 1, _CHUNK, _CHUNK + 1]
+ROW_WIDTHS = [1, 2, 7, 61, _SORTED_FROM - 1, _SORTED_FROM, _SORTED_FROM + 1, 342, 1000, _LONG]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -498,18 +523,22 @@ ROW_WIDTHS = [1, 2, 7, 8, 31, 61, 200, 342, 1000, _CHUNK - 1, _CHUNK, _CHUNK + 1
     width=st.sampled_from(ROW_WIDTHS),
     spread=st.booleans(),
     zero_row=st.booleans(),
+    nonnegative=st.booleans(),
 )
-@example(values=[-0.0], rows=3, width=_CHUNK + 1, spread=False, zero_row=True)
-@example(values=[5e-324, 1e-310, -3e-320], rows=4, width=1000, spread=True, zero_row=False)
-@example(values=[1.0, 1e-300, 1e300, 2.0**-1074], rows=5, width=342, spread=True, zero_row=True)
-@example(values=[0.25, -0.25], rows=2, width=1, spread=False, zero_row=False)
-def test_row_kernel_equals_fsum_of_each_row(values, rows, width, spread, zero_row):
+@example(values=[-0.0], rows=3, width=_LONG, spread=False, zero_row=True, nonnegative=False)
+@example(values=[5e-324, 1e-310, -3e-320], rows=4, width=1000, spread=True, zero_row=False, nonnegative=False)
+@example(values=[5e-324, 1e-310, -3e-320], rows=4, width=_SORTED_FROM, spread=True, zero_row=False, nonnegative=True)
+@example(values=[1.0, 1e-300, 1e300, 2.0**-1074], rows=5, width=342, spread=True, zero_row=True, nonnegative=False)
+@example(values=[0.25, -0.25], rows=2, width=1, spread=False, zero_row=False, nonnegative=False)
+def test_row_kernel_equals_fsum_of_each_row(values, rows, width, spread, zero_row, nonnegative):
     base = np.resize(np.array(values, dtype=float), rows * width).reshape(rows, width)
     if spread:  # exponents over the whole range up to 2^1000, where no partial sum overflows
         exponents = np.arange(rows * width).reshape(rows, width) * 379 % 2075 - 1074
         base = np.ldexp(np.frexp(base)[0], exponents)
     else:  # vary the entries along each row so that repeats do not just scale one value
         base = base * np.ldexp(1.0, -(np.arange(width) % 7))
+    if nonnegative:  # so that wide rows can take the sorted path
+        base = np.abs(base)
     if zero_row:
         base[0] = 0.0
     assert _row_sums(base) == _fsum_hex(base)
@@ -519,11 +548,12 @@ def test_row_kernel_equals_fsum_of_each_row(values, rows, width, spread, zero_ro
     assert _fsum_outcome(lambda: _fsum(base[-1])) == _fsum_hex(base[-1:])[0]
 
 
-@pytest.mark.parametrize("width", [61, 1000, _CHUNK + 1])
+@pytest.mark.parametrize("width", [61, _SORTED_FROM, 1000, _LONG + 1])
 @pytest.mark.parametrize("special", [[math.inf], [math.nan], [-math.inf, 1.0], [1.5e308, -1.5e308, 1e308]])
 def test_row_kernel_keeps_other_rows_exact_beside_inf_nan_and_near_overflow(width, special):
     rng = np.random.default_rng(width)
     table = rng.standard_normal((4, width)) * np.ldexp(1.0, rng.integers(-1074, 900, (4, width)))
+    table[1] = np.abs(table[1])  # a row that can take the sorted path
     table[2, : len(special)] = special
     assert _row_sums(table) == _fsum_hex(table)
 
@@ -539,18 +569,10 @@ def test_row_kernel_raises_where_fsum_overflows(head):
     assert _row_sums(table[[0, 2]]) == _fsum_hex(table[[0, 2]])
 
 
-def test_row_prices_take_each_rows_head_span():
-    rising = np.ldexp(1.0, np.arange(-1000, 0, 10))
-    table = np.array([rising, rising[::-1], np.concatenate([np.zeros(40), rising[40:]]), -rising,
-                      np.where(np.arange(100) % 2, rising, -rising), np.zeros(100), np.full(100, -0.0)])
-    bits = table.view(np.uint64)
-    assert _head_spans(bits, bits.max(axis=1)).tolist() == [_head_span(row) for row in table]
-
-
 def test_row_kernel_handles_empty_tables():
     assert _fsum_rows(np.zeros((0, 50))).shape == (0,)
+    assert _fsum_rows(np.zeros((0, _SORTED_FROM))).shape == (0,)
     assert _row_sums(np.zeros((3, 0))) == [0.0.hex()] * 3
-
 
 
 def test_sum_law_is_derived_once():
