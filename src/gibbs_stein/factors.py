@@ -57,7 +57,6 @@ __all__ = [
     "ConditionCheck",
     "RateRange",
     "BoundCertificate",
-    "check_conditions",
     "condition",
     "rate_range",
     "increment_bound",
@@ -153,10 +152,6 @@ def condition(m: GibbsMeasure, name: str) -> ConditionCheck:
     bad = np.flatnonzero(~ok)
     first_bad = int(bad[0]) + 1 if bad.size else None
     return ConditionCheck(name, first_bad is None, first_bad)
-
-
-def check_conditions(m: GibbsMeasure) -> list[ConditionCheck]:
-    return [condition(m, name) for name in CONDITION_NAMES]
 
 
 # ---------------------------------------------------------------------------

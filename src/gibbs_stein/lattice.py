@@ -18,9 +18,9 @@ k-cube.  Three families are built in:
   product      f_k = prod_{i<j} x_i x_j = prod_i x_i^(k-1), left endpoints:
                W(k) = k^-k and W_n(k) = n^(-k^2) (sum_{i<n} i^(k-1))^k.
 
-Each family gives W_n and W by the formulas above; `lattice_weight_brute`
-sums f_k over the k-fold grid (guarded, deterministic order) as the oracle
-they are checked against.
+Each family gives W_n and W by the formulas above;
+`oracle.lattice_weight_brute` sums f_k over the k-fold grid (guarded,
+deterministic order) as the reference they are checked against.
 
 The limit laws live on {0, 1, ...} and are truncated by the one rule of
 `measures`: a declared tail that bounds the mass beyond N through a bound
@@ -71,22 +71,15 @@ __all__ = [
     "ideal_gas_model",
     "repelling_model",
     "product_model",
-    "grid_points",
-    "lattice_weight_brute",
     "lattice_measure",
     "limit_measure",
     "LatticeBoundReport",
     "lattice_comparison_report",
-    "closed_form_bound",
-    "harmonic_between",
     "CouplingBound",
     "sum_coupling_bound",
     "PoissonSumReport",
     "poisson_sum_bounds",
 ]
-
-_BRUTE_FORCE_GUARD = 10**7
-
 
 # ---------------------------------------------------------------------------
 # Interaction models
@@ -96,18 +89,15 @@ _BRUTE_FORCE_GUARD = 10**7
 class InteractionModel:
     """A k-point interaction family with lattice and continuum weights.
 
-    log_Wn(n, k) and log_W(k) return log weights (-inf is a hard zero);
-    fk evaluates the raw interaction at a tuple of points, which is what
-    the brute-force lattice summation uses.  The model also carries the
-    fewest cells it needs, its analytic bound closed_form(n) if any, and the
-    constructor of its limit law if that is a built-in family.  The activity
-    z must be positive.
+    log_Wn(n, k) and log_W(k) return log weights (-inf is a hard zero).
+    The model also carries the fewest cells it needs, its analytic distance
+    bound closed_form(n) if any, which raises ValueError outside the range
+    it is stated for, and the constructor of its limit law if that is a
+    built-in family.  The activity z must be positive.
     """
 
     kind: str
     z: float
-    point_rule: str
-    fk: Callable[[tuple[float, ...]], float]
     log_Wn_fn: Callable[[int, int], float]
     log_W_fn: Callable[[int], float]
     min_cells: int = 1
@@ -131,36 +121,23 @@ class InteractionModel:
         return math.exp(self.log_W(k))
 
 
-def _fk_ideal(points: tuple[float, ...]) -> float:
-    return 1.0
-
-
-def _fk_repelling(points: tuple[float, ...]) -> float:
-    if len(points) <= 1:
-        return 1.0
-    return 2.0 * math.fsum(
-        (points[a] - points[b]) ** 2
-        for a in range(len(points))
-        for b in range(a + 1, len(points))
-    )
-
-
-def _fk_product(points: tuple[float, ...]) -> float:
-    k = len(points)
-    if k <= 1:
-        return 1.0
-    return math.prod(x ** (k - 1) for x in points)
-
-
 def ideal_gas_model(lam: float) -> InteractionModel:
     return InteractionModel(
-        kind="ideal_gas", z=lam, point_rule="midpoint", fk=_fk_ideal,
-        log_Wn_fn=lambda n, k: 0.0, log_W_fn=lambda k: 0.0, limit=poisson,
+        kind="ideal_gas", z=lam, log_Wn_fn=lambda n, k: 0.0, log_W_fn=lambda k: 0.0, limit=poisson,
     )
 
 
 def repelling_model(lam: float) -> InteractionModel:
-    """Pairwise squared-distance interaction on the midpoint grid."""
+    """Pairwise squared-distance interaction on the midpoint grid.
+
+    Its closed-form distance bound is
+
+        lam^(n+1) e^lam / ((n+1)! (1 + lam + lam^2 e^lam / 6)).
+
+    That form presumes the lattice law is exactly the conditioned limit law,
+    which the midpoint weights violate at k = 2; it is reported for
+    reference but is not a certificate (see the module docstring).
+    """
 
     def log_wn(n: int, k: int) -> float:
         return math.log(k * (k - 1) * (n + 1) * (n - 1)) - math.log(6.0 * n * n)
@@ -173,13 +150,17 @@ def repelling_model(lam: float) -> InteractionModel:
         return math.exp(log_tail) / repelling_limit_partition(lam)
 
     return InteractionModel(
-        kind="repelling", z=lam, point_rule="midpoint", fk=_fk_repelling,
-        log_Wn_fn=log_wn, log_W_fn=log_w, closed_form=closed_form,
+        kind="repelling", z=lam, log_Wn_fn=log_wn, log_W_fn=log_w, closed_form=closed_form,
     )
 
 
 def product_model(z: float = 1.0) -> InteractionModel:
-    """Coordinate-product interaction on the left-endpoint grid."""
+    """Coordinate-product interaction on the left-endpoint grid.
+
+    Its closed-form distance bound, stated for n >= 3 and z = 1, is
+
+        2 e^(e + 1/e) / n + e^(1/n) n^-(n+1) / (n+1)!.
+    """
 
     def log_wn(n: int, k: int) -> float:
         # W_n(k) = n^(-k^2) (sum_{i=0}^{n-1} i^(k-1))^k, in log space
@@ -201,28 +182,8 @@ def product_model(z: float = 1.0) -> InteractionModel:
         return main + rest
 
     return InteractionModel(
-        kind="product", z=z, point_rule="left_endpoint", fk=_fk_product,
-        log_Wn_fn=log_wn, log_W_fn=log_w, min_cells=3, closed_form=closed_form,
+        kind="product", z=z, log_Wn_fn=log_wn, log_W_fn=log_w, min_cells=3, closed_form=closed_form,
     )
-
-
-def grid_points(n: int, rule: str) -> list[float]:
-    if rule == "midpoint":
-        return [(2 * i - 1) / (2.0 * n) for i in range(1, n + 1)]
-    if rule == "left_endpoint":
-        return [(i - 1) / float(n) for i in range(1, n + 1)]
-    raise ValueError(f"unknown point rule {rule!r}")
-
-
-def lattice_weight_brute(model: InteractionModel, n: int, k: int) -> float:
-    """W_n(k) by explicit k-fold summation over the grid (deterministic order)."""
-    if k <= 1:
-        return 1.0
-    if n**k > _BRUTE_FORCE_GUARD:
-        raise ValueError(f"k-fold summation size n^k = {n**k} exceeds the guard {_BRUTE_FORCE_GUARD}")
-    grid = grid_points(n, model.point_rule)
-    total = math.fsum(model.fk(points) for points in itertools.product(grid, repeat=k))
-    return total / float(n) ** k
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +301,8 @@ def lattice_comparison_report(
     first = 0 if rep.branch_used == "direction_1_to_2" else 1
     solved_limit = (first == 0) == (mu.support_max <= n)
     try:
-        closed = closed_form_bound(model, n)
-    except ValueError:
+        closed = model.closed_form(n) if model.closed_form else None
+    except ValueError:  # n or z outside the range the closed form is stated for
         closed = None
 
     return LatticeBoundReport(
@@ -360,35 +321,12 @@ def lattice_comparison_report(
     )
 
 
-def closed_form_bound(model: InteractionModel, n: int) -> float:
-    """Analytic distance bound for the two worked interaction families.
-
-    repelling:  lam^(n+1) e^lam / ((n+1)! (1 + lam + lam^2 e^lam / 6))
-    product:    2 e^(e + 1/e) / n + e^(1/n) n^-(n+1) / (n+1)!   (n >= 3, z = 1)
-
-    The repelling form presumes the lattice law is exactly the conditioned
-    limit law, which the midpoint weights violate at k = 2; it is reported
-    for reference but is not a certificate (see the module docstring).
-    """
-    if model.closed_form is None:
-        raise ValueError(f"no closed-form bound for model kind {model.kind!r}")
-    return model.closed_form(n)
-
-
 # ---------------------------------------------------------------------------
 # Size-bias coupling bounds for Bernoulli sums
 # ---------------------------------------------------------------------------
 
-def harmonic_between(x: int, y: int) -> float:
-    """Partial harmonic sum over min(x,y)+1 .. max(x,y) (0 when x = y)."""
-    lo, hi = min(x, y), max(x, y)
-    if lo < 0:
-        raise ValueError(f"harmonic sums run over nonnegative states, got {lo}")
-    return math.fsum(1.0 / ell for ell in range(lo + 1, hi + 1))
-
-
 def _pair_terms(b: np.ndarray, family_cap: float | None) -> np.ndarray:
-    """Table of min(harmonic_between(s, t), |s - t| cap(min(s, t))) on 0..n.
+    """Table of min(oracle.harmonic_between(s, t), |s - t| cap(min(s, t))) on 0..n.
 
     b holds the birth rates on 0..n; cap(k) = 1/b[k] (+inf where b[k] = 0),
     lowered to the family's uniform increment bound where one exists.  The
@@ -479,7 +417,7 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     exists), and adds the mean absolute deviation of the birth rate over
     the sum's law times the exact solution norm.  Licensed by nonincreasing
     rates.  Each piece is the product ((p_i/lam) * pr) * (b[s]/omega) *
-    charge of one pair that CouplingSpec.coupling_given_index lists, and
+    charge of one pair that oracle.coupling_given_index lists, and
     the increment part is their correctly rounded sum, math.fsum over that
     tuple loop, bit for bit.  pointwise_bound is _pointwise_bound's.
     """
@@ -593,11 +531,7 @@ def poisson_sum_bounds(
         independent_bound = factor * _fsum(spec.p**2)
         # column 0 of the leave-one-out laws: the product of 1 - p_j over j != i
         none_else = spec.conditional_sums[:, 0]
-        improved = math.fsum(
-            spec.p[i] ** 2 * min(0.5 * (1.0 + none_else[i]), factor)
-            for i in range(spec.n)
-            if spec.p[i] != 0.0
-        )
+        improved = _fsum(spec.p[live] ** 2 * np.minimum(0.5 * (1.0 + none_else[live]), factor))
 
     return PoissonSumReport(
         lam=lam,

@@ -143,14 +143,13 @@ def _sortable(table: np.ndarray) -> np.ndarray:
 
     math.fsum (Shewchuk's algorithm) rounds the exact sum correctly in any
     order unless a partial sum overflows, and keeps few partials when no
-    entry is larger than the ones before it.  A row of nonnegative entries
-    whose total is below 2^1020 keeps every partial sum finite in any order,
-    so _fsum and _fsum_rows sort such a row of at least _SORTED_FROM entries
-    in descending order.  Any other row (shorter, signed, NaN, inf or near
+    entry is larger than the ones before it.  A row of nonnegative entries,
+    none of them as large as 2^1020 / (row length), keeps every partial sum
+    below 2^1020 in any order, so _fsum and _fsum_rows sort such a row of at
+    least _SORTED_FROM entries in descending order.  Any other row (shorter, signed, NaN, inf or near
     overflow) keeps its order, so math.fsum raises the same error on it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (table.min(axis=-1) >= 0.0) & (table.sum(axis=-1) < 2.0**1020)
+    return (table.min(axis=-1) >= 0.0) & (table.max(axis=-1) < 2.0**1020 / table.shape[-1])
 
 
 def _fsum(x: np.ndarray) -> float:
@@ -321,28 +320,8 @@ class GibbsMeasure:
         """b_k for k = 0..N (with b_N = 0)."""
         return self._birth
 
-    def birth_rate(self, k: int) -> float:
-        if not 0 <= k <= self.support_max:
-            raise ValueError(f"birth rate defined for 0 <= k <= {self.support_max}, got {k}")
-        return float(self._birth[k])
-
-    def death_rate(self, k: int) -> float:
-        if not 1 <= k <= self.support_max:
-            raise ValueError(f"death rate defined for 1 <= k <= {self.support_max}, got {k}")
-        return float(k)
-
     def mean(self) -> float:
         return _fsum(np.arange(self.V.size, dtype=float) * self._pmf)
-
-    def mean_via_rates(self) -> float:
-        """E X = omega * E exp(V(X+1) - V(X)), i.e. the pmf-weighted birth rate."""
-        return _fsum(self._pmf * self._birth)
-
-    def expectation(self, f: np.ndarray) -> float:
-        f = np.asarray(f, dtype=float)
-        if f.shape != self._pmf.shape:
-            raise ValueError(f"test table must have length {self.V.size}, got {f.size}")
-        return _fsum(f * self._pmf)
 
     def cumulatives(self) -> CumulativeTables:
         return self._tables
@@ -480,7 +459,6 @@ def from_pmf(
     omega: float = 1.0,
     kind: str = "pmf",
     params: dict | None = None,
-    truncation: TailPolicy | None = None,
 ) -> GibbsMeasure:
     """Build a measure from nonnegative weights on {0, ..., N}.
 
@@ -502,7 +480,7 @@ def from_pmf(
     log_w = np.log(weights)
     k = np.arange(weights.size, dtype=float)
     V = (log_w - _logsumexp(log_w)) + _log_factorials(weights.size) - k * math.log(omega)
-    return GibbsMeasure(omega, V, kind=kind, params=params, truncation=truncation)
+    return GibbsMeasure(omega, V, kind=kind, params=params)
 
 
 # ---------------------------------------------------------------------------

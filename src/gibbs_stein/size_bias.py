@@ -31,9 +31,10 @@ lockstep pass.  The CDFs of S and of every Shat_i are one compensated
 running sum over an (n+1) x (n+1) table and the pairs one stable sort per
 index of two sorted runs (a linear merge), so a spec costs O(n^2) time and
 memory.  Correctly rounded sums are math.fsum's, through measures._fsum
-(_fsum_rows for each row of a table).  The tuple loop
-coupling_given_index lists the same pairs by a two-pointer merge; it is
-the reference the tables are tested against.
+(_fsum_rows for each row of a table).  The references the tables are
+tested against live in `oracle`: bernoulli_convolution for the
+leave-one-out laws, and coupling_given_index, a tuple loop that lists the
+monotone pairs of one index by a two-pointer merge.
 """
 
 from __future__ import annotations
@@ -118,20 +119,13 @@ def size_bias(base: np.ndarray) -> SizeBiasLaw:
     return SizeBiasLaw(base=base, biased=biased, mean=mean)
 
 
-def bernoulli_convolution(p: np.ndarray) -> np.ndarray:
-    """Exact law of a sum of independent Bernoulli(p_i) variables."""
-    law = np.array([1.0])
-    for pi in np.asarray(p, dtype=float):
-        law = np.convolve(law, [1.0 - pi, pi])
-    return law
-
-
 def _leave_one_out_laws(p: np.ndarray) -> np.ndarray:
     """Leave-one-out laws of independent Bernoulli(p_i) coordinates, with the full law.
 
-    Row i < n of the (n+1) x (n+1) result is bernoulli_convolution(np.delete(p, i))
-    on 0..n-1 and row n is bernoulli_convolution(p), bit for bit: all rows
-    are built in one lockstep pass over the coordinates.  At step k the rows
+    Row i < n of the (n+1) x (n+1) result is
+    oracle.bernoulli_convolution(np.delete(p, i)) on 0..n-1 and row n is
+    oracle.bernoulli_convolution(p), bit for bit: all rows are built in one
+    lockstep pass over the coordinates.  At step k the rows
     i < k fold in coordinate k by new[s] = old[s](1 - p_k) + old[s-1] p_k,
     the two products np.convolve adds, while row k keeps the law of the
     coordinates before k and row k + 1 takes that law with p_k folded in.
@@ -348,43 +342,6 @@ class CouplingSpec:
         self._cdf_tables = (live, cdf[0], cdf[1:, :n])
         return self._cdf_tables
 
-    def coupling_given_index(self, i: int) -> list[tuple[float, int, int]]:
-        """Joint law of (S, Shat_i) given I = i as (prob, s, s_hat) triples of positive prob.
-
-        The perfect coupling Shat_i = S - X_i for independent coordinates;
-        otherwise the monotone one, by a two-pointer merge of the CDFs of
-        _cdfs that takes the CDF of S first on a tie.
-        """
-        if not 0 <= i < self.n:
-            raise ValueError("index out of range")
-        if self.p[i] <= 0.0:
-            raise ValueError("coupling undefined for an index with zero mean")
-        cond = self.conditional_sums[i]
-        out: list[tuple[float, int, int]] = []
-        if self.independent:
-            # Shat_i = S - X_i with X_i independent of Shat_i.
-            for s_hat, pr in enumerate(cond):
-                if pr == 0.0:
-                    continue
-                out.append((pr * self.p[i], s_hat + 1, s_hat))
-                out.append((pr * (1.0 - self.p[i]), s_hat, s_hat))
-            return out
-        live, F, F_hat = self._cdfs()
-        ends, hat = F.tolist(), F_hat[np.searchsorted(live, i)].tolist()
-        n = self.n
-        a = b = 0
-        last = 0.0
-        while a <= n or b < n:
-            s, t = min(a, n), b
-            if b == n or (a <= n and ends[a] <= hat[b]):
-                end, a = ends[a], a + 1
-            else:
-                end, b = hat[b], b + 1
-            if end != last:
-                out.append((end - last, s, t))
-            last = end
-        return out
-
     def monotone_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The monotone (quantile) coupling of S with each Shat_i, as tables (s, t, mass).
 
@@ -392,8 +349,8 @@ class CouplingSpec:
         of S and Shat_i, i the k-th index with p_i > 0, those of S first on a
         tie: a stretch's mass is its length and (s, t) are the two quantiles
         on it, each CDF's breakpoints sorted before its right end.  Stretches
-        of positive mass are the pairs of coupling_given_index, bit for bit.
-        Built once.
+        of positive mass are the pairs of oracle.coupling_given_index, bit
+        for bit.  Built once.
         """
         if self._pairs is None:
             n = self.n

@@ -29,8 +29,9 @@ computed as tables over j = 1..N in a few whole-array passes
 (`sup_solution_table`, `sup_increment_table`), and the solution norm is the
 maximum of the first table, so each costs O(N) numpy work.  The values at
 one j (`sup_solution_exact`, `sup_increment_exact`) are reads of these
-tables.  The reference they are checked against shares none of their
-arithmetic: the coefficient vectors and their box supremum.
+tables.  The reference they are checked against, the coefficient vectors
+and their box supremum, shares none of their arithmetic and lives in
+`oracle`.
 
 A measure with support {0..n} can also be compared against laws living on
 a larger range: the generator is extended as a pure-death process above n
@@ -40,7 +41,6 @@ Stein equation valid there for f vanishing off the support (class B0).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +54,10 @@ __all__ = [
     "solve_extended",
     "apply_generator",
     "stationarity_defect",
-    "solution_coefficients",
-    "increment_coefficients",
     "sup_solution_exact",
     "sup_increment_exact",
     "sup_solution_table",
     "sup_increment_table",
-    "extremal_indicator",
     "sup_solution_norm",
 ]
 
@@ -231,46 +228,6 @@ def _check_index(m: GibbsMeasure, j: int, quantity: str) -> None:
         raise ValueError(f"{quantity} coefficients defined for 1 <= j <= {n}")
 
 
-def solution_coefficients(m: GibbsMeasure, j: int) -> np.ndarray:
-    """Coefficients c with g_f(j) = sum_k c[k] f(k) for every test table f."""
-    _check_index(m, j, "solution")
-    n = m.support_max
-    pmf = m.pmf
-    tables = m.cumulatives()
-    scale = j * pmf[j]
-    c = np.empty(n + 1)
-    c[:j] = pmf[:j] * (tables.Fbar[j] / scale)
-    c[j:] = -pmf[j:] * (tables.F[j - 1] / scale)
-    return c
-
-
-def increment_coefficients(m: GibbsMeasure, j: int) -> np.ndarray:
-    """Coefficients d with g_f(j+1) - g_f(j) = sum_k d[k] f(k)."""
-    _check_index(m, j, "increment")
-    c_j = solution_coefficients(m, j)
-    if j == m.support_max:
-        # g(N+1) = 0, so the increment at N is -g(N).
-        return -c_j
-    return solution_coefficients(m, j + 1) - c_j
-
-
-def _box_supremum(coeffs: np.ndarray, f_support: int | None) -> tuple[float, np.ndarray]:
-    """Sup of |sum c_k f_k| over f in [0,1]^m (optionally f = 0 above f_support).
-
-    Returns the value and an attaining indicator table (ties resolved to 0).
-    """
-    active = coeffs if f_support is None else coeffs[: f_support + 1]
-    pos = math.fsum(active[active > 0.0].tolist())
-    neg = -math.fsum(active[active < 0.0].tolist())
-    f_star = np.zeros(coeffs.size)
-    if pos >= neg:
-        value, mask = pos, active > 0.0
-    else:
-        value, mask = neg, active < 0.0
-    f_star[: active.size][mask] = 1.0
-    return value, f_star
-
-
 def sup_solution_exact(m: GibbsMeasure, j: int, f_support: int | None = None) -> float:
     """Exact sup over f in B (or B0 with the given support s) of |g_f(j)|.
 
@@ -287,17 +244,6 @@ def sup_increment_exact(m: GibbsMeasure, j: int, f_support: int | None = None) -
     """
     _check_index(m, j, "increment")
     return float(sup_increment_table(m, f_support)[j - 1])
-
-
-def extremal_indicator(m: GibbsMeasure, j: int, quantity: str = "increment") -> np.ndarray:
-    """An indicator test function attaining the exact supremum at j."""
-    if quantity == "increment":
-        _, f_star = _box_supremum(increment_coefficients(m, j), None)
-    elif quantity == "solution":
-        _, f_star = _box_supremum(solution_coefficients(m, j), None)
-    else:
-        raise ValueError("quantity must be 'increment' or 'solution'")
-    return f_star
 
 
 def _products_over(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:

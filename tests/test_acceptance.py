@@ -30,6 +30,10 @@ import numpy as np
 import pytest
 
 import gibbs_stein as gs
+from gibbs_stein.factors import solution_bound, supnorm_bound
+from gibbs_stein.lattice import limit_measure
+from gibbs_stein.size_bias import size_bias, sum_size_bias
+from gibbs_stein.stein import sup_solution_norm
 
 SEED = 20250810
 
@@ -44,8 +48,8 @@ def _measure_suite():
         gs.poisson(5.0),
         gs.binomial(10, 0.3),
         gs.geometric(0.4),
-        gs.limit_measure(gs.repelling_model(1.0)),
-        gs.limit_measure(gs.product_model(1.0)),
+        limit_measure(gs.repelling_model(1.0)),
+        limit_measure(gs.product_model(1.0)),
     ]
 
 
@@ -129,7 +133,7 @@ def test_criterion_4_geometric_norm():
     worst = -math.inf
     for p in np.arange(0.1, 0.95, 0.1):
         m = gs.geometric(float(p))
-        excess = gs.sup_solution_norm(m) - 1.0 / p
+        excess = sup_solution_norm(m) - 1.0 / p
         worst = max(worst, excess)
     assert worst <= 1e-10
     _report("4", f"max_j sup_f |g(j)| <= 1/p for p in 0.1..0.9 (max excess {worst:.2e})")
@@ -142,17 +146,17 @@ def test_criterion_4_geometric_norm():
 def test_criterion_5_rate_spread_norm():
     for lam in (0.5, 1.0, 5.0):
         m = gs.poisson(lam)
-        cert = gs.supnorm_bound(m)
+        cert = supnorm_bound(m)
         assert cert.applicable and cert.value == 2.0
-        assert cert.value >= gs.sup_solution_norm(m) - 1e-10
+        assert cert.value >= sup_solution_norm(m) - 1e-10
     min_margin = math.inf
     for p in np.linspace(0.1, 0.9, 9):
         m = gs.binomial(10, float(p))
-        cert = gs.supnorm_bound(m)
+        cert = supnorm_bound(m)
         assert cert.applicable
-        min_margin = min(min_margin, cert.value - gs.sup_solution_norm(m))
+        min_margin = min(min_margin, cert.value - sup_solution_norm(m))
     assert min_margin >= -1e-10
-    geo = gs.supnorm_bound(gs.geometric(0.4))
+    geo = supnorm_bound(gs.geometric(0.4))
     assert not geo.applicable and geo.value is None
     _report("5", f"Poisson value 2 dominates exact norm; binomial margin "
                  f">= {min_margin:.2e} across the p-grid; geometric reported inapplicable")
@@ -189,7 +193,7 @@ def test_criterion_6_conditioning_sharpness():
 
 def test_criterion_7_bound_formula_value():
     model = gs.repelling_model(1.0)
-    value = gs.closed_form_bound(model, 2)
+    value = model.closed_form(2)
     assert value == pytest.approx(math.e / (12.0 + math.e), rel=1e-12)
     _report("7 (formula)", f"closed-form value at n=2, lam=1 is e/(12+e) = {value:.5f}")
 
@@ -231,13 +235,13 @@ def test_criterion_7_repelling_closed_form_dominates():
 
 def test_criterion_8_product_family():
     model = gs.product_model(1.0)
-    mu = gs.limit_measure(model, truncation=60)
+    mu = limit_measure(model, truncation=60)
     min_margin = math.inf
     max_ratio_frac = 0.0
     for n in range(3, 13):
         mu_n = gs.lattice_measure(model, n)
         tv = gs.tv_distance(mu_n.pmf, mu.pmf)
-        closed = gs.closed_form_bound(model, n)
+        closed = model.closed_form(n)
         min_margin = min(min_margin, closed - tv)
         rep = gs.lattice_comparison_report(model, n, limit=mu)
         max_ratio_frac = max(max_ratio_frac, rep.ratio_term / (2.0 * math.exp(math.e) / n))
@@ -259,7 +263,7 @@ def test_criterion_9_size_bias():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for base in (gs.poisson(1.0).pmf, gs.binomial(9, 0.35).pmf, rng.dirichlet(np.ones(14))):
-        law = gs.size_bias(base)
+        law = size_bias(base)
         k = np.arange(base.size)
         for _ in range(50):
             f = rng.uniform(0.0, 1.0, base.size)
@@ -268,7 +272,7 @@ def test_criterion_9_size_bias():
             worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-12
     for p in (0.2, 0.7, 1.0):
-        assert gs.size_bias(np.array([1 - p, p])).biased[1] == pytest.approx(1.0, abs=1e-14)
+        assert size_bias(np.array([1 - p, p])).biased[1] == pytest.approx(1.0, abs=1e-14)
     worst_sum = 0.0
     for n in (2, 5, 8, 12):
         p = rng.uniform(0.05, 0.95, n)
@@ -277,8 +281,8 @@ def test_criterion_9_size_bias():
         for bits in itertools.product((0, 1), repeat=n):
             pr = math.prod(p[i] if b else 1 - p[i] for i, b in enumerate(bits))
             law[sum(bits)] += pr
-        direct = gs.size_bias(law).biased
-        worst_sum = max(worst_sum, float(np.max(np.abs(gs.sum_size_bias(spec) - direct))))
+        direct = size_bias(law).biased
+        worst_sum = max(worst_sum, float(np.max(np.abs(sum_size_bias(spec) - direct))))
     assert worst_sum <= 1e-12
     _report("9", f"mean identity gap {worst:.2e} <= 1e-12 (50 f per law); Bernoulli point "
                  f"mass; sum construction matches enumeration up to n=12 ({worst_sum:.2e})")
@@ -352,8 +356,8 @@ def test_criterion_12_reparametrization_invariance():
         rr = gs.rate_range(m)
         j_probe = min(3, m.support_max)
         inc = gs.increment_bound(m, j_probe)[0].value
-        sol = gs.solution_bound(m, j_probe).value
-        norm = gs.supnorm_bound(m)
+        sol = solution_bound(m, j_probe).value
+        norm = supnorm_bound(m)
         for alpha in (0.1, 2.0, 10.0):
             m2 = m.reparametrized(alpha)
             worst = max(worst, float(np.max(np.abs(m2.pmf - m.pmf))))
@@ -364,8 +368,8 @@ def test_criterion_12_reparametrization_invariance():
             if math.isfinite(rr.sup_rate):
                 worst = max(worst, _rel_gap(rr2.sup_rate, rr.sup_rate))
             worst = max(worst, _rel_gap(gs.increment_bound(m2, j_probe)[0].value, inc))
-            worst = max(worst, _rel_gap(gs.solution_bound(m2, j_probe).value, sol))
-            norm2 = gs.supnorm_bound(m2)
+            worst = max(worst, _rel_gap(solution_bound(m2, j_probe).value, sol))
+            norm2 = supnorm_bound(m2)
             assert norm2.applicable == norm.applicable
             if norm.applicable:
                 worst = max(worst, _rel_gap(norm2.value, norm.value))

@@ -19,10 +19,10 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 ROOTS = {"gs": gs, "cli": cli, "compare": compare}
 
 
-def attribute_chains(path: Path) -> set[tuple[str, ...]]:
-    """Every outermost attribute chain in the file whose root is one of ROOTS, as names."""
+def attribute_chains(source: str) -> set[tuple[str, ...]]:
+    """Every outermost attribute chain in the Python source whose root is one of ROOTS, as names."""
     chains, inner = set(), set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Attribute) or id(node) in inner:
             continue
         names, part = [], node
@@ -37,7 +37,7 @@ def attribute_chains(path: Path) -> set[tuple[str, ...]]:
 
 @pytest.mark.parametrize("script", ["workloads.py", "selftest.py"])
 def test_bench_library_names_resolve(script):
-    chains = attribute_chains(BENCH / script)
+    chains = attribute_chains((BENCH / script).read_text())
     assert chains, script
     missing = []
     for root, *names in sorted(chains):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbs_stein as gs
+from gibbs_stein.oracle import coupling_given_index
 from gibbs_stein.size_bias import _leave_one_out_laws
 
 # how a coordinate's means are drawn in both labels of a mixture
@@ -81,7 +82,7 @@ def assert_pairs_are_the_coupling(spec):
         assert np.max(np.abs(np.bincount(s[k], mass[k], n + 1) - law)) <= 1e-12, i
         assert np.max(np.abs(np.bincount(t[k], mass[k], n) - spec.conditional_sums[i])) <= 1e-12, i
         pairs = [(pr, a, b) for pr, a, b in zip(mass[k].tolist(), s[k].tolist(), t[k].tolist()) if pr != 0.0]
-        assert pairs == spec.coupling_given_index(i), i
+        assert pairs == coupling_given_index(spec, i), i
 
 
 def assert_bounds_dominate(spec, extra):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import gibbs_stein as gs
+from gibbs_stein.factors import closed_form_bounds, supnorm_bound
+from gibbs_stein.lattice import limit_measure
 from gibbs_stein.measures import FAMILIES
+from gibbs_stein.stein import sup_solution_norm
 
 INSTANCES = {
     "poisson": [lambda: gs.poisson(1e-3), lambda: gs.poisson(1.0), lambda: gs.poisson(30.0)],
@@ -20,10 +23,10 @@ INSTANCES = {
     "hypergeometric": [lambda: gs.hypergeometric(20, 5, 6), lambda: gs.hypergeometric(60, 12, 20)],
     "discrete_uniform": [lambda: gs.discrete_uniform(0), lambda: gs.discrete_uniform(1),
                          lambda: gs.discrete_uniform(12)],
-    "repelling_limit": [lambda: gs.limit_measure(gs.repelling_model(0.5)),
-                        lambda: gs.limit_measure(gs.repelling_model(2.0))],
-    "product_limit": [lambda: gs.limit_measure(gs.product_model(1.0)),
-                      lambda: gs.limit_measure(gs.product_model(2.0))],
+    "repelling_limit": [lambda: limit_measure(gs.repelling_model(0.5)),
+                        lambda: limit_measure(gs.repelling_model(2.0))],
+    "product_limit": [lambda: limit_measure(gs.product_model(1.0)),
+                      lambda: limit_measure(gs.product_model(2.0))],
 }
 
 
@@ -33,7 +36,7 @@ def _exact(m, cert, increments):
     if cert.quantity == "increment_uniform":
         return max(increments)
     assert cert.quantity == "solution_norm"
-    return gs.sup_solution_norm(m)
+    return sup_solution_norm(m)
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
@@ -50,8 +53,8 @@ def test_family_record_holds_on_instances(kind):
         if m.support_max == 0:
             continue
         increments = gs.sup_increment_table(m).tolist()
-        certs = [gs.supnorm_bound(m), *gs.closed_form_bounds(m)]
-        certs += [c for j in range(1, m.support_max + 1) for c in gs.closed_form_bounds(m, j=j)]
+        certs = [supnorm_bound(m), *closed_form_bounds(m)]
+        certs += [c for j in range(1, m.support_max + 1) for c in closed_form_bounds(m, j=j)]
         for cert in certs:
             if not cert.licensed:
                 continue

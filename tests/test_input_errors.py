@@ -18,6 +18,10 @@ import pytest
 
 import gibbs_stein as gs
 from gibbs_stein import compare, factors
+from gibbs_stein.lattice import InteractionModel, limit_measure
+from gibbs_stein.oracle import coupling_given_index, extremal_indicator, grid_points
+from gibbs_stein.size_bias import size_bias, stein_residual_via_size_bias, sum_size_bias
+from gibbs_stein.stein import apply_generator, solve_extended, stationarity_defect
 from gibbs_stein.cli import main
 
 M = gs.poisson(1.0, truncation=4)
@@ -27,7 +31,7 @@ DEPENDENT = gs.CouplingSpec([0.5, 0.5], conditional_sums=[[0.5, 0.5], [0.5, 0.5]
 
 def _model(kind, log_Wn_fn=lambda n, k: 0.0):
     """An interaction model built directly, of a kind no limit family is registered for."""
-    return gs.InteractionModel(kind, 1.0, "midpoint", lambda points: 1.0, log_Wn_fn, lambda k: 0.0)
+    return InteractionModel(kind, 1.0, log_Wn_fn, lambda k: 0.0)
 
 
 # poisson-sum --spec payloads that fail by field name (run through the CLI below too)
@@ -59,11 +63,11 @@ CASES = {
     "solve_unknown_method": (lambda: gs.solve(M, np.zeros(5), method="bogus"), "unknown method 'bogus'"),
     "residual_index_out_of_range": (lambda: SOLUTION.residual(6), "residual defined for 0 <= k <= 4"),
     "solve_extended_domain_within_support": (
-        lambda: gs.solve_extended(M, np.zeros(5), 4), "domain_max must exceed the measure's support bound"),
-    "apply_generator_short_g": (lambda: gs.apply_generator(M, np.zeros(5), 0), "g must be defined on 0..N+1"),
-    "stationarity_defect_short_g": (lambda: gs.stationarity_defect(M, np.zeros(5)), "g must be defined on 0..N+1"),
+        lambda: solve_extended(M, np.zeros(5), 4), "domain_max must exceed the measure's support bound"),
+    "apply_generator_short_g": (lambda: apply_generator(M, np.zeros(5), 0), "g must be defined on 0..N+1"),
+    "stationarity_defect_short_g": (lambda: stationarity_defect(M, np.zeros(5)), "g must be defined on 0..N+1"),
     "extremal_indicator_unknown_quantity": (
-        lambda: gs.extremal_indicator(M, 1, "bogus"), "quantity must be 'increment' or 'solution'"),
+        lambda: extremal_indicator(M, 1, "bogus"), "quantity must be 'increment' or 'solution'"),
     "test_function_empty": (lambda: gs.TestFunction([]), "test function must be a non-empty 1-d table"),
     "test_function_2d": (lambda: gs.TestFunction([[0.5]]), "test function must be a non-empty 1-d table"),
     # measures
@@ -75,7 +79,6 @@ CASES = {
         lambda: gs.GibbsMeasure(1.0, []), "potential table must be one-dimensional and non-empty"),
     "measure_potential_inf": (
         lambda: gs.GibbsMeasure(1.0, [0.0, math.inf]), "potential must be finite on the whole support"),
-    "expectation_length": (lambda: M.expectation(np.zeros(3)), "test table must have length 5, got 3"),
     "reparametrized_alpha": (lambda: M.reparametrized(0.0), "alpha must be positive"),
     "restricted_bound": (lambda: M.restricted(5), "restriction bound must lie in the support, got 5"),
     "binomial_p": (lambda: gs.binomial(10, 1.5), "binomial needs 0 < p < 1"),
@@ -123,7 +126,7 @@ CASES = {
     "truncation_text": (
         lambda: gs.poisson(3.0, truncation="eight"), "truncation bound must be a finite whole number, got 'eight'"),
     "limit_truncation_fractional": (
-        lambda: gs.limit_measure(gs.repelling_model(1.0), truncation=9.5),
+        lambda: limit_measure(gs.repelling_model(1.0), truncation=9.5),
         "truncation bound must be a finite whole number, got 9.5"),
     "poisson_sum_truncation_fractional": (
         lambda: gs.poisson_sum_bounds(gs.CouplingSpec.independent_bernoulli([0.1, 0.2]), truncation=7.5),
@@ -134,7 +137,7 @@ CASES = {
     "tail_tol_none": (lambda: gs.poisson(3.0, tail_tol=None), "tail_tol must be a real number, got None"),
     "tail_tol_text": (lambda: gs.poisson(3.0, tail_tol="0.1"), "tail_tol must be a real number, got '0.1'"),
     "limit_tail_tol_text": (
-        lambda: gs.limit_measure(gs.product_model(1.0), tail_tol="0.1"), "tail_tol must be a real number, got '0.1'"),
+        lambda: limit_measure(gs.product_model(1.0), tail_tol="0.1"), "tail_tol must be a real number, got '0.1'"),
     "tail_tol_zero": (
         lambda: gs.poisson(3.0, tail_tol=0.0), "tail tolerance must lie strictly between 0 and 1, got 0.0"),
     "tail_tol_one": (
@@ -145,8 +148,8 @@ CASES = {
     "from_pmf_omega_negative": (
         lambda: gs.from_pmf([1.0, 2.0], omega=-1), "activity omega must be a positive finite real, got -1.0"),
     # size_bias
-    "size_bias_empty": (lambda: gs.size_bias([]), "base law must be a non-empty 1-d table"),
-    "size_bias_2d": (lambda: gs.size_bias([[1.0]]), "base law must be a non-empty 1-d table"),
+    "size_bias_empty": (lambda: size_bias([]), "base law must be a non-empty 1-d table"),
+    "size_bias_2d": (lambda: size_bias([[1.0]]), "base law must be a non-empty 1-d table"),
     "bernoulli_means_empty": (
         lambda: gs.CouplingSpec.independent_bernoulli([]), "p must be a non-empty vector of Bernoulli means"),
     "conditional_sums_shape": (
@@ -156,19 +159,19 @@ CASES = {
     "configurations_ragged": (
         lambda: gs.CouplingSpec.from_configurations([((0, 1), 0.5), ((1,), 0.5)]),
         "configurations must share one length"),
-    "coupling_index_out_of_range": (lambda: DEPENDENT.coupling_given_index(2), "index out of range"),
+    "coupling_index_out_of_range": (lambda: coupling_given_index(DEPENDENT, 2), "index out of range"),
     # coupling specs read from JSON
     **{f"spec_{name}": (lambda payload=payload: gs.CouplingSpec.from_dict(payload), message)
        for name, (payload, message) in SPEC_PAYLOADS.items()},
     "sum_size_bias_mismatch": (
-        lambda: gs.sum_size_bias(gs.CouplingSpec(
+        lambda: sum_size_bias(gs.CouplingSpec(
             [0.5, 0.5], conditional_sums=[[0.5, 0.5], [0.5, 0.5]], independent=False, sum_law=[0.5, 0.0, 0.5])),
         "mixture law differs from the size-biased sum law by 5.000e-01; the conditional tables are inconsistent"),
     "size_bias_residual_W_too_long": (
-        lambda: gs.stein_residual_via_size_bias(M, np.full(6, 1 / 6), np.array([1.0]), np.zeros(5)),
+        lambda: stein_residual_via_size_bias(M, np.full(6, 1 / 6), np.array([1.0]), np.zeros(5)),
         "W must live inside the measure's support"),
     "size_bias_residual_Wstar_too_long": (
-        lambda: gs.stein_residual_via_size_bias(M, np.array([1.0]), np.full(7, 1 / 7), np.zeros(5)),
+        lambda: stein_residual_via_size_bias(M, np.array([1.0]), np.full(7, 1 / 7), np.zeros(5)),
         "W* must live inside 0..N+1"),
     # compare, factors, lattice
     "tv_distance_2d": (
@@ -181,7 +184,7 @@ CASES = {
     "comparison_user_without_values": (
         lambda: gs.generator_comparison(M, M, "user"), "user-supplied norms require g_norm_values"),
     "condition_unknown_name": (lambda: factors.condition(M, "bogus"), "unknown condition 'bogus'"),
-    "grid_points_unknown_rule": (lambda: gs.grid_points(3, "bogus"), "unknown point rule 'bogus'"),
+    "grid_points_unknown_rule": (lambda: grid_points(3, "bogus"), "unknown point rule 'bogus'"),
     "lattice_no_cells": (lambda: gs.lattice_measure(gs.ideal_gas_model(1.0), 0), "need at least one cell"),
     "lattice_cells_above_the_table_ceiling": (
         lambda: gs.lattice_measure(gs.ideal_gas_model(1.0), 10**11), "need at most 1048575 cells, got 100000000000"),
@@ -189,7 +192,7 @@ CASES = {
         lambda: gs.lattice_measure(_model("vanishing", log_Wn_fn=lambda n, k: -math.inf), 3),
         "lattice weights vanish inside {0..n}; support must be contiguous"),
     "limit_of_unregistered_kind": (
-        lambda: gs.limit_measure(_model("attracting")),
+        lambda: limit_measure(_model("attracting")),
         "model kind 'attracting' has no limit law with a proved tail"),
 }
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import hypergeom, nbinom
 
 import gibbs_stein as gs
-from gibbs_stein.measures import _log_gamma_run, _logsumexp
+from gibbs_stein.lattice import limit_measure
+from gibbs_stein.measures import _fsum, _log_gamma_run, _logsumexp, builtin
 
 
 def test_from_pmf_normalizes_simple_table():
@@ -61,7 +62,7 @@ def test_default_truncation_tail_below_tolerance():
 
 
 def test_builtin_dispatch_and_param_validation():
-    assert gs.builtin("discrete_uniform", 3).pmf == pytest.approx([0.25] * 4)
+    assert builtin("discrete_uniform", 3).pmf == pytest.approx([0.25] * 4)
     with pytest.raises(ValueError):
         gs.poisson(-1.0)
     with pytest.raises(ValueError):
@@ -69,7 +70,7 @@ def test_builtin_dispatch_and_param_validation():
     with pytest.raises(ValueError):
         gs.binomial(0, 0.5)
     with pytest.raises(ValueError):
-        gs.builtin("cauchy", 1.0)
+        builtin("cauchy", 1.0)
 
 
 def test_negative_binomial_matches_scipy_weights():
@@ -92,14 +93,14 @@ def test_hypergeometric_matches_scipy_and_rejects_shifted_support():
 def test_binomial_birth_rates():
     m = gs.binomial(10, 0.3)
     for k in range(10):
-        assert m.birth_rate(k) == pytest.approx(0.3 * (10 - k) / 0.7, rel=1e-12)
-    assert m.birth_rate(10) == 0.0
+        assert m.birth_rates[k] == pytest.approx(0.3 * (10 - k) / 0.7, rel=1e-12)
+    assert m.birth_rates[10] == 0.0
 
 
 def test_geometric_birth_rates():
     m = gs.geometric(0.5)
     for k in range(0, 20):
-        assert m.birth_rate(k) == pytest.approx(0.5 * (k + 1), rel=1e-12)
+        assert m.birth_rates[k] == pytest.approx(0.5 * (k + 1), rel=1e-12)
 
 
 def test_poisson_birth_rates_constant():
@@ -111,8 +112,9 @@ def test_detailed_balance_identity():
     for m in (gs.poisson(1.0), gs.binomial(10, 0.5), gs.geometric(0.4),
               gs.discrete_uniform(6), gs.hypergeometric(20, 6, 7)):
         for k in range(m.support_max):
-            lhs = m.pmf[k] * m.birth_rate(k)
-            rhs = m.pmf[k + 1] * m.death_rate(k + 1)
+            # death rate d_(k+1) = k + 1
+            lhs = m.pmf[k] * m.birth_rates[k]
+            rhs = m.pmf[k + 1] * (k + 1)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -120,33 +122,26 @@ def test_pmf_recursion_through_rates():
     for m in (gs.poisson(3.0), gs.binomial(8, 0.25), gs.negative_binomial(2.0, 0.5)):
         for k in range(m.support_max):
             assert m.pmf[k + 1] == pytest.approx(
-                m.pmf[k] * m.birth_rate(k) / (k + 1), rel=1e-12
+                m.pmf[k] * m.birth_rates[k] / (k + 1), rel=1e-12
             )
-
-
-def test_rate_domain_validation():
-    m = gs.poisson(1.0, truncation=10)
-    with pytest.raises(ValueError):
-        m.birth_rate(11)
-    with pytest.raises(ValueError):
-        m.death_rate(0)
 
 
 def test_mean_two_ways_poisson():
     m = gs.poisson(3.0, truncation=60)
     assert m.mean() == pytest.approx(3.0, abs=1e-10)
-    assert m.mean_via_rates() == pytest.approx(m.mean(), abs=1e-10)
+    # E b_X = E X, the pmf-weighted birth rate
+    assert _fsum(m.pmf * m.birth_rates) == pytest.approx(m.mean(), abs=1e-10)
 
 
 def test_mean_two_ways_geometric():
     m = gs.geometric(0.5, truncation=80)
     assert m.mean() == pytest.approx(1.0, abs=1e-10)
-    assert m.mean_via_rates() == pytest.approx(m.mean(), abs=1e-10)
+    assert _fsum(m.pmf * m.birth_rates) == pytest.approx(m.mean(), abs=1e-10)
 
 
 def test_expectation_of_one_is_one():
     m = gs.binomial(6, 0.3)
-    assert m.expectation(np.ones(7)) == pytest.approx(1.0, abs=1e-12)
+    assert _fsum(np.ones(7) * m.pmf) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cumulative_tables_invariants():
@@ -211,8 +206,8 @@ def test_restricted_is_conditioned_law():
     expected = m.pmf[:3] / m.pmf[:3].sum()
     assert np.allclose(cond.pmf, expected, atol=1e-14)
     # same birth rates on the shared range (except the boundary)
-    assert cond.birth_rate(0) == pytest.approx(m.birth_rate(0), rel=1e-12)
-    assert cond.birth_rate(1) == pytest.approx(m.birth_rate(1), rel=1e-12)
+    assert cond.birth_rates[0] == pytest.approx(m.birth_rates[0], rel=1e-12)
+    assert cond.birth_rates[1] == pytest.approx(m.birth_rates[1], rel=1e-12)
 
 
 def test_overwide_truncation_rejected_at_construction():
@@ -227,7 +222,7 @@ def _truncated_laws():
         yield gs.geometric(0.3, truncation=t)
         yield gs.negative_binomial(2.5, 0.4, truncation=t)
         for model in (gs.ideal_gas_model(1.5), gs.repelling_model(1.0), gs.product_model(2.0)):
-            yield gs.limit_measure(model, truncation=t)
+            yield limit_measure(model, truncation=t)
     yield gs.poisson(3.0, tail_tol=1e-6)
     yield gs.geometric(0.9, tail_tol=0.5)
     yield gs.poisson(2.0, truncation=25).reparametrized(3.0)
@@ -263,7 +258,7 @@ def test_from_dict_rebuilds_registered_kinds_from_params():
     with pytest.raises(ValueError, match="binomial params"):
         gs.GibbsMeasure.from_dict(wider)
     for model in (gs.repelling_model(1.0), gs.product_model(1.0)):
-        limit = gs.limit_measure(model).to_dict()
+        limit = limit_measure(model).to_dict()
         with pytest.raises(ValueError, match="cannot be rebuilt"):
             gs.GibbsMeasure.from_dict(limit)
     # kinds outside the registry load as before
@@ -346,11 +341,11 @@ def _tail_cases():
                lambda k, r=r, p=p: (1 - mp(p)) * (mp(r) + k) / (k + 1))
     for lam in (0.1, 1.0, 5.0, 30.0):
         weight = lambda k: mp(1) if k < 2 else mp(k) * (k - 1) / 6
-        yield (gs.limit_measure(gs.repelling_model(lam)), 1e-14,
+        yield (limit_measure(gs.repelling_model(lam)), 1e-14,
                lambda k, lam=lam, weight=weight: mp(lam) * weight(k + 1) / (weight(k) * (k + 1)))
     for z in (0.5, 1.0, 2.0, 5.0):
         weight = lambda k: mp(1) if k == 0 else mp(k) ** -k
-        yield (gs.limit_measure(gs.product_model(z)), 1e-14,
+        yield (limit_measure(gs.product_model(z)), 1e-14,
                lambda k, z=z, weight=weight: mp(z) * weight(k + 1) / (weight(k) * (k + 1)))
 
 

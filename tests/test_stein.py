@@ -8,13 +8,15 @@ import pytest
 
 import gibbs_stein as gs
 from gibbs_stein.compare import solution_norm
+from gibbs_stein.oracle import _box_supremum, extremal_indicator, increment_coefficients, solution_coefficients
 from gibbs_stein.stein import (
-    _box_supremum,
     _compensated_cumsum,
-    extremal_indicator,
-    increment_coefficients,
-    solution_coefficients,
+    apply_generator,
+    solve_extended,
     stationarity_defect,
+    sup_increment_exact,
+    sup_solution_norm,
+    sup_solution_table,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -136,15 +138,15 @@ def test_apply_generator_basics():
     m = gs.poisson(2.0, truncation=30)
     zeros = np.zeros(m.support_max + 2)
     for k in (0, 3, 30):
-        assert gs.apply_generator(m, zeros, k) == 0.0
+        assert apply_generator(m, zeros, k) == 0.0
     f = RNG.uniform(0.0, 1.0, 31)
     sol = gs.solve(m, f)
     for k in range(31):
-        assert gs.apply_generator(m, sol.g, k) == pytest.approx(f[k] - sol.mu_f, abs=1e-11)
+        assert apply_generator(m, sol.g, k) == pytest.approx(f[k] - sol.mu_f, abs=1e-11)
     with pytest.raises(ValueError):
-        gs.apply_generator(m, sol.g, 31)
+        apply_generator(m, sol.g, 31)
     with pytest.raises(ValueError):
-        gs.apply_generator(m, sol.g, -1)
+        apply_generator(m, sol.g, -1)
 
 
 def test_length_mismatch_rejected():
@@ -159,7 +161,7 @@ def test_length_mismatch_rejected():
 
 def test_extended_zero_function():
     m = gs.poisson(1.0, truncation=6)
-    sol = gs.solve_extended(m, np.zeros(15), domain_max=14)
+    sol = solve_extended(m, np.zeros(15), domain_max=14)
     assert np.max(np.abs(sol.g)) == 0.0
 
 
@@ -168,7 +170,7 @@ def test_extended_requires_vanishing_tail():
     bad = np.zeros(15)
     bad[10] = 0.3
     with pytest.raises(ValueError, match="B0"):
-        gs.solve_extended(m, bad, domain_max=14)
+        solve_extended(m, bad, domain_max=14)
 
 
 def test_extended_boundary_step_identity():
@@ -177,7 +179,7 @@ def test_extended_boundary_step_identity():
     n = m.support_max
     f = np.zeros(12)
     f[: n + 1] = RNG.uniform(0.0, 1.0, n + 1)
-    sol = gs.solve_extended(m, f, domain_max=11)
+    sol = solve_extended(m, f, domain_max=11)
     step = sol.g[n + 1] - sol.g[n]
     assert step == pytest.approx((f[n] - sol.mu_f / (n + 1)) / n, abs=1e-12)
 
@@ -187,7 +189,7 @@ def test_extended_tail_values_and_residuals():
     n = m.support_max
     f = np.zeros(16)
     f[: n + 1] = RNG.uniform(0.0, 1.0, n + 1)
-    sol = gs.solve_extended(m, f, domain_max=15)
+    sol = solve_extended(m, f, domain_max=15)
     for j in range(n + 1, 16):
         assert sol.g[j] == pytest.approx(sol.mu_f / j, abs=1e-15)
         assert abs(sol.g[j]) <= 1.0 / j + 1e-15
@@ -203,7 +205,7 @@ def test_solution_supremum_matches_closed_form():
     # independent oracle: the box supremum collapses to F(j-1) Fbar(j) / (j pmf(j))
     for m in MEASURES:
         t = m.cumulatives()
-        table = gs.sup_solution_table(m)
+        table = sup_solution_table(m)
         for j in range(1, m.support_max + 1):
             closed = t.F[j - 1] * t.Fbar[j] / (j * m.pmf[j])
             assert table[j - 1] == pytest.approx(closed, rel=1e-10)
@@ -222,7 +224,7 @@ def test_solution_coefficients_reproduce_solver():
 
 @pytest.mark.parametrize("quantity", ["increment", "solution"])
 def test_supremum_attained_by_indicator(quantity):
-    table_of = gs.sup_increment_table if quantity == "increment" else gs.sup_solution_table
+    table_of = gs.sup_increment_table if quantity == "increment" else sup_solution_table
     for m in (gs.poisson(1.0), gs.geometric(0.5), gs.binomial(10, 0.3)):
         table = table_of(m)
         for j in (1, 2, 5):
@@ -238,25 +240,25 @@ def test_supremum_attained_by_indicator(quantity):
 def test_geometric_increment_supremum_value():
     # Example value (j+1-(1-p)^j)/(j(j+1)) at p = 1/2, j = 1 is 3/4
     m = gs.geometric(0.5)
-    assert gs.sup_increment_exact(m, 1) == pytest.approx(0.75, abs=1e-12)
+    assert sup_increment_exact(m, 1) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_geometric_norm_below_reciprocal_p():
     for p in (0.25, 0.5, 0.75):
         m = gs.geometric(p)
-        assert gs.sup_solution_norm(m) <= 1.0 / p + 1e-10
+        assert sup_solution_norm(m) <= 1.0 / p + 1e-10
 
 
 def test_extended_norm_includes_tail_ceiling():
     m = gs.poisson(0.05, truncation=3)
     norm, licensed = solution_norm(m, "exact", extended=True)
     assert licensed and norm >= 1.0 / 4
-    assert norm == max(gs.sup_solution_norm(m), 1.0 / 4)
+    assert norm == max(sup_solution_norm(m), 1.0 / 4)
 
 
 def test_supremum_index_validation():
     m = gs.poisson(1.0, truncation=10)
-    for read, j in ((gs.sup_increment_exact, 0), (increment_coefficients, 11)):
+    for read, j in ((sup_increment_exact, 0), (increment_coefficients, 11)):
         with pytest.raises(ValueError, match=r"^increment coefficients defined for 1 <= j <= 10$"):
             read(m, j)
     for read, j in ((gs.sup_solution_exact, 11), (solution_coefficients, 0)):
@@ -268,11 +270,11 @@ def test_supremum_reads_are_table_entries():
     m = gs.geometric(0.3)
     n = m.support_max
     for s in (None, 2, n):
-        solution, increment = gs.sup_solution_table(m, s), gs.sup_increment_table(m, s)
+        solution, increment = sup_solution_table(m, s), gs.sup_increment_table(m, s)
         for j in (1, 2, n):
             assert gs.sup_solution_exact(m, j, s) == solution[j - 1]
-            assert gs.sup_increment_exact(m, j, s) == increment[j - 1]
-            assert type(gs.sup_increment_exact(m, j, s)) is float
+            assert sup_increment_exact(m, j, s) == increment[j - 1]
+            assert type(sup_increment_exact(m, j, s)) is float
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +304,7 @@ def test_closed_form_suprema_equal_box_reference():
     for m in MEASURES + irregular:
         n = m.support_max
         for s in (None, 0, 1, n // 2, n - 1, n):
-            solution, increment = gs.sup_solution_table(m, s), gs.sup_increment_table(m, s)
+            solution, increment = sup_solution_table(m, s), gs.sup_increment_table(m, s)
             for j in range(1, n + 1):
                 for closed, coeffs in (
                     (solution[j - 1], solution_coefficients(m, j)),
@@ -338,7 +340,7 @@ def _oracle_norm(pmf) -> mpmath.mpf:
 )
 def test_norm_matches_mpmath_supremum(build):
     m = build()
-    norm = gs.sup_solution_norm(m)
+    norm = sup_solution_norm(m)
     with mpmath.workdps(50):
         log_omega = mpmath.log(mpmath.mpf(m.omega))
         log_w = [mpmath.mpf(float(v)) + k * log_omega - mpmath.loggamma(k + 1) for k, v in enumerate(m.V)]
@@ -364,10 +366,10 @@ def test_suprema_finite_near_the_underflow_ceiling():
         n = m.support_max
         assert m.pmf.min() < np.finfo(float).tiny  # a subnormal pmf entry
         for s in (None, n // 2):
-            assert not math.isnan(gs.sup_solution_norm(m, s)), (m.label(), s)
+            assert not math.isnan(sup_solution_norm(m, s)), (m.label(), s)
             assert np.all(np.isfinite(gs.sup_increment_table(m, s))), (m.label(), s)
     for m in lattice:
-        assert math.isfinite(gs.sup_solution_norm(m)), m.label()
+        assert math.isfinite(sup_solution_norm(m)), m.label()
 
 
 def _table_laws():
@@ -414,7 +416,7 @@ def test_supremum_tables_match_mpmath_closed_forms():
     with mpmath.workdps(50):
         for m in laws:
             ref_solution, ref_increment = _mp_suprema(m.pmf)
-            for table, ref in ((gs.sup_solution_table(m), ref_solution),
+            for table, ref in ((sup_solution_table(m), ref_solution),
                                (gs.sup_increment_table(m), ref_increment)):
                 assert table.size == len(ref) == m.support_max, m.label()
                 for j, (value, exact) in enumerate(zip(table.tolist(), ref), start=1):
@@ -426,8 +428,8 @@ def test_supremum_tables_match_mpmath_closed_forms():
 
 def test_supremum_tables_of_a_single_state_are_empty():
     m = gs.from_pmf(np.array([1.0]))
-    assert gs.sup_solution_table(m).size == gs.sup_increment_table(m).size == 0
-    assert gs.sup_solution_norm(m) == 0.0
+    assert sup_solution_table(m).size == gs.sup_increment_table(m).size == 0
+    assert sup_solution_norm(m) == 0.0
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ import pytest
 
 import gibbs_stein as gs
 from gibbs_stein import measures
+from gibbs_stein.lattice import limit_measure
 
 PINNED = os.path.join(os.path.dirname(__file__), "data", "truncated_laws.json")
 TOLERANCES = (1e-14, 1e-8, 1e-3)
@@ -24,11 +25,11 @@ POISSON_RATES = (0.01, 0.1, 0.5, 1.0, 2.5, 7.0, 20.0, 60.0, 150.0, 400.0, 740.0)
 
 
 def _repelling_limit(lam, **window):
-    return gs.limit_measure(gs.repelling_model(lam), **window)
+    return limit_measure(gs.repelling_model(lam), **window)
 
 
 def _product_limit(z, **window):
-    return gs.limit_measure(gs.product_model(z), **window)
+    return limit_measure(gs.product_model(z), **window)
 
 
 def _poisson_least(lam, truncation, tail_tol, least):
