@@ -260,8 +260,7 @@ def cmd_bounds(args) -> int:
     m = _measure(args, "measure")
     ladder = args.j or [j for j in (1, 2, 3, 5) if j <= m.support_max]
     with _blame("--j"):
-        certs = factors.bound_certificates(m, ladder)
-    rows = [cert.to_row() for cert in certs]
+        rows = factors.bound_rows(m, ladder)
     header = ["quantity", "j", "value", "formula", "exactness", "licensed", "conditions", "notes"]
     _emit(rows, header, args, {"measure": m.label()})
     return 0

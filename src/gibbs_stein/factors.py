@@ -37,13 +37,15 @@ for the geometric(p) it is at most min(1/k, (1+p)/(k+1)) with solution norm at
 most 1/p; for the binomial the rate-normalized variant
 min(1/((1-p)k), 1/(p(n-k))) applies.
 
-`bound_certificates` assembles a whole `bounds` report, exact suprema
-included; it checks each licensing condition once per measure and shares its
-per-j builders with `increment_bound` and `solution_bound`.
+`bound_rows` lays out a whole `bounds` report, exact suprema included.  It
+checks each licensing condition once per measure and evaluates each per-j
+formula once, as a column over the ladder of indices; `increment_bound` and
+`solution_bound` read their one entry from the same columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -63,7 +65,7 @@ __all__ = [
     "solution_bound",
     "supnorm_bound",
     "closed_form_bounds",
-    "bound_certificates",
+    "bound_rows",
 ]
 
 _REL_TOL = 1e-12
@@ -108,19 +110,12 @@ class BoundCertificate:
         return self.applicable and all(c.holds for c in self.conditions)
 
     def to_dict(self) -> dict:
-        return self._fields([c.to_dict() for c in self.conditions])
-
-    def to_row(self) -> dict:
-        """`to_dict` with the conditions as `name=T;name=F` text: a `bounds` report row."""
-        return self._fields(";".join(f"{c.name}={'T' if c.holds else 'F'}" for c in self.conditions))
-
-    def _fields(self, conditions) -> dict:
         return {
             "quantity": self.quantity,
             "j": self.j,
             "value": self.value,
             "formula": self.formula,
-            "conditions": conditions,
+            "conditions": [c.to_dict() for c in self.conditions],
             "exactness": self.exactness,
             "applicable": self.applicable,
             "licensed": self.licensed,
@@ -170,43 +165,56 @@ def rate_range(m: GibbsMeasure) -> RateRange:
 # Bound operations
 # ---------------------------------------------------------------------------
 
-def _check_index(m: GibbsMeasure, j: int, bound: str):
+def _check_ladder(m: GibbsMeasure, js, bound: str):
+    """Reject the first j of js, in ladder order, that lies outside 1..N."""
     n = m.support_max
-    if not 1 <= j <= n:
+    if js and not (1 <= min(js) and max(js) <= n):
+        j = next(j for j in js if not 1 <= j <= n)
         raise ValueError(f"{bound} bound defined for 1 <= j <= {n}, got {j}")
 
 
-def _increment_certificates(
-    m: GibbsMeasure, j: int, cond: tuple[ConditionCheck, ...]
-) -> tuple[BoundCertificate, BoundCertificate]:
-    tables, b_j = m.cumulatives(), m.birth_rates[j]
-    tail_over_rate = tables.Fbar[j + 1] / b_j if j < m.support_max else 0.0
-    exact_value = tail_over_rate + tables.F[j - 1] / j
-    simple_value = min(1.0 / j, 1.0 / b_j) if b_j > 0 else 1.0 / j
-    return (
-        BoundCertificate("increment_at_j", float(exact_value), "increment_exact_form", cond, j,
-                         exactness="exact_equality"),
-        BoundCertificate("increment_at_j", float(simple_value), "increment_rate_reciprocal", cond, j),
-    )
+def _increment_columns(m: GibbsMeasure, js) -> tuple[np.ndarray, np.ndarray]:
+    """increment_exact_form and increment_rate_reciprocal at each j of the checked ladder js.
+
+    The first is Fbar(j+1)/b_j + F(j-1)/j, whose first term is 0 at j = N;
+    the second min(1/j, 1/b_j), or 1/j where b_j = 0.
+    """
+    tables, j = m.cumulatives(), np.array(js, dtype=np.int64)
+    b = m.birth_rates[j]
+    below = j < m.support_max
+    tail_over_rate = np.zeros(j.size)
+    tail_over_rate[below] = tables.Fbar[j[below] + 1] / b[below]
+    rate_reciprocal = np.divide(1.0, b, out=np.full(j.size, math.inf), where=b > 0)
+    return tail_over_rate + tables.F[j - 1] / j, np.minimum(1.0 / j, rate_reciprocal)
 
 
-def _solution_certificate(
-    m: GibbsMeasure, j: int, cond: tuple[ConditionCheck, ...], mean: float
-) -> BoundCertificate:
-    value = (min(math.log(j), mean) + 1.0 / m.birth_rates[0]) / m.cumulatives().Fbar[j]
-    return BoundCertificate("solution_at_j", float(value), "solution_log_tail", cond, j)
+def _solution_column(m: GibbsMeasure, js, mean: float) -> np.ndarray:
+    """solution_log_tail, (min(ln j, mean) + 1/b_0)/Fbar(j), at each j of the checked ladder js.
+
+    js must not be empty: on N = 0, where no j is valid, b_0 is 0.
+    """
+    logs = np.array([math.log(j) for j in js])
+    return (np.minimum(logs, mean) + 1.0 / m.birth_rates[0]) / m.cumulatives().Fbar[np.array(js)]
 
 
 def increment_bound(m: GibbsMeasure, j: int) -> tuple[BoundCertificate, BoundCertificate]:
     """The exact-equality increment value and the cruder reciprocal form at j."""
-    _check_index(m, j, "increment")
-    return _increment_certificates(m, j, (condition(m, "rate_sandwich"),))
+    _check_ladder(m, (j,), "increment")
+    exact, simple = _increment_columns(m, (j,))
+    cond = (condition(m, "rate_sandwich"),)
+    return (
+        BoundCertificate("increment_at_j", float(exact[0]), "increment_exact_form", cond, j,
+                         exactness="exact_equality"),
+        BoundCertificate("increment_at_j", float(simple[0]), "increment_rate_reciprocal", cond, j),
+    )
 
 
 def solution_bound(m: GibbsMeasure, j: int) -> BoundCertificate:
     """Nonuniform bound (min(ln j, mean) + 1/b_0)/Fbar(j) on |g(j)|."""
-    _check_index(m, j, "solution")
-    return _solution_certificate(m, j, (condition(m, "rate_tail_lower"),), m.mean())
+    _check_ladder(m, (j,), "solution")
+    value = _solution_column(m, (j,), m.mean())[0]
+    return BoundCertificate("solution_at_j", float(value), "solution_log_tail",
+                            (condition(m, "rate_tail_lower"),), j)
 
 
 def _rate_spread_value(rr: RateRange) -> float:
@@ -278,30 +286,54 @@ def closed_form_bounds(m: GibbsMeasure, j: int | None = None) -> list[BoundCerti
     ]
 
 
-def bound_certificates(m: GibbsMeasure, js: list[int]) -> list[BoundCertificate]:
-    """Every certificate of a `bounds` report for the indices js, in report order.
+def _rows(js, values: list, quantity: str, formula: str, check: ConditionCheck | None = None,
+          exactness: str = "upper_bound", notes: str = "") -> list[dict]:
+    """One `bounds` row per j of js, with the value beside it, licensed by `check` if given.
+
+    A row has the keys of `BoundCertificate.to_dict`, with the conditions as
+    `name=T` or `name=F` text.
+    """
+    template = {
+        "quantity": quantity, "j": None, "value": None, "formula": formula,
+        "conditions": "" if check is None else f"{check.name}={'T' if check.holds else 'F'}",
+        "exactness": exactness, "applicable": True, "licensed": check is None or check.holds,
+        "notes": notes,
+    }
+    return [{**template, "j": j, "value": value} for j, value in zip(js, values)]
+
+
+def bound_rows(m: GibbsMeasure, js: list[int]) -> list[dict]:
+    """Every row of a `bounds` report for the indices js, in report order.
 
     The rate-spread norm and the uniform closed forms come first; then, per j,
     the two increment forms, the solution bound and the family's increment at
     j; last the exact suprema (the solution norm, then the increment at each
-    j), as exact-equality certificates with formula "exact_supremum".  Each
-    licensing condition and the mean are computed once for the whole ladder.
+    j), as exact-equality rows with formula "exact_supremum".  Each licensing
+    condition and the mean are computed once for the whole ladder, and each
+    per-j formula once, as a column over js; the per-j rows are those columns
+    zipped.  A j outside 1..N raises for the first one in ladder order.
     """
-    certs = [supnorm_bound(m), *closed_form_bounds(m)]
+    # the uniform certificates carry no conditions
+    rows = [{**cert.to_dict(), "conditions": ""} for cert in (supnorm_bound(m), *closed_form_bounds(m))]
     norm = sup_solution_norm(m)
-    sandwich = (condition(m, "rate_sandwich"),)
-    tail = (condition(m, "rate_tail_lower"),)
+    sandwich, tail = condition(m, "rate_sandwich"), condition(m, "rate_tail_lower")
     mean = m.mean()
-    for j in js:
-        _check_index(m, j, "increment")
-        certs.extend(_increment_certificates(m, j, sandwich))
-        certs.append(_solution_certificate(m, j, tail, mean))
-        certs.extend(closed_form_bounds(m, j))
-    certs.append(BoundCertificate("solution_norm", norm, "exact_supremum", exactness="exact_equality"))
-    increments = sup_increment_table(m) if js else None
-    certs.extend(
-        BoundCertificate("increment_at_j", float(increments[j - 1]), "exact_supremum", j=j,
-                         exactness="exact_equality")
-        for j in js
-    )
-    return certs
+    _check_ladder(m, js, "increment")
+    if js:
+        exact, simple = _increment_columns(m, js)
+        columns = [
+            _rows(js, exact.tolist(), "increment_at_j", "increment_exact_form", sandwich, "exact_equality"),
+            _rows(js, simple.tolist(), "increment_at_j", "increment_rate_reciprocal", sandwich),
+            _rows(js, _solution_column(m, js, mean).tolist(), "solution_at_j", "solution_log_tail", tail),
+        ]
+        family = FAMILIES.get(m.kind)
+        if family is not None and family.increment_at is not None:
+            params = family.values(m.params)
+            at = [family.increment_at(j, **params) for j in js]
+            columns.append(_rows(js, at, "increment_at_j", f"{m.kind}_increment_at_j", notes=family.notes))
+        rows.extend(itertools.chain.from_iterable(zip(*columns)))
+    rows += _rows([None], [norm], "solution_norm", "exact_supremum", exactness="exact_equality")
+    if js:
+        increments = sup_increment_table(m)[np.array(js) - 1].tolist()
+        rows += _rows(js, increments, "increment_at_j", "exact_supremum", exactness="exact_equality")
+    return rows

@@ -18,9 +18,12 @@ k-cube.  Three families are built in:
   product      f_k = prod_{i<j} x_i x_j = prod_i x_i^(k-1), left endpoints:
                W(k) = k^-k and W_n(k) = n^(-k^2) (sum_{i<n} i^(k-1))^k.
 
-Each family gives W_n and W by the formulas above;
-`oracle.lattice_weight_brute` sums f_k over the k-fold grid (guarded,
-deterministic order) as the reference they are checked against.
+Each family gives W_n and W by the formulas above, W_n as one table of
+k = 0..n per n, which `lattice_measure` takes whole; the product family
+builds its table from rows of (k - 1) log i in blocks of bounded size, so
+its work space stays O(n).  `oracle.lattice_weight_brute` sums f_k over the
+k-fold grid (guarded, deterministic order) as the reference they are
+checked against.
 
 The limit laws live on {0, 1, ...} and are truncated by the one rule of
 `measures`: a declared tail that bounds the mass beyond N through a bound
@@ -60,11 +63,13 @@ import numpy as np
 from .compare import generator_comparison, tv_distance
 from .factors import condition, uniform_increment
 from .measures import (
-    DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _MAX_TERMS, _fsum, _logsumexp, _poisson, _truncated,
+    DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _MAX_TERMS, _fsum, _poisson, _truncated,
     poisson,
 )
 from .size_bias import CouplingSpec
 from .stein import sup_increment_table, sup_solution_table
+
+_BLOCK = 1 << 15  # entries per block of the product model's weight table
 
 __all__ = [
     "InteractionModel",
@@ -89,7 +94,9 @@ __all__ = [
 class InteractionModel:
     """A k-point interaction family with lattice and continuum weights.
 
-    log_Wn(n, k) and log_W(k) return log weights (-inf is a hard zero).
+    log_Wn_fn(n) returns the table of log W_n(k) for k = 2..n and log_W_fn(k)
+    the log W(k) of one k >= 2 (-inf is a hard zero); log_Wn_table(n), and
+    log_Wn and log_W for one k, add W_n(0) = W_n(1) = W(0) = W(1) = 1.
     The model also carries the fewest cells it needs, its analytic distance
     bound closed_form(n) if any, which raises ValueError outside the range
     it is stated for, and the constructor of its limit law if that is a
@@ -98,7 +105,7 @@ class InteractionModel:
 
     kind: str
     z: float
-    log_Wn_fn: Callable[[int, int], float]
+    log_Wn_fn: Callable[[int], np.ndarray]
     log_W_fn: Callable[[int], float]
     min_cells: int = 1
     closed_form: Callable[[int], float] | None = None
@@ -108,8 +115,14 @@ class InteractionModel:
         if not self.z > 0:  # NaN fails too
             raise ValueError("activity must be positive")
 
+    def log_Wn_table(self, n: int) -> np.ndarray:
+        """log W_n(k) for k = 0..n."""
+        table = np.zeros(n + 1)
+        table[2:] = self.log_Wn_fn(n)
+        return table
+
     def log_Wn(self, n: int, k: int) -> float:
-        return 0.0 if k <= 1 else self.log_Wn_fn(n, k)
+        return 0.0 if k <= 1 else float(self.log_Wn_fn(n)[k - 2])
 
     def log_W(self, k: int) -> float:
         return 0.0 if k <= 1 else self.log_W_fn(k)
@@ -123,7 +136,8 @@ class InteractionModel:
 
 def ideal_gas_model(lam: float) -> InteractionModel:
     return InteractionModel(
-        kind="ideal_gas", z=lam, log_Wn_fn=lambda n, k: 0.0, log_W_fn=lambda k: 0.0, limit=poisson,
+        kind="ideal_gas", z=lam, log_Wn_fn=lambda n: np.zeros(max(n - 1, 0)), log_W_fn=lambda k: 0.0,
+        limit=poisson,
     )
 
 
@@ -139,8 +153,9 @@ def repelling_model(lam: float) -> InteractionModel:
     reference but is not a certificate (see the module docstring).
     """
 
-    def log_wn(n: int, k: int) -> float:
-        return math.log(k * (k - 1) * (n + 1) * (n - 1)) - math.log(6.0 * n * n)
+    def log_wn(n: int) -> np.ndarray:
+        scale = math.log(6.0 * n * n)
+        return np.array([math.log(k * (k - 1) * (n + 1) * (n - 1)) - scale for k in range(2, n + 1)])
 
     def log_w(k: int) -> float:
         return math.log(k * (k - 1) / 6.0)
@@ -157,17 +172,28 @@ def repelling_model(lam: float) -> InteractionModel:
 def product_model(z: float = 1.0) -> InteractionModel:
     """Coordinate-product interaction on the left-endpoint grid.
 
-    Its closed-form distance bound, stated for n >= 3 and z = 1, is
+    log W_n(k) = -k^2 log n + k log sum_{0<i<n} i^(k-1), each log-sum-exp
+    shifted by its largest term, at i = n - 1, as `measures._logsumexp`
+    shifts it, with its math.log1p per k.  Its closed-form distance bound,
+    stated for n >= 3 and z = 1, is
 
         2 e^(e + 1/e) / n + e^(1/n) n^-(n+1) / (n+1)!.
     """
 
-    def log_wn(n: int, k: int) -> float:
-        # W_n(k) = n^(-k^2) (sum_{i=0}^{n-1} i^(k-1))^k, in log space
-        if n < 2:
-            return -math.inf
-        powers = (k - 1) * np.log(np.arange(1.0, n))
-        return -k * k * math.log(n) + k * _logsumexp(powers)
+    def log_wn(n: int) -> np.ndarray:
+        # W_n(k) = n^(-k^2) (sum_{i=0}^{n-1} i^(k-1))^k, in log space; the i = 0 term is 0
+        logs = np.log(np.arange(1.0, n))
+        k = np.arange(2, n + 1)
+        log_sums = np.empty(k.size)
+        # rows of (k - 1) log i, at most _BLOCK entries a block unless one row is longer
+        step = max(1, _BLOCK // max(1, logs.size))
+        for lo in range(0, k.size, step):
+            powers = (k[lo : lo + step, None] - 1) * logs
+            top = powers[:, -1]
+            rest = np.exp(powers - top[:, None])
+            rest[:, -1] = 0.0
+            log_sums[lo : lo + step] = top + [math.log1p(total) for total in rest.sum(axis=1).tolist()]
+        return -k * k * math.log(n) + k * log_sums
 
     def log_w(k: int) -> float:
         return -k * math.log(k)
@@ -199,7 +225,7 @@ def lattice_measure(model: InteractionModel, n: int) -> GibbsMeasure:
     if n < model.min_cells:
         raise ValueError(f"the {model.kind} model needs n >= {model.min_cells}")
     z = model.z
-    V = np.array([model.log_Wn(n, k) for k in range(n + 1)])
+    V = model.log_Wn_table(n)
     if not np.all(np.isfinite(V)):
         raise ValueError("lattice weights vanish inside {0..n}; support must be contiguous")
     return GibbsMeasure(

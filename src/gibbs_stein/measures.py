@@ -706,10 +706,15 @@ def hypergeometric(population: int, successes: int, draws: int) -> GibbsMeasure:
     # -log(k! (successes - k)! (draws - k)! (population - successes - draws + k)!),
     # each factorial a run over k = 0..top less its constant log Gamma(start)
     count = top + 1
+
+    def falling(start: float) -> np.ndarray:
+        # the run from start reversed; one of the two starts at 1, a prefix of the log k! table
+        return (_log_factorials(count) if start == 1.0 else _log_gamma_run(start, count))[::-1]
+
     log_w = -(
         _log_factorials(count)
-        + _log_gamma_run(successes - top + 1.0, count)[::-1]
-        + _log_gamma_run(draws - top + 1.0, count)[::-1]
+        + falling(successes - top + 1.0)
+        + falling(draws - top + 1.0)
         + _log_gamma_run(population - successes - draws + 1.0, count)
     )
     weights = np.exp(log_w - log_w.max())

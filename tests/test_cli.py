@@ -561,18 +561,21 @@ PINNED_LATTICE = os.path.join(os.path.dirname(__file__), "data", "lattice_output
 
 
 def test_lattice_output_matches_the_pinned_text(capsys):
-    # keys are "<model>|<format>"; the cell counts run up to 80, below the product
-    # model's underflow ceiling
+    # keys are "<model>|<format>" for the cell counts 3..80 and "<model>|<n>|<format>"
+    # for others: product 81..87 runs up to the model's underflow ceiling, and product 88,
+    # whose lattice weight underflows, pins exit 2 and the error text
     activities = {"repelling": "1", "product": "1", "ideal_gas": "2"}
     with open(PINNED_LATTICE) as handle:
         pinned = json.load(handle)
-    assert len(pinned) == 6
-    for key, text in pinned.items():
-        model, fmt = key.split("|")
+    assert len(pinned) == 9
+    for key, expected in pinned.items():
+        model, *cells, fmt = key.split("|")
         argv = ["lattice", "--model", model, "--lambda", activities[model],
-                "--n", "3,4,5,6,7,8,10,12,20,40,80", "--format", fmt]
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0 and out == text, key
+                "--n", cells[0] if cells else "3,4,5,6,7,8,10,12,20,40,80", "--format", fmt]
+        if isinstance(expected, str):
+            expected = {"exit": 0, "stdout": expected, "stderr": ""}
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (expected["exit"], expected["stdout"], expected["stderr"]), key
 
 
 PINNED_POISSON_SUM = os.path.join(os.path.dirname(__file__), "data", "poisson_sum_outputs.json")
@@ -598,10 +601,13 @@ PINNED_BOUNDS = os.path.join(os.path.dirname(__file__), "data", "bounds_outputs.
 def test_bounds_output_matches_the_pinned_text(capsys):
     # keys are "<measure>|<ladder>" for CSV and "<measure>|<ladder>|json" for JSON: the
     # default ladder or --j 1..5, which some supports do not reach, so those calls pin
-    # exit 2 and the error text; poisson:500 with --j 1..300 pins 1,204 JSON rows
+    # exit 2 and the error text; poisson:500 with --j 1..300 pins 1,204 JSON rows.  Also
+    # pinned: a law that fails both conditions, an unsorted ladder with a repeat, a
+    # ladder whose first out-of-range j (11) is neither its first entry nor its
+    # smallest, and ladders that reach N on binomial(64) and on Poisson(30) at N = 81
     with open(PINNED_BOUNDS) as handle:
         pinned = json.load(handle)
-    assert len(pinned) == 37
+    assert len(pinned) == 47
     for key, expected in pinned.items():
         desc, ladder, *fmt = key.split("|")
         argv = ["bounds", "--measure", desc] + ([] if ladder == "default" else ["--j", ladder])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 import gibbs_stein as gs
 from gibbs_stein.compare import solution_norm
 from gibbs_stein.factors import (
-    CONDITION_NAMES, bound_certificates, closed_form_bounds, condition, solution_bound, supnorm_bound,
+    CONDITION_NAMES, BoundCertificate, bound_rows, closed_form_bounds, condition, solution_bound,
+    supnorm_bound,
 )
-from gibbs_stein.stein import sup_solution_norm, sup_solution_table
+from gibbs_stein.lattice import limit_measure
+from gibbs_stein.stein import sup_increment_exact, sup_solution_norm, sup_solution_table
 
 RNG = np.random.default_rng(911)
 
@@ -297,21 +300,91 @@ def test_closed_forms_are_empty_for_other_kinds():
     assert closed_form_bounds(gs.binomial(10, 0.3)) == []
 
 
-@pytest.mark.parametrize("make", [lambda: gs.geometric(0.5), lambda: gs.binomial(12, 0.3),
-                                  lambda: gs.from_pmf([3.0, 1.0, 2.0, 0.5, 4.0])])
-def test_bound_certificates_are_the_per_j_certificates(make):
-    m = make()
-    js = list(range(1, m.support_max + 1))
-    certs = bound_certificates(m, js)
-    expected = [supnorm_bound(m), *closed_form_bounds(m)]
+def _reference_rows(m, js):
+    """The `bounds` rows for the ladder js, rendered one certificate at a time.
+
+    Each per-j certificate comes from the single-j API, and its value is checked
+    bit for bit against the formula evaluated on scalars; a row is the
+    certificate's to_dict with its conditions as `name=T;name=F` text.
+    """
+    tables, b, mean = m.cumulatives(), m.birth_rates, m.mean()
+    certs = [supnorm_bound(m), *closed_form_bounds(m)]
     for j in js:
-        expected += [*gs.increment_bound(m, j), solution_bound(m, j), *closed_form_bounds(m, j)]
-    assert certs[: len(expected)] == expected
-    exact = certs[len(expected):]
-    assert [(c.quantity, c.j, c.formula, c.exactness, c.licensed) for c in exact] == [
-        ("solution_norm", None, "exact_supremum", "exact_equality", True)
-    ] + [("increment_at_j", j, "exact_supremum", "exact_equality", True) for j in js]
-    assert [c.value for c in exact] == [sup_solution_norm(m)] + gs.sup_increment_table(m).tolist()
+        exact, simple = gs.increment_bound(m, j)
+        solution = solution_bound(m, j)
+        tail_over_rate = tables.Fbar[j + 1] / b[j] if j < m.support_max else 0.0
+        assert exact.value == float(tail_over_rate + tables.F[j - 1] / j)
+        assert simple.value == float(min(1.0 / j, 1.0 / b[j]) if b[j] > 0 else 1.0 / j)
+        assert solution.value == float((min(math.log(j), mean) + 1.0 / b[0]) / tables.Fbar[j])
+        certs += [exact, simple, solution, *closed_form_bounds(m, j)]
+    certs.append(BoundCertificate("solution_norm", sup_solution_norm(m), "exact_supremum",
+                                  exactness="exact_equality"))
+    certs += [BoundCertificate("increment_at_j", sup_increment_exact(m, j), "exact_supremum", j=j,
+                               exactness="exact_equality") for j in js]
+    rows = []
+    for cert in certs:
+        row = cert.to_dict()
+        row["conditions"] = ";".join(f"{c['name']}={'T' if c['holds'] else 'F'}" for c in row["conditions"])
+        rows.append(row)
+    return rows
+
+
+def _assert_rows_are_the_certificates(m, js):
+    rows = bound_rows(m, js)
+    expected = _reference_rows(m, js)
+    assert rows == expected
+    # key order and float bits, as the JSON report writes them
+    assert json.dumps(rows) == json.dumps(expected)
+
+
+# every family, the lattice limit laws, and a law failing both conditions
+FAMILY_LAWS = {
+    "poisson": lambda: gs.poisson(3.0),
+    "binomial": lambda: gs.binomial(12, 0.3),
+    "geometric": lambda: gs.geometric(0.5),
+    "negative_binomial": lambda: gs.negative_binomial(2.5, 0.4),
+    "hypergeometric": lambda: gs.hypergeometric(30, 8, 11),
+    "discrete_uniform": lambda: gs.discrete_uniform(9),
+    "discrete_uniform_0": lambda: gs.discrete_uniform(0),
+    "repelling_limit": lambda: limit_measure(gs.repelling_model(1.5)),
+    "product_limit": lambda: limit_measure(gs.product_model(1.0)),
+    "product_lattice": lambda: gs.lattice_measure(gs.product_model(1.0), 12),
+    "pmf_unlicensed": lambda: gs.from_pmf([3.0, 1.0, 2.0, 0.5, 4.0]),
+}
+
+
+@pytest.mark.parametrize("make", FAMILY_LAWS.values(), ids=FAMILY_LAWS.keys())
+def test_bound_rows_are_the_per_j_certificates(make):
+    m = make()
+    top = m.support_max
+    _assert_rows_are_the_certificates(m, list(range(1, top + 1)))
+    # unsorted, with repeats, and reaching N
+    _assert_rows_are_the_certificates(m, [top, 1, top, 2, 1][: 2 * top + 1] if top else [])
+
+
+def test_bound_rows_are_the_per_j_certificates_on_random_laws():
+    rng = np.random.default_rng(4027)
+    sandwich = set()
+    for _ in range(20):
+        m = gs.from_pmf(rng.uniform(0.02, 1.0, int(rng.integers(2, 40))), omega=float(rng.uniform(0.3, 3.0)))
+        sandwich.add(condition(m, "rate_sandwich").holds)
+        js = rng.integers(1, m.support_max + 1, int(rng.integers(1, 3 * m.support_max))).tolist()
+        _assert_rows_are_the_certificates(m, js)
+    assert sandwich == {True, False}
+
+
+def test_bound_rows_reject_the_first_j_outside_the_support_in_ladder_order():
+    m = gs.binomial(10, 0.3)
+    with pytest.raises(ValueError, match=r"^increment bound defined for 1 <= j <= 10, got 11$"):
+        bound_rows(m, [2, 11, 0, 12])
+    with pytest.raises(ValueError, match=r"^increment bound defined for 1 <= j <= 10, got 0$"):
+        bound_rows(m, [3, 0, 11])
+    with pytest.raises(ValueError, match=r"^increment bound defined for 1 <= j <= 10, got 11$"):
+        bound_rows(m, [3, 11])
+    # an empty ladder evaluates no per-j formula, so 1/b_0 = 1/0 is never met
+    assert [row["formula"] for row in bound_rows(gs.discrete_uniform(0), [])] == [
+        "norm_rate_spread", "exact_supremum"
+    ]
 
 
 def test_certificate_serialization_carries_conditions():

@@ -29,7 +29,7 @@ SOLUTION = gs.solve(M, gs.TestFunction.indicator([0], 5))
 DEPENDENT = gs.CouplingSpec([0.5, 0.5], conditional_sums=[[0.5, 0.5], [0.5, 0.5]], independent=False)
 
 
-def _model(kind, log_Wn_fn=lambda n, k: 0.0):
+def _model(kind, log_Wn_fn=lambda n: np.zeros(n - 1)):
     """An interaction model built directly, of a kind no limit family is registered for."""
     return InteractionModel(kind, 1.0, log_Wn_fn, lambda k: 0.0)
 
@@ -189,7 +189,7 @@ CASES = {
     "lattice_cells_above_the_table_ceiling": (
         lambda: gs.lattice_measure(gs.ideal_gas_model(1.0), 10**11), "need at most 1048575 cells, got 100000000000"),
     "lattice_weights_vanish": (
-        lambda: gs.lattice_measure(_model("vanishing", log_Wn_fn=lambda n, k: -math.inf), 3),
+        lambda: gs.lattice_measure(_model("vanishing", log_Wn_fn=lambda n: np.full(n - 1, -math.inf)), 3),
         "lattice weights vanish inside {0..n}; support must be contiguous"),
     "limit_of_unregistered_kind": (
         lambda: limit_measure(_model("attracting")),

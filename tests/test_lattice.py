@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import gibbs_stein as gs
 from gibbs_stein import measures
 from gibbs_stein.factors import uniform_increment
 from gibbs_stein.compare import mismatch_terms, solution_norm
+from gibbs_stein import lattice
 from gibbs_stein.lattice import InteractionModel, limit_measure, repelling_limit_partition
 from gibbs_stein.oracle import (
     bernoulli_convolution, coupling_given_index, grid_points, harmonic_between, lattice_weight_brute,
@@ -103,6 +105,44 @@ def test_product_weight_sandwich_strict():
             lo = ((n - 1) / n) ** (k * k) * k ** (-float(k))
             hi = k ** (-float(k))
             assert lo < w < hi
+
+
+def _product_log_weights_per_k(n):
+    """log W_n(k) for k = 0..n, one max-shifted log-sum-exp per k."""
+    logs = np.log(np.arange(1.0, n))
+    return np.array([0.0, 0.0][: n + 1] + [
+        -k * k * math.log(n) + k * measures._logsumexp((k - 1) * logs) for k in range(2, n + 1)
+    ])
+
+
+def test_product_weight_table_is_the_per_k_reference_bit_for_bit():
+    models = [gs.product_model(z) for z in (0.5, 1.0, 2.0)]
+    for n in range(1, 301):
+        expected = _product_log_weights_per_k(n)
+        for model in models:
+            assert model.log_Wn_table(n).tobytes() == expected.tobytes(), (model.z, n)
+            if 3 <= n <= 80:
+                mu_n = gs.lattice_measure(model, n)
+                reference = gs.GibbsMeasure(model.z, expected, kind="product_lattice",
+                                            params={"n": n, "z": model.z})
+                assert mu_n.pmf.tobytes() == reference.pmf.tobytes(), (model.z, n)
+    # n = 300 fills 3 blocks of rows; n = 1500 fills 72, of 21 rows each but the last
+    assert 299 * 299 > 2 * lattice._BLOCK
+    table = gs.product_model(1.0).log_Wn_table(1500)
+    assert table.tobytes() == _product_log_weights_per_k(1500).tobytes()
+    assert gs.product_model(1.0).log_Wn(1500, 700) == table[700]
+
+
+def test_product_weight_table_works_in_bounded_blocks():
+    # the whole (k, i) table at n = 3000 would take 72 MB
+    model = gs.product_model(1.0)
+    tracemalloc.start()
+    try:
+        model.log_Wn_table(3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * lattice._BLOCK * 8
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +699,10 @@ def test_custom_model_full_lattice_pipeline():
         raise AssertionError("the lattice law must not ask for continuum weights")
 
     z = 1.5
-    model = InteractionModel("attract", z, lambda n, k: math.log(direct(n, k)), no_continuum_weights)
+    def log_wn(n):
+        return [math.log(direct(n, k)) for k in range(2, n + 1)]
+
+    model = InteractionModel("attract", z, log_wn, no_continuum_weights)
     mu_n = gs.lattice_measure(model, 5)
     assert mu_n.kind == "attract_lattice" and mu_n.support_max == 5
     assert mu_n.pmf.sum() == pytest.approx(1.0, abs=1e-12)
