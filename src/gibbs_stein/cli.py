@@ -268,19 +268,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_compare(args) -> int:
     m1, m2 = _measure(args, "m1"), _measure(args, "m2")
-    source, values = args.g_norm, None
-    with _blame("--g-norm"):
-        if source.startswith("value:"):
-            parts = source.split(":", 1)[1].split(",")
-            if len(parts) != 2:
-                raise CliError(f"{source!r}: value:X,Y takes two norm bounds")
-            values = (float(parts[0]), float(parts[1]))
-            if not min(values) >= 0.0:
-                raise CliError(f"{source!r}: norm bounds must be nonnegative")
-            source = "user"
-        elif source not in ("exact", "rate_spread"):
-            raise CliError(f"expected exact, rate_spread or value:X,Y, got {source!r}")
-        row = compare_mod.generator_comparison(m1, m2, source, values).to_dict()
+    row = compare_mod.generator_comparison(m1, m2).to_dict()
     header = [
         "m1", "m2", "exact_tv", "certified_bound", "bound_value",
         "branch_used", "tail_term", "g_norm_source", "notes",
@@ -297,7 +285,7 @@ def cmd_lattice(args) -> int:
     rows = []
     for n in args.n:
         try:
-            rep = lattice.lattice_comparison_report(model, n, g_norm_source=args.g_norm, limit=limit)
+            rep = lattice.lattice_comparison_report(model, n, limit=limit)
         except ValueError as exc:
             raise CliError(f"argument --n: {n} cells: {exc}") from exc
         rows.append(rep.to_dict())
@@ -375,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="certified TV comparison of two measures")
     p.add_argument("--m1", required=True, help=_MEASURE_HELP)
     p.add_argument("--m2", required=True, help=_MEASURE_HELP)
-    p.add_argument("--g-norm", dest="g_norm", default="exact",
-                   help="exact | rate_spread | value:X,Y")
     _add_common(p)
     p.set_defaults(fn=cmd_compare)
 
@@ -386,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="activity (z) of the model")
     p.add_argument("--n", type=_cell_counts, required=True,
                    help="cell counts, e.g. 2..6 or 3,5,8")
-    p.add_argument("--g-norm", dest="g_norm", default="exact",
-                   choices=("exact", "rate_spread"))
     _add_common(p)
     p.set_defaults(fn=cmd_lattice)
 

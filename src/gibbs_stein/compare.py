@@ -10,10 +10,9 @@ second,
 where dV(x) = V(x) - V(x-1) and X_2* is the size-biased copy of X_2; the
 roles of the measures can be swapped and the smaller branch kept.  The
 expectation is an exact finite sum over the size-bias law, evaluated in log
-space.  Multiplying by a bound on sup_f ||g_f|| over [0,1]-valued f turns
-the display into a total-variation certificate; the exact supremum from the
-solver gives the tightest honest constant, with the rate-spread norm bound
-as a fallback.
+space.  Multiplying by sup_f ||g_f|| over [0,1]-valued f turns the display
+into a total-variation certificate; the solver's exact supremum is the
+tightest honest constant, and never exceeds the rate-spread norm bound.
 
 When the first support {0..n} sits strictly inside the second, the first
 generator is continued as a pure-death process above n.  The comparison
@@ -25,9 +24,8 @@ so the certificate is sharp in that case.
 
 Each formula lives here once and is shared with `gibbs_stein.lattice`:
 `mismatch_terms` is the kernel that evaluates the display's activity and
-ratio terms for one direction, `solution_norm` is the selector that picks
-the norm bound (exact supremum or rate-spread certificate) for a solver,
-its restricted test class, or its pure-death extension, and
+ratio terms for one direction, `solution_norm` is the exact supremum for
+a solver, its restricted test class, or its pure-death extension, and
 `generator_comparison` is the one comparison body: equal supports are
 compared as given, otherwise the smaller support is extended.  Each
 direction carries its own norm (the per-branch rule), and the smaller
@@ -43,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import supnorm_bound
 from .measures import GibbsMeasure, _fsum, _sums_to_one
 from .stein import sup_solution_norm
 
@@ -54,9 +51,6 @@ __all__ = [
     "generator_comparison_extended",
     "generator_comparison",
 ]
-
-G_NORM_SOURCES = ("exact", "rate_spread", "user")
-
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Total variation distance (1/2) sum_k |p(k) - q(k)|.
@@ -86,7 +80,8 @@ class ComparisonReport:
     tail_term is the support-extension surcharge (zero for equal supports).
     The certified distance bound is bound_value + tail_term.  terms holds
     the chosen direction's (activity term, ratio term); it stays out of the
-    emitted dict and CSV row.
+    emitted dict and CSV row.  g_norms are exact suprema, so g_norm_source
+    is always "exact".
     """
 
     measures: tuple[str, str]
@@ -94,9 +89,9 @@ class ComparisonReport:
     bound_value: float
     branch_used: str
     tail_term: float
-    g_norm_source: str
     g_norms: tuple[float, float]
     terms: tuple[float, float]
+    g_norm_source: str = "exact"
     notes: str = ""
 
     @property
@@ -140,59 +135,31 @@ def mismatch_terms(solver: GibbsMeasure, averaged: GibbsMeasure) -> tuple[float,
     return activity_term, (w_s / w_a) * _fsum(terms)
 
 
-def solution_norm(
-    m: GibbsMeasure, source: str, f_support: int | None = None, extended: bool = False
-) -> tuple[float, bool]:
-    """(bound on sup_f ||g_f|| over [0,1]-valued f, whether it is licensed).
+def solution_norm(m: GibbsMeasure, f_support: int | None = None, extended: bool = False) -> float:
+    """sup_f ||g_f|| over [0,1]-valued f, solving for m.
 
-    "exact" is the solver's exact supremum, over f vanishing above f_support,
-    or for the pure-death extension of m when extended; "rate_spread" is the
-    rate-spread certificate (the test class only shrinks under f_support), and
-    +inf unlicensed where that certificate is inapplicable.  Above the support
-    the extension's solution is mu(f)/k, which never exceeds 1/(N+1), so an
+    The solver's exact supremum, over f vanishing above f_support, or for
+    the pure-death extension of m when extended.  Above the support the
+    extension's solution is mu(f)/k, which never exceeds 1/(N+1), so an
     extended norm is at least that tail ceiling.
     """
-    if source == "exact":
-        norm = sup_solution_norm(m, f_support=f_support)
-    elif source == "rate_spread":
-        cert = supnorm_bound(m)
-        if not cert.applicable:
-            return math.inf, False
-        norm = cert.value
-    else:
-        raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
-    return (max(norm, 1.0 / (m.support_max + 1)) if extended else norm), True
+    norm = sup_solution_norm(m, f_support=f_support)
+    return max(norm, 1.0 / (m.support_max + 1)) if extended else norm
 
 
-def generator_comparison(
-    m1: GibbsMeasure,
-    m2: GibbsMeasure,
-    g_norm_source: str = "exact",
-    g_norm_values: tuple[float, float] | None = None,
-) -> ComparisonReport:
+def generator_comparison(m1: GibbsMeasure, m2: GibbsMeasure) -> ComparisonReport:
     """Certified TV bound for measures on {0..n1} and {0..n2}, nested either way.
 
     Equal supports are compared as given; otherwise the smaller support
     {0..n} goes first and is extended as a pure-death process, and the bound
     gains the tail term sum_{k>n} of the larger law.  The report's measures,
-    norms and directions follow (smaller, larger); g_norm_values keep their
-    order.
+    norms and directions follow (smaller, larger).
     """
-    if g_norm_source not in G_NORM_SOURCES:
-        raise ValueError(f"g_norm_source must be one of {G_NORM_SOURCES}")
     m1, m2 = sorted((m1, m2), key=lambda m: m.support_max)  # stable on ties
     n = m1.support_max
     extended = n < m2.support_max
-    notes = ""
-    if g_norm_source == "user":
-        if g_norm_values is None:
-            raise ValueError("user-supplied norms require g_norm_values")
-        norm1, norm2 = float(g_norm_values[0]), float(g_norm_values[1])
-    else:
-        norm1, licensed1 = solution_norm(m1, g_norm_source, extended=extended)
-        norm2, licensed2 = solution_norm(m2, g_norm_source, f_support=n if extended else None)
-        if not (licensed1 and licensed2):
-            notes = "rate-spread norm inapplicable on at least one side"
+    norm1 = solution_norm(m1, extended=extended)
+    norm2 = solution_norm(m2, f_support=n if extended else None)
     terms1, terms2 = mismatch_terms(m1, m2), mismatch_terms(m2, m1)
     v1, v2 = norm1 * sum(terms1), norm2 * sum(terms2)
     return ComparisonReport(
@@ -201,34 +168,22 @@ def generator_comparison(
         bound_value=min(v1, v2),
         branch_used="direction_1_to_2" if v1 <= v2 else "direction_2_to_1",
         tail_term=_fsum(m2.pmf[n + 1 :]),
-        g_norm_source=g_norm_source,
         g_norms=(norm1, norm2),
         terms=terms1 if v1 <= v2 else terms2,
-        notes=notes,
     )
 
 
-def generator_comparison_bound(
-    m1: GibbsMeasure,
-    m2: GibbsMeasure,
-    g_norm_source: str = "exact",
-    g_norm_values: tuple[float, float] | None = None,
-) -> ComparisonReport:
+def generator_comparison_bound(m1: GibbsMeasure, m2: GibbsMeasure) -> ComparisonReport:
     """generator_comparison for two measures that must share the support {0..N}."""
     if m1.support_max != m2.support_max:
         raise ValueError(
             "supports differ; use generator_comparison_extended for nested supports"
         )
-    return generator_comparison(m1, m2, g_norm_source, g_norm_values)
+    return generator_comparison(m1, m2)
 
 
-def generator_comparison_extended(
-    m1: GibbsMeasure,
-    m2: GibbsMeasure,
-    g_norm_source: str = "exact",
-    g_norm_values: tuple[float, float] | None = None,
-) -> ComparisonReport:
+def generator_comparison_extended(m1: GibbsMeasure, m2: GibbsMeasure) -> ComparisonReport:
     """generator_comparison when supp(m1) = {0..n} must sit strictly inside supp(m2)."""
     if m1.support_max >= m2.support_max:
         raise ValueError("m1's support must be strictly smaller than m2's")
-    return generator_comparison(m1, m2, g_norm_source, g_norm_values)
+    return generator_comparison(m1, m2)

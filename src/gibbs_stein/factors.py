@@ -191,10 +191,11 @@ def _increment_columns(m: GibbsMeasure, js) -> tuple[np.ndarray, np.ndarray]:
 def _solution_column(m: GibbsMeasure, js, mean: float) -> np.ndarray:
     """solution_log_tail, (min(ln j, mean) + 1/b_0)/Fbar(j), at each j of the checked ladder js.
 
-    js must not be empty: on N = 0, where no j is valid, b_0 is 0.
+    js must not be empty: on N = 0, where no j is valid, b_0 is 0.  1/b_0 is
+    a Python float division, which overflows to inf without a warning.
     """
     logs = np.array([math.log(j) for j in js])
-    return (np.minimum(logs, mean) + 1.0 / m.birth_rates[0]) / m.cumulatives().Fbar[np.array(js)]
+    return (np.minimum(logs, mean) + 1.0 / float(m.birth_rates[0])) / m.cumulatives().Fbar[np.array(js)]
 
 
 def increment_bound(m: GibbsMeasure, j: int) -> tuple[BoundCertificate, BoundCertificate]:

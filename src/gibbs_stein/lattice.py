@@ -278,8 +278,9 @@ class LatticeBoundReport:
     generator_bound = norm_factor * (omega_term + ratio_term) + tail_term is
     the certified TV bound of the direction `compare.generator_comparison`
     keeps, lattice_averaged if it solves the limit law's equation and
-    limit_averaged otherwise; closed_form is the model's analytic
-    bound when one is defined (None otherwise).
+    limit_averaged otherwise; norm_factor is that solver's exact solution
+    norm, so g_norm_source is always "exact".  closed_form is the model's
+    analytic bound when one is defined (None otherwise).
     """
 
     model: str
@@ -292,7 +293,7 @@ class LatticeBoundReport:
     tail_term: float
     branch_used: str
     norm_factor: float
-    g_norm_source: str
+    g_norm_source: str = "exact"
     notes: str = ""
 
     def to_dict(self) -> dict:
@@ -302,7 +303,6 @@ class LatticeBoundReport:
 def lattice_comparison_report(
     model: InteractionModel,
     n: int,
-    g_norm_source: str = "exact",
     limit: GibbsMeasure | None = None,
 ) -> LatticeBoundReport:
     """Generator-comparison certificate for the n-cell law vs the limit law.
@@ -310,18 +310,16 @@ def lattice_comparison_report(
     limit is the limit law compared against, `limit_measure(model)` when
     None; a caller that wants another truncation, or reports several n,
     builds it once with `limit_measure` and passes it.  Through
-    `compare.generator_comparison`: each direction carries its own norm and
-    the smaller branch is kept.  With the limit truncated at N > n the
-    lattice law is extended and charged the limit's mass above n; at N < n
-    the limit law is extended and charged the lattice mass above N.  The
-    limit law goes first, so an exact tie keeps lattice_averaged unless
-    N > n.
+    `compare.generator_comparison`: each direction carries its own exact
+    solution norm and the smaller branch is kept.  With the limit truncated
+    at N > n the lattice law is extended and charged the limit's mass above
+    n; at N < n the limit law is extended and charged the lattice mass above
+    N.  The limit law goes first, so an exact tie keeps lattice_averaged
+    unless N > n.
     """
-    if g_norm_source not in ("exact", "rate_spread"):
-        raise ValueError("g_norm_source must be 'exact' or 'rate_spread'")
     mu_n = lattice_measure(model, n)
     mu = limit_measure(model) if limit is None else limit
-    rep = generator_comparison(mu, mu_n, g_norm_source)
+    rep = generator_comparison(mu, mu_n)
 
     # the report lists the limit law first unless its support is the larger
     first = 0 if rep.branch_used == "direction_1_to_2" else 1
@@ -342,8 +340,6 @@ def lattice_comparison_report(
         tail_term=rep.tail_term,
         branch_used="lattice_averaged" if solved_limit else "limit_averaged",
         norm_factor=rep.g_norms[first],
-        g_norm_source=g_norm_source,
-        notes=rep.notes,
     )
 
 
@@ -554,7 +550,8 @@ def poisson_sum_bounds(
     independent_bound = None
     improved = None
     if spec.independent:
-        independent_bound = factor * _fsum(spec.p**2)
+        # mean_abs_gaps() is p here, so the linear form already is factor * sum p_i^2
+        independent_bound = linear
         # column 0 of the leave-one-out laws: the product of 1 - p_j over j != i
         none_else = spec.conditional_sums[:, 0]
         improved = _fsum(spec.p[live] ** 2 * np.minimum(0.5 * (1.0 + none_else[live]), factor))

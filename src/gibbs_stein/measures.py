@@ -718,6 +718,10 @@ def hypergeometric(population: int, successes: int, draws: int) -> GibbsMeasure:
         + _log_gamma_run(population - successes - draws + 1.0, count)
     )
     weights = np.exp(log_w - log_w.max())
+    if not weights.all():
+        k = int(np.argmax(weights == 0.0))
+        log_pmf = log_w[k] - _logsumexp(log_w)
+        raise ValueError(f"support weight underflows double precision: pmf({k}) = exp({log_pmf:.6g})")
     return from_pmf(
         weights, omega=1.0, kind="hypergeometric",
         params={"population": population, "successes": successes, "draws": draws},

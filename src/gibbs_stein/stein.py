@@ -250,7 +250,8 @@ def _products_over(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x y / w at every entry, for x, y in (0, 1] and w > 0, the smaller factor divided first.
 
     An entry overflows only when x y / w itself exceeds the double range, even
-    where w is subnormal and x / w or y / w alone would not fit.
+    where w is subnormal and x / w or y / w alone would not fit.  Callers
+    quiet that overflow, to inf, once per table.
     """
     return np.minimum(x, y) / w * np.maximum(x, y)
 
@@ -264,7 +265,8 @@ def sup_solution_table(m: GibbsMeasure, f_support: int | None = None) -> np.ndar
     n = m.support_max
     tables = m.cumulatives()
     below = tables.F[:n] if f_support is None else tables.F[np.minimum(np.arange(n), f_support)]
-    return _products_over(below, tables.Fbar[1:], np.arange(1, n + 1) * m.pmf[1:])
+    with np.errstate(over="ignore"):
+        return _products_over(below, tables.Fbar[1:], np.arange(1, n + 1) * m.pmf[1:])
 
 
 def sup_increment_table(m: GibbsMeasure, f_support: int | None = None) -> np.ndarray:
@@ -292,18 +294,19 @@ def sup_increment_table(m: GibbsMeasure, f_support: int | None = None) -> np.nda
     w = js * pmf[1:]  # j pmf(j); w[j] is (j+1) pmf(j+1)
     below, tail, w_next = F[: n - 1], Fbar[2:], w[1:]
     out = np.empty(n)
-    out[: n - 1] = (
-        below / js[:-1]
-        + _products_over(pmf[1:n], tail, w_next)
-        + np.maximum(_products_over(below, tail, w_next) - _products_over(below, Fbar[1:n], w[:-1]), 0.0)
-        + np.maximum(_products_over(below, tail, w[:-1]) - _products_over(F[1:n], tail, w_next), 0.0)
-    )
-    out[n - 1] = F[n - 1] / n
-    if f_support is not None and f_support < n:
-        # j = f_support + 1 .. N, where only F(s) |A' - A| remains
-        s = f_support
-        at_next = np.append(_products_over(F[s], Fbar[s + 2 :], w[s + 1 :]), 0.0)
-        out[s:] = np.abs(at_next - _products_over(F[s], Fbar[s + 1 :], w[s:]))
+    with np.errstate(over="ignore"):
+        out[: n - 1] = (
+            below / js[:-1]
+            + _products_over(pmf[1:n], tail, w_next)
+            + np.maximum(_products_over(below, tail, w_next) - _products_over(below, Fbar[1:n], w[:-1]), 0.0)
+            + np.maximum(_products_over(below, tail, w[:-1]) - _products_over(F[1:n], tail, w_next), 0.0)
+        )
+        out[n - 1] = F[n - 1] / n
+        if f_support is not None and f_support < n:
+            # j = f_support + 1 .. N, where only F(s) |A' - A| remains
+            s = f_support
+            at_next = np.append(_products_over(F[s], Fbar[s + 2 :], w[s + 1 :]), 0.0)
+            out[s:] = np.abs(at_next - _products_over(F[s], Fbar[s + 1 :], w[s:]))
     return out
 
 

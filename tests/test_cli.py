@@ -451,6 +451,32 @@ def test_overflowing_birth_rate_exits_two_without_a_warning(capsys):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["bounds", "--measure", "pmf:1,2e-310,2e-20,1", "--j", "1"],
+         "# seed=0\n# measure=pmf\nquantity,j,value,formula,exactness,licensed,conditions,notes\r\n"
+         "solution_norm,,inf,norm_rate_spread,upper_bound,True,,\r\n"
+         "increment_at_j,1,0.5,increment_exact_form,exact_equality,False,rate_sandwich=F,\r\n"
+         "increment_at_j,1,4.9999999999999156e-291,increment_rate_reciprocal,upper_bound,False,rate_sandwich=F,\r\n"
+         "solution_at_j,1,inf,solution_log_tail,upper_bound,True,rate_tail_lower=T,\r\n"
+         "solution_norm,,inf,exact_supremum,exact_equality,True,,\r\n"
+         "increment_at_j,1,inf,exact_supremum,exact_equality,True,,\r\n"),
+        (["compare", "--m1", "pmf:1,2e-310,2e-20,1", "--m2", "pmf:1,1e-300,1e-10,1"],
+         "# seed=0\nm1,m2,exact_tv,certified_bound,bound_value,branch_used,tail_term,g_norm_source,notes\r\n"
+         "pmf,pmf,4.9999946551108059e-11,7.4999999988745754e+299,7.4999999988745754e+299,"
+         "direction_2_to_1,0,exact,\r\n"),
+    ],
+    ids=["bounds", "compare"],
+)
+def test_suprema_beyond_the_double_range_print_inf_without_a_warning(argv, text, capsys):
+    # the subnormal pmf(1) puts F Fbar / (j pmf(j)) and 1/b_0 above the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (0, text, "")
+
+
 def test_config_values_go_through_the_flag_types(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lambda": "abc"}))
@@ -458,9 +484,24 @@ def test_config_values_go_through_the_flag_types(tmp_path, capsys):
         main(["lattice", "--model", "product", "--n", "3", "--config", str(cfg)])
     assert exit_info.value.code == 2
     assert "argument --lambda: invalid float value: 'abc'" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"z": 0.7, "g_norm": "rate_spread", "tail-tol": 1e-12}))
+    cfg.write_text(json.dumps({"z": 0.7, "tail-tol": 1e-12}))
     code, out, _ = run_cli(["lattice", "--model", "product", "--n", "3", "--config", str(cfg)], capsys)
     assert code == 0 and "# activity=0.69999999999999996" in out
+
+
+@pytest.mark.parametrize("command", [["compare", "--m1", "poisson:1", "--m2", "poisson:1.1"],
+                                     ["lattice", "--model", "product", "--n", "3"]],
+                         ids=["compare", "lattice"])
+def test_removed_norm_switch_exits_two(command, tmp_path, capsys):
+    # comparisons always use the exact solution norm, on the command line and in a config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g_norm": "exact"}))
+    for extra in (["--g-norm", "exact"], ["--g-norm", "value:0,0"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, *extra])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --g-norm" in captured.err, extra
 
 
 def test_config_switch_for_the_removed_flag_exits_two(tmp_path, capsys):
@@ -498,7 +539,7 @@ PINNED_COMPARE = os.path.join(os.path.dirname(__file__), "data", "compare_output
 
 
 def test_compare_output_matches_the_pinned_text(capsys):
-    # keys are "<pair>|<g-norm>|<format>"; the pairs cover equal supports and both nestings
+    # keys are "<pair>|<format>"; the pairs cover equal supports and both nestings
     # the large pairs reach the extended branch and the restricted test class at N = 680
     restricted = json.dumps(parse_measure("poisson:500").restricted(560).to_dict())
     pairs = {
@@ -510,13 +551,11 @@ def test_compare_output_matches_the_pinned_text(capsys):
     }
     with open(PINNED_COMPARE) as handle:
         pinned = json.load(handle)
-    assert len(pinned) == 22
+    assert len(pinned) == 10
     for key, text in pinned.items():
-        pair, source, fmt = key.split("|")
+        pair, fmt = key.split("|")
         m1, m2 = pairs[pair]
-        code, out, _ = run_cli(
-            ["compare", "--m1", m1, "--m2", m2, "--g-norm", source, "--format", fmt], capsys
-        )
+        code, out, _ = run_cli(["compare", "--m1", m1, "--m2", m2, "--format", fmt], capsys)
         assert code == 0 and out == text, key
 
 
@@ -547,14 +586,6 @@ def test_test_function_table_outside_the_unit_interval_exits_two(values, source,
         code, out, err = run_cli(["solve", "--measure", "poisson:1", "--truncation", "2", "--f", desc], capsys)
     assert code == 2 and out == ""
     assert err == f"error: argument --f: test function {desc!r}: test function values must lie in [0, 1]\n"
-
-
-def test_compare_value_norm_source_needs_two_values(capsys):
-    code, out, err = run_cli(
-        ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2", "--g-norm", "value:3"], capsys
-    )
-    assert code == 2
-    assert out == "" and "value:X,Y takes two norm bounds" in err
 
 
 PINNED_LATTICE = os.path.join(os.path.dirname(__file__), "data", "lattice_outputs.json")
@@ -671,10 +702,9 @@ def test_one_parser_serves_every_call_without_leaking_state(tmp_path, monkeypatc
         ["solve", "--measure", "poisson:2", "--f", "indicator:0,3", "--truncation", "20",
          "--format", "json", "--seed", "3"],
         ["bounds", "--measure", "binomial:12,0.4", "--j", "1..4", "--tail-tol", "1e-10", "--seed", "9"],
-        ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2", "--g-norm", "rate_spread",
-         "--truncation", "30", "--format", "json"],
-        ["lattice", "--model", "ideal_gas", "--lambda", "2", "--n", "3..5", "--g-norm", "rate_spread",
-         "--truncation", "15", "--tail-tol", "1e-8"],
+        ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2", "--truncation", "30", "--format", "json"],
+        ["lattice", "--model", "ideal_gas", "--lambda", "2", "--n", "3..5", "--truncation", "15",
+         "--tail-tol", "1e-8"],
         ["poisson-sum", "--p", "0.1,0.2,0.05", "--truncation", "8", "--format", "json", "--seed", "4"],
         # the same subcommands with their defaults: nothing set above may stick
         ["solve", "--measure", "poisson:2", "--f", "indicator:0,3"],
@@ -685,7 +715,7 @@ def test_one_parser_serves_every_call_without_leaking_state(tmp_path, monkeypatc
         ["bounds", "--measure", "geometric:0.5", "--config", str(cfg)],
         ["bounds", "--measure", "geometric:0.5"],
         ["lattice", "--model", "product", "--n", "abc"],  # argparse exits 2
-        ["compare", "--m1", "poisson:1", "--m2", "poisson:2", "--g-norm", "bogus"],  # a CliError
+        ["compare", "--m1", "poisson:1", "--m2", "poisson:x"],  # a CliError
         ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2"],
     ]
 
@@ -705,7 +735,7 @@ def test_one_parser_serves_every_call_without_leaking_state(tmp_path, monkeypatc
         alone.insert(0, call(argv))
     assert [code for code, _, _ in alone] == [0] * 12 + [2, 2, 0]
     assert "argument --n: expected integers" in alone[12][2]
-    assert alone[13][2].startswith("error: argument --g-norm: expected exact")
+    assert alone[13][2].startswith("error: argument --m2: measure descriptor 'poisson:x'")
 
     builds = []
     build_parser = cli.build_parser
@@ -785,10 +815,6 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
          "with 1 - p < 1"),
         (["bounds", "--measure", "negative_binomial:2,1e-17"],
          "argument --measure: measure descriptor 'negative_binomial:2,1e-17': negative binomial needs"),
-        (["compare", "--m1", "poisson:1", "--m2", "poisson:2", "--g-norm", "value:abc,1"],
-         "argument --g-norm: could not convert string to float: 'abc'"),
-        (["compare", "--m1", "poisson:1", "--m2", "poisson:2", "--g-norm", "value:-1,1"],
-         "argument --g-norm: 'value:-1,1': norm bounds must be nonnegative"),
         (["bounds", "--measure", "pmf:1,2,3,4", "--j", "1..5"],
          "argument --j: increment bound defined for 1 <= j <= 3, got 4"),
         (["bounds", "--measure", "pmf:1,inf"],
@@ -821,13 +847,16 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
          "needs min(successes, draws) <= 1048575, got 1000000000000\n"),
         (["lattice", "--model", "ideal_gas", "--n", "100000000000"],
          "argument --n: 100000000000 cells: need at most 1048575 cells, got 100000000000\n"),
+        (["bounds", "--measure", "hypergeometric:2000,900,1000"],
+         "argument --measure: measure descriptor 'hypergeometric:2000,900,1000': support weight "
+         "underflows double precision: pmf(0) = exp(-1050.34)\n"),
     ],
-    ids=["poisson_inf", "geometric_p_vanishing", "negative_binomial_p_vanishing", "g_norm_not_a_float",
-         "g_norm_negative", "j_beyond_support", "pmf_weight_inf", "pmf_weight_nan", "poisson_sum_nan_mean",
+    ids=["poisson_inf", "geometric_p_vanishing", "negative_binomial_p_vanishing",
+         "j_beyond_support", "pmf_weight_inf", "pmf_weight_nan", "poisson_sum_nan_mean",
          "poisson_sum_truncation_below_n", "lattice_n_below_minimum",
          "lattice_truncation_underflows", "out_directory_missing", "f_constant_nan", "f_table_entry_not_a_number",
          "f_unknown_kind", "binomial_n_huge", "discrete_uniform_n_huge", "hypergeometric_huge",
-         "lattice_cells_huge"],
+         "lattice_cells_huge", "hypergeometric_weight_underflows"],
 )
 def test_bad_values_met_at_run_time_exit_two_naming_the_flag(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -140,20 +140,17 @@ def bounds_case():
 
 
 def compare_case():
-    norm = st.one_of(st.none(), choice("--g-norm", ["exact", "rate_spread", "value:1,2"],
-                                       ["value:abc,1", "value:3", "value:-1,2", "value:nan,1", "bogus"]))
-    return st.tuples(measure_part("--m1"), measure_part("--m2"), norm, common()).map(
-        lambda t: ["compare", t[0], t[1], *([t[2]] if t[2] else []), *t[3]])
+    return st.tuples(measure_part("--m1"), measure_part("--m2"), common()).map(
+        lambda t: ["compare", t[0], t[1], *t[2]])
 
 
 def lattice_case():
     model = choice("--model", ["repelling", "product", "ideal_gas"], ["bogus"])
     lam = st.one_of(st.none(), floats(0.1, 5.0).map(lambda v: flag("--lambda", v)),
                     st.sampled_from(BAD_NUMBERS).map(lambda v: flag("--lambda", v, True)))
-    norm = st.one_of(st.none(), choice("--g-norm", ["exact", "rate_spread"], ["value:1,2"]))
     n = ranged("--n", 40, ["0", "abc", "5..2", "", "-2..3"])
-    return st.tuples(model, n, lam, norm, common()).map(
-        lambda t: ["lattice", t[0], t[1], *[p for p in t[2:4] if p], *t[4]])
+    return st.tuples(model, n, lam, common()).map(
+        lambda t: ["lattice", t[0], t[1], *([t[2]] if t[2] else []), *t[3]])
 
 
 # specs whose tables hold a NaN: a conditional sum law, and the all-zero configuration's probability

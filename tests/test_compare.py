@@ -99,21 +99,6 @@ def test_support_mismatch_directs_to_extended():
         gs.generator_comparison_bound(m1, m2)
 
 
-def test_rate_spread_source_flagged_when_inapplicable():
-    m1 = gs.geometric(0.5, truncation=30)
-    m2 = gs.geometric(0.6, truncation=30)
-    rep = gs.generator_comparison_bound(m1, m2, g_norm_source="rate_spread")
-    assert math.isinf(rep.bound_value)
-    assert "inapplicable" in rep.notes
-
-
-def test_user_norms_respected():
-    m1 = gs.poisson(1.0, truncation=30)
-    m2 = gs.poisson(1.2, truncation=30)
-    rep = gs.generator_comparison_bound(m1, m2, "user", (0.5, 0.5))
-    assert rep.g_norms == (0.5, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # nested-support comparisons
 # ---------------------------------------------------------------------------

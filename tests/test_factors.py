@@ -238,9 +238,10 @@ def test_supnorm_dominance_across_binomial_grid():
 
 
 def test_extended_supnorm_adds_tail_ceiling():
-    m = gs.poisson(0.05, truncation=3)
-    norm, licensed = solution_norm(m, "rate_spread", extended=True)
-    assert licensed and norm >= 0.25
+    # above N = 3 the pure-death extension's solution reaches 1/(N+1) = 0.25,
+    # past the exact supremum on {0..3}
+    m = gs.poisson(10.0, truncation=3)
+    assert sup_solution_norm(m) < 0.25 == solution_norm(m, extended=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Every record of the family registry holds on instances of its family."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import gibbs_stein as gs
+from gibbs_stein.compare import solution_norm
 from gibbs_stein.factors import closed_form_bounds, supnorm_bound
 from gibbs_stein.lattice import limit_measure
 from gibbs_stein.measures import FAMILIES
@@ -70,3 +72,44 @@ def test_family_values_name_a_missing_parameter(kind):
     params = {arg: 1 for arg, _ in family.args[:-1]}
     with pytest.raises(ValueError, match=f"^{kind} measure lacks parameter '{name}'$"):
         family.values(params)
+
+
+@functools.cache
+def _norm_laws():
+    """Every family's instances, 20 random pmf laws, and lattice laws of the three models."""
+    rng = np.random.default_rng(20081)
+    laws = [make() for makes in INSTANCES.values() for make in makes]
+    laws += [gs.from_pmf(rng.uniform(0.05, 1.0, int(rng.integers(2, 40))), omega=float(rng.uniform(0.5, 3.0)))
+             for _ in range(20)]
+    laws += [gs.lattice_measure(make(z), n) for make in (gs.ideal_gas_model, gs.repelling_model, gs.product_model)
+             for z in (0.5, 2.0) for n in (3, 12)]
+    return laws
+
+
+# f_support of the test class as a function of N: all of B, then B0 at N//2 and at 1
+TEST_CLASSES = {"B": lambda n: None, "B0_half": lambda n: n // 2, "B0_one": lambda n: 1}
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["own_support", "extended"])
+@pytest.mark.parametrize("test_class", TEST_CLASSES)
+def test_exact_solution_norm_never_exceeds_the_rate_spread_certificate(test_class, extended):
+    # comparisons multiply by the exact norm, so the rate-spread certificate must dominate it
+    # over B0 and for the pure-death extension as well as over B
+    checked = 0
+    for m in _norm_laws():
+        cert = supnorm_bound(m)
+        if not cert.applicable or m.support_max == 0:
+            continue
+        n = m.support_max
+        floor = 1.0 / (n + 1) if extended else 0.0
+        exact = solution_norm(m, f_support=TEST_CLASSES[test_class](n), extended=extended)
+        assert exact <= max(cert.value, floor), m.label()
+        checked += 1
+    assert checked >= 40
+
+
+def test_exact_solution_norm_overflows_only_with_the_certificate():
+    # pmf(1) = 2e-310 / 2 is subnormal: F Fbar / (j pmf(j)) leaves the double range
+    m = gs.from_pmf([1.0, 2e-310, 2e-20, 1.0])
+    cert = supnorm_bound(m)
+    assert math.isinf(sup_solution_norm(m)) and cert.applicable and math.isinf(cert.value)

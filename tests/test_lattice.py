@@ -242,15 +242,17 @@ def test_generator_bound_dominates_exact_tv_for_all_models():
 @pytest.mark.parametrize("make", [gs.product_model, gs.repelling_model, gs.ideal_gas_model],
                          ids=["product", "repelling", "ideal_gas"])
 @pytest.mark.parametrize("z", [0.5, 1.0, 2.0])
-def test_rate_spread_report_keeps_the_comparisons_note(make, z):
+def test_report_keeps_the_comparisons_certificate(make, z):
+    # the report is generator_comparison(limit, lattice law) bit for bit, its exact norm and notes included
     model = make(z)
     limit = limit_measure(model)
     for n in range(max(model.min_cells, 3), 40, 6):
-        rep = gs.lattice_comparison_report(model, n, g_norm_source="rate_spread", limit=limit)
-        note = gs.generator_comparison(limit, gs.lattice_measure(model, n), "rate_spread").notes
-        assert rep.notes == note, n
-        if math.isfinite(rep.generator_bound):
-            assert "no finite certificate" not in rep.notes, n
+        rep = gs.lattice_comparison_report(model, n, limit=limit)
+        comp = gs.generator_comparison(limit, gs.lattice_measure(model, n))
+        assert rep.generator_bound == comp.certified_bound and rep.tail_term == comp.tail_term, n
+        assert (rep.omega_term, rep.ratio_term) == comp.terms and rep.norm_factor in comp.g_norms, n
+        assert rep.exact_tv == comp.exact_tv, n
+        assert (rep.g_norm_source, rep.notes) == (comp.g_norm_source, comp.notes) == ("exact", ""), n
 
 
 def _hex_fields(rep):
@@ -263,10 +265,9 @@ def test_report_without_a_limit_law_builds_the_default_one(model):
     limit = limit_measure(model)
     big_n = limit.support_max
     for n in (max(big_n // 2, model.min_cells), big_n, big_n + 3):
-        for source in ("exact", "rate_spread"):
-            rep = gs.lattice_comparison_report(model, n, g_norm_source=source)
-            given = gs.lattice_comparison_report(model, n, g_norm_source=source, limit=limit)
-            assert _hex_fields(rep) == _hex_fields(given), (n, source)
+        rep = gs.lattice_comparison_report(model, n)
+        given = gs.lattice_comparison_report(model, n, limit=limit)
+        assert _hex_fields(rep) == _hex_fields(given), n
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
@@ -276,31 +277,31 @@ def test_every_model_rejects_an_activity_that_is_not_positive(bad):
             make(bad)
 
 
-def _former_branches(model, n, source):
+def _former_branches(model, n):
     """The branch terms, norms and tail of the former lattice-local certificate.
 
     It always extended the lattice law and charged the limit's mass above n,
     whichever support was the larger.
     """
     mu_n, mu = gs.lattice_measure(model, n), limit_measure(model)
-    norm_limit, _ = solution_norm(mu, source, f_support=n)
-    norm_lattice, _ = solution_norm(mu_n, source, extended=True)
+    norm_limit = solution_norm(mu, f_support=n)
+    norm_lattice = solution_norm(mu_n, extended=True)
     tail = math.fsum(mu.pmf[n + 1 :].tolist())
     return mismatch_terms(mu, mu_n), mismatch_terms(mu_n, mu), norm_limit, norm_lattice, tail
 
 
-def per_branch_reference(model, n, source):
+def per_branch_reference(model, n):
     """(branch, bound, terms, norm) with each norm attached to its own branch."""
-    a, b, norm_limit, norm_lattice, tail = _former_branches(model, n, source)
+    a, b, norm_limit, norm_lattice, tail = _former_branches(model, n)
     value_a, value_b = norm_limit * (a[0] + a[1]), norm_lattice * (b[0] + b[1])
     if value_a <= value_b:
         return "lattice_averaged", value_a + tail, a, norm_limit
     return "limit_averaged", value_b + tail, b, norm_lattice
 
 
-def max_norm_reference(model, n, source):
+def max_norm_reference(model, n):
     """The bound with the larger norm times the smaller branch sum."""
-    a, b, norm_limit, norm_lattice, tail = _former_branches(model, n, source)
+    a, b, norm_limit, norm_lattice, tail = _former_branches(model, n)
     comps = a if a[0] + a[1] <= b[0] + b[1] else b
     return max(norm_limit, norm_lattice) * (comps[0] + comps[1]) + tail
 
@@ -308,14 +309,13 @@ def max_norm_reference(model, n, source):
 REFERENCE_MODELS = (gs.ideal_gas_model(1.0), gs.repelling_model(1.0), gs.product_model(1.0))
 
 
-@pytest.mark.parametrize("source", ["exact", "rate_spread"])
 @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: m.kind)
 @pytest.mark.parametrize("offset", [-3, 0, 4], ids=["below_N", "at_N", "above_N"])
-def test_report_matches_the_per_branch_reference(model, source, offset):
+def test_report_matches_the_per_branch_reference(model, offset):
     N = limit_measure(model).support_max
     n = N + offset
-    rep = gs.lattice_comparison_report(model, n, g_norm_source=source)
-    branch, bound, terms, norm = per_branch_reference(model, n, source)
+    rep = gs.lattice_comparison_report(model, n)
+    branch, bound, terms, norm = per_branch_reference(model, n)
     mu_n, mu = gs.lattice_measure(model, n), limit_measure(model)
     assert rep.exact_tv == gs.tv_distance(mu_n.pmf, mu.pmf)
     if n <= N:
@@ -323,7 +323,7 @@ def test_report_matches_the_per_branch_reference(model, source, offset):
         assert rep.generator_bound == bound
         assert (rep.omega_term, rep.ratio_term, rep.norm_factor) == (*terms, norm)
         assert rep.tail_term == math.fsum(mu.pmf[n + 1 :].tolist())
-        assert rep.generator_bound <= max_norm_reference(model, n, source)
+        assert rep.generator_bound <= max_norm_reference(model, n)
     else:
         # the limit law is the one extended, so the lattice mass above N is charged
         assert rep.tail_term == math.fsum(mu_n.pmf[N + 1 :].tolist())
@@ -359,12 +359,6 @@ def test_default_truncation_below_n_charges_the_lattice_tail(model, n):
     mu_n = gs.lattice_measure(model, n)
     assert rep.tail_term == math.fsum(mu_n.pmf[N + 1 :].tolist())
     assert rep.generator_bound >= rep.exact_tv - 1e-10
-
-
-def test_report_rejects_other_norm_sources():
-    for source in ("user", "nonsense"):
-        with pytest.raises(ValueError, match="g_norm_source must be 'exact' or 'rate_spread'"):
-            gs.lattice_comparison_report(gs.product_model(1.0), 5, g_norm_source=source)
 
 
 def test_product_ratio_term_capped():
@@ -530,6 +524,25 @@ def test_poisson_sum_bounds_equal_the_tuple_loop(name):
     ]
     factor = uniform_increment(target.kind, target.params)
     assert rep.linear_coupling_bound.hex() == (factor * math.fsum(gaps)).hex()
+
+
+def _independent_specs():
+    rng = np.random.default_rng(1729)
+    specs = [spec for spec in COUPLING_SPECS.values() if spec.independent]
+    for _ in range(300):
+        p = rng.uniform(0.0, 1.0, int(rng.integers(1, 40)))
+        p[1:][rng.uniform(size=p.size - 1) < 0.1] = 0.0  # p[0] > 0 keeps lambda positive
+        specs.append(gs.CouplingSpec.independent_bernoulli(p.tolist()))
+    return specs
+
+
+def test_independent_bound_is_the_linear_coupling_bound():
+    # factor * sum p_i^2 is the linear form with E_i |S - Shat_i| = p_i, bit for bit
+    for spec in _independent_specs():
+        rep = gs.poisson_sum_bounds(spec)
+        target = gs.poisson(spec.lam, truncation=max(spec.n, gs.poisson(spec.lam).support_max))
+        closed_form = uniform_increment(target.kind, target.params) * math.fsum((spec.p**2).tolist())
+        assert rep.independent_bound.hex() == rep.linear_coupling_bound.hex() == closed_form.hex(), spec.p
 
 
 def test_coupling_bound_poisson_target_drops_norm_part():
