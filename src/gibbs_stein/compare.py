@@ -80,8 +80,8 @@ class ComparisonReport:
     tail_term is the support-extension surcharge (zero for equal supports).
     The certified distance bound is bound_value + tail_term.  terms holds
     the chosen direction's (activity term, ratio term); it stays out of the
-    emitted dict and CSV row.  g_norms are exact suprema, so g_norm_source
-    is always "exact".
+    emitted dict and CSV row.  g_norms are exact suprema, which the emitted
+    g_norm_source column names "exact"; its notes column is empty.
     """
 
     measures: tuple[str, str]
@@ -91,8 +91,6 @@ class ComparisonReport:
     tail_term: float
     g_norms: tuple[float, float]
     terms: tuple[float, float]
-    g_norm_source: str = "exact"
-    notes: str = ""
 
     @property
     def certified_bound(self) -> float:
@@ -107,9 +105,9 @@ class ComparisonReport:
             "certified_bound": self.certified_bound,
             "branch_used": self.branch_used,
             "tail_term": self.tail_term,
-            "g_norm_source": self.g_norm_source,
+            "g_norm_source": "exact",
             "g_norms": list(self.g_norms),
-            "notes": self.notes,
+            "notes": "",
         }
 
 

@@ -75,12 +75,14 @@ CONDITION_NAMES = ("rate_sandwich", "rates_nonincreasing", "rate_tail_lower")
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    name: str
-    holds: bool
-    first_violation: int | None = None
+    """A licensing condition and the first k that violates it (None if none does)."""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "first_violation": self.first_violation}
+    name: str
+    first_violation: int | None
+
+    @property
+    def holds(self) -> bool:
+        return self.first_violation is None
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class RateRange:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A named bound value plus the checks that license it."""
+    """A named bound value plus the checks that license it; a value of None is never licensed."""
 
     quantity: str
     value: float | None
@@ -102,25 +104,15 @@ class BoundCertificate:
     conditions: tuple[ConditionCheck, ...] = ()
     j: int | None = None
     exactness: str = "upper_bound"
-    applicable: bool = True
     notes: str = ""
+
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
     @property
     def licensed(self) -> bool:
         return self.applicable and all(c.holds for c in self.conditions)
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "j": self.j,
-            "value": self.value,
-            "formula": self.formula,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "exactness": self.exactness,
-            "applicable": self.applicable,
-            "licensed": self.licensed,
-            "notes": self.notes,
-        }
 
 
 def _ge(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -145,8 +137,7 @@ def condition(m: GibbsMeasure, name: str) -> ConditionCheck:
     else:
         raise ValueError(f"unknown condition {name!r}")
     bad = np.flatnonzero(~ok)
-    first_bad = int(bad[0]) + 1 if bad.size else None
-    return ConditionCheck(name, first_bad is None, first_bad)
+    return ConditionCheck(name, int(bad[0]) + 1 if bad.size else None)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +183,12 @@ def _solution_column(m: GibbsMeasure, js, mean: float) -> np.ndarray:
     """solution_log_tail, (min(ln j, mean) + 1/b_0)/Fbar(j), at each j of the checked ladder js.
 
     js must not be empty: on N = 0, where no j is valid, b_0 is 0.  1/b_0 is
-    a Python float division, which overflows to inf without a warning.
+    a Python float division, which overflows to inf without a warning; so
+    does a quotient above the double range, whose rounding is +inf.
     """
     logs = np.array([math.log(j) for j in js])
-    return (np.minimum(logs, mean) + 1.0 / float(m.birth_rates[0])) / m.cumulatives().Fbar[np.array(js)]
+    with np.errstate(over="ignore"):
+        return (np.minimum(logs, mean) + 1.0 / float(m.birth_rates[0])) / m.cumulatives().Fbar[np.array(js)]
 
 
 def increment_bound(m: GibbsMeasure, j: int) -> tuple[BoundCertificate, BoundCertificate]:
@@ -243,7 +236,6 @@ def supnorm_bound(m: GibbsMeasure) -> BoundCertificate:
             quantity="solution_norm",
             value=None,
             formula="norm_rate_spread",
-            applicable=False,
             notes=(notes + "; " if notes else "") + reason,
         )
     return BoundCertificate(
@@ -262,21 +254,11 @@ def uniform_increment(kind: str, params: dict) -> float | None:
     return family.increment(**family.values(params))
 
 
-def closed_form_bounds(m: GibbsMeasure, j: int | None = None) -> list[BoundCertificate]:
-    """The family's closed-form certificates from the registry ([] where it has none).
-
-    Without j these are the uniform ones (increment and solution norm); with
-    j, the per-j increment certificate alone.
-    """
+def closed_form_bounds(m: GibbsMeasure) -> list[BoundCertificate]:
+    """The family's uniform closed-form certificates from the registry ([] where it has none)."""
     family = FAMILIES.get(m.kind)
     if family is None:
         return []
-    if j is not None:
-        if family.increment_at is None:
-            return []
-        value = family.increment_at(j, **family.values(m.params))
-        return [BoundCertificate("increment_at_j", value, f"{m.kind}_increment_at_j", j=j,
-                                 notes=family.notes)]
     return [
         BoundCertificate(quantity, factor(**family.values(m.params)), f"{m.kind}_{name}")
         for quantity, name, factor in (
@@ -291,16 +273,18 @@ def _rows(js, values: list, quantity: str, formula: str, check: ConditionCheck |
           exactness: str = "upper_bound", notes: str = "") -> list[dict]:
     """One `bounds` row per j of js, with the value beside it, licensed by `check` if given.
 
-    A row has the keys of `BoundCertificate.to_dict`, with the conditions as
-    `name=T` or `name=F` text.
+    A row holds a certificate's fields, with the conditions as `name=T` or
+    `name=F` text, and its `applicable` and `licensed` as the certificate
+    derives them: a row without a value is neither.
     """
     template = {
         "quantity": quantity, "j": None, "value": None, "formula": formula,
         "conditions": "" if check is None else f"{check.name}={'T' if check.holds else 'F'}",
-        "exactness": exactness, "applicable": True, "licensed": check is None or check.holds,
-        "notes": notes,
+        "exactness": exactness, "applicable": None, "licensed": None, "notes": notes,
     }
-    return [{**template, "j": j, "value": value} for j, value in zip(js, values)]
+    holds = check is None or check.holds
+    return [{**template, "j": j, "value": value, "applicable": value is not None,
+             "licensed": holds and value is not None} for j, value in zip(js, values)]
 
 
 def bound_rows(m: GibbsMeasure, js: list[int]) -> list[dict]:
@@ -314,8 +298,8 @@ def bound_rows(m: GibbsMeasure, js: list[int]) -> list[dict]:
     per-j formula once, as a column over js; the per-j rows are those columns
     zipped.  A j outside 1..N raises for the first one in ladder order.
     """
-    # the uniform certificates carry no conditions
-    rows = [{**cert.to_dict(), "conditions": ""} for cert in (supnorm_bound(m), *closed_form_bounds(m))]
+    rows = [row for cert in (supnorm_bound(m), *closed_form_bounds(m))  # these carry no conditions
+            for row in _rows([None], [cert.value], cert.quantity, cert.formula, notes=cert.notes)]
     norm = sup_solution_norm(m)
     sandwich, tail = condition(m, "rate_sandwich"), condition(m, "rate_tail_lower")
     mean = m.mean()

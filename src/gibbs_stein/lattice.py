@@ -279,8 +279,9 @@ class LatticeBoundReport:
     the certified TV bound of the direction `compare.generator_comparison`
     keeps, lattice_averaged if it solves the limit law's equation and
     limit_averaged otherwise; norm_factor is that solver's exact solution
-    norm, so g_norm_source is always "exact".  closed_form is the model's
-    analytic bound when one is defined (None otherwise).
+    norm.  closed_form is the model's analytic bound when one is defined
+    (None otherwise).  The emitted dict ends with the columns g_norm_source,
+    "exact" for that norm, and notes, empty.
     """
 
     model: str
@@ -293,11 +294,9 @@ class LatticeBoundReport:
     tail_term: float
     branch_used: str
     norm_factor: float
-    g_norm_source: str = "exact"
-    notes: str = ""
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return {**vars(self), "g_norm_source": "exact", "notes": ""}
 
 
 def lattice_comparison_report(
@@ -384,16 +383,20 @@ def _pair_terms(b: np.ndarray, family_cap: float | None) -> np.ndarray:
 class CouplingBound:
     """Distance certificates for a Bernoulli-sum law against a Gibbs target.
 
-    value is certified when `licensed`; pointwise_bound needs no licence.
+    value is certified when `licensed`, that is when all its conditions hold;
+    pointwise_bound needs no licence.
     """
 
     value: float
     increment_part: float
     norm_part: float
-    licensed: bool
     conditions: tuple
     g_norm: float
     pointwise_bound: float
+
+    @property
+    def licensed(self) -> bool:
+        return all(c.holds for c in self.conditions)
 
     @property
     def certified_bound(self) -> float:
@@ -449,7 +452,6 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
             "the Bernoulli sum must live inside the target support "
             f"(n = {spec.n} > N = {n_max})"
         )
-    cond = (condition(m, "rates_nonincreasing"),)
     lam = spec.lam
     b = m.birth_rates[: spec.n + 1]
     rate_weight = b / m.omega
@@ -482,8 +484,7 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
         value=increment_part + norm_part,
         increment_part=increment_part,
         norm_part=norm_part,
-        licensed=all(c.holds for c in cond),
-        conditions=cond,
+        conditions=(condition(m, "rates_nonincreasing"),),
         g_norm=g_norm,
         pointwise_bound=_pointwise_bound(m, spec, G),
     )

@@ -368,35 +368,36 @@ class GibbsMeasure:
     def from_dict(payload: dict) -> "GibbsMeasure":
         """The measure a to_dict payload (parsed JSON) describes.
 
-        A missing field or truncation key, or a value of the wrong type,
-        raises ValueError naming it.
+        A missing or unknown field or truncation key, or a value of the wrong
+        type, raises ValueError naming it; a null params or truncation is absent.
         """
-        for field in ("omega", "V"):
-            if field not in payload:
-                raise ValueError(f"measure lacks field {field!r}")
+        if not isinstance(payload, dict):
+            raise ValueError("measure must be a JSON object")
+        _fields("measure", payload, ("omega", "V"), ("kind", "params", "truncation"))
         kind = payload.get("kind", "potential")
-        params = payload.get("params") or {}
-        trunc = payload.get("truncation")
+        params, trunc = payload.get("params"), payload.get("truncation")
         if not isinstance(kind, str):
             raise ValueError("measure field 'kind' must be a JSON string")
-        for field, value in (("params", params), ("truncation", trunc or {})):
-            if not isinstance(value, dict):
+        for field, value in (("params", params), ("truncation", trunc)):
+            if value is not None and not isinstance(value, dict):
                 raise ValueError(f"measure field {field!r} must be a JSON object")
         policy = None
         if trunc:
-            for key in ("bound", "tail_mass", "tolerance"):
+            keys = ("bound", "tail_mass", "tolerance")
+            for key in keys:
                 if key not in trunc:
                     raise ValueError(f"truncation lacks {key!r}")
+            _fields("truncation", trunc, (), keys)
             policy = TailPolicy(
-                _typed("truncation.bound", lambda v: _whole("truncation", "bound", v), trunc["bound"]),
-                _typed("truncation.tail_mass", float, trunc["tail_mass"]),
-                _typed("truncation.tolerance", float, trunc["tolerance"]),
+                _typed("measure", "truncation.bound", lambda v: _whole("truncation", "bound", v), trunc["bound"]),
+                _typed("measure", "truncation.tail_mass", float, trunc["tail_mass"]),
+                _typed("measure", "truncation.tolerance", float, trunc["tolerance"]),
             )
         m = GibbsMeasure(
-            _typed("omega", float, payload["omega"]),
-            _typed("V", lambda v: np.asarray(v, dtype=float), payload["V"]),
+            _typed("measure", "omega", float, payload["omega"]),
+            _typed("measure", "V", lambda v: np.asarray(v, dtype=float), payload["V"]),
             kind=kind,
-            params=params,
+            params=params or {},
             truncation=policy,
         )
         family = FAMILIES.get(m.kind)
@@ -438,12 +439,22 @@ class GibbsMeasure:
         return f"GibbsMeasure({self.label()}, N={self.support_max})"
 
 
-def _typed(field: str, convert, value):
-    """convert(value) for a measure's JSON field; a value convert rejects raises ValueError naming it."""
+def _typed(owner: str, field: str, convert, value):
+    """convert(value) for a field of an owner's JSON payload; a value convert rejects raises ValueError naming it."""
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"measure field {field!r}: {exc}") from exc
+        raise ValueError(f"{owner} field {field!r}: {exc}") from exc
+
+
+def _fields(owner: str, payload: dict, required, optional=()) -> None:
+    """Raise ValueError naming the first required field an owner's JSON payload lacks, else its first unknown one."""
+    for key in required:
+        if key not in payload:
+            raise ValueError(f"{owner} lacks field {key!r}")
+    unknown = [key for key in payload if key not in required and key not in optional]
+    if unknown:
+        raise ValueError(f"{owner} has unknown field {unknown[0]!r}")
 
 
 def _activity(omega) -> float:
@@ -775,7 +786,8 @@ class Family:
         if missing:
             raise ValueError(f"{self.kind} measure lacks parameter {missing[0]!r}")
         return {
-            name: _typed("params", (lambda v: _whole(self.kind, name, v)) if typ is int else typ, params[name])
+            name: _typed("measure", "params", (lambda v: _whole(self.kind, name, v)) if typ is int else typ,
+                         params[name])
             for name, typ in self.args
         }
 

@@ -39,12 +39,11 @@ monotone pairs of one index by a two-pointer merge.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GibbsMeasure, _compensated_cumsum, _fsum, _fsum_rows, _sums_to_one
+from .measures import GibbsMeasure, _compensated_cumsum, _fields, _fsum, _fsum_rows, _sums_to_one, _typed
 from .stein import solve
 
 __all__ = [
@@ -88,15 +87,6 @@ def _check_pmf_rows(table: np.ndarray, rows: np.ndarray, what: str, tol: float) 
         first = int(np.argmax(bad))
         problem = "has negative entries" if negative[first] else "is not a probability vector"
         raise ValueError(f"{what} {rows[first]} {problem}")
-
-
-@contextmanager
-def _naming(field: str):
-    """Turn a TypeError met while reading a spec field into a ValueError naming it."""
-    try:
-        yield
-    except TypeError as exc:
-        raise ValueError(f"coupling specification field {field!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -250,29 +240,33 @@ class CouplingSpec:
 
     @staticmethod
     def from_dict(payload) -> "CouplingSpec":
-        """The spec a parsed JSON payload describes; a bad or missing field raises ValueError naming it."""
+        """The spec a parsed JSON payload describes; a bad, missing or unknown field raises ValueError naming it.
+
+        Its fields are "configurations" alone, or "p" with optional "independent" and "conditional_sums".
+        """
+        owner = "coupling specification"
         if not isinstance(payload, dict):
-            raise ValueError("coupling specification must be a JSON object")
+            raise ValueError(f"{owner} must be a JSON object")
         if "configurations" in payload:
+            _fields(owner, payload, ("configurations",))
             entries = payload["configurations"]
             for k, entry in enumerate(entries if isinstance(entries, list) else [None]):
                 if not isinstance(entry, dict):
-                    raise ValueError("coupling specification field 'configurations' must be a list of JSON objects")
-                for key in ("bits", "prob"):
-                    if key not in entry:
-                        raise ValueError(f"configuration {k} lacks field {key!r}")
-            with _naming("configurations"):
-                return CouplingSpec.from_configurations((entry["bits"], entry["prob"]) for entry in entries)
-        if "p" not in payload:
-            raise ValueError("coupling specification lacks field 'p'")
+                    raise ValueError(f"{owner} field 'configurations' must be a list of JSON objects")
+                _fields(f"configuration {k}", entry, ("bits", "prob"))
+            items = _typed(owner, "configurations",
+                           lambda entries: [(tuple(map(int, e["bits"])), float(e["prob"])) for e in entries], entries)
+            return CouplingSpec.from_configurations(items)
+        _fields(owner, payload, ("p",), ("independent", "conditional_sums"))
         independent = payload.get("independent", False)
         if not isinstance(independent, bool):
-            raise ValueError(f"coupling specification field 'independent' must be a JSON boolean, got {independent!r}")
-        with _naming("p"):
-            p = np.asarray(payload["p"], dtype=float)
-        with _naming("conditional_sums"):
-            # tables given alongside the independent flag are checked against the convolutions
-            return CouplingSpec(p, payload.get("conditional_sums"), independent=independent)
+            raise ValueError(f"{owner} field 'independent' must be a JSON boolean, got {independent!r}")
+        p = _typed(owner, "p", lambda v: np.asarray(v, dtype=float), payload["p"])
+        sums = payload.get("conditional_sums")
+        if sums is not None:
+            sums = _typed(owner, "conditional_sums", lambda v: np.asarray(v, dtype=float), sums)
+        # tables given alongside the independent flag are checked against the convolutions
+        return CouplingSpec(p, sums, independent=independent)
 
     # -- derived laws -----------------------------------------------------------
     @property

@@ -108,7 +108,6 @@ class SteinSolution:
     measure: GibbsMeasure
     f: np.ndarray
     mu_f: float
-    extended: bool
     domain_max: int
 
     def delta(self) -> np.ndarray:
@@ -169,7 +168,7 @@ def solve(m: GibbsMeasure, f, method: str = "auto") -> SteinSolution:
         use_forward = method == "forward"
     g = np.zeros(n + 2)
     g[1 : n + 1] = np.where(use_forward, forward, backward) / (np.arange(1, n + 1) * pmf[1:])
-    return SteinSolution(g=g, measure=m, f=values, mu_f=mu_f, extended=False, domain_max=n)
+    return SteinSolution(g=g, measure=m, f=values, mu_f=mu_f, domain_max=n)
 
 
 def solve_extended(m: GibbsMeasure, f, domain_max: int) -> SteinSolution:
@@ -190,9 +189,7 @@ def solve_extended(m: GibbsMeasure, f, domain_max: int) -> SteinSolution:
     g[: n + 1] = base.g[: n + 1]
     ks = np.arange(n + 1, domain_max + 2, dtype=float)
     g[n + 1 :] = base.mu_f / ks
-    return SteinSolution(
-        g=g, measure=m, f=values, mu_f=base.mu_f, extended=True, domain_max=domain_max
-    )
+    return SteinSolution(g=g, measure=m, f=values, mu_f=base.mu_f, domain_max=domain_max)
 
 
 def apply_generator(m: GibbsMeasure, g, k: int) -> float:
@@ -256,6 +253,13 @@ def _products_over(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.minimum(x, y) / w * np.maximum(x, y)
 
 
+def _gap(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x - y)^+ for x, y >= 0, and +inf where both overflowed (callers quiet that inf - inf)."""
+    gap = x - y
+    gap[np.isinf(x) & np.isinf(y)] = np.inf
+    return np.maximum(gap, 0.0)
+
+
 def sup_solution_table(m: GibbsMeasure, f_support: int | None = None) -> np.ndarray:
     """Exact sup over f in B (or B0 with support s) of |g_f(j)|, for j = 1..N.
 
@@ -280,7 +284,8 @@ def sup_increment_table(m: GibbsMeasure, f_support: int | None = None) -> np.nda
         pmf(j) A' + F(j-1)/j + F(j-1) (A' - A)^+ + Fbar(j+1) (B - B')^+,
 
     each product evaluated as one ratio so that a subnormal pmf entry does
-    not overflow it; at j = N it is F(N-1)/N.  Over B0 with s >= j the
+    not overflow it, and a gap between two products that both overflow is
+    +inf, an upper bound; at j = N it is F(N-1)/N.  Over B0 with s >= j the
     coefficients above s share one sign, so dropping them leaves the other
     sign's mass, and the supremum, as over B; with s < j only F(s) |A' - A|
     remains.
@@ -294,12 +299,12 @@ def sup_increment_table(m: GibbsMeasure, f_support: int | None = None) -> np.nda
     w = js * pmf[1:]  # j pmf(j); w[j] is (j+1) pmf(j+1)
     below, tail, w_next = F[: n - 1], Fbar[2:], w[1:]
     out = np.empty(n)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out[: n - 1] = (
             below / js[:-1]
             + _products_over(pmf[1:n], tail, w_next)
-            + np.maximum(_products_over(below, tail, w_next) - _products_over(below, Fbar[1:n], w[:-1]), 0.0)
-            + np.maximum(_products_over(below, tail, w[:-1]) - _products_over(F[1:n], tail, w_next), 0.0)
+            + _gap(_products_over(below, tail, w_next), _products_over(below, Fbar[1:n], w[:-1]))
+            + _gap(_products_over(below, tail, w[:-1]), _products_over(F[1:n], tail, w_next))
         )
         out[n - 1] = F[n - 1] / n
         if f_support is not None and f_support < n:

@@ -391,6 +391,13 @@ def test_measure_missing_a_field_names_it(payload, field, tmp_path, capsys):
      "measure field 'truncation.bound': cannot convert float infinity to integer"),
     ({"omega": 1, "V": [0, 0], "kind": "poisson", "params": {"lam": "x"}},
      "measure field 'params': could not convert string to float: 'x'"),
+    # a falsy value that is not an object is refused, not dropped; only null stands for absent
+    *[({"omega": 1, "V": [0, 0], field: value}, f"measure field {field!r} must be a JSON object")
+      for field in ("truncation", "params") for value in (0, [], "", False)],
+    # a field the payload does not define is refused, not ignored
+    ({"omega": 1, "V": [0, 0], "truncaton": {"bound": 1}}, "measure has unknown field 'truncaton'"),
+    ({**gibbs_stein.poisson(1.0).to_dict(), "truncation": {
+        "bound": 16, "tail_mass": 1e-15, "tolerance": 1e-14, "tol": 1}}, "truncation has unknown field 'tol'"),
 ])
 def test_measure_value_of_the_wrong_type_exits_two_naming_the_field(payload, message, capsys):
     desc = json.dumps(payload)

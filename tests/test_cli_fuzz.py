@@ -40,6 +40,10 @@ def flag(name, value, bad=False, named_by_value=False):
 
 
 BAD_NUMBERS = ["abc", "nan", "inf", "-inf", "-1", "0", "1e309", "", "0x10", "3..1", "1,2"]
+# pmf entries below the smallest normal double; two adjacent ones overflow the exact suprema
+SUBNORMALS = ["5e-324", "1e-315", "2e-310", "2.2e-308"]
+# the law whose increment table took inf - inf and printed a licensed NaN supremum
+SUBNORMAL_PAIR = "pmf:1,1e-300,2e-310,2e-310,1e-300,1"
 
 
 def floats(lo, hi):
@@ -57,6 +61,9 @@ def descriptor():
             lambda s: st.integers(1, pop - s).map(lambda d: f"hypergeometric:{pop},{s},{d}"))),
         st.integers(0, 200).map(lambda n: f"discrete_uniform:{n}"),
         st.lists(floats(0.01, 5.0), min_size=1, max_size=12).map(lambda w: "pmf:" + ",".join(w)),
+        st.tuples(st.lists(floats(0.01, 5.0), max_size=2), st.sampled_from(["1e-300", "1e-250", "0.5"]),
+                  st.lists(st.sampled_from(SUBNORMALS), min_size=2, max_size=2)).map(
+            lambda a: "pmf:" + ",".join([*a[0], a[1], *a[2], a[1], *a[0]])),
         st.tuples(floats(0.1, 20.0), st.integers(0, 60)).map(
             lambda a: gs.poisson(float(a[0]), truncation=a[1]).to_json()),
     )
@@ -73,6 +80,11 @@ def descriptor():
                                    "discrete_uniform", "hypergeometric"]),
                   st.lists(st.sampled_from(BAD_NUMBERS), min_size=1, max_size=3)).map(
             lambda a: f"{a[0]}:{','.join(a[1])}"),
+        # a falsy truncation or params that is not an object, and a field no measure defines
+        st.tuples(st.sampled_from(["truncation", "params"]), st.sampled_from([0, [], "", False])).map(
+            lambda a: json.dumps({"omega": 1, "V": [0, 0], a[0]: a[1]})),
+        st.sampled_from(["truncaton", "parms", "extra"]).map(
+            lambda key: json.dumps({"omega": 1, "V": [0, 0], key: {"bound": 1}})),
     )
     return st.one_of(valid.map(lambda d: (d, False)), corrupted.map(lambda d: (d, True)))
 
@@ -254,6 +266,8 @@ def names(parts, directory):
 @example(parts=nonfinite_measure(9))
 @example(parts=nonfinite_measure(10))
 @example(parts=nonfinite_measure(11))
+@example(parts=["bounds", flag("--measure", SUBNORMAL_PAIR, named_by_value=True), flag("--j", "1..4")])
+@example(parts=["compare", flag("--m1", SUBNORMAL_PAIR, named_by_value=True), flag("--m2", "poisson:1")])
 @given(parts=st.one_of(solve_case(), bounds_case(), compare_case(), lattice_case(), poisson_sum_case()))
 def test_fuzzed_command_lines_exit_zero_or_two_naming_the_fault(parts, tmp_path_factory):
     directory = tmp_path_factory.mktemp("argv")

@@ -7,10 +7,11 @@ import pytest
 import gibbs_stein as gs
 from gibbs_stein.compare import solution_norm
 from gibbs_stein.factors import (
-    CONDITION_NAMES, BoundCertificate, bound_rows, closed_form_bounds, condition, solution_bound,
-    supnorm_bound,
+    CONDITION_NAMES, BoundCertificate, ConditionCheck, bound_rows, closed_form_bounds, condition,
+    solution_bound, supnorm_bound,
 )
-from gibbs_stein.lattice import limit_measure
+from gibbs_stein.lattice import CouplingBound, limit_measure
+from gibbs_stein.measures import FAMILIES
 from gibbs_stein.stein import sup_increment_exact, sup_solution_norm, sup_solution_table
 
 RNG = np.random.default_rng(911)
@@ -248,10 +249,15 @@ def test_extended_supnorm_adds_tail_ceiling():
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _family_rows(m, js):
+    """The family's per-j increment rows of a `bounds` report on the ladder js."""
+    return [row for row in bound_rows(m, js) if row["formula"] == f"{m.kind}_increment_at_j"]
+
+
 def test_poisson_closed_form_at_k():
-    (at_k,) = closed_form_bounds(gs.poisson(1.0), j=2)
-    assert at_k.j == 2
-    assert at_k.value == pytest.approx(0.5, abs=1e-15)
+    (at_k,) = _family_rows(gs.poisson(1.0), [2])
+    assert at_k["j"] == 2
+    assert at_k["value"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_geometric_closed_forms():
@@ -269,16 +275,17 @@ def test_geometric_closed_forms():
 
 
 def test_binomial_closed_form_rate_normalized():
-    (cert,) = closed_form_bounds(gs.binomial(10, 0.3), j=4)
-    assert cert.value == pytest.approx(min(1 / (0.7 * 4), 1 / (0.3 * 6)), rel=1e-12)
+    (row,) = _family_rows(gs.binomial(10, 0.3), [4])
+    assert row["value"] == pytest.approx(min(1 / (0.7 * 4), 1 / (0.3 * 6)), rel=1e-12)
 
 
 def test_closed_forms_dominate_exact(subtests=None):
     for m, top in ((gs.poisson(1.0, truncation=60), 30), (gs.geometric(0.5), 30), (gs.binomial(10, 0.3), 10)):
         exact = gs.sup_increment_table(m)
-        for k in range(1, top):
-            (cert,) = closed_form_bounds(m, j=k)
-            assert cert.value >= exact[k - 1] - 1e-10
+        rows = _family_rows(m, list(range(1, top)))
+        assert [row["j"] for row in rows] == list(range(1, top))
+        for row in rows:
+            assert row["value"] >= exact[row["j"] - 1] - 1e-10
 
 
 @pytest.mark.parametrize("lam", [1e-20, 1e-8])
@@ -288,15 +295,18 @@ def test_poisson_closed_forms_dominate_at_small_lambda(lam):
     exact = gs.sup_increment_table(m).tolist()
     uniform = closed_form_bounds(m)
     assert [c.formula for c in uniform] == ["poisson_increment"]
-    for cert in uniform + closed_form_bounds(m, j=1):
+    for cert in uniform:
         assert cert.licensed
-        assert cert.value >= (exact[0] if cert.j == 1 else max(exact)) - 1e-10
+        assert cert.value >= max(exact) - 1e-10
+    (row,) = _family_rows(m, [1])
+    assert row["licensed"]
+    assert row["value"] >= exact[0] - 1e-10
 
 
 def test_closed_forms_are_empty_for_other_kinds():
     for m in (gs.discrete_uniform(3), gs.negative_binomial(2.0, 0.45), gs.from_pmf([1.0, 2.0, 3.0])):
         assert closed_form_bounds(m) == []
-        assert closed_form_bounds(m, j=1) == []
+        assert _family_rows(m, [1]) == []
     # the binomial has a per-j form only
     assert closed_form_bounds(gs.binomial(10, 0.3)) == []
 
@@ -304,11 +314,14 @@ def test_closed_forms_are_empty_for_other_kinds():
 def _reference_rows(m, js):
     """The `bounds` rows for the ladder js, rendered one certificate at a time.
 
-    Each per-j certificate comes from the single-j API, and its value is checked
-    bit for bit against the formula evaluated on scalars; a row is the
-    certificate's to_dict with its conditions as `name=T;name=F` text.
+    Each per-j certificate comes from the single-j API, or from the family
+    registry's per-j increment, and its value is checked bit for bit against
+    the formula evaluated on scalars; a row is the certificate's fields with
+    its conditions as `name=T;name=F` text.
     """
     tables, b, mean = m.cumulatives(), m.birth_rates, m.mean()
+    family = FAMILIES.get(m.kind)
+    at = family.increment_at if family is not None else None
     certs = [supnorm_bound(m), *closed_form_bounds(m)]
     for j in js:
         exact, simple = gs.increment_bound(m, j)
@@ -317,17 +330,23 @@ def _reference_rows(m, js):
         assert exact.value == float(tail_over_rate + tables.F[j - 1] / j)
         assert simple.value == float(min(1.0 / j, 1.0 / b[j]) if b[j] > 0 else 1.0 / j)
         assert solution.value == float((min(math.log(j), mean) + 1.0 / b[0]) / tables.Fbar[j])
-        certs += [exact, simple, solution, *closed_form_bounds(m, j)]
+        certs += [exact, simple, solution]
+        if at is not None:
+            certs.append(BoundCertificate("increment_at_j", at(j, **family.values(m.params)),
+                                          f"{m.kind}_increment_at_j", j=j, notes=family.notes))
     certs.append(BoundCertificate("solution_norm", sup_solution_norm(m), "exact_supremum",
                                   exactness="exact_equality"))
     certs += [BoundCertificate("increment_at_j", sup_increment_exact(m, j), "exact_supremum", j=j,
                                exactness="exact_equality") for j in js]
-    rows = []
-    for cert in certs:
-        row = cert.to_dict()
-        row["conditions"] = ";".join(f"{c['name']}={'T' if c['holds'] else 'F'}" for c in row["conditions"])
-        rows.append(row)
-    return rows
+    return [
+        {
+            "quantity": cert.quantity, "j": cert.j, "value": cert.value, "formula": cert.formula,
+            "conditions": ";".join(f"{c.name}={'T' if c.holds else 'F'}" for c in cert.conditions),
+            "exactness": cert.exactness, "applicable": cert.applicable, "licensed": cert.licensed,
+            "notes": cert.notes,
+        }
+        for cert in certs
+    ]
 
 
 def _assert_rows_are_the_certificates(m, js):
@@ -388,12 +407,24 @@ def test_bound_rows_reject_the_first_j_outside_the_support_in_ladder_order():
     ]
 
 
-def test_certificate_serialization_carries_conditions():
-    cert, _ = gs.increment_bound(gs.poisson(1.0), 1)
-    payload = cert.to_dict()
-    assert payload["conditions"][0]["name"] == "rate_sandwich"
-    assert payload["licensed"] is True
-    assert payload["exactness"] == "exact_equality"
+def test_licence_flags_follow_the_value_and_the_checks():
+    # a check holds exactly when it names no violation
+    assert ConditionCheck("rates_nonincreasing", None).holds
+    assert not ConditionCheck("rates_nonincreasing", 3).holds
+    # a certificate without a value is neither applicable nor licensed
+    empty = BoundCertificate("solution_norm", None, "norm_rate_spread")
+    assert not empty.applicable and not empty.licensed
+    failing = (ConditionCheck("rate_sandwich", 2),)
+    assert not BoundCertificate("increment_at_j", 0.5, "increment_exact_form", failing, 1).licensed
+    # a coupling bound whose conditions fail certifies its pointwise bound, not its value
+    unlicensed = CouplingBound(value=0.1, increment_part=0.1, norm_part=0.0,
+                               conditions=(ConditionCheck("rates_nonincreasing", 3),),
+                               g_norm=1.0, pointwise_bound=0.5)
+    assert not unlicensed.licensed and unlicensed.certified_bound == 0.5
+    licensed = CouplingBound(value=0.1, increment_part=0.1, norm_part=0.0,
+                             conditions=(ConditionCheck("rates_nonincreasing", None),),
+                             g_norm=1.0, pointwise_bound=0.5)
+    assert licensed.licensed and licensed.certified_bound == 0.1
 
 
 def test_certificates_invariant_under_reparametrization():

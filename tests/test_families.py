@@ -8,7 +8,7 @@ import pytest
 
 import gibbs_stein as gs
 from gibbs_stein.compare import solution_norm
-from gibbs_stein.factors import closed_form_bounds, supnorm_bound
+from gibbs_stein.factors import BoundCertificate, closed_form_bounds, supnorm_bound
 from gibbs_stein.lattice import limit_measure
 from gibbs_stein.measures import FAMILIES
 from gibbs_stein.stein import sup_solution_norm
@@ -56,7 +56,10 @@ def test_family_record_holds_on_instances(kind):
             continue
         increments = gs.sup_increment_table(m).tolist()
         certs = [supnorm_bound(m), *closed_form_bounds(m)]
-        certs += [c for j in range(1, m.support_max + 1) for c in closed_form_bounds(m, j=j)]
+        if family.increment_at is not None:
+            values = family.values(m.params)
+            certs += [BoundCertificate("increment_at_j", family.increment_at(j, **values), "increment_at", j=j)
+                      for j in range(1, m.support_max + 1)]
         for cert in certs:
             if not cert.licensed:
                 continue

@@ -52,6 +52,22 @@ SPEC_PAYLOADS = {
     "independent_not_boolean": (
         {"p": [0.5, 0.5], "independent": "no"},
         "coupling specification field 'independent' must be a JSON boolean, got 'no'"),
+    # values the field's conversion rejects name the field, whatever the error's type
+    "p_not_numbers": ({"p": "abc"}, "coupling specification field 'p': could not convert string to float: 'abc'"),
+    "conditional_sums_not_numbers": (
+        {"p": [0.5, 0.5], "independent": True, "conditional_sums": "x"},
+        "coupling specification field 'conditional_sums': could not convert string to float: 'x'"),
+    "configuration_prob_not_a_number": (
+        {"configurations": [{"bits": [1], "prob": "abc"}]},
+        "coupling specification field 'configurations': could not convert string to float: 'abc'"),
+    # a field the payload does not define is refused, not ignored
+    "unknown_field": (
+        {"p": [0.5, 0.5], "independent": True, "extra": 1}, "coupling specification has unknown field 'extra'"),
+    "p_beside_configurations": (
+        {"configurations": [{"bits": [1], "prob": 1.0}], "p": [1.0]},
+        "coupling specification has unknown field 'p'"),
+    "configuration_unknown_field": (
+        {"configurations": [{"bits": [1], "prob": 1.0, "weight": 2}]}, "configuration 0 has unknown field 'weight'"),
 }
 # whole-number fields of a measure payload
 FRACTIONAL_BOUND = {**gs.poisson(1.0).to_dict(), "truncation": {"bound": 16.9, "tail_mass": 1e-15, "tolerance": 1e-14}}
@@ -164,6 +180,8 @@ CASES = {
         lambda: gs.CouplingSpec.from_configurations([((0, 1), 0.5), ((1,), 0.5)]),
         "configurations must share one length"),
     "coupling_index_out_of_range": (lambda: coupling_given_index(DEPENDENT, 2), "index out of range"),
+    # measures read from JSON: a list holding the field names is not a measure
+    "measure_not_an_object": (lambda: gs.GibbsMeasure.from_dict(["omega", "V"]), "measure must be a JSON object"),
     # coupling specs read from JSON
     **{f"spec_{name}": (lambda payload=payload: gs.CouplingSpec.from_dict(payload), message)
        for name, (payload, message) in SPEC_PAYLOADS.items()},

@@ -426,6 +426,28 @@ def test_supremum_tables_match_mpmath_closed_forms():
     assert worst > 0.0  # the tables do round
 
 
+def test_increment_table_rounds_a_gap_between_two_overflowed_products_up(capsys):
+    # two adjacent subnormal entries: at j = 2 both products of each gap overflow, and inf - inf
+    # gave a licensed NaN supremum; the 50-digit value there is 4.17e308, whose rounding is +inf
+    from gibbs_stein.cli import main
+
+    # the second law's solution bound at j = 1, 2 is above the double range too
+    for desc in ("pmf:1,1e-300,2e-310,2e-310,1e-300,1", "pmf:0.5,2.2e-308,2.2e-308"):
+        assert main(["bounds", "--measure", desc, "--j", f"1..{desc.count(',')}"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "nan" not in out.lower()
+    m = gs.from_pmf(np.array([1.0, 1e-300, 2e-310, 2e-310, 1e-300, 1.0]))
+    table = gs.sup_increment_table(m).tolist()
+    with mpmath.workdps(50):
+        _, ref = _mp_suprema(m.pmf)
+        assert math.isinf(float(ref[1])) and math.isinf(table[1])
+        for j, (value, exact) in enumerate(zip(table, ref), start=1):
+            if math.isfinite(float(exact)):
+                assert float(abs(value - exact) / exact) <= 1e-13, j
+            else:  # above the double range, so only +inf bounds it
+                assert value == math.inf, j
+
+
 def test_supremum_tables_of_a_single_state_are_empty():
     m = gs.from_pmf(np.array([1.0]))
     assert sup_solution_table(m).size == gs.sup_increment_table(m).size == 0
