@@ -132,12 +132,13 @@ def parse_measure(desc: str, truncation: int | None = None, tail_tol: float = me
 
 def parse_test_function(desc: str, size: int) -> np.ndarray:
     desc = desc.strip()
+    table = measures._numeric(lambda values: stein.TestFunction(values).values)  # for a JSON array
     try:
         if desc.startswith("["):
-            return stein.TestFunction(json.loads(desc)).values
+            return table(json.loads(desc))
         if os.path.exists(desc):
             with open(desc) as handle:
-                return stein.TestFunction(json.load(handle)).values
+                return table(json.load(handle))
         kind, _, arg_text = desc.partition(":")
         if kind == "indicator":
             points = [int(a) for a in arg_text.split(",") if a != ""]
@@ -234,6 +235,7 @@ def _emit(rows: list[dict], header: list[str], args, extra_meta: dict | None = N
             raise CliError(f"argument --out: {exc}") from exc
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a reader gone by now is met in main, not at exit
 
 
 def _measure(args, flag: str):
@@ -288,7 +290,19 @@ def cmd_lattice(args) -> int:
             rep = lattice.lattice_comparison_report(model, n, limit=limit)
         except ValueError as exc:
             raise CliError(f"argument --n: {n} cells: {exc}") from exc
-        rows.append(rep.to_dict())
+        try:
+            closed = model.closed_form(n) if model.closed_form else None
+        except ValueError:  # n or z outside the range the closed form is stated for
+            closed = None
+        # entry `first` of the report's pair solves the kept direction; the limit is listed first unless N > n
+        first = 0 if rep.branch_used == "direction_1_to_2" else 1
+        rows.append({
+            "model": model.kind, "n": n, "exact_tv": rep.exact_tv, "generator_bound": rep.certified_bound,
+            "closed_form": closed, "omega_term": rep.terms[0], "ratio_term": rep.terms[1],
+            "tail_term": rep.tail_term,
+            "branch_used": "lattice_averaged" if (first == 0) == (limit.support_max <= n) else "limit_averaged",
+            "norm_factor": rep.g_norms[first], "g_norm_source": "exact", "notes": "",
+        })
     header = [
         "n", "exact_tv", "generator_bound", "closed_form",
         "omega_term", "ratio_term", "tail_term", "branch_used", "notes",
@@ -322,7 +336,9 @@ def cmd_poisson_sum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    return run_verification(args.seed, strict=args.strict)
+    status = run_verification(args.seed, strict=args.strict)
+    sys.stdout.flush()
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +456,10 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; Python's EPIPE recipe points it at devnull for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

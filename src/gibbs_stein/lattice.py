@@ -38,11 +38,16 @@ weight-ratio mismatch of the two generators, each direction with its own
 norm, plus the mass of the law on the larger support above the smaller one
 (the limit's above n if N > n, the lattice law's above N if N < n).  N is
 `limit_measure`'s own truncation unless the caller hands the report a limit
-law built at another.  For Bernoulli sums a size-bias coupling bound charges
-its increments to harmonic sums or to reciprocal birth rates, with the
-target's exact solution norm, and a second certificate telescopes the
-size-bias identity through the target's pointwise Stein factors; on
-dependent specs both take the monotone coupling and cost O(n^2).
+law built at another.  `lattice_comparison_report` returns that comparison's
+`ComparisonReport` unchanged, its measures listed (limit, lattice) unless
+N > n; the `lattice` command writes each row from it, with the model's
+closed form beside it as a reference column.
+
+For Bernoulli sums a size-bias coupling bound charges its increments to
+harmonic sums or to reciprocal birth rates, with the target's exact
+solution norm, and a second certificate telescopes the size-bias identity
+through the target's pointwise Stein factors; on dependent specs both take
+the monotone coupling and cost O(n^2).
 
 A caution on the repelling family: the lattice/continuum weight ratios
 match only from k = 3 on; at k = 2 they differ by the factor (n^2-1)/n^2,
@@ -60,7 +65,7 @@ from typing import Callable
 
 import numpy as np
 
-from .compare import generator_comparison, tv_distance
+from .compare import ComparisonReport, generator_comparison, tv_distance
 from .factors import condition, uniform_increment
 from .measures import (
     DEFAULT_TAIL_TOL, FAMILIES, GibbsMeasure, _MAX_TERMS, _fsum, _poisson, _truncated,
@@ -78,7 +83,6 @@ __all__ = [
     "product_model",
     "lattice_measure",
     "limit_measure",
-    "LatticeBoundReport",
     "lattice_comparison_report",
     "CouplingBound",
     "sum_coupling_bound",
@@ -271,75 +275,25 @@ def repelling_limit_partition(lam: float) -> float:
 # Lattice-to-limit comparison reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeBoundReport:
-    """Certified comparison of the n-cell law against its continuum limit.
-
-    generator_bound = norm_factor * (omega_term + ratio_term) + tail_term is
-    the certified TV bound of the direction `compare.generator_comparison`
-    keeps, lattice_averaged if it solves the limit law's equation and
-    limit_averaged otherwise; norm_factor is that solver's exact solution
-    norm.  closed_form is the model's analytic bound when one is defined
-    (None otherwise).  The emitted dict ends with the columns g_norm_source,
-    "exact" for that norm, and notes, empty.
-    """
-
-    model: str
-    n: int
-    exact_tv: float
-    generator_bound: float
-    closed_form: float | None
-    omega_term: float
-    ratio_term: float
-    tail_term: float
-    branch_used: str
-    norm_factor: float
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "g_norm_source": "exact", "notes": ""}
-
-
 def lattice_comparison_report(
     model: InteractionModel,
     n: int,
     limit: GibbsMeasure | None = None,
-) -> LatticeBoundReport:
-    """Generator-comparison certificate for the n-cell law vs the limit law.
+) -> ComparisonReport:
+    """`compare.generator_comparison(limit, lattice_measure(model, n))`, unchanged.
 
     limit is the limit law compared against, `limit_measure(model)` when
     None; a caller that wants another truncation, or reports several n,
-    builds it once with `limit_measure` and passes it.  Through
-    `compare.generator_comparison`: each direction carries its own exact
-    solution norm and the smaller branch is kept.  With the limit truncated
-    at N > n the lattice law is extended and charged the limit's mass above
-    n; at N < n the limit law is extended and charged the lattice mass above
-    N.  The limit law goes first, so an exact tie keeps lattice_averaged
-    unless N > n.
+    builds it once with `limit_measure` and passes it.  Each direction
+    carries its own exact solution norm and the smaller branch is kept.
+    With the limit truncated at N > n the lattice law is extended and
+    charged the limit's mass above n; at N < n the limit law is extended
+    and charged the lattice mass above N.  The limit law goes first, so an
+    exact tie between the branches keeps the one solving the limit law's
+    equation unless N > n.
     """
     mu_n = lattice_measure(model, n)
-    mu = limit_measure(model) if limit is None else limit
-    rep = generator_comparison(mu, mu_n)
-
-    # the report lists the limit law first unless its support is the larger
-    first = 0 if rep.branch_used == "direction_1_to_2" else 1
-    solved_limit = (first == 0) == (mu.support_max <= n)
-    try:
-        closed = model.closed_form(n) if model.closed_form else None
-    except ValueError:  # n or z outside the range the closed form is stated for
-        closed = None
-
-    return LatticeBoundReport(
-        model=model.kind,
-        n=n,
-        exact_tv=rep.exact_tv,
-        generator_bound=rep.certified_bound,
-        closed_form=closed,
-        omega_term=rep.terms[0],
-        ratio_term=rep.terms[1],
-        tail_term=rep.tail_term,
-        branch_used="lattice_averaged" if solved_limit else "limit_averaged",
-        norm_factor=rep.g_norms[first],
-    )
+    return generator_comparison(limit_measure(model) if limit is None else limit, mu_n)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +367,10 @@ def _pointwise_bound(m: GibbsMeasure, spec: CouplingSpec, G: np.ndarray) -> floa
     sum_i p_i sum_j w_j |F_S(j-1) - F_Shat_i(j-1)|, w = sup_increment_table;
     the second is at most sum_s P(S = s) |b(s) - lam| G_{s+1}, G =
     sup_solution_table.  At n = N, b(N) = 0 frees g(N+1) := g(N), so w_N = 0
-    and G_{N+1} = G_N.  Only indices with p_i > 0 enter.
+    and G_{N+1} = G_N.  Only indices with p_i > 0 enter.  A supremum that
+    overflowed to inf adds 0 at a zero CDF gap or mass and +inf at a
+    positive one, as a finite product past the double range does: every
+    term is nonnegative, so +inf is a true bound.
     """
     n, top = spec.n, m.support_max
     live, F, F_hat = spec._cdfs()
@@ -421,9 +378,19 @@ def _pointwise_bound(m: GibbsMeasure, spec: CouplingSpec, G: np.ndarray) -> floa
     if n == top:
         w[-1] = 0.0
     G_next = G[np.minimum(np.arange(n + 1), top - 1)]
-    shifts = np.abs(F[:n] - F_hat) @ w
-    rate_gaps = np.abs(m.birth_rates[: n + 1] - spec.lam)
-    return _fsum(spec.p[live] * shifts) + _fsum(spec.sum_law() * rate_gaps * G_next)
+    gaps = np.abs(F[:n] - F_hat)
+    mass = spec.sum_law() * np.abs(m.birth_rates[: n + 1] - spec.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifts = gaps @ w
+        excess = mass * G_next
+        bound = _fsum(spec.p[live] * shifts) + _fsum(excess)
+        if math.isnan(bound):  # some 0 * inf, which adds 0
+            big = np.isinf(w)
+            shifts = gaps[:, ~big] @ w[~big]
+            shifts[(gaps[:, big] > 0.0).any(axis=1)] = math.inf
+            excess[mass == 0.0] = 0.0
+            bound = _fsum(spec.p[live] * shifts) + _fsum(excess)
+    return bound
 
 
 def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:

@@ -369,7 +369,8 @@ class GibbsMeasure:
         """The measure a to_dict payload (parsed JSON) describes.
 
         A missing or unknown field or truncation key, or a value of the wrong
-        type, raises ValueError naming it; a null params or truncation is absent.
+        type (a boolean or string among numbers too), raises ValueError naming
+        it; a null params or truncation is absent, and an empty one lacks a key.
         """
         if not isinstance(payload, dict):
             raise ValueError("measure must be a JSON object")
@@ -382,20 +383,21 @@ class GibbsMeasure:
             if value is not None and not isinstance(value, dict):
                 raise ValueError(f"measure field {field!r} must be a JSON object")
         policy = None
-        if trunc:
+        if trunc is not None:
             keys = ("bound", "tail_mass", "tolerance")
             for key in keys:
                 if key not in trunc:
                     raise ValueError(f"truncation lacks {key!r}")
             _fields("truncation", trunc, (), keys)
             policy = TailPolicy(
-                _typed("measure", "truncation.bound", lambda v: _whole("truncation", "bound", v), trunc["bound"]),
-                _typed("measure", "truncation.tail_mass", float, trunc["tail_mass"]),
-                _typed("measure", "truncation.tolerance", float, trunc["tolerance"]),
+                _typed("measure", "truncation.bound", _numeric(lambda v: _whole("truncation", "bound", v)),
+                       trunc["bound"]),
+                _typed("measure", "truncation.tail_mass", _numeric(float), trunc["tail_mass"]),
+                _typed("measure", "truncation.tolerance", _numeric(float), trunc["tolerance"]),
             )
         m = GibbsMeasure(
-            _typed("measure", "omega", float, payload["omega"]),
-            _typed("measure", "V", lambda v: np.asarray(v, dtype=float), payload["V"]),
+            _typed("measure", "omega", _numeric(float), payload["omega"]),
+            _typed("measure", "V", _numeric(lambda v: np.asarray(v, dtype=float)), payload["V"]),
             kind=kind,
             params=params or {},
             truncation=policy,
@@ -408,6 +410,7 @@ class GibbsMeasure:
         if family.build is None:
             raise ValueError(f"{m.kind} measures cannot be rebuilt from their params")
         values = family.values(m.params)
+        _typed("measure", "params", _json_numbers, [params[name] for name, _ in family.args])
         # a finite family's params fix its support, which is checked before anything is built
         if family.support_max is not None and family.support_max(**values) != m.support_max:
             raise ValueError(
@@ -445,6 +448,35 @@ def _typed(owner: str, field: str, convert, value):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{owner} field {field!r}: {exc}") from exc
+
+
+def _json_numbers(value) -> None:
+    """Raise TypeError on a boolean or a string in a parsed JSON value, its arrays or its objects.
+
+    float() and numpy read true as 1 and "0.5" as 0.5, but neither is a JSON number.
+    """
+    if type(value) is dict:
+        value = list(value.values())
+    items = value if type(value) is list else [value]
+    kinds = set(map(type, items))
+    if bool in kinds or str in kinds:
+        bad = next(item for item in items if type(item) in (bool, str))
+        raise TypeError(f"{json.dumps(bad)} is not a JSON number")
+    if list in kinds or dict in kinds:
+        for item in items:
+            if type(item) in (list, dict):
+                _json_numbers(item)
+
+
+def _numeric(convert):
+    """convert for a JSON field of numbers: convert's own errors first, then _json_numbers'."""
+
+    def checked(value):
+        result = convert(value)
+        _json_numbers(value)
+        return result
+
+    return checked
 
 
 def _fields(owner: str, payload: dict, required, optional=()) -> None:

@@ -43,7 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GibbsMeasure, _compensated_cumsum, _fields, _fsum, _fsum_rows, _sums_to_one, _typed
+from .measures import (
+    GibbsMeasure, _compensated_cumsum, _fields, _fsum, _fsum_rows, _numeric, _sums_to_one, _typed,
+)
 from .stein import solve
 
 __all__ = [
@@ -243,6 +245,7 @@ class CouplingSpec:
         """The spec a parsed JSON payload describes; a bad, missing or unknown field raises ValueError naming it.
 
         Its fields are "configurations" alone, or "p" with optional "independent" and "conditional_sums".
+        A boolean or string among its numbers is bad, and so is a bit other than 0 or 1.
         """
         owner = "coupling specification"
         if not isinstance(payload, dict):
@@ -255,16 +258,20 @@ class CouplingSpec:
                     raise ValueError(f"{owner} field 'configurations' must be a list of JSON objects")
                 _fields(f"configuration {k}", entry, ("bits", "prob"))
             items = _typed(owner, "configurations",
-                           lambda entries: [(tuple(map(int, e["bits"])), float(e["prob"])) for e in entries], entries)
+                           _numeric(lambda entries: [(tuple(map(int, e["bits"])), float(e["prob"])) for e in entries]),
+                           entries)
+            for (bits, _), entry in zip(items, entries):
+                if list(bits) != entry["bits"]:  # int() would cut 0.9 to 0
+                    raise ValueError(f"configuration {entry['bits']} has bits other than 0 and 1")
             return CouplingSpec.from_configurations(items)
         _fields(owner, payload, ("p",), ("independent", "conditional_sums"))
         independent = payload.get("independent", False)
         if not isinstance(independent, bool):
             raise ValueError(f"{owner} field 'independent' must be a JSON boolean, got {independent!r}")
-        p = _typed(owner, "p", lambda v: np.asarray(v, dtype=float), payload["p"])
+        p = _typed(owner, "p", _numeric(lambda v: np.asarray(v, dtype=float)), payload["p"])
         sums = payload.get("conditional_sums")
         if sums is not None:
-            sums = _typed(owner, "conditional_sums", lambda v: np.asarray(v, dtype=float), sums)
+            sums = _typed(owner, "conditional_sums", _numeric(lambda v: np.asarray(v, dtype=float)), sums)
         # tables given alongside the independent flag are checked against the convolutions
         return CouplingSpec(p, sums, independent=independent)
 

@@ -355,7 +355,7 @@ def check_product_ratio_sum(rng) -> tuple[bool, str]:
     for n in range(3, 9):
         rep = lattice.lattice_comparison_report(model, n)
         cap = 2.0 * math.exp(math.e) / n
-        worst_ratio = max(worst_ratio, rep.ratio_term / cap)
+        worst_ratio = max(worst_ratio, rep.terms[1] / cap)
     return worst_ratio <= 1.0, f"max ratio-term/cap {worst_ratio:.3f}"
 
 
@@ -366,7 +366,7 @@ def check_ideal_gas_tail(rng) -> tuple[bool, str]:
         rep = lattice.lattice_comparison_report(model, n)
         worst = max(
             worst,
-            abs(rep.generator_bound - rep.tail_term),
+            abs(rep.certified_bound - rep.tail_term),
             abs(rep.exact_tv - rep.tail_term),
         )
     return worst <= 1e-12, f"max reduction defect {worst:.2e}"
@@ -392,7 +392,7 @@ def check_lattice_generator_dominance(rng) -> tuple[bool, str]:
     ]:
         for n in ns:
             rep = lattice.lattice_comparison_report(model, n)
-            margin = min(margin, rep.generator_bound - rep.exact_tv)
+            margin = min(margin, rep.certified_bound - rep.exact_tv)
     return margin >= -1e-10, f"min generator-bound margin {margin:.2e}"
 
 
@@ -410,7 +410,7 @@ def check_repelling_closed_form_dominance(rng) -> tuple[bool, str]:
     margin = math.inf
     for n in range(2, 7):
         rep = lattice.lattice_comparison_report(model, n)
-        margin = min(margin, rep.closed_form - rep.exact_tv)
+        margin = min(margin, model.closed_form(n) - rep.exact_tv)
     return margin >= -1e-10, f"min closed-form margin {margin:.2e}"
 
 

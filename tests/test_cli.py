@@ -249,6 +249,26 @@ def test_console_entry_point():
     assert "norm_rate_spread" in proc.stdout
 
 
+def test_closed_pipe_ends_without_a_traceback():
+    # the child writes one byte and waits until its reader has read it and closed the pipe;
+    # `python -m gibbs_stein` then meets EPIPE, and Python's recipe exits 1 with nothing on stderr
+    src = os.path.dirname(os.path.dirname(gibbs_stein.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["gibbs-stein", "bounds", "--measure", "poisson:500", "--j", "1..300", "--format", "json"]
+    code = ("import runpy, sys; sys.stdout.write('#'); sys.stdout.flush(); sys.stdin.read(); "
+            f"sys.argv = {argv!r}; runpy.run_module('gibbs_stein', run_name='__main__')")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.read(1) == b"#"
+    proc.stdout.close()
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # no scipy module at all: the measures' log-space numerics are numpy, and scipy is
     # no runtime dependency (test_runtime_imports_are_declared_dependencies)
@@ -391,9 +411,25 @@ def test_measure_missing_a_field_names_it(payload, field, tmp_path, capsys):
      "measure field 'truncation.bound': cannot convert float infinity to integer"),
     ({"omega": 1, "V": [0, 0], "kind": "poisson", "params": {"lam": "x"}},
      "measure field 'params': could not convert string to float: 'x'"),
+    # JSON's true, false and strings are no numbers, though float() and numpy would read them
+    ({"omega": True, "V": [0, 0, 0]}, "measure field 'omega': true is not a JSON number"),
+    ({"omega": "2", "V": [True, False]}, "measure field 'omega': \"2\" is not a JSON number"),
+    ({"omega": 1, "V": [0, False]}, "measure field 'V': false is not a JSON number"),
+    ({"omega": 1, "V": [0, "1"]}, "measure field 'V': \"1\" is not a JSON number"),
+    ({"omega": 1, "V": [0, 0], "truncation": {"bound": True, "tail_mass": 0, "tolerance": 1}},
+     "measure field 'truncation.bound': true is not a JSON number"),
+    ({"omega": 1, "V": [0, 0], "truncation": {"bound": 1, "tail_mass": "0", "tolerance": 1}},
+     "measure field 'truncation.tail_mass': \"0\" is not a JSON number"),
+    ({"omega": 1, "V": [0, 0], "truncation": {"bound": 1, "tail_mass": 0, "tolerance": True}},
+     "measure field 'truncation.tolerance': true is not a JSON number"),
+    ({**gibbs_stein.poisson(1.0).to_dict(), "params": {"lam": "1.0"}},
+     "measure field 'params': \"1.0\" is not a JSON number"),
+    ({**gibbs_stein.binomial(1, 0.5).to_dict(), "params": {"n": True, "p": 0.5}},
+     "measure field 'params': true is not a JSON number"),
     # a falsy value that is not an object is refused, not dropped; only null stands for absent
     *[({"omega": 1, "V": [0, 0], field: value}, f"measure field {field!r} must be a JSON object")
       for field in ("truncation", "params") for value in (0, [], "", False)],
+    ({"omega": 1, "V": [0, 0], "truncation": {}}, "truncation lacks 'bound'"),
     # a field the payload does not define is refused, not ignored
     ({"omega": 1, "V": [0, 0], "truncaton": {"bound": 1}}, "measure has unknown field 'truncaton'"),
     ({**gibbs_stein.poisson(1.0).to_dict(), "truncation": {
@@ -841,6 +877,10 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
          "argument --f: test function 'constant:nan': test function values must lie in [0, 1]\n"),
         (["solve", "--measure", "poisson:1", "--truncation", "0", "--f", '[{"a": 1}]'],
          "argument --f: test function '[{\"a\": 1}]': float() argument must be a string or a real number"),
+        (["solve", "--measure", "poisson:1", "--truncation", "3", "--f", '["0.5", 1, 0, 0]'],
+         "argument --f: test function '[\"0.5\", 1, 0, 0]': \"0.5\" is not a JSON number\n"),
+        (["solve", "--measure", "poisson:1", "--truncation", "1", "--f", "[true, 0]"],
+         "argument --f: test function '[true, 0]': true is not a JSON number\n"),
         (["solve", "--measure", "poisson:1", "--f", "foo:1"], "argument --f: cannot parse test function 'foo:1'\n"),
         # counts whose tables would pass 2**20 entries, refused before any is allocated
         (["bounds", "--measure", "binomial:1e12,0.5"],
@@ -862,7 +902,8 @@ def test_bad_flag_values_exit_two_naming_the_flag(argv, config, message, tmp_pat
          "j_beyond_support", "pmf_weight_inf", "pmf_weight_nan", "poisson_sum_nan_mean",
          "poisson_sum_truncation_below_n", "lattice_n_below_minimum",
          "lattice_truncation_underflows", "out_directory_missing", "f_constant_nan", "f_table_entry_not_a_number",
-         "f_unknown_kind", "binomial_n_huge", "discrete_uniform_n_huge", "hypergeometric_huge",
+         "f_table_entry_a_string", "f_table_entry_a_boolean", "f_unknown_kind", "binomial_n_huge",
+         "discrete_uniform_n_huge", "hypergeometric_huge",
          "lattice_cells_huge", "hypergeometric_weight_underflows"],
 )
 def test_bad_values_met_at_run_time_exit_two_naming_the_flag(argv, message, capsys):

@@ -25,6 +25,10 @@ def test_tv_pads_supports():
 def test_tv_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         gs.tv_distance(np.array([0.5, 0.4]), np.array([0.5, 0.5]))
+    # the tolerance is 1e-12: a sum of 1 + 1e-9 is refused, one of 1 + 1e-13 is not
+    with pytest.raises(ValueError, match="^second argument is not a normalized pmf$"):
+        gs.tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5 + 1e-9]))
+    assert gs.tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5 + 1e-13])) == pytest.approx(5e-14, rel=1e-3)
 
 
 def test_tv_equals_subset_supremum():
@@ -52,6 +56,16 @@ def test_tv_poisson_conditioned_tail_value():
 # ---------------------------------------------------------------------------
 # equal-support comparisons
 # ---------------------------------------------------------------------------
+
+def test_overflowing_log_ratio_gap_is_charged_as_inf():
+    # at x = 2 the increments of V differ by about log(1e305) ~ 702 > 700: that gap is +inf,
+    # not e^700 - 1, and the certificate must still dominate the exact TV of 1e-5
+    m1 = gs.from_pmf([0.5, 0.5 - 1e-5, 1e-5])
+    m2 = gs.from_pmf([0.5, 0.5 - 1e-310, 1e-310])
+    rep = gs.generator_comparison(m1, m2)
+    assert rep.exact_tv == pytest.approx(1e-5, rel=1e-9)
+    assert rep.certified_bound >= rep.exact_tv
+
 
 def test_identical_measures_give_zero_bound():
     m = gs.poisson(1.0, truncation=30)

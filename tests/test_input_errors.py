@@ -49,6 +49,26 @@ SPEC_PAYLOADS = {
     "configuration_bit_past_n": (
         {"configurations": [{"bits": [0, 5], "prob": 0.5}, {"bits": [1, 1], "prob": 0.5}]},
         "configuration [0, 5] has bits other than 0 and 1"),
+    # int() would cut a fractional bit to a binary one and certify another spec
+    "configuration_bit_fractional": (
+        {"configurations": [{"bits": [0.9, 1], "prob": 1.0}]}, "configuration [0.9, 1] has bits other than 0 and 1"),
+    "configuration_bit_above_one": (
+        {"configurations": [{"bits": [1.7, 0], "prob": 1.0}]}, "configuration [1.7, 0] has bits other than 0 and 1"),
+    # JSON's true, false and strings are no numbers, though int(), float() and numpy would read them
+    "configuration_bits_a_string": (
+        {"configurations": [{"bits": "01", "prob": 1.0}]},
+        "coupling specification field 'configurations': \"01\" is not a JSON number"),
+    "configuration_bit_boolean": (
+        {"configurations": [{"bits": [True, 0], "prob": 1.0}]},
+        "coupling specification field 'configurations': true is not a JSON number"),
+    "configuration_prob_a_string": (
+        {"configurations": [{"bits": [0, 1], "prob": "0.5"}, {"bits": [1, 0], "prob": 0.5}]},
+        "coupling specification field 'configurations': \"0.5\" is not a JSON number"),
+    "p_boolean": (
+        {"p": [True, 0.5], "independent": True}, "coupling specification field 'p': true is not a JSON number"),
+    "conditional_sums_a_string": (
+        {"p": [0.5, 0.5], "conditional_sums": [[0.5, 0.5], ["0.5", 0.5]]},
+        "coupling specification field 'conditional_sums': \"0.5\" is not a JSON number"),
     "independent_not_boolean": (
         {"p": [0.5, 0.5], "independent": "no"},
         "coupling specification field 'independent' must be a JSON boolean, got 'no'"),

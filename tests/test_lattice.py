@@ -12,6 +12,7 @@ from gibbs_stein.factors import uniform_increment
 from gibbs_stein.compare import mismatch_terms, solution_norm
 from gibbs_stein import lattice
 from gibbs_stein.lattice import InteractionModel, limit_measure, repelling_limit_partition
+from gibbs_stein.stein import sup_solution_table
 from gibbs_stein.oracle import (
     bernoulli_convolution, coupling_given_index, grid_points, harmonic_between, lattice_weight_brute,
 )
@@ -221,9 +222,9 @@ def test_lattice_measure_normalizer_independent():
 
 def test_ideal_gas_report_reduces_to_tail():
     rep = gs.lattice_comparison_report(gs.ideal_gas_model(1.0), 4)
-    assert rep.omega_term == 0.0
-    assert rep.ratio_term == pytest.approx(0.0, abs=1e-14)
-    assert rep.generator_bound == pytest.approx(rep.tail_term, abs=1e-13)
+    assert rep.terms[0] == 0.0
+    assert rep.terms[1] == pytest.approx(0.0, abs=1e-14)
+    assert rep.certified_bound == pytest.approx(rep.tail_term, abs=1e-13)
     assert rep.exact_tv == pytest.approx(rep.tail_term, abs=1e-13)
 
 
@@ -236,28 +237,28 @@ def test_generator_bound_dominates_exact_tv_for_all_models():
     ):
         for n in ns:
             rep = gs.lattice_comparison_report(model, n)
-            assert rep.generator_bound >= rep.exact_tv - 1e-10
+            assert rep.certified_bound >= rep.exact_tv - 1e-10
 
 
 @pytest.mark.parametrize("make", [gs.product_model, gs.repelling_model, gs.ideal_gas_model],
                          ids=["product", "repelling", "ideal_gas"])
 @pytest.mark.parametrize("z", [0.5, 1.0, 2.0])
 def test_report_keeps_the_comparisons_certificate(make, z):
-    # the report is generator_comparison(limit, lattice law) bit for bit, its exact norm and notes included
+    # the report is generator_comparison(limit, lattice law) itself, as a dataclass
     model = make(z)
     limit = limit_measure(model)
     for n in range(max(model.min_cells, 3), 40, 6):
-        rep = gs.lattice_comparison_report(model, n, limit=limit)
-        comp = gs.generator_comparison(limit, gs.lattice_measure(model, n))
-        assert rep.generator_bound == comp.certified_bound and rep.tail_term == comp.tail_term, n
-        assert (rep.omega_term, rep.ratio_term) == comp.terms and rep.norm_factor in comp.g_norms, n
-        assert rep.exact_tv == comp.exact_tv, n
-        columns = [{key: d[key] for key in ("g_norm_source", "notes")} for d in (rep.to_dict(), comp.to_dict())]
-        assert columns == [{"g_norm_source": "exact", "notes": ""}] * 2, n
+        assert gs.lattice_comparison_report(model, n, limit) == gs.generator_comparison(
+            limit, gs.lattice_measure(model, n)), n
 
 
 def _hex_fields(rep):
-    return {key: value.hex() if isinstance(value, float) else value for key, value in vars(rep).items()}
+    def hexed(value):
+        if isinstance(value, tuple):
+            return tuple(map(hexed, value))
+        return value.hex() if isinstance(value, float) else value
+
+    return {key: hexed(value) for key, value in vars(rep).items()}
 
 
 @pytest.mark.parametrize("model", [gs.ideal_gas_model(2.0), gs.repelling_model(1.0), gs.product_model(1.0)],
@@ -292,12 +293,19 @@ def _former_branches(model, n):
 
 
 def per_branch_reference(model, n):
-    """(branch, bound, terms, norm) with each norm attached to its own branch."""
+    """(branch, bound, terms, norm) with each norm attached to its own branch.
+
+    The branch is named as `generator_comparison` lists the pair: the limit
+    law first unless N > n.
+    """
     a, b, norm_limit, norm_lattice, tail = _former_branches(model, n)
     value_a, value_b = norm_limit * (a[0] + a[1]), norm_lattice * (b[0] + b[1])
-    if value_a <= value_b:
-        return "lattice_averaged", value_a + tail, a, norm_limit
-    return "limit_averaged", value_b + tail, b, norm_lattice
+    limit_solves = value_a <= value_b
+    limit_first = limit_measure(model).support_max <= n
+    branch = "direction_1_to_2" if limit_solves == limit_first else "direction_2_to_1"
+    if limit_solves:
+        return branch, value_a + tail, a, norm_limit
+    return branch, value_b + tail, b, norm_lattice
 
 
 def max_norm_reference(model, n):
@@ -321,15 +329,15 @@ def test_report_matches_the_per_branch_reference(model, offset):
     assert rep.exact_tv == gs.tv_distance(mu_n.pmf, mu.pmf)
     if n <= N:
         assert rep.branch_used == branch
-        assert rep.generator_bound == bound
-        assert (rep.omega_term, rep.ratio_term, rep.norm_factor) == (*terms, norm)
+        assert rep.certified_bound == bound
+        assert (rep.terms, rep.g_norms[0 if branch == "direction_1_to_2" else 1]) == (terms, norm)
         assert rep.tail_term == math.fsum(mu.pmf[n + 1 :].tolist())
-        assert rep.generator_bound <= max_norm_reference(model, n)
+        assert rep.certified_bound <= max_norm_reference(model, n)
     else:
         # the limit law is the one extended, so the lattice mass above N is charged
         assert rep.tail_term == math.fsum(mu_n.pmf[N + 1 :].tolist())
-        assert rep.generator_bound >= bound
-    assert rep.generator_bound >= rep.exact_tv - 1e-10
+        assert rep.certified_bound >= bound
+    assert rep.certified_bound >= rep.exact_tv - 1e-10
 
 
 @pytest.mark.parametrize(
@@ -341,7 +349,7 @@ def test_limit_truncated_below_n_still_dominates(model):
     rep = gs.lattice_comparison_report(model, 10, limit=limit_measure(model, truncation=5))
     mu_n = gs.lattice_measure(model, 10)
     assert rep.tail_term == math.fsum(mu_n.pmf[6:].tolist())
-    assert rep.generator_bound >= rep.exact_tv - 1e-10
+    assert rep.certified_bound >= rep.exact_tv - 1e-10
 
 
 @pytest.mark.parametrize(
@@ -359,7 +367,7 @@ def test_default_truncation_below_n_charges_the_lattice_tail(model, n):
     rep = gs.lattice_comparison_report(model, n)
     mu_n = gs.lattice_measure(model, n)
     assert rep.tail_term == math.fsum(mu_n.pmf[N + 1 :].tolist())
-    assert rep.generator_bound >= rep.exact_tv - 1e-10
+    assert rep.certified_bound >= rep.exact_tv - 1e-10
 
 
 def test_product_ratio_term_capped():
@@ -367,7 +375,7 @@ def test_product_ratio_term_capped():
     model = gs.product_model(1.0)
     for n in range(3, 10):
         rep = gs.lattice_comparison_report(model, n)
-        assert rep.ratio_term <= 2.0 * math.exp(math.e) / n
+        assert rep.terms[1] <= 2.0 * math.exp(math.e) / n
 
 
 def test_repelling_ratio_term_is_the_k2_defect():
@@ -377,12 +385,12 @@ def test_repelling_ratio_term_is_the_k2_defect():
         rep = gs.lattice_comparison_report(model, n)
         mu_n = gs.lattice_measure(model, n)
         expected = 2.0 * mu_n.pmf[2] / (n * n - 1)
-        assert rep.ratio_term == pytest.approx(expected, rel=1e-9)
+        assert rep.terms[1] == pytest.approx(expected, rel=1e-9)
 
 
 def test_report_components_nonnegative():
     rep = gs.lattice_comparison_report(gs.product_model(1.0), 5)
-    assert rep.omega_term >= 0 and rep.ratio_term >= 0 and rep.tail_term >= 0
+    assert rep.terms[0] >= 0 and rep.terms[1] >= 0 and rep.tail_term >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +589,27 @@ def test_coupling_bound_requires_nested_support():
     spec = gs.CouplingSpec.independent_bernoulli([0.5] * 10)
     with pytest.raises(ValueError, match=r"target support \(n = 10 > N = 4\)"):
         gs.sum_coupling_bound(gs.poisson(1.0, truncation=4), spec)
+
+
+# exact suprema overflow to inf at j = 1, 2, 3; the solution's also at its arguments 1 and 2
+OVERFLOWING = gs.from_pmf([1, 1e-300, 2e-310, 2e-310, 1e-300, 1])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [[0.5] * 3, [1.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+def test_pointwise_bound_is_inf_where_an_overflowed_supremum_meets_a_gap(p):
+    cb = gs.sum_coupling_bound(OVERFLOWING, gs.CouplingSpec.independent_bernoulli(p))
+    assert cb.pointwise_bound == cb.certified_bound == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowed_suprema_at_zero_gaps_add_nothing():
+    # S = 4 and Shat_i = 3 surely: the one CDF gap is at j = 4 and all mass at s = 4
+    w, G = gs.sup_increment_table(OVERFLOWING), sup_solution_table(OVERFLOWING)
+    assert np.isinf(w[:3]).all() and np.isinf(G[1:3]).all()
+    cb = gs.sum_coupling_bound(OVERFLOWING, gs.CouplingSpec.independent_bernoulli([1.0] * 4))
+    expected = math.fsum([float(w[3])] * 4) + abs(OVERFLOWING.birth_rates[4] - 4.0) * G[4]
+    assert cb.pointwise_bound == expected < math.inf
 
 
 # ---------------------------------------------------------------------------
