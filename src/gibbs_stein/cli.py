@@ -15,9 +15,8 @@ families (listed by --help, e.g. poisson:1.0 or binomial:10,0.3), a path to a
 JSON measure file, or inline JSON.  Test functions are
 `indicator:0,1,2`, `constant:0.5`, a JSON array, or a path to one.
 
-Every report records the seed it was produced with, and every emitted
-float round-trips exactly.  CSV writes floats with 17 significant digits
-and non-finite ones as inf/-inf.  JSON has the layout of
+Every emitted float round-trips exactly.  CSV writes floats with 17
+significant digits and non-finite ones as inf/-inf.  JSON has the layout of
 `json.dumps(report, indent=2)`, with keys in emission order: floats in
 Python's shortest round-trip repr, non-finite ones as Infinity, -Infinity
 and NaN, and `solve`'s `mu_f` as a 17-digit string.
@@ -211,9 +210,7 @@ def _truncation(text: str) -> int:
     return value
 
 
-def _emit(rows: list[dict], header: list[str], args, extra_meta: dict | None = None):
-    meta = {"seed": args.seed}
-    meta.update(extra_meta or {})
+def _emit(rows: list[dict], header: list[str], args, meta: dict):
     if args.format == "json":
         payload = {**meta, "rows": rows}
         text = _indented_json(payload)
@@ -252,6 +249,10 @@ def cmd_solve(args) -> int:
     with _blame("--f"):
         f = parse_test_function(args.f, m.support_max + 1)
         sol = stein.solve(m, f)
+    finite = np.isfinite(sol.g)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise CliError(f"argument --measure: the solution g({j}) = {_render(sol.g[j])} leaves the double range")
     g, dg = sol.g.tolist(), sol.delta().tolist() + [None]  # g(N+1) has no increment
     rows = [{"j": j, "g": g_j, "dg": dg_j} for j, (g_j, dg_j) in enumerate(zip(g, dg))]
     _emit(rows, ["j", "g", "dg"], args, {"measure": m.label(), "mu_f": _render(sol.mu_f)})
@@ -275,7 +276,7 @@ def cmd_compare(args) -> int:
         "m1", "m2", "exact_tv", "certified_bound", "bound_value",
         "branch_used", "tail_term", "g_norm_source", "notes",
     ]
-    _emit([row], header, args)
+    _emit([row], header, args, {})
     return 0
 
 
@@ -331,7 +332,7 @@ def cmd_poisson_sum(args) -> int:
         "lam", "exact_tv", "harmonic_coupling_bound", "linear_coupling_bound",
         "independent_bound", "improved_bound", "pointwise_bound",
     ]
-    _emit([rep.to_dict()], header, args)
+    _emit([rep.to_dict()], header, args, {})
     return 0
 
 
@@ -348,7 +349,6 @@ def cmd_verify(args) -> int:
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     parser.add_argument("--truncation", type=_truncation, default=None,
                         help="explicit truncation bound for infinite-support laws")
     parser.add_argument("--tail-tol", dest="tail_tol", type=_tail_tol, default=measures.DEFAULT_TAIL_TOL,

@@ -45,9 +45,10 @@ closed form beside it as a reference column.
 
 For Bernoulli sums a size-bias coupling bound charges its increments to
 harmonic sums or to reciprocal birth rates, with the target's exact
-solution norm, and a second certificate telescopes the size-bias identity
-through the target's pointwise Stein factors; on dependent specs both take
-the monotone coupling and cost O(n^2).
+solution norm; the charges are taken at the coupled pairs (S, Shat_i)
+alone.  A second certificate telescopes the size-bias identity through the
+target's pointwise Stein factors; on dependent specs both take the
+monotone coupling and cost O(n^2).
 
 A caution on the repelling family: the lattice/continuum weight ratios
 match only from k = 3 on; at k = 2 they differ by the factor (n^2-1)/n^2,
@@ -300,18 +301,18 @@ def lattice_comparison_report(
 # Size-bias coupling bounds for Bernoulli sums
 # ---------------------------------------------------------------------------
 
-def _pair_terms(b: np.ndarray, family_cap: float | None) -> np.ndarray:
-    """Table of min(oracle.harmonic_between(s, t), |s - t| cap(min(s, t))) on 0..n.
+def _pair_charges(b: np.ndarray, family_cap: float | None, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """min(oracle.harmonic_between(s, t), |s - t| cap(min(s, t))) at each coupled pair (s, t).
 
     b holds the birth rates on 0..n; cap(k) = 1/b[k] (+inf where b[k] = 0),
     lowered to the family's uniform increment bound where one exists.  The
     reciprocals 1.0/ell that harmonic_between adds are integers in units
-    2^-scale, so the harmonic entry for (s, t) is the difference D of two
+    2^-scale, so the harmonic sum between s and t is the difference D of two
     exact integer prefix sums, in those units.  D is split into 32-bit limbs,
     D = A 2^32 + B, each exact as a double, and their one float addition
     rounds D correctly: the value of harmonic_between's fsum, bit for bit.
-    The diagonal is 0: a pair with s = t is never charged, and 0 * inf
-    would be NaN there.
+    A pair with s = t is charged its harmonic sum, 0, even where the scaled
+    gap is 0 * inf = NaN.
     """
     size = b.size
     scale = size.bit_length() + 53  # 1.0/ell >= 2^-bit_length(size), 53 bits of significand
@@ -319,18 +320,12 @@ def _pair_terms(b: np.ndarray, family_cap: float | None) -> np.ndarray:
         (int(math.ldexp(1.0 / ell, scale)) for ell in range(1, size)), initial=0
     )
     high, low = np.array([divmod(total, 1 << 32) for total in prefix], dtype=np.int64).T
-    harm = np.abs(
-        (np.subtract.outer(high, high) * 2.0**32 + np.subtract.outer(low, low)) * 2.0**-scale
-    )
+    harm = np.abs(((high[s] - high[t]) * 2.0**32 + (low[s] - low[t])) * 2.0**-scale)
     cap = np.divide(1.0, b, out=np.full(size, math.inf), where=b > 0)
     if family_cap is not None:
         cap = np.minimum(cap, family_cap)
-    states = np.arange(size)
-    gap = np.abs(np.subtract.outer(states, states))
-    with np.errstate(invalid="ignore"):  # 0 * inf on the diagonal, cleared below
-        term = np.minimum(harm, gap * cap[np.minimum.outer(states, states)])
-    np.fill_diagonal(term, 0.0)
-    return term
+    with np.errstate(invalid="ignore"):  # 0 * inf where s = t, which fmin passes over
+        return np.fmin(harm, np.abs(s - t) * cap[np.minimum(s, t)])
 
 
 @dataclass(frozen=True)
@@ -422,7 +417,6 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
     lam = spec.lam
     b = m.birth_rates[: spec.n + 1]
     rate_weight = b / m.omega
-    term = _pair_terms(b, uniform_increment(m.kind, m.params))
     weight = spec.p / lam
     live = spec.p > 0.0
 
@@ -432,7 +426,8 @@ def sum_coupling_bound(m: GibbsMeasure, spec: CouplingSpec) -> CouplingBound:
         s, mass = t + 1, spec.conditional_sums[live] * spec.p[live, None]
     else:
         s, t, mass = spec.monotone_pairs()
-    pieces = ((weight[live, None] * mass) * rate_weight[s]) * term[s, t]
+    charge = _pair_charges(b, uniform_increment(m.kind, m.params), s, t)
+    pieces = ((weight[live, None] * mass) * rate_weight[s]) * charge
     increment_part = m.omega * _fsum(pieces.ravel())
 
     law = spec.sum_law()

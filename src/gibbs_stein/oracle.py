@@ -15,8 +15,8 @@ them from here; no other module of the package does.
 - `lattice.InteractionModel.log_Wn`: W_n(k) by explicit k-fold summation
   of f_k over the model's grid (`lattice_weight_brute`), in a
   deterministic order and guarded by the size n^k.
-- `lattice._pair_terms`: `harmonic_between`, the partial harmonic sums it
-  charges, as math.fsum of the reciprocals.
+- `lattice._pair_charges`: `harmonic_between`, the partial harmonic sums
+  it charges at the coupled pairs, as math.fsum of the reciprocals.
 - `size_bias._leave_one_out_laws`: `bernoulli_convolution`, the law of an
   independent Bernoulli sum by repeated np.convolve.
 - `size_bias.CouplingSpec.monotone_pairs`: `coupling_given_index` lists the

@@ -141,16 +141,17 @@ def _leave_one_out_laws(p: np.ndarray) -> np.ndarray:
 class CouplingSpec:
     """Per-index conditional laws for the size-biased sum construction.
 
-    p[i] are the Bernoulli means; conditional_sums[i] is the pmf of
-    Shat_i = sum_{j != i} Xhat_j on {0, ..., n-1} given X_i = 1.  With
-    independent=True the conditional tables are the leave-one-out
-    convolutions and are generated (or verified) automatically, in one
-    lockstep pass that ends with the law of S, which the spec keeps.  Their
-    column 0 is the product of 1 - p_j over j != i.  The CDFs of S and of
-    the Shat_i, and the monotone pairs, are formed once on first use.
+    p[i] are the Bernoulli means, lam their correctly rounded sum;
+    conditional_sums[i] is the pmf of Shat_i = sum_{j != i} Xhat_j on
+    {0, ..., n-1} given X_i = 1.  With independent=True the conditional
+    tables are the leave-one-out convolutions and are generated (or
+    verified) automatically, in one lockstep pass that ends with the law of
+    S, which the spec keeps.  Their column 0 is the product of 1 - p_j over
+    j != i.  The CDFs of S and of the Shat_i, and the monotone pairs, are
+    formed once on first use.
     """
 
-    __slots__ = ("p", "conditional_sums", "independent", "_sum_law", "_cdf_tables", "_pairs")
+    __slots__ = ("p", "lam", "conditional_sums", "independent", "_sum_law", "_cdf_tables", "_pairs")
 
     def __init__(
         self,
@@ -164,7 +165,8 @@ class CouplingSpec:
             raise ValueError("p must be a non-empty vector of Bernoulli means")
         if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN means fail here too
             raise ValueError("Bernoulli means must lie in [0, 1]")
-        if not _fsum(p) > 0.0:
+        lam = _fsum(p)
+        if not lam > 0.0:
             raise ValueError("at least one Bernoulli mean must be positive")
         n = p.size
 
@@ -191,6 +193,7 @@ class CouplingSpec:
 
         self.p = p
         self.p.setflags(write=False)
+        self.lam = lam
         self.conditional_sums = conditional_sums
         self.conditional_sums.setflags(write=False)
         self.independent = independent
@@ -279,10 +282,6 @@ class CouplingSpec:
     @property
     def n(self) -> int:
         return self.p.size
-
-    @property
-    def lam(self) -> float:
-        return _fsum(self.p)
 
     def mixture_law(self) -> np.ndarray:
         """Law of S* = Shat_I + 1 on {0, ..., n}; the index mixture of shifts."""

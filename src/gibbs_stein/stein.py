@@ -167,7 +167,8 @@ def solve(m: GibbsMeasure, f, method: str = "auto") -> SteinSolution:
     else:
         use_forward = method == "forward"
     g = np.zeros(n + 2)
-    g[1 : n + 1] = np.where(use_forward, forward, backward) / (np.arange(1, n + 1) * pmf[1:])
+    with np.errstate(over="ignore"):  # a quotient past the double range is +-inf, and stays so
+        g[1 : n + 1] = np.where(use_forward, forward, backward) / (np.arange(1, n + 1) * pmf[1:])
     return SteinSolution(g=g, measure=m, f=values, mu_f=mu_f, domain_max=n)
 
 

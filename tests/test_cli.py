@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpora
 import gibbs_stein
 from gibbs_stein.cli import _indented_json, _render, main, parse_measure, parse_range, parse_test_function
 
@@ -67,23 +68,47 @@ def test_solve_csv_roundtrips_17_digits(capsys):
     assert g1 == sol.g[1]
 
 
-def test_identical_seeds_give_identical_bytes(capsys):
-    args = ["lattice", "--model", "product", "--lambda", "1.0", "--n", "3..5", "--seed", "7"]
+def test_identical_command_lines_give_identical_bytes(capsys):
+    args = ["lattice", "--model", "product", "--lambda", "1.0", "--n", "3..5"]
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
-    assert out1 == out2
-    assert "# seed=7" in out1
+    assert out1 == out2 and out1.startswith("# model=product\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--measure", "poisson:1", "--f", "indicator:0"],
+    ["bounds", "--measure", "poisson:1"],
+    ["compare", "--m1", "poisson:1", "--m2", "poisson:1.1"],
+    ["lattice", "--model", "repelling", "--n", "3"],
+    ["poisson-sum", "--p", "0.3,0.2"],
+], ids=lambda argv: argv[0])
+def test_report_commands_take_no_seed(argv, capsys):
+    # no report command draws a random number, so none takes a seed
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "error: unrecognized arguments: --seed 1" in captured.err
+
+
+def test_a_seed_in_a_config_file_exits_two_naming_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--measure", "poisson:1", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed=5" in capsys.readouterr().err
 
 
 def test_bounds_rows_carry_condition_flags(capsys):
     code, out, _ = run_cli(["bounds", "--measure", "geometric:0.5", "--j", "1,2"], capsys)
     assert code == 0
     lines = out.splitlines()
-    header = lines[2].split(",")
+    header = lines[1].split(",")
     assert "conditions" in header and "licensed" in header
     idx_formula = header.index("formula")
     idx_cond = header.index("conditions")
-    for line in lines[3:]:
+    for line in lines[2:]:
         cells = line.split(",")
         if cells[idx_formula] in ("increment_exact_form", "increment_rate_reciprocal"):
             assert "rate_sandwich=" in cells[idx_cond]
@@ -94,7 +119,7 @@ def test_bounds_rows_carry_condition_flags(capsys):
                              ("poisson:1", ("norm_rate_spread", "poisson_increment"))):
         code, out, _ = run_cli(["bounds", "--measure", measure, "--j", "1..5"], capsys)
         assert code == 0
-        formulas = [line.split(",")[idx_formula] for line in out.splitlines()[3:]]
+        formulas = [line.split(",")[idx_formula] for line in out.splitlines()[2:]]
         for formula in uniform:
             assert formulas.count(formula) == 1, formula
 
@@ -228,13 +253,11 @@ def test_verify_exits_zero_and_strict_nonzero(capsys):
     assert "first failing property" in out
 
 
-@pytest.mark.parametrize("seed", ["42", "7", "1"])
+@pytest.mark.parametrize("seed", corpora.VERIFY_SEEDS)
 def test_verify_output_matches_the_pinned_text(seed, capsys):
-    code, out, err = run_cli(["verify", "--seed", seed], capsys)
+    code, out, err = run_cli(corpora.command("verify", seed, None, None), capsys)
     assert code == 0 and err == ""
-    pinned = os.path.join(os.path.dirname(__file__), "data", f"verify_seed{seed}.txt")
-    with open(pinned, "rb") as handle:
-        assert out.encode() == handle.read()
+    assert out == corpora.load("verify")[seed]
 
 
 def test_console_entry_point():
@@ -329,8 +352,8 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     text = target.read_text()
-    assert text.startswith("# seed=0")
-    assert text.count("\n") == 6  # three comment lines, header, two rows
+    assert text.startswith("# model=ideal_gas\n# activity=1\n")
+    assert text.count("\n") == 5  # two comment lines, header, two rows
 
 
 def test_full_builtin_descriptor_coverage(capsys):
@@ -498,7 +521,7 @@ def test_overflowing_birth_rate_exits_two_without_a_warning(capsys):
     "argv, text",
     [
         (["bounds", "--measure", "pmf:1,2e-310,2e-20,1", "--j", "1"],
-         "# seed=0\n# measure=pmf\nquantity,j,value,formula,exactness,licensed,conditions,notes\r\n"
+         "# measure=pmf\nquantity,j,value,formula,exactness,licensed,conditions,notes\r\n"
          "solution_norm,,inf,norm_rate_spread,upper_bound,True,,\r\n"
          "increment_at_j,1,0.5,increment_exact_form,exact_equality,False,rate_sandwich=F,\r\n"
          "increment_at_j,1,4.9999999999999156e-291,increment_rate_reciprocal,upper_bound,False,rate_sandwich=F,\r\n"
@@ -506,7 +529,7 @@ def test_overflowing_birth_rate_exits_two_without_a_warning(capsys):
          "solution_norm,,inf,exact_supremum,exact_equality,True,,\r\n"
          "increment_at_j,1,inf,exact_supremum,exact_equality,True,,\r\n"),
         (["compare", "--m1", "pmf:1,2e-310,2e-20,1", "--m2", "pmf:1,1e-300,1e-10,1"],
-         "# seed=0\nm1,m2,exact_tv,certified_bound,bound_value,branch_used,tail_term,g_norm_source,notes\r\n"
+         "m1,m2,exact_tv,certified_bound,bound_value,branch_used,tail_term,g_norm_source,notes\r\n"
          "pmf,pmf,4.9999946551108059e-11,7.4999999988745754e+299,7.4999999988745754e+299,"
          "direction_2_to_1,0,exact,\r\n"),
     ],
@@ -578,27 +601,11 @@ def test_lattice_with_limit_truncated_below_n_dominates(model, lam, capsys):
     assert row["generator_bound"] >= row["exact_tv"] - 1e-10
 
 
-PINNED_COMPARE = os.path.join(os.path.dirname(__file__), "data", "compare_outputs.json")
-
-
 def test_compare_output_matches_the_pinned_text(capsys):
-    # keys are "<pair>|<format>"; the pairs cover equal supports and both nestings
-    # the large pairs reach the extended branch and the restricted test class at N = 680
-    restricted = json.dumps(parse_measure("poisson:500").restricted(560).to_dict())
-    pairs = {
-        "equal": ("binomial:10,0.3", "binomial:10,0.32"),
-        "m1_inside_m2": ("binomial:8,0.3", "binomial:12,0.2"),
-        "m2_inside_m1": ("binomial:12,0.2", "binomial:8,0.3"),
-        "large_equal": ("poisson:500", "poisson:505"),
-        "large_restricted": ("poisson:500", restricted),
-    }
-    with open(PINNED_COMPARE) as handle:
-        pinned = json.load(handle)
+    pinned = corpora.load("compare")
     assert len(pinned) == 10
     for key, text in pinned.items():
-        pair, fmt = key.split("|")
-        m1, m2 = pairs[pair]
-        code, out, _ = run_cli(["compare", "--m1", m1, "--m2", m2, "--format", fmt], capsys)
+        code, out, _ = run_cli(corpora.command("compare", key, text, None), capsys)
         assert code == 0 and out == text, key
 
 
@@ -631,76 +638,43 @@ def test_test_function_table_outside_the_unit_interval_exits_two(values, source,
     assert err == f"error: argument --f: test function {desc!r}: test function values must lie in [0, 1]\n"
 
 
-PINNED_LATTICE = os.path.join(os.path.dirname(__file__), "data", "lattice_outputs.json")
-
-
 def test_lattice_output_matches_the_pinned_text(capsys):
-    # keys are "<model>|<format>" for the cell counts 3..80 and "<model>|<n>|<format>"
-    # for others: product 81..87 runs up to the model's underflow ceiling, and product 88,
-    # whose lattice weight underflows, pins exit 2 and the error text
-    activities = {"repelling": "1", "product": "1", "ideal_gas": "2"}
-    with open(PINNED_LATTICE) as handle:
-        pinned = json.load(handle)
+    pinned = corpora.load("lattice")
     assert len(pinned) == 9
-    for key, expected in pinned.items():
-        model, *cells, fmt = key.split("|")
-        argv = ["lattice", "--model", model, "--lambda", activities[model],
-                "--n", cells[0] if cells else "3,4,5,6,7,8,10,12,20,40,80", "--format", fmt]
-        if isinstance(expected, str):
-            expected = {"exit": 0, "stdout": expected, "stderr": ""}
-        code, out, err = run_cli(argv, capsys)
-        assert (code, out, err) == (expected["exit"], expected["stdout"], expected["stderr"]), key
-
-
-PINNED_POISSON_SUM = os.path.join(os.path.dirname(__file__), "data", "poisson_sum_outputs.json")
+    for key, entry in pinned.items():
+        code, out, err = run_cli(corpora.command("lattice", key, entry, None), capsys)
+        assert (code, out, err) == corpora.pinned(entry), key
 
 
 def test_poisson_sum_output_matches_the_pinned_text(tmp_path, capsys):
-    # keys are "<spec>|<format>"; each entry carries its spec, one independent and
-    # one dependent (configuration-level) coupling
-    with open(PINNED_POISSON_SUM) as handle:
-        pinned = json.load(handle)
+    # one independent and one dependent (configuration-level) coupling, each entry carrying its spec
+    pinned = corpora.load("poisson_sum")
     assert len(pinned) == 4
-    for key, expected in pinned.items():
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(expected["spec"]))
-        fmt = key.split("|")[1]
-        code, out, _ = run_cli(["poisson-sum", "--spec", str(spec_path), "--format", fmt], capsys)
-        assert code == 0 and out == expected["stdout"], key
-
-
-PINNED_BOUNDS = os.path.join(os.path.dirname(__file__), "data", "bounds_outputs.json")
+    for key, entry in pinned.items():
+        code, out, _ = run_cli(corpora.command("poisson_sum", key, entry, tmp_path), capsys)
+        assert code == 0 and out == entry["stdout"], key
 
 
 def test_bounds_output_matches_the_pinned_text(capsys):
-    # keys are "<measure>|<ladder>" for CSV and "<measure>|<ladder>|json" for JSON: the
-    # default ladder or --j 1..5, which some supports do not reach, so those calls pin
+    # the default ladder or --j 1..5, which some supports do not reach, so those calls pin
     # exit 2 and the error text; poisson:500 with --j 1..300 pins 1,204 JSON rows.  Also
     # pinned: a law that fails both conditions, an unsorted ladder with a repeat, a
     # ladder whose first out-of-range j (11) is neither its first entry nor its
     # smallest, and ladders that reach N on binomial(64) and on Poisson(30) at N = 81
-    with open(PINNED_BOUNDS) as handle:
-        pinned = json.load(handle)
+    pinned = corpora.load("bounds")
     assert len(pinned) == 47
     for key, expected in pinned.items():
-        desc, ladder, *fmt = key.split("|")
-        argv = ["bounds", "--measure", desc] + ([] if ladder == "default" else ["--j", ladder])
-        code, out, err = run_cli(argv + ["--format", *fmt] if fmt else argv, capsys)
+        code, out, err = run_cli(corpora.command("bounds", key, expected, None), capsys)
         assert (code, out, err) == (expected["exit"], expected["stdout"], expected["stderr"]), key
 
 
-PINNED_SOLVE = os.path.join(os.path.dirname(__file__), "data", "solve_outputs.json")
-
-
 def test_solve_output_matches_the_pinned_text(capsys):
-    # keys are "<measure>|<f>|<format>": every built-in family with an indicator and a
-    # constant test function, and Poisson(500) (N = 681) with the indicator
-    with open(PINNED_SOLVE) as handle:
-        pinned = json.load(handle)
+    # every built-in family with an indicator and a constant test function, and
+    # Poisson(500) (N = 681) with the indicator
+    pinned = corpora.load("solve")
     assert len(pinned) == 26
     for key, text in pinned.items():
-        desc, f, fmt = key.split("|")
-        code, out, err = run_cli(["solve", "--measure", desc, "--f", f, "--format", fmt], capsys)
+        code, out, err = run_cli(corpora.command("solve", key, text, None), capsys)
         assert (code, out, err) == (0, text, ""), key
 
 
@@ -740,15 +714,15 @@ def test_one_parser_serves_every_call_without_leaking_state(tmp_path, monkeypatc
     from gibbs_stein import cli
 
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"truncation": 12, "seed": 5, "format": "json"}))
+    cfg.write_text(json.dumps({"truncation": 12, "format": "json"}))
     sequence = [
         ["solve", "--measure", "poisson:2", "--f", "indicator:0,3", "--truncation", "20",
-         "--format", "json", "--seed", "3"],
-        ["bounds", "--measure", "binomial:12,0.4", "--j", "1..4", "--tail-tol", "1e-10", "--seed", "9"],
+         "--format", "json"],
+        ["bounds", "--measure", "binomial:12,0.4", "--j", "1..4", "--tail-tol", "1e-10"],
         ["compare", "--m1", "poisson:1", "--m2", "poisson:1.2", "--truncation", "30", "--format", "json"],
         ["lattice", "--model", "ideal_gas", "--lambda", "2", "--n", "3..5", "--truncation", "15",
          "--tail-tol", "1e-8"],
-        ["poisson-sum", "--p", "0.1,0.2,0.05", "--truncation", "8", "--format", "json", "--seed", "4"],
+        ["poisson-sum", "--p", "0.1,0.2,0.05", "--truncation", "8", "--format", "json"],
         # the same subcommands with their defaults: nothing set above may stick
         ["solve", "--measure", "poisson:2", "--f", "indicator:0,3"],
         ["bounds", "--measure", "binomial:12,0.4"],

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gibbs_stein"
 FAST_PATHS = {
     "_fsum", "_fsum_rows", "_compensated_cumsum", "_products_over", "sup_solution_table",
-    "sup_increment_table", "_pair_terms", "_leave_one_out_laws", "monotone_pairs",
+    "sup_increment_table", "_pair_charges", "_leave_one_out_laws", "monotone_pairs",
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -446,6 +447,17 @@ def test_increment_table_rounds_a_gap_between_two_overflowed_products_up(capsys)
                 assert float(abs(value - exact) / exact) <= 1e-13, j
             else:  # above the double range, so only +inf bounds it
                 assert value == math.inf, j
+
+
+def test_solve_keeps_an_overflowed_solution_at_inf_without_a_warning():
+    # two adjacent subnormal entries put g(2) and g(3) above the double range: the
+    # library returns inf there without a warning, and `solve` on the command line
+    # refuses the law
+    m = gs.from_pmf(np.array([1.0, 1e-300, 2e-310, 2e-310, 1e-300, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gs.solve(m, gs.TestFunction.indicator([0], 6)).g
+    assert np.isinf(g[2:4]).all() and np.isfinite(np.delete(g, [2, 3])).all()
 
 
 def test_supremum_tables_of_a_single_state_are_empty():
